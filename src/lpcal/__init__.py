@@ -53,8 +53,10 @@ from .world import (
     Predictor,
     SampleBatch,
     World,
+    bin_table,
     draw,
     exact_event_stats,
+    feature_counts,
     make_scenario,
 )
 
@@ -76,6 +78,7 @@ __all__ = [
     "SampleBatch",
     "World",
     "bin_mass_sample_size",
+    "bin_table",
     "calibrate",
     "canonical",
     "derive_params",
@@ -88,6 +91,7 @@ __all__ = [
     "exact_lp_error",
     "exact_report",
     "exact_sq_error",
+    "feature_counts",
     "is_member",
     "level_count",
     "make_scenario",

@@ -37,9 +37,10 @@ from .partitions import (
     estimated_error,
     init_structures,
 )
+# round_down and draw go unused here; perfbench/tracer.py patches both names.
 from .simplex import Level, canonical, level_count, project_simplex, round_down
 from .streams import stream_rng
-from .world import Predictor, World, draw, exact_event_stats
+from .world import Binning, Predictor, World, bin_table, draw, exact_event_stats, feature_counts
 
 PNorm = Fraction | float  # a rational > 1, or math.inf
 
@@ -139,19 +140,20 @@ class CalibratedPredictor:
     """
 
     routing: dict[Level, np.ndarray]
-    base: Predictor
-    lam: int
+    binning: Binning  # of the base predictor
 
-    def apply(self, x: int) -> np.ndarray:
-        v = round_down(self.base.table[x], self.lam)
+    def _predict(self, v: Level) -> np.ndarray:
         pred = self.routing.get(v)
         if pred is None:
-            return canonical(v, self.lam)
+            return canonical(v, self.binning.lam)
         return np.array(pred, copy=True)
+
+    def apply(self, x: int) -> np.ndarray:
+        return self._predict(self.binning.levels[self.binning.ids[x]])
 
     def to_table(self) -> np.ndarray:
         """Predictions for every feature, for exact evaluation."""
-        return np.stack([self.apply(x) for x in range(self.base.table.shape[0])])
+        return np.stack([self._predict(v) for v in self.binning.levels])[self.binning.ids]
 
 
 @dataclass
@@ -197,22 +199,20 @@ class EventMonitor:
     """
 
     world: World
-    predictor: Predictor
-    lam: int
+    binning: Binning
     mass_table_max_dev: float = 0.0
     pool_prob_max_dev: float = 0.0
     pool_label_max_dev: float = 0.0
 
     def observe_mass_table(self, table: BinMassTable) -> None:
-        exact: dict[Level, float] = {}
-        for x, lvl in enumerate(self.predictor.levels(self.lam)):
-            exact[lvl] = exact.get(lvl, 0.0) + float(self.world.mass[x])
-        for v in set(table.masses) | set(exact):
-            dev = abs(table.mass(v) - exact.get(v, 0.0))
+        exact = np.bincount(self.binning.ids, weights=self.world.mass)
+        exact_mass = dict(zip(self.binning.levels, exact.tolist()))
+        for v in set(table.masses) | set(exact_mass):
+            dev = abs(table.mass(v) - exact_mass.get(v, 0.0))
             self.mass_table_max_dev = max(self.mass_table_max_dev, dev)
 
     def observe_pool_answer(self, kind: str, bins: frozenset[Level], answer: np.ndarray) -> None:
-        mass, mean_label = exact_event_stats(self.world, self.predictor, self.lam, bins)
+        mass, mean_label = exact_event_stats(self.world, self.binning, bins)
         if kind == "prob":
             self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(float(answer[0]) - mass))
         else:
@@ -253,8 +253,6 @@ def calibrate(
     *,
     sample_mode: str = "auto",
     manual_sizes: dict | None = None,
-    check_invariants: bool = True,
-    monitor_events: bool = True,
 ) -> tuple[CalibratedPredictor, RunTrace]:
     """Run the full calibration loop against a synthetic world.
 
@@ -268,20 +266,20 @@ def calibrate(
         raise ValueError(f"unknown sample_mode {sample_mode!r}")
     if sample_mode == "manual" and not manual_sizes:
         raise ValueError("manual sample_mode requires manual_sizes")
-    manual_sizes = manual_sizes or {}
+    sizes = manual_sizes if sample_mode == "manual" else {}
     lam, k = params.lam, world.k
     start = time.perf_counter()
 
-    monitor = EventMonitor(world, predictor, lam) if monitor_events else None
+    binning = bin_table(predictor.table, lam)
+    monitor = EventMonitor(world, binning)
 
     # Stage 0: bin-mass table and high-probability bin selection.
     n_levels = level_count(lam, k)
     m1, m2 = bin_mass_terms(params.mass_accuracy, params.mass_delta, n_levels)
-    m_mass = manual_sizes.get("bin_mass", m1 + m2) if sample_mode == "manual" else m1 + m2
-    mass_samples = draw(world, stream_rng(seed, "data:bin-mass"), m_mass)
-    mass_table = estimate_bin_masses(mass_samples, predictor, lam)
-    if monitor is not None:
-        monitor.observe_mass_table(mass_table)
+    m_mass = sizes.get("bin_mass", m1 + m2)
+    mass_counts = feature_counts(world, stream_rng(seed, "data:bin-mass"), m_mass)
+    mass_table = estimate_bin_masses(mass_counts, binning)
+    monitor.observe_mass_table(mass_table)
 
     bins = select_bins(mass_table, params)
     trace = RunTrace(bins=bins, t_max=params.t_max)
@@ -300,7 +298,7 @@ def calibrate(
         # already within budget everywhere.
         trace.events = _event_summary(monitor, params, n_bins=0)
         trace.wall_time_s = time.perf_counter() - start
-        return CalibratedPredictor({}, predictor, lam), trace
+        return CalibratedPredictor({}, binning), trace
 
     if len(bins) > params.bin_cap:
         raise EstimateFailureError(
@@ -313,14 +311,9 @@ def calibrate(
     alpha_pool = params.pool_accuracy(n_bins)
     delta_pool = params.pool_delta(n_bins)
 
-    def on_estimate(kind: str, event: frozenset[Level], answer: np.ndarray) -> None:
-        if monitor is not None:
-            monitor.observe_pool_answer(kind, event, answer)
-
+    m_prob, m_label = sizes.get("pool_prob"), sizes.get("pool_label")
     pools = {}
     for i in range(classes):
-        m_prob = manual_sizes.get("pool_prob") if sample_mode == "manual" else None
-        m_label = manual_sizes.get("pool_label") if sample_mode == "manual" else None
         pools[i] = (
             pool_create(
                 world, seed, f"prob:{i}", n_bins, 1, alpha_pool, delta_pool, m=m_prob
@@ -331,13 +324,12 @@ def calibrate(
         )
 
     est_part, pred_part = init_structures(
-        bins, pools, predictor, lam, max_subsets=classes, on_estimate=on_estimate
+        bins, pools, binning, max_subsets=classes, on_estimate=monitor.observe_pool_answer
     )
     universe = frozenset(bins)
-    if check_invariants:
-        est_part.check_invariants(universe)
-        pred_part.check_invariants(universe)
-        check_refinement(pred_part, est_part)
+    est_part.check_invariants(universe)
+    pred_part.check_invariants(universe)
+    check_refinement(pred_part, est_part)
 
     trace.moved_counts = {v: 0 for v in bins}
     t = 0
@@ -395,10 +387,9 @@ def calibrate(
             prob_sum2, pred_part.groups[cur_gid].pred, label_sum2
         )
 
-        if check_invariants:
-            est_part.check_invariants(universe)
-            pred_part.check_invariants(universe)
-            check_refinement(pred_part, est_part)
+        est_part.check_invariants(universe)
+        pred_part.check_invariants(universe)
+        check_refinement(pred_part, est_part)
 
         trace.records.append(
             IterationRecord(
@@ -437,12 +428,10 @@ def calibrate(
     ]
     trace.events = _event_summary(monitor, params, n_bins=n_bins)
     trace.wall_time_s = time.perf_counter() - start
-    return CalibratedPredictor(pred_part.routing(), predictor, lam), trace
+    return CalibratedPredictor(pred_part.routing(), binning), trace
 
 
-def _event_summary(monitor: EventMonitor | None, params: CalibParams, n_bins: int) -> dict:
-    if monitor is None:
-        return {"monitored": False}
+def _event_summary(monitor: EventMonitor, params: CalibParams, n_bins: int) -> dict:
     alpha_pool = params.pool_accuracy(n_bins) if n_bins else None
     out = {
         "monitored": True,
@@ -453,12 +442,9 @@ def _event_summary(monitor: EventMonitor | None, params: CalibParams, n_bins: in
         "pool_label_max_dev": monitor.pool_label_max_dev,
         "pool_threshold": alpha_pool,
     }
-    if n_bins:
-        out["pool_prob_held"] = monitor.pool_prob_max_dev <= alpha_pool
-        out["pool_label_held"] = monitor.pool_label_max_dev <= alpha_pool
-    else:
-        out["pool_prob_held"] = True
-        out["pool_label_held"] = True
+    # with no bins selected no pool is ever queried, so both events hold
+    out["pool_prob_held"] = not n_bins or monitor.pool_prob_max_dev <= alpha_pool
+    out["pool_label_held"] = not n_bins or monitor.pool_label_max_dev <= alpha_pool
     out["all_held"] = (
         out["mass_table_held"] and out["pool_prob_held"] and out["pool_label_held"]
     )

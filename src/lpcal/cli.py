@@ -416,15 +416,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.world).read_text(encoding="utf-8"))
-    world, predictor = world_from_dict(doc)
-    table = predictor.table
     if args.pred:
+        # validated exactly like the world's own predictor
         pred_doc = json.loads(Path(args.pred).read_text(encoding="utf-8"))
-        table = np.asarray(
-            pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc, dtype=float
-        )
+        doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
+    world, predictor = world_from_dict(doc)
     p_list = tuple(math.inf if s.strip() == "inf" else float(Fraction(s)) for s in args.p.split(","))
-    rep = exact_report(world, table, args.lam, p_list)
+    rep = exact_report(world, predictor, args.lam, p_list)
     out = {
         "lambda": args.lam,
         "aggregates": {("inf" if math.isinf(q) else f"{q:g}"): rep.aggregates[q] for q in p_list},

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DisjointnessError, QueryBudgetError
 from .simplex import Level
 from .streams import stream_rng
-from .world import Predictor, SampleBatch, World, joint_counts
+from .world import Binning, World, joint_counts
 
 
 def _check_unit(name: str, x: float) -> None:
@@ -74,18 +74,17 @@ class BinMassTable:
         return self.masses.get(v, 0.0)
 
 
-def estimate_bin_masses(samples: SampleBatch, predictor: Predictor, lam: int) -> BinMassTable:
-    """Empirical frequency of each rounded-prediction bin."""
-    if len(samples) == 0:
+def estimate_bin_masses(counts: np.ndarray, binning: Binning) -> BinMassTable:
+    """Empirical frequency of each rounded-prediction bin from per-feature counts.
+
+    Only bins with a nonzero count appear in the table.
+    """
+    n = int(counts.sum())
+    if n == 0:
         raise ValueError("samples must be nonempty")
-    levels = predictor.levels(lam)
-    counts = np.bincount(samples.features, minlength=predictor.table.shape[0])
-    masses: dict[Level, float] = {}
-    for x, c in enumerate(counts):
-        if c:
-            lvl = levels[x]
-            masses[lvl] = masses.get(lvl, 0.0) + int(c) / len(samples)
-    return BinMassTable(masses, len(samples))
+    freq = np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
+    masses = {binning.levels[i]: float(freq[i]) for i in np.flatnonzero(freq)}
+    return BinMassTable(masses, n)
 
 
 def pool_sample_size(n_events: int, value_dim: int, alpha: float, delta: float) -> int:
@@ -135,7 +134,7 @@ class DisjointQueryPool:
         """Privacy parameter of the mechanism: l1 sensitivity 2/m over noise scale."""
         return (2.0 / self.m) / self.noise_scale
 
-    def query(self, event: Iterable[Level], predictor: Predictor, lam: int) -> np.ndarray:
+    def query(self, event: Iterable[Level], binning: Binning) -> np.ndarray:
         """Noised, clamped empirical answer for one new disjoint event."""
         event = frozenset(event)
         if not event:
@@ -149,12 +148,7 @@ class DisjointQueryPool:
             raise QueryBudgetError(
                 f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
             )
-        sel = np.fromiter(
-            (lvl in event for lvl in predictor.levels(lam)),
-            dtype=bool,
-            count=self.counts.shape[0],
-        )
-        cell = self.counts[sel]
+        cell = self.counts[binning.rows_in(event)]
         if self.value_dim == 1:
             raw = np.array([cell.sum() / self.m])
         else:

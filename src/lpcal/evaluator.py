@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Level, round_down
-from .world import Predictor, SampleBatch, World
+from .simplex import Level, round_down  # round_down unused; perfbench/tracer.py patches it
+from .world import Predictor, SampleBatch, World, bin_table
 
 PList = tuple[float, ...]
 
@@ -41,15 +41,10 @@ def exact_error_table(
     exactly zero.
     """
     table = _as_table(pred)
-    signed: dict[Level, np.ndarray] = {}
-    for x in range(world.n_features):
-        v = round_down(table[x], lam)
-        gap = world.mass[x] * (table[x] - world.conditional[x])
-        if v in signed:
-            signed[v] = signed[v] + gap
-        else:
-            signed[v] = gap.copy()
-    return {v: np.abs(g) for v, g in signed.items()}
+    binning = bin_table(table, lam)
+    signed = np.zeros((len(binning.levels), table.shape[1]))
+    np.add.at(signed, binning.ids, world.mass[:, None] * (table - world.conditional))
+    return dict(zip(binning.levels, np.abs(signed)))
 
 
 def exact_bin_class_error(
@@ -135,12 +130,12 @@ def empirical_report(
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(samples),):
             raise ValueError("weights must parallel the samples")
-    levels = [round_down(row, lam) for row in table]
+    binning = bin_table(table, lam)
     onehot = np.eye(k)
     signed: dict[Level, np.ndarray] = {}
     sq = 0.0
     for x, y, w in zip(samples.features, samples.labels, weights):
-        v = levels[x]
+        v = binning.levels[binning.ids[x]]
         gap = w * (table[x] - onehot[y])
         if v in signed:
             signed[v] = signed[v] + gap

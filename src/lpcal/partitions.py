@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvariantError
 from .simplex import Level, canonical, round_down
 from .estimation import DisjointQueryPool
-from .world import Predictor
+from .world import Binning
 
 # (kind, event bins, answer) -> None; kind is "prob" or "label".
 EstimateHook = Callable[[str, frozenset[Level], np.ndarray], None]
@@ -77,14 +77,12 @@ class EstimationPartition:
     def __init__(
         self,
         pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-        predictor: Predictor,
-        lam: int,
+        binning: Binning,
         max_subsets: int,
         on_estimate: EstimateHook | None = None,
     ) -> None:
         self.pools = dict(pools)  # size class i -> (prob pool, label pool)
-        self.predictor = predictor
-        self.lam = lam
+        self.binning = binning
         self.max_subsets = max_subsets
         self.on_estimate = on_estimate
         self.groups: dict[int, EstimationGroup] = {}
@@ -94,8 +92,8 @@ class EstimationPartition:
 
     def _estimate(self, size_class: int, bins: frozenset[Level]) -> tuple[float, np.ndarray]:
         prob_pool, label_pool = self.pools[size_class]
-        prob = float(prob_pool.query(bins, self.predictor, self.lam)[0])
-        label_mass = label_pool.query(bins, self.predictor, self.lam)
+        prob = float(prob_pool.query(bins, self.binning)[0])
+        label_mass = label_pool.query(bins, self.binning)
         if self.on_estimate is not None:
             self.on_estimate("prob", bins, np.array([prob]))
             self.on_estimate("label", bins, label_mass)
@@ -284,8 +282,7 @@ def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartiti
 def init_structures(
     bins: Iterable[Level],
     pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-    predictor: Predictor,
-    lam: int,
+    binning: Binning,
     max_subsets: int,
     on_estimate: EstimateHook | None = None,
 ) -> tuple[EstimationPartition, PredictionPartition]:
@@ -299,11 +296,11 @@ def init_structures(
     bins = sorted(bins)
     if not bins:
         raise ValueError("bin set must be nonempty")
-    est = EstimationPartition(pools, predictor, lam, max_subsets, on_estimate)
-    pred_part = PredictionPartition(lam)
+    est = EstimationPartition(pools, binning, max_subsets, on_estimate)
+    pred_part = PredictionPartition(binning.lam)
     for v in bins:
         gid = est.add_singleton(v)
         grp = est.groups[gid]
-        pred = canonical(v, lam)
+        pred = canonical(v, binning.lam)
         pred_part.add_singleton(v, pred, estimated_error(grp.prob, pred, grp.label_mass))
     return est, pred_part

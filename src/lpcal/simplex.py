@@ -21,7 +21,7 @@ fixed ``lam`` and vice versa.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ def check_prob_vector(u: np.ndarray, *, atol: float = PROB_ATOL) -> None:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("probability vector must be 1-d and nonempty")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"coordinates must be finite: {u}")
     if np.any(u < -atol) or np.any(u > 1.0 + atol):
         raise ValueError(f"coordinates outside [0,1]: {u}")
     s = float(u.sum())
@@ -169,26 +171,3 @@ def enumerate_levels(lam: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> list[Leve
 
     rec(0, lam)
     return out
-
-
-def iter_box_witnesses(v: Level, lam: int, grid: int) -> Iterator[np.ndarray]:
-    """Yield the points of the witness box of ``v`` on the ``1/grid`` grid.
-
-    Test helper for brute-force oracles; ``grid`` must be a multiple of
-    ``lam``.
-    """
-    if grid % lam != 0:
-        raise ValueError("grid must be a multiple of lam")
-    step = grid // lam
-
-    def rec(i: int, acc: list[int]) -> Iterator[np.ndarray]:
-        if i == len(v):
-            if sum(acc) == grid:
-                yield np.asarray(acc, dtype=float) / grid
-            return
-        lo = v[i] * step
-        hi = min(lo + step - 1, grid)
-        for a in range(lo, hi + 1):
-            yield from rec(i + 1, acc + [a])
-
-    yield from rec(0, [])

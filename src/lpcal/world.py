@@ -44,6 +44,8 @@ class World:
             raise ValueError("mass must be 1-d and conditional 2-d")
         if self.mass.shape[0] != self.conditional.shape[0]:
             raise ValueError("mass and conditional disagree on n_features")
+        if not np.all(np.isfinite(self.mass)):
+            raise ValueError("masses must be finite")
         if np.any(self.mass < 0):
             raise ValueError("masses must be nonnegative")
         if abs(float(self.mass.sum()) - 1.0) > 1e-12:
@@ -79,7 +81,38 @@ class Predictor:
 
     def levels(self, lam: int) -> list[Level]:
         """Rounded level set of each row."""
-        return [round_down(row, lam) for row in self.table]
+        binning = bin_table(self.table, lam)
+        return [binning.levels[i] for i in binning.ids]
+
+
+@dataclass(frozen=True)
+class Binning:
+    """The rounded bin of every row of one table at granularity ``lam``.
+
+    levels: the distinct level sets, in order of their first row.
+    ids:    (n_rows,) position in ``levels`` of each row's level set.
+    """
+
+    lam: int
+    levels: tuple[Level, ...]
+    ids: np.ndarray
+
+    def rows_in(self, bins: Iterable[Level]) -> np.ndarray:
+        """Boolean mask of the rows whose level set lies in ``bins``."""
+        bins = frozenset(bins)
+        hit = np.fromiter((v in bins for v in self.levels), dtype=bool, count=len(self.levels))
+        return hit[self.ids]
+
+
+def bin_table(table: np.ndarray, lam: int) -> Binning:
+    """Round every row of ``table`` once; the only per-row use of ``round_down``."""
+    index: dict[Level, int] = {}
+    ids = np.fromiter(
+        (index.setdefault(round_down(row, lam), len(index)) for row in table),
+        dtype=np.int64,
+        count=len(table),
+    )
+    return Binning(lam, tuple(index), ids)
 
 
 @dataclass(frozen=True)
@@ -113,6 +146,26 @@ def draw(world: World, rng: np.random.Generator, n: int) -> SampleBatch:
     return SampleBatch(features, labels)
 
 
+# Draws per chunk when counting features; bounds memory at any sample count.
+FEATURE_CHUNK = 1 << 20
+
+
+def feature_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-feature counts of ``n`` i.i.d. draws, without labels.
+
+    The chunked ``rng.choice`` calls consume the stream exactly as the one
+    call in :func:`draw` does, so the counts equal
+    ``np.bincount(draw(world, rng, n).features)`` in O(n_features) memory.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    counts = np.zeros(world.n_features, dtype=np.int64)
+    for start in range(0, n, FEATURE_CHUNK):
+        features = rng.choice(world.n_features, size=min(FEATURE_CHUNK, n - start), p=world.mass)
+        counts += np.bincount(features, minlength=world.n_features)
+    return counts
+
+
 def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
     """Counts of ``n`` i.i.d. samples per (feature, label) cell.
 
@@ -128,7 +181,7 @@ def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def exact_event_stats(
-    world: World, predictor: Predictor, lam: int, bins: Iterable[Level]
+    world: World, binning: Binning, bins: Iterable[Level]
 ) -> tuple[float, np.ndarray]:
     """Exact mass and per-class label mass of a bin-set event.
 
@@ -139,9 +192,7 @@ def exact_event_stats(
     bins = frozenset(bins)
     if not bins:
         raise ValueError("bins must be nonempty")
-    sel = np.fromiter(
-        (lvl in bins for lvl in predictor.levels(lam)), dtype=bool, count=world.n_features
-    )
+    sel = binning.rows_in(bins)
     mass = float(world.mass[sel].sum())
     mean_label = world.mass[sel] @ world.conditional[sel]
     return mass, np.asarray(mean_label, dtype=float)
@@ -209,7 +260,7 @@ def world_from_dict(doc: dict) -> tuple[World, Predictor]:
     """Inverse of :func:`world_to_dict`."""
     k = int(doc["k"])
     cond = np.asarray(doc["conditionals"], dtype=float)
-    if cond.shape[1] != k:
+    if cond.ndim != 2 or cond.shape[1] != k:
         raise ValueError("conditionals disagree with k")
     world = World(np.asarray(doc["masses"], dtype=float), cond)
     predictor = Predictor(np.asarray(doc["predictor"], dtype=float))

@@ -137,3 +137,24 @@ def sq_error_by_expectation(world: World, table: np.ndarray) -> float:
                 np.sum((table[x] - onehot) ** 2)
             )
     return total
+
+
+def bin_masses_by_samples(features: np.ndarray, table: np.ndarray, lam: int) -> dict[Level, float]:
+    """Empirical bin masses by rounding each sampled feature's row on its own."""
+    counts = np.bincount(features, minlength=table.shape[0])
+    masses: dict[Level, float] = {}
+    for x, c in enumerate(counts):
+        if c:
+            v = round_down(table[x], lam)
+            masses[v] = masses.get(v, 0.0) + int(c) / len(features)
+    return masses
+
+
+def error_table_by_rows(world: World, table: np.ndarray, lam: int) -> dict[Level, np.ndarray]:
+    """Per-bin exact errors, rounding row by row and summing in feature order."""
+    signed: dict[Level, np.ndarray] = {}
+    for x in range(world.n_features):
+        v = round_down(table[x], lam)
+        gap = world.mass[x] * (table[x] - world.conditional[x])
+        signed[v] = signed[v] + gap if v in signed else gap.copy()
+    return {v: np.abs(g) for v, g in signed.items()}

@@ -16,7 +16,7 @@ from lpcal.cli import RunConfig, dumps_json, main, run_config, trace_to_csv
 from lpcal.errors import DisjointnessError, EstimateFailureError
 from lpcal.estimation import pool_create, pool_sample_size
 from lpcal.simplex import enumerate_levels, level_count, project_simplex
-from lpcal.world import make_scenario
+from lpcal.world import bin_table, make_scenario
 
 from oracles import (
     compositions,
@@ -238,10 +238,10 @@ def test_criterion_9_mechanism_structure(suite_inf, suite_p2):
                 checked += 1
     world, f = make_scenario("perfect", 2, 5, seed=1)
     pool = pool_create(world, 0, "overlap-check", 4, 1, 0.1, 0.1, m=100)
-    lam = 4
-    pool.query([f.levels(lam)[0]], f, lam)
+    binning = bin_table(f.table, 4)
+    pool.query([binning.levels[0]], binning)
     with pytest.raises(DisjointnessError):
-        pool.query([f.levels(lam)[0]], f, lam)
+        pool.query([binning.levels[0]], binning)
     print(
         f"ACCEPTANCE 9 PASS: noise scale 8/(m*alpha) and m = ceil(32 ln(4nd/delta)/alpha^2) "
         f"on all {checked} configured pools; overlapping query rejected"

@@ -148,6 +148,14 @@ class TestCalibrate:
         h, _ = calibrate(world, predictor, params, seed=1)
         assert np.array_equal(h.apply(0), h.apply(1))
 
+    def test_to_table_matches_apply(self):
+        world, predictor = make_scenario("random-miscalibrated", 3, 40, seed=2)
+        params = derive_params(2, 0.3, 0.1)
+        h, _ = calibrate(world, predictor, params, seed=2)
+        table = h.to_table()
+        for x in range(world.n_features):
+            assert np.array_equal(table[x], h.apply(x))
+
     def test_deterministic_given_config_and_seed(self):
         world, predictor = make_scenario("random-miscalibrated", 3, 25, seed=12)
         params = derive_params(2, 0.3, 0.1)

@@ -195,6 +195,26 @@ class TestOtherCommands:
             exact_report(world, alt, 4).aggregates[math.inf]
         )
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 0.5]] * 3,  # one row short of the world's four
+            [[0.9, 0.9]] + [[0.5, 0.5]] * 3,  # not a distribution
+        ],
+    )
+    def test_eval_rejects_invalid_predictor(self, tmp_path, capsys, rows):
+        out = tmp_path / "world.json"
+        main(["scenario", "--name", "perfect", "--k", "2", "--n-features", "4",
+              "--seed", "2", "--out", str(out)])
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps({"predictor": rows}))
+        capsys.readouterr()
+        assert main(["eval", "--world", str(out), "--pred", str(pred_path),
+                     "--lambda", "4", "--p", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestRunConfig:
     def test_manual_mode_parsing(self):

@@ -14,7 +14,17 @@ from lpcal.estimation import (
 )
 from lpcal.simplex import enumerate_levels, level_count
 from lpcal.streams import stream_rng
-from lpcal.world import Predictor, World, draw, exact_event_stats, make_scenario
+from lpcal.world import (
+    Predictor,
+    World,
+    bin_table,
+    draw,
+    exact_event_stats,
+    feature_counts,
+    make_scenario,
+)
+
+from oracles import bin_masses_by_samples
 
 
 class TestBinMassSampleSize:
@@ -40,24 +50,43 @@ class TestBinMassSampleSize:
                 bin_mass_sample_size(0.1, bad, 5)
 
 
+def estimate(w, f, lam, seed, n):
+    counts = feature_counts(w, stream_rng(seed, "data"), n)
+    return estimate_bin_masses(counts, bin_table(f.table, lam))
+
+
 class TestEstimateBinMasses:
     def test_one_point_world(self):
         w = World(np.array([1.0]), np.array([[0.6, 0.4]]))
         f = Predictor(np.array([[0.9, 0.1]]))
-        table = estimate_bin_masses(draw(w, stream_rng(0, "data"), 100), f, 2)
+        table = estimate(w, f, 2, seed=0, n=100)
         assert table.masses == {(1, 0): 1.0}
         assert table.pool_size == 100
 
     def test_unobserved_bin_has_zero_mass(self):
         w = World(np.array([1.0]), np.array([[0.6, 0.4]]))
         f = Predictor(np.array([[0.9, 0.1]]))
-        table = estimate_bin_masses(draw(w, stream_rng(0, "data"), 100), f, 2)
+        table = estimate(w, f, 2, seed=0, n=100)
         assert table.mass((0, 2)) == 0.0
 
     def test_observed_masses_sum_to_at_most_one(self):
         w, f = make_scenario("random-miscalibrated", 3, 20, seed=3)
-        table = estimate_bin_masses(draw(w, stream_rng(3, "data"), 5000), f, 4)
+        table = estimate(w, f, 4, seed=3, n=5000)
         assert sum(table.masses.values()) <= 1.0 + 1e-9
+
+    def test_matches_per_sample_frequencies_bit_for_bit(self):
+        # the count-based estimate adds the same float terms in the same
+        # order as summing 1/n per sample, feature by feature
+        for seed in range(5):
+            w, f = make_scenario("random-miscalibrated", 3, 60, seed=seed)
+            samples = draw(w, stream_rng(seed, "data"), 3000)
+            got = estimate(w, f, 5, seed, 3000)
+            assert got.masses == bin_masses_by_samples(samples.features, f.table, 5)
+
+    def test_empty_counts_rejected(self):
+        w, f = make_scenario("perfect", 3, 5, seed=0)
+        with pytest.raises(ValueError):
+            estimate(w, f, 4, seed=0, n=0)
 
     def test_uniform_accuracy_at_stated_size(self):
         # Monte-Carlo over 100 sampling seeds at the stated size: the
@@ -72,7 +101,8 @@ class TestEstimateBinMasses:
             exact[lvl] = exact.get(lvl, 0.0) + w.mass[x]
         failures = 0
         for seed in range(100):
-            table = estimate_bin_masses(draw(w, stream_rng(seed, "data:a1"), m), f, lam)
+            counts = feature_counts(w, stream_rng(seed, "data:a1"), m)
+            table = estimate_bin_masses(counts, bin_table(f.table, lam))
             dev = max(
                 abs(table.mass(v) - exact.get(v, 0.0)) for v in set(table.masses) | set(exact)
             )
@@ -134,16 +164,16 @@ class TestDisjointQueryPool:
         p = self.pool(w, m=100)
         lam = 4
         levels = f.levels(lam)
-        p.query([levels[0]], f, lam)
+        p.query([levels[0]], bin_table(f.table, lam))
         with pytest.raises(DisjointnessError):
-            p.query([levels[0], (0, 0)], f, lam)
+            p.query([levels[0], (0, 0)], bin_table(f.table, lam))
 
     def test_budget_enforced(self):
         w, f = make_scenario("perfect", 2, 5, seed=1)
         p = self.pool(w, m=100, n_events=1)
-        p.query([(4, 0)], f, 4)
+        p.query([(4, 0)], bin_table(f.table, 4))
         with pytest.raises(QueryBudgetError):
-            p.query([(0, 4)], f, 4)
+            p.query([(0, 4)], bin_table(f.table, 4))
 
     def test_zero_mass_event_answers_track_noise(self):
         # 1000 disjoint events that no sample can hit: answers are clamped
@@ -154,7 +184,7 @@ class TestDisjointQueryPool:
         hit = f.levels(lam)[0]
         empty = [v for v in enumerate_levels(lam, 3) if v != hit][:1000]
         p = self.pool(w, n_events=1000, m=50, alpha=0.2)
-        answers = [float(p.query([v], f, lam)[0]) for v in empty]
+        answers = [float(p.query([v], bin_table(f.table, lam))[0]) for v in empty]
         assert np.mean(np.abs(answers)) <= 3 * p.noise_scale
 
     def test_full_support_probability_within_alpha(self):
@@ -165,7 +195,7 @@ class TestDisjointQueryPool:
         failures = 0
         for seed in range(100):
             p = pool_create(w, seed, "full", 1, 1, alpha, delta)
-            ans = float(p.query(event, f, lam)[0])
+            ans = float(p.query(event, bin_table(f.table, lam))[0])
             failures += abs(ans - 1.0) > alpha
         assert failures <= 10  # nominal failure budget is delta = 10 runs
 
@@ -174,11 +204,11 @@ class TestDisjointQueryPool:
         w, f = make_scenario("random-miscalibrated", 3, 6, seed=6)
         lam = 3
         event = [f.levels(lam)[0]]
-        _, exact_mean = exact_event_stats(w, f, lam, event)
+        _, exact_mean = exact_event_stats(w, bin_table(f.table, lam), event)
         failures = 0
         for seed in range(100):
             p = pool_create(w, seed, "lab", 1, 3, alpha, delta)
-            ans = p.query(event, f, lam)
+            ans = p.query(event, bin_table(f.table, lam))
             failures += bool(np.max(np.abs(ans - exact_mean)) > alpha)
         assert failures <= 10
 
@@ -186,6 +216,6 @@ class TestDisjointQueryPool:
         w, f = make_scenario("random-miscalibrated", 2, 6, seed=5)
         lam = 3
         p = self.pool(w, m=3, alpha=0.5, n_events=10, value_dim=2)  # huge noise
-        seen = [p.query([v], f, lam) for v in list(set(f.levels(lam)))[:2]]
+        seen = [p.query([v], bin_table(f.table, lam)) for v in list(set(f.levels(lam)))[:2]]
         for ans in seen:
             assert np.all(ans >= 0.0) and np.all(ans <= 1.0)

@@ -6,6 +6,7 @@ import pytest
 from lpcal.evaluator import (
     empirical_report,
     exact_bin_class_error,
+    exact_error_table,
     exact_lp_error,
     exact_report,
     exact_sq_error,
@@ -14,7 +15,12 @@ from lpcal.simplex import project_simplex
 from lpcal.streams import stream_rng
 from lpcal.world import Predictor, SampleBatch, World, draw, make_scenario
 
-from oracles import lp_error_literal, simplex_grid, sq_error_by_expectation
+from oracles import (
+    error_table_by_rows,
+    lp_error_literal,
+    simplex_grid,
+    sq_error_by_expectation,
+)
 
 
 def one_point(cond=(0.6, 0.4), pred=(0.9, 0.1)):
@@ -36,6 +42,19 @@ class TestBinClassError:
     def test_zero_mass_bin_is_zero(self):
         w, pred = one_point()
         assert exact_bin_class_error(w, pred, 2, (0, 2), 1) == 0.0
+
+
+    @pytest.mark.parametrize("scenario", ["random-miscalibrated", "overconfident", "shifted"])
+    def test_table_matches_row_by_row_sums_bit_for_bit(self, scenario):
+        # same bins in the same order with the same float sums, so every
+        # p-norm over the table sums its terms in the same order
+        for seed in range(3):
+            w, f = make_scenario(scenario, 4, 300, seed=seed)
+            got = exact_error_table(w, f, 6)
+            want = error_table_by_rows(w, f.table, 6)
+            assert list(got) == list(want)
+            for v in want:
+                assert np.array_equal(got[v], want[v])
 
 
 class TestLpError:

@@ -9,7 +9,7 @@ from lpcal.partitions import (
     init_structures,
 )
 from lpcal.simplex import canonical, round_down
-from lpcal.world import make_scenario
+from lpcal.world import bin_table, make_scenario
 
 
 def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
@@ -24,7 +24,7 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
         )
         for i in range(classes)
     }
-    est_part, pred_part = init_structures(bins, pools, f, lam, max_subsets=classes)
+    est_part, pred_part = init_structures(bins, pools, bin_table(f.table, lam), max_subsets=classes)
     return world, f, bins, est_part, pred_part
 
 
@@ -65,7 +65,7 @@ class TestInit:
 
     def test_empty_bins_rejected(self):
         with pytest.raises(ValueError):
-            init_structures([], {}, None, 4, max_subsets=1)
+            init_structures([], {}, None, max_subsets=1)
 
 
 class TestAggregate:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lpcal.errors import EnumerationCapError, MembershipError
 from lpcal.simplex import (
     canonical,
+    check_prob_vector,
     enumerate_levels,
     is_member,
     level_coords,
@@ -23,6 +24,16 @@ from oracles import (
     project_by_grid,
     simplex_grid,
 )
+
+
+class TestCheckProbVector:
+    def test_accepts_distribution(self):
+        check_prob_vector(np.array([0.25, 0.75]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_prob_vector(np.array([bad, 1.0]))
 
 
 class TestRoundDown:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from lpcal.evaluator import exact_bin_class_error, exact_lp_error
 from lpcal.simplex import enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import (
+    FEATURE_CHUNK,
     Predictor,
     World,
+    bin_table,
     draw,
     exact_event_stats,
+    feature_counts,
     make_scenario,
     world_from_dict,
     world_to_dict,
@@ -34,6 +38,25 @@ class TestTypes:
     def test_predictor_validates_rows(self):
         with pytest.raises(ValueError):
             Predictor(np.array([[0.5, 0.4]]))
+
+    def test_world_rejects_nonfinite_mass(self):
+        with pytest.raises(ValueError, match="finite"):
+            World(np.array([np.nan, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_world_rejects_nonfinite_conditional(self):
+        with pytest.raises(ValueError, match="finite"):
+            World(np.array([1.0]), np.array([[np.nan, 1.0]]))
+
+    def test_predictor_rejects_nonfinite_rows(self):
+        with pytest.raises(ValueError, match="finite"):
+            Predictor(np.array([[np.nan, 1.0]]))
+
+    def test_world_from_dict_rejects_nan(self):
+        w, f = make_scenario("perfect", 2, 3, seed=0)
+        doc = world_to_dict(w, f)
+        doc["predictor"][1][0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            world_from_dict(doc)
 
     def test_arrays_frozen(self):
         w = one_point_world()
@@ -65,6 +88,54 @@ class TestDraw:
         a = draw(w, stream_rng(9, "data:a"), 1000)
         b = draw(w, stream_rng(9, "data:b"), 1000)
         assert not np.array_equal(a.features, b.features)
+
+
+class TestBinning:
+    def test_rows_map_to_their_scalar_rounding(self):
+        for seed in range(5):
+            _, f = make_scenario("random-miscalibrated", 4, 200, seed=seed)
+            binning = bin_table(f.table, 7)
+            rounded = [round_down(row, 7) for row in f.table]
+            assert [binning.levels[i] for i in binning.ids] == rounded
+            assert f.levels(7) == rounded
+
+    def test_levels_distinct_in_first_row_order(self):
+        table = np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05], [0.5, 0.5]])
+        binning = bin_table(table, 2)
+        assert binning.levels == ((1, 0), (0, 1), (1, 1))
+        assert binning.ids.tolist() == [0, 1, 0, 2]
+
+    def test_rows_in(self):
+        table = np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]])
+        binning = bin_table(table, 2)
+        assert binning.rows_in([(1, 0)]).tolist() == [True, False, True]
+        assert binning.rows_in([(0, 2)]).tolist() == [False, False, False]
+
+
+class TestFeatureCounts:
+    def test_chunked_counts_equal_one_draw(self):
+        w, _ = make_scenario("random-miscalibrated", 2, 30, seed=4)
+        n = 2 * FEATURE_CHUNK + 12_345  # three chunks, the last one partial
+        counts = feature_counts(w, stream_rng(4, "data"), n)
+        samples = draw(w, stream_rng(4, "data"), n)
+        assert counts.sum() == n
+        assert np.array_equal(counts, np.bincount(samples.features, minlength=30))
+
+    def test_memory_bounded_by_chunk(self):
+        w, _ = make_scenario("random-miscalibrated", 3, 40, seed=0)
+        tracemalloc.start()
+        try:
+            counts = feature_counts(w, stream_rng(0, "data"), 20_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 20_000_000
+        assert peak < 64 * 2**20
+
+    def test_negative_n_rejected(self):
+        w = one_point_world()
+        with pytest.raises(ValueError):
+            feature_counts(w, stream_rng(0, "data"), -1)
 
 
 class TestScenarios:
@@ -109,21 +180,21 @@ class TestScenarios:
 class TestExactEventStats:
     def test_total_probability(self):
         w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
-        mass, mean = exact_event_stats(w, f, 3, enumerate_levels(3, 3))
+        mass, mean = exact_event_stats(w, bin_table(f.table, 3), enumerate_levels(3, 3))
         assert mass == pytest.approx(1.0)
         assert mean.sum() == pytest.approx(1.0)
 
     def test_unrealized_event_is_empty(self):
         w = one_point_world()
         f = Predictor(np.array([[0.9, 0.1]]))  # rounds to (1,0) at lam=2
-        mass, mean = exact_event_stats(w, f, 2, [(0, 2)])
+        mass, mean = exact_event_stats(w, bin_table(f.table, 2), [(0, 2)])
         assert mass == 0.0
         assert np.all(mean == 0.0)
 
     def test_one_point_event(self):
         w = one_point_world()
         f = Predictor(np.array([[0.9, 0.1]]))
-        mass, mean = exact_event_stats(w, f, 2, [(1, 0)])
+        mass, mean = exact_event_stats(w, bin_table(f.table, 2), [(1, 0)])
         assert mass == pytest.approx(1.0)
         assert np.allclose(mean, [0.6, 0.4])
 
@@ -133,7 +204,7 @@ class TestExactEventStats:
         levels = f.levels(4)
         for v in set(levels):
             hit = np.fromiter((levels[x] == v for x in s.features), dtype=bool)
-            exact_mass, exact_mean = exact_event_stats(w, f, 4, [v])
+            exact_mass, exact_mean = exact_event_stats(w, bin_table(f.table, 4), [v])
             assert abs(hit.mean() - exact_mass) <= 0.01
             for j in range(3):
                 emp = np.mean(hit & (s.labels == j))
@@ -154,4 +225,9 @@ class TestSerialization:
         doc = world_to_dict(w, f)
         doc["predictor"] = doc["predictor"][:-1]
         with pytest.raises(ValueError):
+            world_from_dict(doc)
+
+    def test_flat_conditionals_rejected(self):
+        doc = {"k": 2, "masses": [1.0], "conditionals": [0.5, 0.5], "predictor": [[0.5, 0.5]]}
+        with pytest.raises(ValueError, match="conditionals"):
             world_from_dict(doc)
