@@ -165,13 +165,11 @@ class IterationRecord:
     bins: tuple[Level, ...]
     class_j: int
     est_err: float
-    target: np.ndarray  # updated prediction vector before reprojection
-    target_j: float
+    target_j: float  # updated coordinate before reprojection
     partner_gid: int  # -1 when no collision
     moved_gid: int  # the side whose prediction was discarded; -1 if none
     merged_gid: int  # id of the union group; -1 if none
     est_merges: tuple[MergeEvent, ...]
-    post_err: float  # recomputed max error of the (possibly merged) group
 
 
 @dataclass
@@ -327,21 +325,22 @@ def calibrate(
         bins, pools, binning, max_subsets=classes, on_estimate=monitor.observe_pool_answer
     )
     universe = frozenset(bins)
-    est_part.check_invariants(universe)
-    pred_part.check_invariants(universe)
-    check_refinement(pred_part, est_part)
-
     trace.moved_counts = {v: 0 for v in bins}
     t = 0
     while True:
-        sel_err, sel_gid, sel_j = -1.0, -1, -1
-        for gid in sorted(pred_part.groups):
-            err = pred_part.groups[gid].err
-            if np.any(np.isnan(err)):
-                raise InvariantError(f"group {gid} has unset error cache")
-            for j in range(k):
-                if err[j] > sel_err:
-                    sel_err, sel_gid, sel_j = float(err[j]), gid, j
+        # the initial state and the state after every iteration
+        est_part.check_invariants(universe)
+        pred_part.check_invariants(universe)
+        check_refinement(pred_part, est_part)
+
+        gids = sorted(pred_part.groups)
+        errs = np.stack([pred_part.groups[gid].err for gid in gids])
+        unset = np.isnan(errs).any(axis=1)
+        if unset.any():
+            raise InvariantError(f"group {gids[int(np.argmax(unset))]} has unset error cache")
+        # first maximum in (gid, class) order
+        row, sel_j = divmod(int(np.argmax(errs)), k)
+        sel_gid, sel_err = gids[row], float(errs[row, sel_j])
         if sel_err <= params.error_threshold:
             trace.final_max_err = sel_err
             break
@@ -386,11 +385,6 @@ def calibrate(
         pred_part.groups[cur_gid].err = estimated_error(
             prob_sum2, pred_part.groups[cur_gid].pred, label_sum2
         )
-
-        est_part.check_invariants(universe)
-        pred_part.check_invariants(universe)
-        check_refinement(pred_part, est_part)
-
         trace.records.append(
             IterationRecord(
                 t=t,
@@ -398,13 +392,11 @@ def calibrate(
                 bins=sel_bins,
                 class_j=sel_j,
                 est_err=sel_err,
-                target=target,
                 target_j=float(target[sel_j]),
                 partner_gid=-1 if partner_gid is None else partner_gid,
                 moved_gid=moved_gid,
                 merged_gid=merged_gid,
                 est_merges=est_merges,
-                post_err=float(np.max(pred_part.groups[cur_gid].err)),
             )
         )
         t += 1

@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,9 +87,10 @@ class RunConfig:
         known = ("gamma", "shift")
         kwargs = {key: scenario[key] for key in known if key in scenario}
         sample_mode = doc.get("sample_mode", "auto")
-        manual = {}
+        # sizes as echoed in a report, or inline in the dict form of sample_mode
+        manual = dict(doc.get("manual_sizes", {}))
         if isinstance(sample_mode, dict):
-            manual = {k: v for k, v in sample_mode.items() if k != "mode"}
+            manual.update((k, v) for k, v in sample_mode.items() if k != "mode")
             sample_mode = sample_mode.get("mode", "auto")
         return cls(
             scenario=scenario["name"],
@@ -212,21 +213,7 @@ def build_report(
             "pool_delta": params.pool_delta(n_bins) if n_bins else None,
         },
         "bin_mass_table": trace.bin_mass_stats,
-        "pools": [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "size_class": s.size_class,
-                "m": s.m,
-                "n_events": s.n_events,
-                "value_dim": s.value_dim,
-                "alpha": s.alpha,
-                "delta": s.delta,
-                "noise_scale": s.noise_scale,
-                "queries_issued": s.queries_issued,
-            }
-            for s in trace.pool_stats
-        ],
+        "pools": [asdict(s) for s in trace.pool_stats],
         "iterations": trace.iterations,
         "pred_moves": {"max": trace.max_moved, "bound": trace.moved_bound},
         "events": trace.events,
@@ -481,8 +468,12 @@ def _parse_seeds(raw: str) -> list[int]:
     """Seed list "0,1,5" or half-open range "0:100"."""
     if ":" in raw:
         lo, hi = raw.split(":")
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in raw.split(",")]
+        seeds = list(range(int(lo), int(hi)))
+    else:
+        seeds = [int(s) for s in raw.split(",")]
+    if not seeds:
+        raise ValueError(f"seed range {raw!r} is empty")
+    return seeds
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, grid: bool = False) -> None:

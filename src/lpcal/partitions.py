@@ -72,7 +72,13 @@ class MergeEvent:
 
 
 class EstimationPartition:
-    """Bin partition carrying pooled statistics, merged in size classes."""
+    """Bin partition carrying pooled statistics, merged in size classes.
+
+    ``owner`` maps every bin to its current group, so a bin set finds its
+    constituent groups without scanning the partition.  ``history`` keeps,
+    per size class, the union of every group ever created in it and their
+    total size: the groups are pairwise disjoint exactly when the two agree.
+    """
 
     def __init__(
         self,
@@ -86,8 +92,9 @@ class EstimationPartition:
         self.max_subsets = max_subsets
         self.on_estimate = on_estimate
         self.groups: dict[int, EstimationGroup] = {}
-        # size class -> ledger of every group's bins ever created in it
-        self.history: dict[int, list[frozenset[Level]]] = {}
+        self.owner: dict[Level, int] = {}  # bin -> gid of its current group
+        # size class -> (union of every group ever created in it, their total size)
+        self.history: dict[int, tuple[set[Level], int]] = {}
         self._next_gid = 0
 
     def _estimate(self, size_class: int, bins: frozenset[Level]) -> tuple[float, np.ndarray]:
@@ -100,29 +107,38 @@ class EstimationPartition:
         return prob, label_mass
 
     def _record(self, size_class: int, bins: frozenset[Level]) -> None:
-        ledger = self.history.setdefault(size_class, [])
-        for earlier in ledger:
-            if earlier & bins:
-                raise InvariantError(
-                    f"size class {size_class}: new group overlaps an earlier equal-size group"
-                )
-        ledger.append(bins)
+        union, total = self.history.get(size_class, (set(), 0))
+        if not union.isdisjoint(bins):
+            raise InvariantError(
+                f"size class {size_class}: new group overlaps an earlier equal-size group"
+            )
+        union |= bins
+        self.history[size_class] = (union, total + len(bins))
+
+    def _add(self, bins: frozenset[Level]) -> EstimationGroup:
+        """Create a group over ``bins``, queried on its own size class's pools."""
+        size_class = len(bins).bit_length() - 1
+        if size_class not in self.pools:
+            raise InvariantError(f"no pools for size class {size_class}")
+        self._record(size_class, bins)
+        prob, label_mass = self._estimate(size_class, bins)
+        g = EstimationGroup(self._next_gid, bins, prob, label_mass)
+        self._next_gid += 1
+        self.groups[g.gid] = g
+        self.owner.update(dict.fromkeys(bins, g.gid))
+        return g
 
     def add_singleton(self, v: Level) -> int:
         """Create the initial one-bin group for ``v``, queried on size class 0."""
-        bins = frozenset([v])
-        self._record(0, bins)
-        prob, label_mass = self._estimate(0, bins)
-        gid = self._next_gid
-        self._next_gid += 1
-        self.groups[gid] = EstimationGroup(gid, bins, prob, label_mass)
-        return gid
+        return self._add(frozenset([v])).gid
 
     def constituents(self, bins: frozenset[Level]) -> list[EstimationGroup]:
-        """Current groups making up ``bins`` (must tile it exactly)."""
-        parts = [g for g in self.groups.values() if g.bins <= bins]
-        covered = sum(g.size for g in parts)
-        if covered != len(bins):
+        """Current groups making up ``bins`` (must tile it exactly), in gid order."""
+        try:
+            parts = [self.groups[gid] for gid in sorted({self.owner[v] for v in bins})]
+        except KeyError:
+            parts = []
+        if sum(g.size for g in parts) != len(bins):
             raise InvariantError("bin set is not a union of current estimation groups")
         return parts
 
@@ -149,52 +165,38 @@ class EstimationPartition:
         estimates from its own size class's pools.
         """
         events: list[MergeEvent] = []
+        inside = self.constituents(target)
         while True:
-            inside = sorted(
-                (g for g in self.groups.values() if g.bins <= target),
-                key=lambda g: (g.size, g.gid),
-            )
-            pair = None
-            for a, b in zip(inside, inside[1:]):
-                if a.size == b.size:
-                    pair = (a, b)
-                    break
-            if pair is None:
+            inside.sort(key=lambda g: (g.size, g.gid))
+            dup = [i for i in range(len(inside) - 1) if inside[i].size == inside[i + 1].size]
+            if not dup:
                 return events
-            a, b = pair
-            merged = a.bins | b.bins
-            size_class = len(merged).bit_length() - 1
-            if size_class not in self.pools:
-                raise InvariantError(f"no pools for size class {size_class}")
-            self._record(size_class, merged)
-            prob, label_mass = self._estimate(size_class, merged)
-            del self.groups[a.gid]
-            del self.groups[b.gid]
-            gid = self._next_gid
-            self._next_gid += 1
-            self.groups[gid] = EstimationGroup(gid, merged, prob, label_mass)
-            events.append(MergeEvent(gid, a.gid, b.gid, len(merged)))
+            i = dup[0]
+            a, b = inside[i], inside[i + 1]
+            merged = self._add(a.bins | b.bins)
+            del self.groups[a.gid], self.groups[b.gid]
+            inside[i : i + 2] = [merged]
+            events.append(MergeEvent(merged.gid, a.gid, b.gid, merged.size))
 
     def check_invariants(self, universe: frozenset[Level]) -> None:
-        """Power-of-two sizes, exact partition, historical disjointness."""
+        """Power-of-two sizes, exact partition, historical disjointness.
+
+        Every bin of every group must be owned by that group, so no bin lies
+        in two groups; sizes summing to ``len(universe)`` over an owner map
+        keyed by exactly ``universe`` then make the groups tile it.
+        """
         total = 0
-        seen: set[Level] = set()
         for g in self.groups.values():
             if g.size & (g.size - 1):
                 raise InvariantError(f"group {g.gid} has non-power-of-2 size {g.size}")
-            if seen & g.bins:
-                raise InvariantError("current estimation groups overlap")
-            seen |= g.bins
+            if any(self.owner.get(v) != g.gid for v in g.bins):
+                raise InvariantError(f"owner map disagrees with group {g.gid}")
             total += g.size
-        if total != len(universe) or seen != universe:
+        if total != len(universe) or self.owner.keys() != universe:
             raise InvariantError("current estimation groups do not partition the bin set")
-        for size_class, ledger in self.history.items():
-            for i, a in enumerate(ledger):
-                for b in ledger[i + 1 :]:
-                    if a & b:
-                        raise InvariantError(
-                            f"historical groups of size class {size_class} overlap"
-                        )
+        for size_class, (union, size_sum) in self.history.items():
+            if len(union) != size_sum:
+                raise InvariantError(f"historical groups of size class {size_class} overlap")
 
 
 class PredictionPartition:
@@ -205,13 +207,15 @@ class PredictionPartition:
         self.groups: dict[int, PredictionGroup] = {}
         self._next_gid = 0
 
-    def add_singleton(self, v: Level, pred: np.ndarray, err: np.ndarray) -> int:
+    def _add(self, bins: frozenset[Level], pred: np.ndarray, err: np.ndarray) -> int:
         gid = self._next_gid
         self._next_gid += 1
-        self.groups[gid] = PredictionGroup(
-            gid, frozenset([v]), pred, round_down(pred, self.lam), err
-        )
+        pred = np.asarray(pred, float)
+        self.groups[gid] = PredictionGroup(gid, bins, pred, round_down(pred, self.lam), err)
         return gid
+
+    def add_singleton(self, v: Level, pred: np.ndarray, err: np.ndarray) -> int:
+        return self._add(frozenset([v]), pred, err)
 
     def set_pred(self, gid: int, pred: np.ndarray) -> None:
         g = self.groups[gid]
@@ -234,17 +238,7 @@ class PredictionPartition:
         if a == b:
             raise ValueError("cannot merge a group with itself")
         ga, gb = self.groups.pop(a), self.groups.pop(b)
-        gid = self._next_gid
-        self._next_gid += 1
-        pred = np.asarray(winner_pred, float)
-        self.groups[gid] = PredictionGroup(
-            gid,
-            ga.bins | gb.bins,
-            pred,
-            round_down(pred, self.lam),
-            np.full_like(ga.err, np.nan),
-        )
-        return gid
+        return self._add(ga.bins | gb.bins, winner_pred, np.full_like(ga.err, np.nan))
 
     def routing(self) -> dict[Level, np.ndarray]:
         """Bin -> current group prediction, for assembling the final predictor."""
@@ -271,10 +265,7 @@ class PredictionPartition:
 
 def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartition) -> None:
     """Every prediction group must be a disjoint union of estimation groups."""
-    used = 0
-    for g in pred_part.groups.values():
-        parts = est_part.constituents(g.bins)
-        used += len(parts)
+    used = sum(len(est_part.constituents(g.bins)) for g in pred_part.groups.values())
     if used != len(est_part.groups):
         raise InvariantError("some estimation group is split across prediction groups")
 

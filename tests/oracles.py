@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from lpcal.errors import InvariantError
+from lpcal.partitions import EstimationGroup, EstimationPartition, MergeEvent
 from lpcal.simplex import Level, enumerate_levels, round_down
 from lpcal.world import World
 
@@ -158,3 +160,78 @@ def error_table_by_rows(world: World, table: np.ndarray, lam: int) -> dict[Level
         gap = world.mass[x] * (table[x] - world.conditional[x])
         signed[v] = signed[v] + gap if v in signed else gap.copy()
     return {v: np.abs(g) for v, g in signed.items()}
+
+
+class ScanEstimationPartition(EstimationPartition):
+    """Estimation partition that finds groups by scanning every current group.
+
+    Keeps each size class's history as a list of every group's bins, checked
+    pairwise; only the pools, estimates and ``aggregate`` are shared with the
+    owner-map version it is compared against.
+    """
+
+    def _record(self, size_class: int, bins: frozenset[Level]) -> None:
+        ledger = self.history.setdefault(size_class, [])
+        for earlier in ledger:
+            if earlier & bins:
+                raise InvariantError(
+                    f"size class {size_class}: new group overlaps an earlier equal-size group"
+                )
+        ledger.append(bins)
+
+    def _new_group(self, size_class: int, bins: frozenset[Level]) -> EstimationGroup:
+        self._record(size_class, bins)
+        prob, label_mass = self._estimate(size_class, bins)
+        g = EstimationGroup(self._next_gid, bins, prob, label_mass)
+        self._next_gid += 1
+        self.groups[g.gid] = g
+        return g
+
+    def add_singleton(self, v: Level) -> int:
+        return self._new_group(0, frozenset([v])).gid
+
+    def constituents(self, bins: frozenset[Level]) -> list[EstimationGroup]:
+        parts = [g for g in self.groups.values() if g.bins <= bins]
+        if sum(g.size for g in parts) != len(bins):
+            raise InvariantError("bin set is not a union of current estimation groups")
+        return parts
+
+    def merge_pass(self, target: frozenset[Level]) -> list[MergeEvent]:
+        events: list[MergeEvent] = []
+        while True:
+            inside = sorted(
+                (g for g in self.groups.values() if g.bins <= target),
+                key=lambda g: (g.size, g.gid),
+            )
+            pair = next(((a, b) for a, b in zip(inside, inside[1:]) if a.size == b.size), None)
+            if pair is None:
+                return events
+            a, b = pair
+            merged = a.bins | b.bins
+            size_class = len(merged).bit_length() - 1
+            if size_class not in self.pools:
+                raise InvariantError(f"no pools for size class {size_class}")
+            g = self._new_group(size_class, merged)
+            del self.groups[a.gid]
+            del self.groups[b.gid]
+            events.append(MergeEvent(g.gid, a.gid, b.gid, len(merged)))
+
+    def check_invariants(self, universe: frozenset[Level]) -> None:
+        seen: set[Level] = set()
+        total = 0
+        for g in self.groups.values():
+            if g.size & (g.size - 1):
+                raise InvariantError(f"group {g.gid} has non-power-of-2 size {g.size}")
+            if seen & g.bins:
+                raise InvariantError("current estimation groups overlap")
+            seen |= g.bins
+            total += g.size
+        if total != len(universe) or seen != universe:
+            raise InvariantError("current estimation groups do not partition the bin set")
+        for size_class, ledger in self.history.items():
+            for i, a in enumerate(ledger):
+                for b in ledger[i + 1 :]:
+                    if a & b:
+                        raise InvariantError(
+                            f"historical groups of size class {size_class} overlap"
+                        )

@@ -131,6 +131,14 @@ class TestSweepCommand:
         assert sum("error" in line for line in lines) == 3
         assert sum(",ok," in line for line in lines) == 3
 
+    @pytest.mark.parametrize("seeds", ["5:2", "3:3"])
+    def test_empty_seed_range_rejected(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--seeds", seeds, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_scenario_writes_valid_document(self, tmp_path):
@@ -243,3 +251,42 @@ class TestRunConfig:
         report, trace, _ = run_config(cfg)
         assert report["config"] == cfg.echo()
         assert report["checks"]["iterations_le_t_max"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": {"name": "perfect", "k": 2, "n_features": 4}, "eps": 0.2},
+            {
+                "scenario": {"name": "shifted", "k": 3, "n_features": 30, "shift": 0.6},
+                "p": "3/2",
+                "eps": 0.3,
+                "seed": 1,
+                "sample_mode": {"mode": "manual", "bin_mass": 100, "pool_prob": 10},
+                "manual_sizes": {"pool_label": 10},
+            },
+            {
+                "scenario": {"name": "overconfident", "k": 3, "n_features": 8, "gamma": 0.5},
+                "p": "2",
+                "eps": 0.25,
+                "delta": 0.05,
+            },
+        ],
+    )
+    def test_echo_round_trips(self, doc):
+        cfg = RunConfig.from_dict(doc)
+        assert RunConfig.from_dict(cfg.echo()) == cfg
+
+    def test_manual_report_config_reruns(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            scenario={"name": "shifted", "k": 3, "n_features": 30},
+            seed=1,
+            sample_mode={"mode": "manual", "bin_mass": 20_000, "pool_prob": 200_000},
+            manual_sizes={"pool_label": 200_000},
+        )
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out1)]) == 0
+        echo = json.loads((out1 / "report.json").read_text())["config"]
+        (tmp_path / "echo.json").write_text(json.dumps(echo), encoding="utf-8")
+        assert main(["run", "--config", str(tmp_path / "echo.json"), "--out-dir", str(out2)]) == 0
+        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()

@@ -1,15 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcal.errors import InvariantError
 from lpcal.estimation import pool_create
 from lpcal.partitions import (
+    EstimationGroup,
     check_refinement,
     estimated_error,
     init_structures,
 )
 from lpcal.simplex import canonical, round_down
 from lpcal.world import bin_table, make_scenario
+from oracles import ScanEstimationPartition
+
+
+def make_pools(world, seed, n_bins, m):
+    """Fresh pools for every size class; equal arguments give equal answers."""
+    return {
+        i: (
+            pool_create(world, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
+            pool_create(world, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
+        )
+        for i in range(n_bins.bit_length())
+    }
 
 
 def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
@@ -17,13 +32,7 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
     world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
     bins = sorted(set(f.levels(lam)))
     classes = len(bins).bit_length()
-    pools = {
-        i: (
-            pool_create(world, seed, f"prob:{i}", len(bins), 1, 0.1, 0.1, m=m),
-            pool_create(world, seed, f"label:{i}", len(bins), k, 0.1, 0.1, m=m),
-        )
-        for i in range(classes)
-    }
+    pools = make_pools(world, seed, len(bins), m)
     est_part, pred_part = init_structures(bins, pools, bin_table(f.table, lam), max_subsets=classes)
     return world, f, bins, est_part, pred_part
 
@@ -126,6 +135,104 @@ class TestMergePass:
         _, _, bins, est_part, _ = build()
         with pytest.raises(InvariantError):
             est_part.add_singleton(bins[0])  # second singleton for the same bin
+
+    def test_target_must_be_a_union_of_groups(self):
+        _, _, bins, est_part, _ = build()
+        est_part.merge_pass(frozenset(bins[:2]))
+        with pytest.raises(InvariantError):
+            est_part.merge_pass(frozenset(bins[1:3]))  # cuts the new size-2 group
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 3),
+    picks=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=30),
+)
+def test_owner_map_agrees_with_scan_oracle(seed, picks):
+    """Random prediction merges, each followed by a merge pass, in both versions.
+
+    A pick of two equal groups calls ``merge_pass`` on an unchanged group.
+    """
+    world, _, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
+    oracle = ScanEstimationPartition(
+        make_pools(world, seed, len(bins), 100_000), est_part.binning, est_part.max_subsets
+    )
+    for v in bins:
+        oracle.add_singleton(v)
+    universe = frozenset(bins)
+    for i, j in picks:
+        gids = sorted(pred_part.groups)
+        a, b = gids[i % len(gids)], gids[j % len(gids)]
+        gid = a if a == b else pred_part.merge(a, b, pred_part.groups[a].pred)
+        target = pred_part.groups[gid].bins
+        assert est_part.merge_pass(target) == oracle.merge_pass(target)
+        assert list(est_part.groups) == list(oracle.groups)
+        for g in pred_part.groups.values():
+            gids = [part.gid for part in est_part.constituents(g.bins)]
+            assert gids == [part.gid for part in oracle.constituents(g.bins)]
+            prob, label, n = est_part.aggregate(g.bins)
+            prob_o, label_o, n_o = oracle.aggregate(g.bins)
+            assert (prob, n) == (prob_o, n_o)
+            assert label.tobytes() == label_o.tobytes()
+        est_part.check_invariants(universe)
+        oracle.check_invariants(universe)
+        check_refinement(pred_part, est_part)
+
+
+class TestTamper:
+    """Corrupted bookkeeping must fail the structure checks."""
+
+    def merged(self):
+        _, _, bins, est_part, pred_part = build(n_features=40, k=3)
+        a, b = list(pred_part.groups)[:2]
+        gid = pred_part.merge(a, b, pred_part.groups[a].pred)
+        est_part.merge_pass(pred_part.groups[gid].bins)
+        return frozenset(bins), est_part, pred_part
+
+    def test_owner_pointing_at_another_group(self):
+        universe, est_part, _ = self.merged()
+        est_part.owner[min(universe)] = est_part.owner[max(universe)]
+        with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
+
+    def test_owner_missing_a_bin(self):
+        universe, est_part, pred_part = self.merged()
+        del est_part.owner[min(universe)]
+        with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
+        with pytest.raises(InvariantError):
+            check_refinement(pred_part, est_part)
+
+    def test_owner_naming_a_dead_group(self):
+        universe, est_part, pred_part = self.merged()
+        est_part.owner[min(universe)] = 10**6
+        with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
+        with pytest.raises(InvariantError):
+            check_refinement(pred_part, est_part)
+
+    def test_overlapping_current_groups(self):
+        universe, est_part, _ = self.merged()
+        g = est_part.groups[est_part.owner[min(universe)]]
+        est_part.groups[10**6] = EstimationGroup(10**6, g.bins, g.prob, g.label_mass)
+        with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
+
+    @pytest.mark.parametrize("size_class", [0, 1])
+    def test_history_total_off_by_one(self, size_class):
+        universe, est_part, _ = self.merged()
+        union, total = est_part.history[size_class]
+        est_part.history[size_class] = (union, total + 1)
+        with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
+
+    @pytest.mark.parametrize("size_class", [0, 1])
+    def test_history_union_missing_a_bin(self, size_class):
+        universe, est_part, _ = self.merged()
+        union, _ = est_part.history[size_class]
+        union.discard(min(union))
+        with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
 
 
 class TestGStructure:
