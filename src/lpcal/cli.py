@@ -64,6 +64,14 @@ def p_label(p: PNorm) -> str:
     return "inf" if p == math.inf else str(p)
 
 
+def _sample_size(key: str, raw) -> int:
+    """A manual sample size: a positive integer, also written as a float (2e4)."""
+    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if not (ok and math.isfinite(raw) and raw > 0 and raw == int(raw)):
+        raise ValueError(f"manual size {key} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 @dataclass
 class RunConfig:
     """One experiment cell; everything that determines a run."""
@@ -101,7 +109,7 @@ class RunConfig:
             delta=float(doc.get("delta", 0.1)),
             seed=int(doc.get("seed", 0)),
             sample_mode=sample_mode,
-            manual_sizes=manual,
+            manual_sizes={key: _sample_size(key, n) for key, n in manual.items()},
             scenario_kwargs=kwargs,
         )
 
@@ -310,6 +318,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except EstimateFailureError as exc:
         failure = {"status": "estimate-failure", "config": cfg.echo(), "error": str(exc)}
         _write(out_dir / "report.json", dumps_json(failure))
+        (out_dir / "trace.csv").unlink(missing_ok=True)  # left by an earlier run
         print(f"estimate-failure: {exc}", file=sys.stderr)
         return 1
     _write(out_dir / "report.json", dumps_json(report))

@@ -40,18 +40,32 @@ PROB_ATOL = 1e-9
 DEFAULT_ENUM_CAP = 5_000_000
 
 
-def check_prob_vector(u: np.ndarray, *, atol: float = PROB_ATOL) -> None:
-    """Raise ValueError unless ``u`` is a probability vector within ``atol``."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("probability vector must be 1-d and nonempty")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"coordinates must be finite: {u}")
-    if np.any(u < -atol) or np.any(u > 1.0 + atol):
-        raise ValueError(f"coordinates outside [0,1]: {u}")
-    s = float(u.sum())
-    if abs(s - 1.0) > atol:
-        raise ValueError(f"coordinates sum to {s}, not 1")
+def check_prob_rows(table: np.ndarray, *, atol: float = PROB_ATOL) -> None:
+    """Raise ValueError unless every row of the 2-d ``table`` is a probability vector.
+
+    A row passes when it is nonempty and finite, every coordinate lies in
+    ``[-atol, 1 + atol]`` and its sum is within ``atol`` of 1.  The checks
+    run as one pass over the whole array; the error names the first bad row
+    and, of the three checks in that order, the first it fails.
+    """
+    t = np.asarray(table, dtype=float)
+    if t.shape[0] and t.shape[1] == 0:
+        raise ValueError("probability rows must be nonempty")
+    finite = np.isfinite(t).all(axis=1)
+    inside = ((t >= -atol) & (t <= 1.0 + atol)).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row already marked non-finite
+        sums = t.sum(axis=1)
+    bad = ~(finite & inside & (np.abs(sums - 1.0) <= atol))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        problem = f"coordinates must be finite: {t[i]}"
+    elif not inside[i]:
+        problem = f"coordinates outside [0,1]: {t[i]}"
+    else:
+        problem = f"coordinates sum to {float(sums[i])}, not 1"
+    raise ValueError(f"row {i}: {problem}")
 
 
 def round_down(u: Sequence[float] | np.ndarray, lam: int) -> Level:

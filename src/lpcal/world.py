@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .simplex import Level, check_prob_vector, project_simplex, round_down
+from .simplex import Level, check_prob_rows, project_simplex, round_down
 from .streams import stream_rng
 
 SCENARIOS = ("perfect", "overconfident", "shifted", "random-miscalibrated")
@@ -50,8 +50,7 @@ class World:
             raise ValueError("masses must be nonnegative")
         if abs(float(self.mass.sum()) - 1.0) > 1e-12:
             raise ValueError(f"masses sum to {self.mass.sum()}, not 1")
-        for row in self.conditional:
-            check_prob_vector(row)
+        check_prob_rows(self.conditional)
 
     @property
     def n_features(self) -> int:
@@ -72,8 +71,7 @@ class Predictor:
         object.__setattr__(self, "table", _frozen(self.table))
         if self.table.ndim != 2:
             raise ValueError("table must be 2-d")
-        for row in self.table:
-            check_prob_vector(row)
+        check_prob_rows(self.table)
 
     @property
     def k(self) -> int:
@@ -153,17 +151,28 @@ FEATURE_CHUNK = 1 << 20
 def feature_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
     """Per-feature counts of ``n`` i.i.d. draws, without labels.
 
-    The chunked ``rng.choice`` calls consume the stream exactly as the one
-    call in :func:`draw` does, so the counts equal
-    ``np.bincount(draw(world, rng, n).features)`` in O(n_features) memory.
+    ``rng.choice(F, size, p=mass)`` builds ``cdf = cumsum(mass) / cdf[-1]``,
+    draws ``size`` uniforms ``u`` with ``rng.random`` and returns
+    ``searchsorted(cdf, u, side="right")``: feature ``i`` is drawn exactly
+    when ``cdf[i-1] <= u < cdf[i]``.  So its count is
+    ``#{u < cdf[i]} - #{u < cdf[i-1]}``, and ``#{u < c}`` is
+    ``searchsorted(sorted(u), c, side="left")``.  Each chunk sorts its
+    uniforms once and searches the ``F`` cdf values in them, instead of
+    searching every uniform in the cdf.  The chunks draw the same uniforms
+    as the one ``rng.choice`` call in :func:`draw`, so the counts equal
+    ``np.bincount(draw(world, rng, n).features)``, the generator ends in
+    the same state, and memory is O(n_features + FEATURE_CHUNK).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = np.zeros(world.n_features, dtype=np.int64)
+    cdf = np.cumsum(world.mass)
+    cdf /= cdf[-1]
+    below = np.zeros(world.n_features, dtype=np.int64)
     for start in range(0, n, FEATURE_CHUNK):
-        features = rng.choice(world.n_features, size=min(FEATURE_CHUNK, n - start), p=world.mass)
-        counts += np.bincount(features, minlength=world.n_features)
-    return counts
+        u = rng.random(min(FEATURE_CHUNK, n - start))
+        u.sort()
+        below += np.searchsorted(u, cdf, side="left")
+    return np.diff(below, prepend=0)
 
 
 def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:

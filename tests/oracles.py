@@ -14,8 +14,8 @@ import numpy as np
 
 from lpcal.errors import InvariantError
 from lpcal.partitions import EstimationGroup, EstimationPartition, MergeEvent
-from lpcal.simplex import Level, enumerate_levels, round_down
-from lpcal.world import World
+from lpcal.simplex import PROB_ATOL, Level, enumerate_levels, round_down
+from lpcal.world import FEATURE_CHUNK, World
 
 
 def compositions(total: int, parts: int):
@@ -78,6 +78,39 @@ def levels_by_greedy_certificate(lam: int, k: int) -> set[Level]:
         assert all(ai * lam // (lam * k) == n for ai, n in zip(a, v))
         out.add(v)
     return out
+
+
+def check_prob_vector(u: np.ndarray, *, atol: float = PROB_ATOL) -> None:
+    """Raise ValueError unless ``u`` is a probability vector within ``atol``."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("probability vector must be 1-d and nonempty")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"coordinates must be finite: {u}")
+    if np.any(u < -atol) or np.any(u > 1.0 + atol):
+        raise ValueError(f"coordinates outside [0,1]: {u}")
+    s = float(u.sum())
+    if abs(s - 1.0) > atol:
+        raise ValueError(f"coordinates sum to {s}, not 1")
+
+
+def first_bad_row(table: np.ndarray) -> tuple[int, str] | None:
+    """Index and message of the first row ``check_prob_vector`` rejects."""
+    for i, row in enumerate(table):
+        try:
+            check_prob_vector(row)
+        except ValueError as exc:
+            return i, str(exc)
+    return None
+
+
+def feature_counts_by_choice(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-feature counts from chunked ``rng.choice`` draws and ``bincount``."""
+    counts = np.zeros(world.n_features, dtype=np.int64)
+    for start in range(0, n, FEATURE_CHUNK):
+        features = rng.choice(world.n_features, size=min(FEATURE_CHUNK, n - start), p=world.mass)
+        counts += np.bincount(features, minlength=world.n_features)
+    return counts
 
 
 def project_by_grid(z: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -86,6 +86,88 @@ class TestRunCommand:
         assert report["status"] == "estimate-failure"
 
 
+    def test_estimate_failure_removes_stale_trace(self, tmp_path):
+        ok = write_config(tmp_path / "ok.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ok), "--out-dir", str(out)]) == 0
+        assert (out / "trace.csv").exists()
+        failing = write_config(
+            tmp_path / "fail.json",
+            scenario={"name": "shifted", "k": 3, "n_features": 50, "shift": 0.6},
+            p="2",
+            eps=0.3,
+            seed=1,
+            **manual(True, 20_000, 10, 10),
+        )
+        assert main(["run", "--config", str(failing), "--out-dir", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "estimate-failure"
+        assert not (out / "trace.csv").exists()
+
+
+def manual(inline: bool, bin_mass, pool_prob, pool_label) -> dict:
+    """Manual sizes inline in ``sample_mode``, or as a top-level ``manual_sizes``."""
+    sizes = {"bin_mass": bin_mass, "pool_prob": pool_prob, "pool_label": pool_label}
+    if inline:
+        return {"sample_mode": {"mode": "manual", **sizes}}
+    return {"sample_mode": "manual", "manual_sizes": sizes}
+
+
+# JSON numbers such as 2e4 load as floats.
+FLOAT_SIZES = [manual(inline, 2e4, 2e6, 2e6) for inline in (True, False)]
+INT_SIZES = manual(False, 20_000, 2_000_000, 2_000_000)
+# json.dumps writes inf and nan as Infinity and NaN, which json.loads reads back.
+BAD_SIZES = [
+    manual(inline, *sizes)
+    for sizes in [
+        (2e4, 2e6 + 0.5, 2e6),
+        (0, 2e6, 2e6),
+        (-2e4, 2e6, 2e6),
+        (math.inf, 2e6, 2e6),
+        (2e4, math.nan, 2e6),
+        (2e4, 2e6, "2e6"),
+    ]
+    for inline in (True, False)
+]
+SIZED_SCENARIO = {"name": "random-miscalibrated", "k": 3, "n_features": 20}
+
+
+class TestManualSizes:
+    @pytest.mark.parametrize("sizes", FLOAT_SIZES)
+    def test_integral_float_sizes_run(self, tmp_path, sizes):
+        as_int = write_config(tmp_path / "int.json", scenario=SIZED_SCENARIO, **INT_SIZES)
+        as_float = write_config(tmp_path / "float.json", scenario=SIZED_SCENARIO, **sizes)
+        assert main(["run", "--config", str(as_int), "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["run", "--config", str(as_float), "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("report.json", "trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("sizes", FLOAT_SIZES)
+    def test_integral_float_sizes_sweep(self, tmp_path, sizes):
+        cfg = write_config(tmp_path / "cfg.json", scenario=SIZED_SCENARIO, **sizes)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--seeds", "0:2", "--out-dir", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert sum(",ok," in line for line in lines) == 2
+
+    @pytest.mark.parametrize("sizes", BAD_SIZES)
+    def test_bad_sizes_rejected_by_run(self, tmp_path, capsys, sizes):
+        cfg = write_config(tmp_path / "cfg.json", scenario=SIZED_SCENARIO, **sizes)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: manual size ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes", BAD_SIZES)
+    def test_bad_sizes_fail_every_sweep_cell(self, tmp_path, sizes):
+        cfg = write_config(tmp_path / "cfg.json", scenario=SIZED_SCENARIO, **sizes)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--seeds", "0:2", "--out-dir", str(out)]) == 1
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("error: manual size " in row for row in rows)
+
+
 class TestSweepCommand:
     def test_grid_shape(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})

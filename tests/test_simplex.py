@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from lpcal.errors import EnumerationCapError, MembershipError
 from lpcal.simplex import (
+    PROB_ATOL,
     canonical,
-    check_prob_vector,
+    check_prob_rows,
     enumerate_levels,
     is_member,
     level_coords,
@@ -19,6 +20,7 @@ from lpcal.simplex import (
 
 from oracles import (
     canonical_by_grid,
+    first_bad_row,
     levels_by_greedy_certificate,
     levels_by_witness_enumeration,
     project_by_grid,
@@ -28,12 +30,81 @@ from oracles import (
 
 class TestCheckProbVector:
     def test_accepts_distribution(self):
-        check_prob_vector(np.array([0.25, 0.75]))
+        check_prob_rows(np.array([[0.25, 0.75]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            check_prob_vector(np.array([bad, 1.0]))
+            check_prob_rows(np.array([[bad, 1.0]]))
+
+
+def assert_rows_agree(table: np.ndarray) -> str | None:
+    """check_prob_rows accepts ``table`` exactly when the per-row oracle does,
+    and otherwise names the same first row with the oracle's message."""
+    expected = first_bad_row(table)
+    if expected is None:
+        check_prob_rows(table)
+        return None
+    i, msg = expected
+    with pytest.raises(ValueError) as exc:
+        check_prob_rows(table)
+    assert str(exc.value) == f"row {i}: {msg}"
+    return msg
+
+
+ATOL = PROB_ATOL
+# (row, the oracle's verdict): rows just inside and just outside each bound.
+BOUNDARY_ROWS = [
+    ([-ATOL, 0.5 + ATOL, 0.5], None),
+    ([np.nextafter(-ATOL, -1.0), 0.5 + ATOL, 0.5], "outside [0,1]"),
+    ([1.0 + ATOL, 0.0, -ATOL], None),
+    ([np.nextafter(1.0 + ATOL, 2.0), 0.0, -ATOL], "outside [0,1]"),
+    ([0.5, 0.25, 0.25 + 0.999 * ATOL], None),
+    ([0.5, 0.25, 0.25 + 1.001 * ATOL], "sum to"),
+    ([0.5, 0.25, 0.25 - 0.999 * ATOL], None),
+    ([0.5, 0.25, 0.25 - 1.001 * ATOL], "sum to"),
+    ([0.5, math.nan, 0.5], "finite"),
+    ([math.inf, -2.0, 0.0], "finite"),
+    ([-0.5, 0.75, 0.75], "outside [0,1]"),
+]
+
+
+class TestCheckProbRows:
+    @pytest.mark.parametrize("row, verdict", BOUNDARY_ROWS)
+    def test_boundary_rows_match_oracle(self, row, verdict):
+        table = np.random.default_rng(0).dirichlet(np.ones(3), size=12)
+        table[7] = row
+        msg = assert_rows_agree(table)
+        assert (msg is None) if verdict is None else (verdict in msg)
+
+    def test_first_bad_row_named(self):
+        table = np.random.default_rng(1).dirichlet(np.ones(3), size=20)
+        table[15] = [0.5, math.nan, 0.5]
+        table[9] = [0.5, 0.25, 0.3]
+        msg = assert_rows_agree(table)
+        assert "sum to" in msg
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            check_prob_rows(np.zeros((3, 0)))
+        check_prob_rows(np.zeros((0, 3)))
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 1e-10, 1e-9, 1e-6, 0.5]),
+        st.floats(min_value=0.0, max_value=0.3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables_match_oracle(self, n, k, seed, noise, p_bad):
+        rng = np.random.default_rng(seed)
+        table = rng.dirichlet(np.ones(k), size=n)
+        hit = rng.random(table.shape) < p_bad
+        table[hit] += rng.uniform(-noise, noise, size=int(hit.sum()))
+        if p_bad > 0.25:
+            table[rng.integers(n), rng.integers(k)] = rng.choice([math.nan, math.inf, -math.inf])
+        assert_rows_agree(table)
 
 
 class TestRoundDown:

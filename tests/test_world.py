@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcal.evaluator import exact_bin_class_error, exact_lp_error
 from lpcal.simplex import enumerate_levels, round_down
@@ -20,6 +22,8 @@ from lpcal.world import (
     world_from_dict,
     world_to_dict,
 )
+
+from oracles import feature_counts_by_choice
 
 
 def one_point_world(cond=(0.6, 0.4)):
@@ -136,6 +140,48 @@ class TestFeatureCounts:
         w = one_point_world()
         with pytest.raises(ValueError):
             feature_counts(w, stream_rng(0, "data"), -1)
+
+    @pytest.mark.parametrize("total", [1.0, 1.0 + 2.0**-44])
+    def test_uniform_on_a_cdf_value_counts_as_choice_does(self, total):
+        # Masses whose normalised cdf passes exactly through the first uniform
+        # of the stream: that draw belongs to the next feature, as in choice.
+        u0 = stream_rng(9, "data").random()
+        first = u0 * total
+        w = World(np.array([first, total - first]), np.ones((2, 1)))
+        cdf = np.cumsum(w.mass)
+        assert cdf[0] / cdf[-1] == u0
+        counts = feature_counts(w, stream_rng(9, "data"), 1000)
+        assert np.array_equal(counts, feature_counts_by_choice(w, stream_rng(9, "data"), 1000))
+
+    @given(
+        st.one_of(st.just(1), st.integers(min_value=2, max_value=400)),
+        st.sampled_from([0.0, 0.3, 0.9]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(
+            [0, 1, FEATURE_CHUNK - 1, FEATURE_CHUNK, FEATURE_CHUNK + 1, 2 * FEATURE_CHUNK + 12_345]
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_and_stream_match_choice_oracle(
+        self, n_features, p_zero, zero_first, zero_last, n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mass = rng.dirichlet(np.ones(n_features))
+        if n_features > 1:
+            zero = rng.random(n_features) < p_zero
+            zero[0] |= zero_first
+            zero[-1] |= zero_last
+            zero[rng.integers(n_features)] = False
+            mass[zero] = 0.0
+        w = World(mass / mass.sum(), np.ones((n_features, 1)))
+        fast, slow = stream_rng(seed, "data"), stream_rng(seed, "data")
+        counts = feature_counts(w, fast, n)
+        assert np.array_equal(counts, feature_counts_by_choice(w, slow, n))
+        assert counts.sum() == n
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.random() == slow.random()
 
 
 class TestScenarios:
