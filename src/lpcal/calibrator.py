@@ -44,6 +44,9 @@ from .world import Binning, Predictor, World, bin_table, draw, exact_event_stats
 
 PNorm = Fraction | float  # a rational > 1, or math.inf
 
+# The samples a manual-mode run sizes itself: the bin-mass table and the two pool kinds.
+MANUAL_SIZE_KEYS = ("bin_mass", "pool_prob", "pool_label")
+
 
 def _ceil_tol(x: float) -> int:
     # ceil that forgives float noise just above an exact integer

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrator import (
+    MANUAL_SIZE_KEYS,
     CalibParams,
     CalibratedPredictor,
     PNorm,
@@ -100,6 +101,11 @@ class RunConfig:
         if isinstance(sample_mode, dict):
             manual.update((k, v) for k, v in sample_mode.items() if k != "mode")
             sample_mode = sample_mode.get("mode", "auto")
+        unknown = sorted(set(manual) - set(MANUAL_SIZE_KEYS))
+        if unknown:
+            raise ValueError(
+                f"manual size keys {unknown} unknown; expected {list(MANUAL_SIZE_KEYS)}"
+            )
         return cls(
             scenario=scenario["name"],
             k=int(scenario.get("k", 3)),
@@ -363,44 +369,47 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else [parse_p(base.get("p", "inf"))]
     )
     seeds = _parse_seeds(args.seeds) if args.seeds else [int(base.get("seed", 0))]
+    # a config error ends the sweep (exit 2) before any cell runs, as it ends `run`
+    cells = [
+        RunConfig.from_dict({**base, "p": p_label(p), "eps": eps, "seed": seed})
+        for p in p_grid
+        for eps in eps_grid
+        for seed in seeds
+    ]
     rows: list[list] = []
     failures = 0
-    for p in p_grid:
-        for eps in eps_grid:
-            for seed in seeds:
-                doc = dict(base)
-                doc.update({"p": p_label(p), "eps": eps, "seed": seed})
-                cell = f"p{p_label(p).replace('/', 'over')}-eps{eps:g}-seed{seed}"
-                try:
-                    cfg = RunConfig.from_dict(doc)
-                    report, trace, _ = run_config(cfg)
-                except (EstimateFailureError, ValueError) as exc:
-                    failures += 1
-                    rows.append([p_label(p), eps, seed, f"error: {exc}"] + [""] * 12)
-                    continue
-                _write(out_dir / cell / "report.json", dumps_json(report))
-                _write(out_dir / cell / "trace.csv", trace_to_csv(trace))
-                checks = report["checks"]
-                rows.append(
-                    [
-                        p_label(p),
-                        eps,
-                        seed,
-                        "ok",
-                        report["bins"]["count"],
-                        report["iterations"],
-                        repr(report["errors"]["run_p"]["f"]),
-                        repr(report["errors"]["run_p"]["h"]),
-                        repr(report["sq_error"]["f"]),
-                        repr(report["sq_error"]["h"]),
-                        checks["events_held"],
-                        checks["per_bin_le_beta"],
-                        checks["aggregate_lp"],
-                        checks["err_le_eps"],
-                        checks["sq_budget"],
-                        checks["pred_moves_bound"],
-                    ]
-                )
+    for cfg in cells:
+        p, eps, seed = cfg.p, cfg.eps, cfg.seed
+        cell = f"p{p_label(p).replace('/', 'over')}-eps{eps:g}-seed{seed}"
+        try:
+            report, trace, _ = run_config(cfg)
+        except (EstimateFailureError, ValueError) as exc:
+            failures += 1
+            rows.append([p_label(p), eps, seed, f"error: {exc}"] + [""] * 12)
+            continue
+        _write(out_dir / cell / "report.json", dumps_json(report))
+        _write(out_dir / cell / "trace.csv", trace_to_csv(trace))
+        checks = report["checks"]
+        rows.append(
+            [
+                p_label(p),
+                eps,
+                seed,
+                "ok",
+                report["bins"]["count"],
+                report["iterations"],
+                repr(report["errors"]["run_p"]["f"]),
+                repr(report["errors"]["run_p"]["h"]),
+                repr(report["sq_error"]["f"]),
+                repr(report["sq_error"]["h"]),
+                checks["events_held"],
+                checks["per_bin_le_beta"],
+                checks["aggregate_lp"],
+                checks["err_le_eps"],
+                checks["sq_budget"],
+                checks["pred_moves_bound"],
+            ]
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)

@@ -144,35 +144,27 @@ def draw(world: World, rng: np.random.Generator, n: int) -> SampleBatch:
     return SampleBatch(features, labels)
 
 
-# Draws per chunk when counting features; bounds memory at any sample count.
-FEATURE_CHUNK = 1 << 20
+# Largest sample count one multinomial draw takes.
+MAX_DRAWS = np.iinfo(np.int64).max
+
+
+def _check_draws(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_DRAWS:
+        raise ValueError(f"{n} draws exceed the int64 limit of {MAX_DRAWS} per multinomial count")
 
 
 def feature_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
     """Per-feature counts of ``n`` i.i.d. draws, without labels.
 
-    ``rng.choice(F, size, p=mass)`` builds ``cdf = cumsum(mass) / cdf[-1]``,
-    draws ``size`` uniforms ``u`` with ``rng.random`` and returns
-    ``searchsorted(cdf, u, side="right")``: feature ``i`` is drawn exactly
-    when ``cdf[i-1] <= u < cdf[i]``.  So its count is
-    ``#{u < cdf[i]} - #{u < cdf[i-1]}``, and ``#{u < c}`` is
-    ``searchsorted(sorted(u), c, side="left")``.  Each chunk sorts its
-    uniforms once and searches the ``F`` cdf values in them, instead of
-    searching every uniform in the cdf.  The chunks draw the same uniforms
-    as the one ``rng.choice`` call in :func:`draw`, so the counts equal
-    ``np.bincount(draw(world, rng, n).features)``, the generator ends in
-    the same state, and memory is O(n_features + FEATURE_CHUNK).
+    One ``rng.multinomial(n, mass)`` call.  The counts have the same law as
+    ``np.bincount`` of ``n`` ``rng.choice(n_features, p=mass)`` draws, at
+    O(n_features) time and memory for any ``n``.  numpy holds ``n`` in an
+    int64, so ``n`` above 2**63 - 1 raises ``ValueError``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    cdf = np.cumsum(world.mass)
-    cdf /= cdf[-1]
-    below = np.zeros(world.n_features, dtype=np.int64)
-    for start in range(0, n, FEATURE_CHUNK):
-        u = rng.random(min(FEATURE_CHUNK, n - start))
-        u.sort()
-        below += np.searchsorted(u, cdf, side="left")
-    return np.diff(below, prepend=0)
+    _check_draws(n)
+    return rng.multinomial(n, world.mass / world.mass.sum())
 
 
 def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -180,9 +172,9 @@ def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
 
     The (n_features, k) count table is a sufficient statistic for any
     per-sample average, so huge pools never materialize sample lists.
+    ``n`` above the int64 maximum raises ``ValueError``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_draws(n)
     joint = (world.mass[:, None] * world.conditional).ravel()
     joint = joint / joint.sum()
     counts = rng.multinomial(n, joint)

@@ -15,7 +15,7 @@ import numpy as np
 from lpcal.errors import InvariantError
 from lpcal.partitions import EstimationGroup, EstimationPartition, MergeEvent
 from lpcal.simplex import PROB_ATOL, Level, enumerate_levels, round_down
-from lpcal.world import FEATURE_CHUNK, World
+from lpcal.world import World
 
 
 def compositions(total: int, parts: int):
@@ -102,6 +102,35 @@ def first_bad_row(table: np.ndarray) -> tuple[int, str] | None:
         except ValueError as exc:
             return i, str(exc)
     return None
+
+
+# Draws per chunk in the chunked counting oracles; bounds their memory.
+FEATURE_CHUNK = 1 << 20
+
+
+def feature_counts_by_sorting(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-feature counts of ``n`` draws from sorted chunks of uniforms.
+
+    ``rng.choice(F, size, p=mass)`` builds ``cdf = cumsum(mass) / cdf[-1]``,
+    draws ``size`` uniforms ``u`` with ``rng.random`` and returns
+    ``searchsorted(cdf, u, side="right")``: feature ``i`` is drawn exactly
+    when ``cdf[i-1] <= u < cdf[i]``.  So its count is
+    ``#{u < cdf[i]} - #{u < cdf[i-1]}``, and ``#{u < c}`` is
+    ``searchsorted(sorted(u), c, side="left")``.  Each chunk sorts its
+    uniforms once and searches the ``F`` cdf values in them.  The chunks
+    draw the same uniforms as :func:`feature_counts_by_choice`, so the
+    counts and the generator's final state equal that oracle's.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    cdf = np.cumsum(world.mass)
+    cdf /= cdf[-1]
+    below = np.zeros(world.n_features, dtype=np.int64)
+    for start in range(0, n, FEATURE_CHUNK):
+        u = rng.random(min(FEATURE_CHUNK, n - start))
+        u.sort()
+        below += np.searchsorted(u, cdf, side="left")
+    return np.diff(below, prepend=0)
 
 
 def feature_counts_by_choice(world: World, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -104,6 +104,26 @@ class TestRunCommand:
         assert report["status"] == "estimate-failure"
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("p, eps", [("6/5", 0.3), ("3/2", 0.1)])
+    def test_runs_toward_p_one_finish(self, tmp_path, p, eps):
+        # 2.5e12 and 1.8e10 bin-mass draws respectively
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "random-miscalibrated", "--k", "3", "--n-features", "40",
+                "--p", p, "--eps", str(eps), "--seed", "0", "--out-dir", str(out)]
+        assert main(args) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["events"]["all_held"] is True
+        assert report["errors"]["run_p"]["h"] <= eps
+
+    def test_counts_past_int64_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "random-miscalibrated", "--k", "3", "--n-features", "40",
+                "--p", "11/10", "--eps", "0.3", "--seed", "0", "--out-dir", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 660341700890908750004 draws exceed the int64 limit")
+        assert not out.exists()
+
 
 def manual(inline: bool, bin_mass, pool_prob, pool_label) -> dict:
     """Manual sizes inline in ``sample_mode``, or as a top-level ``manual_sizes``."""
@@ -128,6 +148,11 @@ BAD_SIZES = [
         (2e4, 2e6, "2e6"),
     ]
     for inline in (True, False)
+]
+# A misspelt size key, inline and top-level.
+BAD_SIZES += [
+    {"sample_mode": {"mode": "manual", "bin_mas": 2e4, "pool_prob": 2e6, "pool_label": 2e6}},
+    {"sample_mode": "manual", "manual_sizes": {"bin_mas": 2e4, "pool_prob": 2e6, "pool_label": 2e6}},
 ]
 SIZED_SCENARIO = {"name": "random-miscalibrated", "k": 3, "n_features": 20}
 
@@ -159,13 +184,13 @@ class TestManualSizes:
         assert not out.exists()
 
     @pytest.mark.parametrize("sizes", BAD_SIZES)
-    def test_bad_sizes_fail_every_sweep_cell(self, tmp_path, sizes):
+    def test_bad_sizes_fail_every_sweep_cell(self, tmp_path, capsys, sizes):
+        # a config error stops the sweep before its first cell, as it stops `run`
         cfg = write_config(tmp_path / "cfg.json", scenario=SIZED_SCENARIO, **sizes)
         out = tmp_path / "sweep"
-        assert main(["sweep", "--config", str(cfg), "--seeds", "0:2", "--out-dir", str(out)]) == 1
-        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
-        assert len(rows) == 2
-        assert all("error: manual size " in row for row in rows)
+        assert main(["sweep", "--config", str(cfg), "--seeds", "0:2", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: manual size ")
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -212,6 +237,20 @@ class TestSweepCommand:
         assert len(lines) == 1 + 6
         assert sum("error" in line for line in lines) == 3
         assert sum(",ok," in line for line in lines) == 3
+
+    def test_counts_past_int64_fail_their_cell(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            scenario={"name": "random-miscalibrated", "k": 3, "n_features": 40},
+            eps=0.3,
+        )
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(cfg), "--p", "11/10,inf", "--seeds", "0", "--out-dir", str(out)]
+        assert main(args) == 1
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert rows[0].startswith("11/10,0.3,0,error: 660341700890908750004 draws exceed the int64")
+        assert rows[1].startswith("inf,0.3,0,ok,")
+        assert not (out / "p11over10-eps0.3-seed0").exists()
 
     @pytest.mark.parametrize("seeds", ["5:2", "3:3"])
     def test_empty_seed_range_rejected(self, tmp_path, capsys, seeds):

@@ -11,19 +11,19 @@ from lpcal.evaluator import exact_bin_class_error, exact_lp_error
 from lpcal.simplex import enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import (
-    FEATURE_CHUNK,
     Predictor,
     World,
     bin_table,
     draw,
     exact_event_stats,
     feature_counts,
+    joint_counts,
     make_scenario,
     world_from_dict,
     world_to_dict,
 )
 
-from oracles import feature_counts_by_choice
+from oracles import FEATURE_CHUNK, feature_counts_by_choice, feature_counts_by_sorting
 
 
 def one_point_world(cond=(0.6, 0.4)):
@@ -116,30 +116,110 @@ class TestBinning:
         assert binning.rows_in([(0, 2)]).tolist() == [False, False, False]
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """P[X > x] for X chi-square with ``df`` degrees of freedom (closed forms)."""
+    h = x / 2.0
+    if df % 2 == 0:
+        term, total = 1.0, 1.0
+        for i in range(1, df // 2):
+            term *= h / i
+            total += term
+        return math.exp(-h) * total
+    term = math.sqrt(h) / math.gamma(1.5)
+    total = 0.0
+    for i in range((df - 1) // 2):
+        total += term
+        term *= h / (i + 1.5)
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * total
+
+
+def pearson_p_value(counts: np.ndarray, mass: np.ndarray) -> float:
+    """Pearson chi-square p-value of ``counts`` against ``counts.sum() * mass``."""
+    support = mass > 0
+    expected = counts.sum() * mass[support]
+    stat = float(np.sum((counts[support] - expected) ** 2 / expected))
+    return chi2_sf(stat, int(support.sum()) - 1)
+
+
+def zero_ended_world() -> World:
+    """Zero-mass features first, last and in between, the rest Dirichlet."""
+    mass = np.random.default_rng(11).dirichlet(np.ones(30)) + 0.01
+    mass[[0, 7, 8, 29]] = 0.0
+    return World(mass / mass.sum(), np.ones((30, 1)))
+
+
+# A law check fails when its p-value falls below this.  If the counts do
+# follow n * mass, that happens for this share of seeds, up to the
+# chi-square approximation (the expected counts below are all above 200).
+FALSE_ALARM = 1e-6
+
+
+class TestChi2Sf:
+    @pytest.mark.parametrize(
+        "x, df",
+        # upper 5% points of the chi-square table
+        [(3.841458820694124, 1), (5.991464547107979, 2), (7.814727903251178, 3),
+         (18.307038053275146, 10), (42.55696780429269, 29)],
+    )
+    def test_table_quantiles(self, x, df):
+        assert chi2_sf(x, df) == pytest.approx(0.05, rel=1e-9)
+
+    def test_limits(self):
+        assert chi2_sf(0.0, 1) == 1.0 and chi2_sf(0.0, 4) == 1.0
+        assert chi2_sf(200.0, 5) < FALSE_ALARM
+
+
 class TestFeatureCounts:
     def test_chunked_counts_equal_one_draw(self):
         w, _ = make_scenario("random-miscalibrated", 2, 30, seed=4)
         n = 2 * FEATURE_CHUNK + 12_345  # three chunks, the last one partial
-        counts = feature_counts(w, stream_rng(4, "data"), n)
+        counts = feature_counts_by_sorting(w, stream_rng(4, "data"), n)
         samples = draw(w, stream_rng(4, "data"), n)
         assert counts.sum() == n
         assert np.array_equal(counts, np.bincount(samples.features, minlength=30))
+        assert np.array_equal(counts, feature_counts_by_choice(w, stream_rng(4, "data"), n))
 
     def test_memory_bounded_by_chunk(self):
         w, _ = make_scenario("random-miscalibrated", 3, 40, seed=0)
-        tracemalloc.start()
-        try:
-            counts = feature_counts(w, stream_rng(0, "data"), 20_000_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert counts.sum() == 20_000_000
-        assert peak < 64 * 2**20
+        for n in (20_000_000, 2_500_000_000_000):  # the second is p=6/5, eps=0.3
+            tracemalloc.start()
+            try:
+                counts = feature_counts(w, stream_rng(0, "data"), n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert counts.sum() == n
+            assert peak < 64 * 2**20
 
     def test_negative_n_rejected(self):
         w = one_point_world()
         with pytest.raises(ValueError):
             feature_counts(w, stream_rng(0, "data"), -1)
+
+    @pytest.mark.parametrize("count", [feature_counts, joint_counts])
+    def test_counts_past_int64_rejected(self, count):
+        w, _ = make_scenario("random-miscalibrated", 3, 40, seed=0)
+        top = 2**63 - 1
+        assert count(w, stream_rng(0, "data"), top).sum() == top
+        with pytest.raises(ValueError, match=r"^9223372036854775808 draws exceed the int64"):
+            count(w, stream_rng(0, "data"), top + 1)
+
+    @pytest.mark.parametrize(
+        "world",
+        [make_scenario("random-miscalibrated", 3, 40, seed=0)[0], zero_ended_world()],
+        ids=["dirichlet-40", "zero-ended-30"],
+    )
+    def test_same_law_as_sorting_oracle(self, world):
+        # Pearson chi-square of each method's counts against n * mass, on a
+        # fixed seed; each check alarms falsely with probability FALSE_ALARM.
+        n = 3 * FEATURE_CHUNK
+        fast = feature_counts(world, stream_rng(5, "data:bin-mass"), n)
+        slow = feature_counts_by_sorting(world, stream_rng(5, "data:bin-mass"), n)
+        for counts in (fast, slow):
+            assert counts.sum() == n
+            assert not counts[world.mass == 0].any()
+            assert pearson_p_value(counts, world.mass) > FALSE_ALARM
+        assert not np.array_equal(fast, slow)  # two methods, not one run twice
 
     @pytest.mark.parametrize("total", [1.0, 1.0 + 2.0**-44])
     def test_uniform_on_a_cdf_value_counts_as_choice_does(self, total):
@@ -150,7 +230,7 @@ class TestFeatureCounts:
         w = World(np.array([first, total - first]), np.ones((2, 1)))
         cdf = np.cumsum(w.mass)
         assert cdf[0] / cdf[-1] == u0
-        counts = feature_counts(w, stream_rng(9, "data"), 1000)
+        counts = feature_counts_by_sorting(w, stream_rng(9, "data"), 1000)
         assert np.array_equal(counts, feature_counts_by_choice(w, stream_rng(9, "data"), 1000))
 
     @given(
@@ -177,11 +257,15 @@ class TestFeatureCounts:
             mass[zero] = 0.0
         w = World(mass / mass.sum(), np.ones((n_features, 1)))
         fast, slow = stream_rng(seed, "data"), stream_rng(seed, "data")
-        counts = feature_counts(w, fast, n)
+        counts = feature_counts_by_sorting(w, fast, n)
         assert np.array_equal(counts, feature_counts_by_choice(w, slow, n))
         assert counts.sum() == n
         assert fast.bit_generator.state == slow.bit_generator.state
         assert fast.random() == slow.random()
+        # the multinomial counts keep the total and the support
+        counts = feature_counts(w, stream_rng(seed, "data"), n)
+        assert counts.sum() == n
+        assert not counts[w.mass == 0].any()
 
 
 class TestScenarios:
