@@ -40,7 +40,16 @@ from .partitions import (
 # round_down and draw go unused here; perfbench/tracer.py patches both names.
 from .simplex import Level, canonical, level_count, project_simplex, round_down
 from .streams import stream_rng
-from .world import Binning, Predictor, World, bin_table, draw, exact_event_stats, feature_counts
+from .world import (
+    MAX_LAM,
+    Binning,
+    Predictor,
+    World,
+    bin_table,
+    draw,
+    exact_event_stats,
+    feature_counts,
+)
 
 PNorm = Fraction | float  # a rational > 1, or math.inf
 
@@ -98,8 +107,9 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
     """Validate (p, eps, delta) and derive every run parameter.
 
     p must exceed 1 (at p = 1 the budget exponent p/(p-1) diverges) or be
-    ``math.inf``.  Rational p is kept exact so the exponents carry no float
-    drift for common values like 2, 3, or infinity.
+    ``math.inf``, and lam = ceil(1/beta) must not exceed 2**53.  Rational p
+    is kept exact so the exponents carry no float drift for common values
+    like 2, 3, or infinity.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
@@ -114,7 +124,14 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
         e_eps = p / (p - 1)
         e_two = 1 / (p - 1)
         beta = float(eps) ** float(e_eps) / 2.0 ** float(e_two)
+    if not beta > 0.0:
+        raise ValueError(f"p={p}, eps={eps}: beta underflows to {beta}, so lam exceeds 2**53")
     lam = _ceil_tol(1.0 / beta)
+    if lam > MAX_LAM:
+        raise ValueError(
+            f"p={p}, eps={eps}: lam = {1.0 / beta:.3g} exceeds 2**53, "
+            "beyond which the rounding grid is not exact in floats"
+        )
     t_max = _ceil_tol((9.0 + (36.0 / lam) * math.log2(36.0 / beta)) / beta**2)
     return CalibParams(
         p=p,

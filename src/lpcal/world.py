@@ -9,12 +9,13 @@ possible: every expectation is a finite sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .simplex import Level, check_prob_rows, project_simplex, round_down
+# round_down goes unused here; perfbench/tracer.py patches the name.
+from .simplex import SNAP, Level, check_prob_rows, project_simplex, round_down
 from .streams import stream_rng
 
 SCENARIOS = ("perfect", "overconfident", "shifted", "random-miscalibrated")
@@ -94,21 +95,43 @@ class Binning:
     lam: int
     levels: tuple[Level, ...]
     ids: np.ndarray
+    _position: dict[Level, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_position", {v: i for i, v in enumerate(self.levels)})
 
     def rows_in(self, bins: Iterable[Level]) -> np.ndarray:
         """Boolean mask of the rows whose level set lies in ``bins``."""
-        bins = frozenset(bins)
-        hit = np.fromiter((v in bins for v in self.levels), dtype=bool, count=len(self.levels))
+        hit = np.zeros(len(self.levels), dtype=bool)
+        hit[[self._position[v] for v in set(bins) if v in self._position]] = True
         return hit[self.ids]
 
 
+# Above 2**53 not every numerator up to lam is a float64: float rounding of the grid is inexact.
+MAX_LAM = 2**53
+
+
 def bin_table(table: np.ndarray, lam: int) -> Binning:
-    """Round every row of ``table`` once; the only per-row use of ``round_down``."""
+    """Round every row of ``table`` once, in one array pass.
+
+    Each coordinate goes through ``round_down``'s float operations in its
+    order (``x * lam + SNAP``, floor, minimum with ``lam``), so every
+    numerator equals ``round_down``'s.  Levels are tuples of Python ints in
+    order of their first row.  Raises ``ValueError`` for ``lam`` outside
+    [1, 2**53] and for coordinates that are not finite or lie outside
+    [-1, 2], whose numerators an int64 need not hold.
+    """
+    if not 1 <= lam <= MAX_LAM:
+        raise ValueError(f"lam must be an integer in [1, 2**53], got {lam}")
+    t = np.asarray(table, dtype=float)
+    if not ((t >= -1.0) & (t <= 2.0)).all():  # false on NaN and inf too
+        raise ValueError("coordinates to bin must be finite and lie in [-1, 2]")
+    num = np.minimum(np.floor(t * lam + SNAP), lam).astype(np.int64)
     index: dict[Level, int] = {}
     ids = np.fromiter(
-        (index.setdefault(round_down(row, lam), len(index)) for row in table),
+        (index.setdefault(v, len(index)) for v in map(tuple, num.tolist())),
         dtype=np.int64,
-        count=len(table),
+        count=len(num),
     )
     return Binning(lam, tuple(index), ids)
 

@@ -15,7 +15,7 @@ import numpy as np
 from lpcal.errors import InvariantError
 from lpcal.partitions import EstimationGroup, EstimationPartition, MergeEvent
 from lpcal.simplex import PROB_ATOL, Level, enumerate_levels, round_down
-from lpcal.world import World
+from lpcal.world import Binning, World
 
 
 def compositions(total: int, parts: int):
@@ -140,6 +140,24 @@ def feature_counts_by_choice(world: World, rng: np.random.Generator, n: int) -> 
         features = rng.choice(world.n_features, size=min(FEATURE_CHUNK, n - start), p=world.mass)
         counts += np.bincount(features, minlength=world.n_features)
     return counts
+
+
+def bin_table_by_round_down(table: np.ndarray, lam: int) -> Binning:
+    """Binning by scalar ``round_down`` on each row in turn, levels in first-row order."""
+    index: dict[Level, int] = {}
+    ids = np.fromiter(
+        (index.setdefault(round_down(row, lam), len(index)) for row in table),
+        dtype=np.int64,
+        count=len(table),
+    )
+    return Binning(lam, tuple(index), ids)
+
+
+def rows_in_by_level_scan(binning: Binning, bins) -> np.ndarray:
+    """Row mask by testing every realized level for membership in ``frozenset(bins)``."""
+    bins = frozenset(bins)
+    hit = np.fromiter((v in bins for v in binning.levels), dtype=bool, count=len(binning.levels))
+    return hit[binning.ids]
 
 
 def project_by_grid(z: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -49,6 +49,12 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(Fraction(1, 2), 0.2, 0.1)
 
+    @pytest.mark.parametrize("p", [Fraction(1001, 1000), Fraction(101, 100)])
+    def test_grid_past_floats_rejected(self, p):
+        # beta underflows to 0.0 at 1001/1000; lam is about 8e82 at 101/100
+        with pytest.raises(ValueError, match=rf"p={p}, eps=0.3: .*2\*\*53"):
+            derive_params(p, 0.3, 0.1)
+
     def test_eps_delta_ranges(self):
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):

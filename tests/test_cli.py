@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -32,6 +33,15 @@ class TestParseP:
     def test_numbers_and_fractions(self):
         assert parse_p("2") == 2
         assert parse_p(2.5) == parse_p("5/2")
+
+
+SCENARIO_40F = {"name": "random-miscalibrated", "k": 3, "n_features": 40}
+MANUAL_SIZES = {"bin_mass": 20_000, "pool_prob": 2_000_000, "pool_label": 2_000_000}
+# beta underflows to 0.0 at p=1001/1000; at p=101/100 lam is about 8e82.
+GRIDS_PAST_FLOATS = [
+    ("1001/1000", {}),
+    ("101/100", {"sample_mode": "manual", "manual_sizes": MANUAL_SIZES}),
+]
 
 
 class TestRunCommand:
@@ -122,6 +132,16 @@ class TestRunCommand:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 660341700890908750004 draws exceed the int64 limit")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p, sizes", GRIDS_PAST_FLOATS)
+    def test_grid_past_floats_refused(self, tmp_path, capsys, p, sizes):
+        cfg = write_config(tmp_path / "cfg.json", scenario=SCENARIO_40F, p=p, eps=0.3, seed=0, **sizes)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: p={p}, eps=0.3: ")
+        assert "2**53" in err
         assert not out.exists()
 
 
@@ -251,6 +271,19 @@ class TestSweepCommand:
         assert rows[0].startswith("11/10,0.3,0,error: 660341700890908750004 draws exceed the int64")
         assert rows[1].startswith("inf,0.3,0,ok,")
         assert not (out / "p11over10-eps0.3-seed0").exists()
+
+    @pytest.mark.parametrize("p, sizes", GRIDS_PAST_FLOATS)
+    def test_grid_past_floats_fails_its_cell(self, tmp_path, p, sizes):
+        cfg = write_config(tmp_path / "cfg.json", scenario=SCENARIO_40F, eps=0.3, **sizes)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(cfg), "--p", f"{p},inf", "--seeds", "0", "--out-dir", str(out)]
+        assert main(args) == 1
+        rows = list(csv.reader((out / "summary.csv").open()))[1:]
+        assert rows[0][:3] == [p, "0.3", "0"]
+        assert rows[0][3].startswith(f"error: p={p}, eps=0.3: ")
+        assert "2**53" in rows[0][3]
+        assert rows[1][:4] == ["inf", "0.3", "0", "ok"]
+        assert not (out / f"p{p.replace('/', 'over')}-eps0.3-seed0").exists()
 
     @pytest.mark.parametrize("seeds", ["5:2", "3:3"])
     def test_empty_seed_range_rejected(self, tmp_path, capsys, seeds):

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpcal.calibrator
+import lpcal.evaluator
+import lpcal.partitions
+import lpcal.world
+from lpcal.cli import RunConfig, run_config
 from lpcal.evaluator import exact_bin_class_error, exact_lp_error
-from lpcal.simplex import enumerate_levels, round_down
+from lpcal.simplex import PROB_ATOL, SNAP, enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import (
     Predictor,
@@ -23,7 +28,13 @@ from lpcal.world import (
     world_to_dict,
 )
 
-from oracles import FEATURE_CHUNK, feature_counts_by_choice, feature_counts_by_sorting
+from oracles import (
+    FEATURE_CHUNK,
+    bin_table_by_round_down,
+    feature_counts_by_choice,
+    feature_counts_by_sorting,
+    rows_in_by_level_scan,
+)
 
 
 def one_point_world(cond=(0.6, 0.4)):
@@ -114,6 +125,101 @@ class TestBinning:
         binning = bin_table(table, 2)
         assert binning.rows_in([(1, 0)]).tolist() == [True, False, True]
         assert binning.rows_in([(0, 2)]).tolist() == [False, False, False]
+
+
+@st.composite
+def tables_to_bin(draw):
+    """A table with coordinates on, one ulp beside and SNAP below the grid, and repeated rows."""
+    k = draw(st.integers(1, 8))
+    lam = draw(st.one_of(st.integers(1, 2**20), st.just(2**53)))
+    on_grid = st.integers(0, lam).map(lambda i: i / lam)
+    coordinate = st.one_of(
+        on_grid,
+        on_grid.map(lambda x: math.nextafter(x, math.inf)),
+        on_grid.map(lambda x: math.nextafter(x, -math.inf)),
+        on_grid.map(lambda x: x - SNAP),
+        st.sampled_from([-PROB_ATOL, 1.0 + PROB_ATOL]),
+        st.floats(-PROB_ATOL, 1.0 + PROB_ATOL),
+    )
+    chosen = np.array(draw(st.lists(coordinate, min_size=1, max_size=40)))
+    n_distinct = draw(st.integers(1, 300))
+    n_rows = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = np.where(
+        rng.random((n_distinct, k)) < 0.8,
+        rng.choice(chosen, size=(n_distinct, k)),
+        rng.uniform(-PROB_ATOL, 1.0 + PROB_ATOL, size=(n_distinct, k)),
+    )
+    return distinct[rng.integers(0, n_distinct, size=n_rows)], lam
+
+
+@st.composite
+def binnings_and_bins(draw):
+    """A binning of random simplex rows and a bin list with unrealized levels and repeats."""
+    k = draw(st.integers(1, 4))
+    lam = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binning = bin_table(rng.dirichlet(np.ones(k), size=draw(st.integers(0, 60))), lam)
+    candidates = enumerate_levels(lam, k) + [(lam + 1,) * k, (0,) * (k + 1)]
+    bins = draw(st.lists(st.sampled_from(candidates), max_size=12))
+    return binning, bins + bins[:2]
+
+
+class TestVectorisedBinning:
+    @given(tables_to_bin())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_round_down(self, case):
+        table, lam = case
+        got, want = bin_table(table, lam), bin_table_by_round_down(table, lam)
+        assert got.levels == want.levels
+        assert np.array_equal(got.ids, want.ids)
+        assert all(type(n) is int for v in got.levels for n in v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bin_table(np.array([[0.5, 0.5], [bad, 0.5]]), 4)
+
+    @pytest.mark.parametrize("lam", [0, 2**53 + 1])
+    def test_lam_out_of_range_refused(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            bin_table(np.array([[0.5, 0.5]]), lam)
+
+    @given(binnings_and_bins(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_in_matches_level_scan(self, case, as_generator):
+        binning, bins = case
+        want = rows_in_by_level_scan(binning, bins)
+        got = binning.rows_in(v for v in bins) if as_generator else binning.rows_in(bins)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+
+    def test_rows_in_empty(self):
+        binning = bin_table(np.array([[0.9, 0.1], [0.2, 0.8]]), 2)
+        assert binning.rows_in([]).tolist() == [False, False]
+
+    def test_run_rounds_no_row_by_row(self, monkeypatch):
+        # wide, shallow run: 67 bins, so only the partitions' per-group roundings remain
+        calls = [0]
+
+        def counted(u, lam):
+            calls[0] += 1
+            return round_down(u, lam)
+
+        for module in (lpcal.world, lpcal.partitions, lpcal.calibrator, lpcal.evaluator):
+            monkeypatch.setattr(module, "round_down", counted)
+        cfg = RunConfig.from_dict(
+            {
+                "scenario": {"name": "overconfident", "k": 5, "n_features": 5000},
+                "p": "2",
+                "eps": 0.3,
+                "delta": 0.1,
+                "seed": 0,
+                "sample_mode": "auto",
+            }
+        )
+        run_config(cfg)
+        assert 0 < calls[0] < 500
 
 
 def chi2_sf(x: float, df: int) -> float:
