@@ -27,7 +27,6 @@ from .errors import (
 from .estimation import (
     BinMassTable,
     DisjointQueryPool,
-    bin_mass_sample_size,
     estimate_bin_masses,
     pool_create,
     pool_sample_size,
@@ -35,7 +34,6 @@ from .estimation import (
 from .evaluator import (
     ErrorReport,
     empirical_report,
-    exact_bin_class_error,
     exact_lp_error,
     exact_report,
     exact_sq_error,
@@ -77,7 +75,6 @@ __all__ = [
     "RunTrace",
     "SampleBatch",
     "World",
-    "bin_mass_sample_size",
     "bin_table",
     "calibrate",
     "canonical",
@@ -86,7 +83,6 @@ __all__ = [
     "empirical_report",
     "enumerate_levels",
     "estimate_bin_masses",
-    "exact_bin_class_error",
     "exact_event_stats",
     "exact_lp_error",
     "exact_report",

@@ -229,13 +229,14 @@ class EventMonitor:
             dev = abs(table.mass(v) - exact_mass.get(v, 0.0))
             self.mass_table_max_dev = max(self.mass_table_max_dev, dev)
 
-    def observe_pool_answer(self, kind: str, bins: frozenset[Level], answer: np.ndarray) -> None:
+    def observe_pool_answer(
+        self, bins: frozenset[Level], prob: float, label_mass: np.ndarray
+    ) -> None:
+        """Compare one event's pair of pool answers with its exact statistics, computed once."""
         mass, mean_label = exact_event_stats(self.world, self.binning, bins)
-        if kind == "prob":
-            self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(float(answer[0]) - mass))
-        else:
-            dev = float(np.max(np.abs(answer - mean_label)))
-            self.pool_label_max_dev = max(self.pool_label_max_dev, dev)
+        self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(prob - mass))
+        dev = float(np.max(np.abs(label_mass - mean_label)))
+        self.pool_label_max_dev = max(self.pool_label_max_dev, dev)
 
 
 @dataclass

@@ -383,9 +383,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell = f"p{p_label(p).replace('/', 'over')}-eps{eps:g}-seed{seed}"
         try:
             report, trace, _ = run_config(cfg)
-        except (EstimateFailureError, ValueError) as exc:
+        except (EstimateFailureError, ValueError, MemoryError, ArithmeticError) as exc:
+            # a cell may fail its guards, need too many draws, or run out of memory or
+            # float range while the next one fits; bugs such as InvariantError end the sweep
             failures += 1
-            rows.append([p_label(p), eps, seed, f"error: {exc}"] + [""] * 12)
+            error = str(exc) or type(exc).__name__
+            rows.append([p_label(p), eps, seed, f"error: {error}"] + [""] * 12)
             continue
         _write(out_dir / cell / "report.json", dumps_json(report))
         _write(out_dir / cell / "trace.csv", trace_to_csv(trace))

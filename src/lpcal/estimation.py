@@ -13,21 +13,26 @@ Two kinds of estimates feed the calibration loop:
 
 Each pool stores its samples as a (feature, label) count table, a sufficient
 statistic for every query it can answer, so the formula-sized pools (easily
-1e8+ samples) cost O(n_features * k) memory.
+1e8+ samples) cost O(n_features * k) memory.  A pool is drawn on its first
+query, from its own streams, so a pool no query reaches costs nothing and
+the bytes of a run do not depend on when its pools are drawn.  On that first
+query the pool also sums its counts per bin; a query then adds up its bins'
+rows, O(|event| * k), and the integer sums make every answer bit-for-bit
+the one a per-feature row mask gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DisjointnessError, QueryBudgetError
 from .simplex import Level
 from .streams import stream_rng
-from .world import Binning, World, joint_counts
+from .world import Binning, World, check_draws, joint_counts
 
 
 def _check_unit(name: str, x: float) -> None:
@@ -51,16 +56,6 @@ def bin_mass_terms(alpha: float, delta: float, n_levels: int) -> tuple[int, int]
     m1 = math.ceil(math.log(4.0 / (alpha * delta)) / (2.0 * alpha**2))
     m2 = math.ceil(4.0 * math.log(2.0 * n_levels / delta) / (3.0 * alpha))
     return m1, m2
-
-
-def bin_mass_sample_size(alpha: float, delta: float, n_levels: int) -> int:
-    """Total samples for the bin-mass table: m1 + m2.
-
-    The two regimes matter for the accuracy analysis, not for the estimator:
-    one pool of m1 + m2 samples with plain frequencies is a safe upper bound.
-    """
-    m1, m2 = bin_mass_terms(alpha, delta, n_levels)
-    return m1 + m2
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,12 @@ class DisjointQueryPool:
     are clamped to [0,1]: the downstream interface expects answers in [0,1]
     and clamping can only reduce error.
 
+    The sample and the noise come from the pool's own named streams, seeded
+    by ``(master_seed, name)`` alone, and are drawn on the first query: a
+    pool no query reaches costs nothing, and a queried pool holds the same
+    sample and noise whenever it is drawn.  The sample is fixed before any
+    answer is given, so it does not depend on the events asked.
+
     The pool enforces its own contract: events must be pairwise disjoint
     over its lifetime, and at most ``n_events`` of them may be asked.
     """
@@ -120,43 +121,69 @@ class DisjointQueryPool:
     n_events: int
     value_dim: int
     alpha: float
-    counts: np.ndarray  # (n_features, k) sample counts
-    noise_rng: np.random.Generator
+    world: World = field(repr=False)
+    master_seed: int
     noise_scale: float = field(init=False)
     queries_issued: int = field(init=False, default=0)
+    noise_rng: np.random.Generator | None = field(init=False, default=None)
+    _counts: np.ndarray | None = field(init=False, default=None, repr=False)
+    # (binning, (n_levels, k) counts per bin of that binning)
+    _bin_counts: tuple[Binning, np.ndarray] | None = field(init=False, default=None, repr=False)
     _claimed: set[Level] = field(init=False, default_factory=set)
 
     def __post_init__(self) -> None:
         self.noise_scale = 8.0 / (self.m * self.alpha)
 
     @property
-    def dp_epsilon(self) -> float:
-        """Privacy parameter of the mechanism: l1 sensitivity 2/m over noise scale."""
-        return (2.0 / self.m) / self.noise_scale
+    def counts(self) -> np.ndarray:
+        """(n_features, k) sample counts; the first use draws them and opens the noise stream."""
+        if self._counts is None:
+            data_rng = stream_rng(self.master_seed, f"data:pool:{self.name}")
+            self._counts = joint_counts(self.world, data_rng, self.m)
+            self.noise_rng = stream_rng(self.master_seed, f"laplace:pool:{self.name}")
+        return self._counts
 
-    def query(self, event: Iterable[Level], binning: Binning) -> np.ndarray:
-        """Noised, clamped empirical answer for one new disjoint event."""
-        event = frozenset(event)
-        if not event:
-            raise ValueError("event must be nonempty")
-        overlap = event & self._claimed
-        if overlap:
-            raise DisjointnessError(
-                f"pool {self.name}: event overlaps earlier queries on bins {sorted(overlap)}"
-            )
-        if self.queries_issued >= self.n_events:
-            raise QueryBudgetError(
-                f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
-            )
-        cell = self.counts[binning.rows_in(event)]
+    def _counts_per_bin(self, binning: Binning) -> np.ndarray:
+        if self._bin_counts is None or self._bin_counts[0] is not binning:
+            table = np.zeros((len(binning.levels), self.world.k), dtype=np.int64)
+            np.add.at(table, binning.ids, self.counts)
+            self._bin_counts = (binning, table)
+        return self._bin_counts[1]
+
+    def query(self, events: Sequence[Iterable[Level]], binning: Binning) -> np.ndarray:
+        """Noised, clamped answers to a batch of new disjoint events, one row each.
+
+        Each event is a set of bins; one event is a batch of one.  The whole
+        batch is checked before anything is drawn or claimed, so a batch that
+        fails leaves the pool as it was.  Row i is what the i-th of
+        ``len(events)`` one-event batches in turn would answer: counts are
+        summed exactly in int64, and one ``random((n, value_dim))`` call
+        fills its rows in the order of n ``random(value_dim)`` calls.
+        """
+        events = [frozenset(event) for event in events]
+        batch: set[Level] = set()
+        for i, event in enumerate(events):
+            if not event:
+                raise ValueError("event must be nonempty")
+            overlap = (event & self._claimed) | (event & batch)
+            if overlap:
+                raise DisjointnessError(
+                    f"pool {self.name}: event overlaps earlier queries on bins {sorted(overlap)}"
+                )
+            if self.queries_issued + i >= self.n_events:
+                raise QueryBudgetError(
+                    f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
+                )
+            batch |= event
+        per_bin = self._counts_per_bin(binning)
+        cells = np.stack([per_bin[binning.positions(event)].sum(axis=0) for event in events])
         if self.value_dim == 1:
-            raw = np.array([cell.sum() / self.m])
-        else:
-            raw = cell.sum(axis=0) / self.m
-        noise = laplace_invcdf(self.noise_rng.random(self.value_dim), self.noise_scale)
-        self._claimed |= event
-        self.queries_issued += 1
-        return np.clip(raw + noise, 0.0, 1.0)
+            cells = cells.sum(axis=1, keepdims=True)
+        raw = cells / self.m
+        u = self.noise_rng.random((len(events), self.value_dim))
+        self._claimed |= batch
+        self.queries_issued += len(events)
+        return np.clip(raw + laplace_invcdf(u, self.noise_scale), 0.0, 1.0)
 
 
 def pool_create(
@@ -169,25 +196,25 @@ def pool_create(
     delta: float,
     m: int | None = None,
 ) -> DisjointQueryPool:
-    """Draw a fresh pool from its own named streams.
+    """A fresh pool over its own named streams, drawn on its first query.
 
     ``m`` defaults to the formula size; passing it explicitly (manual
     budgeting) keeps the mechanism intact but forfeits the accuracy
-    guarantee; the run report then only monitors it.
+    guarantee; the run report then only monitors it.  A size below 1 or
+    above one multinomial draw's int64 limit raises ``ValueError`` here,
+    before anything is drawn.
     """
     if m is None:
         m = pool_sample_size(n_events, value_dim, alpha, delta)
     if m < 1:
         raise ValueError("pool size must be positive")
-    data_rng = stream_rng(master_seed, f"data:pool:{name}")
-    noise_rng = stream_rng(master_seed, f"laplace:pool:{name}")
-    counts = joint_counts(world, data_rng, m)
+    check_draws(m)
     return DisjointQueryPool(
         name=name,
         m=m,
         n_events=n_events,
         value_dim=value_dim,
         alpha=alpha,
-        counts=counts,
-        noise_rng=noise_rng,
+        world=world,
+        master_seed=master_seed,
     )

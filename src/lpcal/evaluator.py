@@ -47,13 +47,6 @@ def exact_error_table(
     return dict(zip(binning.levels, np.abs(signed)))
 
 
-def exact_bin_class_error(
-    world: World, pred: Predictor | np.ndarray, lam: int, v: Level, j: int
-) -> float:
-    """Exact calibration error of one (bin, class) pair."""
-    return float(exact_error_table(world, pred, lam).get(v, np.zeros(world.k))[j])
-
-
 def lp_aggregate(errors: dict[Level, np.ndarray], p: float) -> float:
     """p-norm over all (bin, class) error entries; p = inf takes the max."""
     if not errors:

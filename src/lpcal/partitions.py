@@ -27,8 +27,8 @@ from .simplex import Level, canonical, round_down
 from .estimation import DisjointQueryPool
 from .world import Binning
 
-# (kind, event bins, answer) -> None; kind is "prob" or "label".
-EstimateHook = Callable[[str, frozenset[Level], np.ndarray], None]
+# (event bins, probability answer, (k,) label-mass answer) -> None, once per event.
+EstimateHook = Callable[[frozenset[Level], float, np.ndarray], None]
 
 
 def estimated_error(prob_sum: float, pred: np.ndarray, label_sum: np.ndarray) -> np.ndarray:
@@ -97,15 +97,6 @@ class EstimationPartition:
         self.history: dict[int, tuple[set[Level], int]] = {}
         self._next_gid = 0
 
-    def _estimate(self, size_class: int, bins: frozenset[Level]) -> tuple[float, np.ndarray]:
-        prob_pool, label_pool = self.pools[size_class]
-        prob = float(prob_pool.query(bins, self.binning)[0])
-        label_mass = label_pool.query(bins, self.binning)
-        if self.on_estimate is not None:
-            self.on_estimate("prob", bins, np.array([prob]))
-            self.on_estimate("label", bins, label_mass)
-        return prob, label_mass
-
     def _record(self, size_class: int, bins: frozenset[Level]) -> None:
         union, total = self.history.get(size_class, (set(), 0))
         if not union.isdisjoint(bins):
@@ -115,22 +106,34 @@ class EstimationPartition:
         union |= bins
         self.history[size_class] = (union, total + len(bins))
 
-    def _add(self, bins: frozenset[Level]) -> EstimationGroup:
-        """Create a group over ``bins``, queried on its own size class's pools."""
-        size_class = len(bins).bit_length() - 1
+    def _add(self, sets: list[frozenset[Level]]) -> list[EstimationGroup]:
+        """Create a group over each of ``sets``, bin sets of one size.
+
+        Each of their size class's two pools answers the whole batch in one
+        query, and ``on_estimate`` sees each group's pair of answers once.
+        """
+        size_class = len(sets[0]).bit_length() - 1
         if size_class not in self.pools:
             raise InvariantError(f"no pools for size class {size_class}")
-        self._record(size_class, bins)
-        prob, label_mass = self._estimate(size_class, bins)
-        g = EstimationGroup(self._next_gid, bins, prob, label_mass)
-        self._next_gid += 1
-        self.groups[g.gid] = g
-        self.owner.update(dict.fromkeys(bins, g.gid))
-        return g
+        for bins in sets:
+            self._record(size_class, bins)
+        prob_pool, label_pool = self.pools[size_class]
+        probs = prob_pool.query(sets, self.binning)[:, 0].tolist()
+        label_masses = label_pool.query(sets, self.binning)
+        groups = []
+        for bins, prob, label_mass in zip(sets, probs, label_masses):
+            if self.on_estimate is not None:
+                self.on_estimate(bins, prob, label_mass)
+            g = EstimationGroup(self._next_gid, bins, prob, label_mass)
+            self._next_gid += 1
+            self.groups[g.gid] = g
+            self.owner.update(dict.fromkeys(bins, g.gid))
+            groups.append(g)
+        return groups
 
-    def add_singleton(self, v: Level) -> int:
-        """Create the initial one-bin group for ``v``, queried on size class 0."""
-        return self._add(frozenset([v])).gid
+    def add_singletons(self, bins: Iterable[Level]) -> list[EstimationGroup]:
+        """Create a one-bin group for each of ``bins``, queried on size class 0 in one batch."""
+        return self._add([frozenset([v]) for v in bins])
 
     def constituents(self, bins: frozenset[Level]) -> list[EstimationGroup]:
         """Current groups making up ``bins`` (must tile it exactly), in gid order."""
@@ -173,7 +176,7 @@ class EstimationPartition:
                 return events
             i = dup[0]
             a, b = inside[i], inside[i + 1]
-            merged = self._add(a.bins | b.bins)
+            [merged] = self._add([a.bins | b.bins])
             del self.groups[a.gid], self.groups[b.gid]
             inside[i : i + 2] = [merged]
             events.append(MergeEvent(merged.gid, a.gid, b.gid, merged.size))
@@ -279,19 +282,17 @@ def init_structures(
 ) -> tuple[EstimationPartition, PredictionPartition]:
     """Singleton initialization of both partitions.
 
-    Every bin gets a one-bin group in each structure; its statistics come
-    from one query pair to the size-class-0 pools, its prediction is the
-    bin's canonical distribution, and its cached error is the estimated gap
-    ``|prob * pred_j - label_mass_j|``.
+    Every bin gets a one-bin group in each structure; the statistics of all
+    of them come from one batch query to each size-class-0 pool, each
+    bin's prediction is its canonical distribution, and its cached error is
+    the estimated gap ``|prob * pred_j - label_mass_j|``.
     """
     bins = sorted(bins)
     if not bins:
         raise ValueError("bin set must be nonempty")
     est = EstimationPartition(pools, binning, max_subsets, on_estimate)
     pred_part = PredictionPartition(binning.lam)
-    for v in bins:
-        gid = est.add_singleton(v)
-        grp = est.groups[gid]
+    for v, grp in zip(bins, est.add_singletons(bins)):
         pred = canonical(v, binning.lam)
         pred_part.add_singleton(v, pred, estimated_error(grp.prob, pred, grp.label_mass))
     return est, pred_part

@@ -80,11 +80,6 @@ def round_down(u: Sequence[float] | np.ndarray, lam: int) -> Level:
     return tuple(min(int(math.floor(x * lam + SNAP)), lam) for x in u)
 
 
-def level_coords(v: Level, lam: int) -> np.ndarray:
-    """Grid coordinates ``n_i/lam`` of a level set."""
-    return np.asarray(v, dtype=float) / lam
-
-
 def is_member(v: Level, lam: int) -> bool:
     """Whether some probability vector rounds down to ``v``.
 

@@ -100,10 +100,14 @@ class Binning:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_position", {v: i for i, v in enumerate(self.levels)})
 
+    def positions(self, bins: Iterable[Level]) -> list[int]:
+        """Positions in ``levels`` of the realized level sets among ``bins``, each once."""
+        return [self._position[v] for v in set(bins) if v in self._position]
+
     def rows_in(self, bins: Iterable[Level]) -> np.ndarray:
         """Boolean mask of the rows whose level set lies in ``bins``."""
         hit = np.zeros(len(self.levels), dtype=bool)
-        hit[[self._position[v] for v in set(bins) if v in self._position]] = True
+        hit[self.positions(bins)] = True
         return hit[self.ids]
 
 
@@ -171,7 +175,8 @@ def draw(world: World, rng: np.random.Generator, n: int) -> SampleBatch:
 MAX_DRAWS = np.iinfo(np.int64).max
 
 
-def _check_draws(n: int) -> None:
+def check_draws(n: int) -> None:
+    """Raise ``ValueError`` unless one multinomial call can draw ``n`` samples."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_DRAWS:
@@ -186,7 +191,7 @@ def feature_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray
     O(n_features) time and memory for any ``n``.  numpy holds ``n`` in an
     int64, so ``n`` above 2**63 - 1 raises ``ValueError``.
     """
-    _check_draws(n)
+    check_draws(n)
     return rng.multinomial(n, world.mass / world.mass.sum())
 
 
@@ -197,7 +202,7 @@ def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
     per-sample average, so huge pools never materialize sample lists.
     ``n`` above the int64 maximum raises ``ValueError``.
     """
-    _check_draws(n)
+    check_draws(n)
     joint = (world.mass[:, None] * world.conditional).ravel()
     joint = joint / joint.sum()
     counts = rng.multinomial(n, joint)

@@ -12,10 +12,22 @@ import math
 
 import numpy as np
 
-from lpcal.errors import InvariantError
-from lpcal.partitions import EstimationGroup, EstimationPartition, MergeEvent
-from lpcal.simplex import PROB_ATOL, Level, enumerate_levels, round_down
-from lpcal.world import Binning, World
+from typing import Iterable
+
+from lpcal.calibrator import EventMonitor
+from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
+from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
+from lpcal.evaluator import exact_error_table
+from lpcal.partitions import (
+    EstimationGroup,
+    EstimationPartition,
+    MergeEvent,
+    PredictionPartition,
+    estimated_error,
+)
+from lpcal.simplex import PROB_ATOL, Level, canonical, enumerate_levels, round_down
+from lpcal.streams import stream_rng
+from lpcal.world import Binning, Predictor, World, exact_event_stats, joint_counts
 
 
 def compositions(total: int, parts: int):
@@ -242,12 +254,166 @@ def error_table_by_rows(world: World, table: np.ndarray, lam: int) -> dict[Level
     return {v: np.abs(g) for v, g in signed.items()}
 
 
-class ScanEstimationPartition(EstimationPartition):
+def level_coords(v: Level, lam: int) -> np.ndarray:
+    """Grid coordinates ``n_i/lam`` of a level set."""
+    return np.asarray(v, dtype=float) / lam
+
+
+def bin_mass_sample_size(alpha: float, delta: float, n_levels: int) -> int:
+    """Total samples for the bin-mass table: m1 + m2.
+
+    The two regimes matter for the accuracy analysis, not for the estimator:
+    one pool of m1 + m2 samples with plain frequencies is a safe upper bound.
+    """
+    m1, m2 = bin_mass_terms(alpha, delta, n_levels)
+    return m1 + m2
+
+
+def exact_bin_class_error(
+    world: World, pred: Predictor | np.ndarray, lam: int, v: Level, j: int
+) -> float:
+    """Exact calibration error of one (bin, class) pair."""
+    return float(exact_error_table(world, pred, lam).get(v, np.zeros(world.k))[j])
+
+
+def dp_epsilon(pool) -> float:
+    """Privacy parameter of a pool's mechanism: l1 sensitivity 2/m over noise scale."""
+    return (2.0 / pool.m) / pool.noise_scale
+
+
+class EagerQueryPool:
+    """Query pool drawn when it is created, answering one event at a time.
+
+    Each query builds a row mask over every feature and sums the sampled
+    counts under it.  ``data_rng`` is kept so its state can be compared.
+    A plain class: ``perfbench/checker.py`` loads this file outside
+    ``sys.modules``, where ``dataclass`` cannot resolve its annotations.
+    """
+
+    def __init__(self, name, m, n_events, value_dim, alpha, counts, data_rng, noise_rng):
+        self.name, self.m, self.n_events = name, m, n_events
+        self.value_dim, self.alpha = value_dim, alpha
+        self.counts = counts  # (n_features, k) sample counts
+        self.data_rng, self.noise_rng = data_rng, noise_rng
+        self.noise_scale = 8.0 / (m * alpha)
+        self.queries_issued = 0
+        self._claimed: set[Level] = set()
+
+    def query(self, event: Iterable[Level], binning: Binning) -> np.ndarray:
+        event = frozenset(event)
+        if not event:
+            raise ValueError("event must be nonempty")
+        overlap = event & self._claimed
+        if overlap:
+            raise DisjointnessError(
+                f"pool {self.name}: event overlaps earlier queries on bins {sorted(overlap)}"
+            )
+        if self.queries_issued >= self.n_events:
+            raise QueryBudgetError(
+                f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
+            )
+        cell = self.counts[binning.rows_in(event)]
+        if self.value_dim == 1:
+            raw = np.array([cell.sum() / self.m])
+        else:
+            raw = cell.sum(axis=0) / self.m
+        noise = laplace_invcdf(self.noise_rng.random(self.value_dim), self.noise_scale)
+        self._claimed |= event
+        self.queries_issued += 1
+        return np.clip(raw + noise, 0.0, 1.0)
+
+
+def eager_pool_create(
+    world: World,
+    master_seed: int,
+    name: str,
+    n_events: int,
+    value_dim: int,
+    alpha: float,
+    delta: float,
+    m: int | None = None,
+) -> EagerQueryPool:
+    """A pool drawn from its own named streams at once."""
+    if m is None:
+        m = pool_sample_size(n_events, value_dim, alpha, delta)
+    if m < 1:
+        raise ValueError("pool size must be positive")
+    data_rng = stream_rng(master_seed, f"data:pool:{name}")
+    noise_rng = stream_rng(master_seed, f"laplace:pool:{name}")
+    counts = joint_counts(world, data_rng, m)
+    return EagerQueryPool(name, m, n_events, value_dim, alpha, counts, data_rng, noise_rng)
+
+
+class PerKindMonitor(EventMonitor):
+    """Event monitor fed one answer at a time, computing exact statistics for each."""
+
+    def observe_pool_answer(self, kind: str, bins: frozenset[Level], answer: np.ndarray) -> None:
+        mass, mean_label = exact_event_stats(self.world, self.binning, bins)
+        if kind == "prob":
+            self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(float(answer[0]) - mass))
+        else:
+            dev = float(np.max(np.abs(answer - mean_label)))
+            self.pool_label_max_dev = max(self.pool_label_max_dev, dev)
+
+
+class OneAtATimeEstimationPartition(EstimationPartition):
+    """Estimation partition that queries each pool once per new group.
+
+    ``on_estimate`` takes ``(kind, bins, answer)`` and is called once for
+    the probability answer and once for the label answer of each group.
+    """
+
+    def _estimate(self, size_class: int, bins: frozenset[Level]) -> tuple[float, np.ndarray]:
+        prob_pool, label_pool = self.pools[size_class]
+        prob = float(prob_pool.query(bins, self.binning)[0])
+        label_mass = label_pool.query(bins, self.binning)
+        if self.on_estimate is not None:
+            self.on_estimate("prob", bins, np.array([prob]))
+            self.on_estimate("label", bins, label_mass)
+        return prob, label_mass
+
+    def _add(self, sets: list[frozenset[Level]]) -> list[EstimationGroup]:
+        groups = []
+        for bins in sets:
+            size_class = len(bins).bit_length() - 1
+            if size_class not in self.pools:
+                raise InvariantError(f"no pools for size class {size_class}")
+            self._record(size_class, bins)
+            prob, label_mass = self._estimate(size_class, bins)
+            g = EstimationGroup(self._next_gid, bins, prob, label_mass)
+            self._next_gid += 1
+            self.groups[g.gid] = g
+            self.owner.update(dict.fromkeys(bins, g.gid))
+            groups.append(g)
+        return groups
+
+    def add_singleton(self, v: Level) -> int:
+        """Create the initial one-bin group for ``v``, queried on size class 0."""
+        return self._add([frozenset([v])])[0].gid
+
+
+def init_structures_one_at_a_time(
+    bins, pools, binning: Binning, max_subsets: int, on_estimate=None
+):
+    """``init_structures`` with one query pair per singleton, in bin order."""
+    bins = sorted(bins)
+    if not bins:
+        raise ValueError("bin set must be nonempty")
+    est = OneAtATimeEstimationPartition(pools, binning, max_subsets, on_estimate)
+    pred_part = PredictionPartition(binning.lam)
+    for v in bins:
+        grp = est.groups[est.add_singleton(v)]
+        pred = canonical(v, binning.lam)
+        pred_part.add_singleton(v, pred, estimated_error(grp.prob, pred, grp.label_mass))
+    return est, pred_part
+
+
+class ScanEstimationPartition(OneAtATimeEstimationPartition):
     """Estimation partition that finds groups by scanning every current group.
 
     Keeps each size class's history as a list of every group's bins, checked
-    pairwise; only the pools, estimates and ``aggregate`` are shared with the
-    owner-map version it is compared against.
+    pairwise; only the pools, the one-at-a-time estimates and ``aggregate``
+    are shared with the owner-map version it is compared against.
     """
 
     def _record(self, size_class: int, bins: frozenset[Level]) -> None:

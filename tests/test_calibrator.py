@@ -4,12 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lpcal.calibrator
+import lpcal.estimation
 from lpcal.calibrator import (
     CalibParams,
     calibrate,
     derive_params,
     select_bins,
 )
+from lpcal.cli import RunConfig, run_config
 from lpcal.errors import EstimateFailureError
 from lpcal.estimation import BinMassTable
 from lpcal.evaluator import exact_lp_error, exact_sq_error
@@ -261,3 +264,53 @@ class TestAccuracyPreservation:
             h, _ = calibrate(world, predictor, params, seed)
             gap = exact_sq_error(world, h.to_table()) - exact_sq_error(world, predictor)
             assert gap <= budget + 1e-12
+
+
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPoolDraws:
+    """Pools are drawn on their first query; the monitor reads each event once."""
+
+    @staticmethod
+    def run(scenario, k, n_features, seed):
+        cfg = RunConfig.from_dict(
+            {
+                "scenario": {"name": scenario, "k": k, "n_features": n_features},
+                "p": "2",
+                "eps": 0.3,
+                "delta": 0.1,
+                "seed": seed,
+                "sample_mode": "auto",
+            }
+        )
+        return run_config(cfg)[1]
+
+    def test_wide_run_draws_only_the_queried_pair(self, monkeypatch):
+        draws = counting(monkeypatch, lpcal.estimation, "joint_counts")
+        stats = counting(monkeypatch, lpcal.calibrator, "exact_event_stats")
+        trace = self.run("overconfident", 5, 5000, seed=0)
+        assert (trace.n_bins, trace.iterations, len(trace.pool_stats)) == (67, 0, 14)
+        assert len(draws) == 2
+        assert len(stats) == 67
+
+    def test_a_pool_is_drawn_when_it_is_queried(self, monkeypatch):
+        streams = counting(monkeypatch, lpcal.estimation, "stream_rng")
+        draws = counting(monkeypatch, lpcal.estimation, "joint_counts")
+        trace = self.run("random-miscalibrated", 3, 40, seed=1)
+        assert any(r.est_merges for r in trace.records)
+        queried = {s.name for s in trace.pool_stats if s.queries_issued > 0}
+        assert {"prob:1", "label:1"} <= queried < {s.name for s in trace.pool_stats}
+        drawn = [name.removeprefix("data:pool:") for _, name in streams if name.startswith("data:")]
+        assert sorted(drawn) == sorted(queried)
+        assert len(draws) == len(queried)

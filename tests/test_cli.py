@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import lpcal.cli
 from lpcal.cli import RunConfig, main, parse_p, run_config
+from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
 from lpcal.evaluator import exact_report
 from lpcal.simplex import level_count
 from lpcal.world import world_from_dict
@@ -42,6 +44,8 @@ GRIDS_PAST_FLOATS = [
     ("1001/1000", {}),
     ("101/100", {"sample_mode": "manual", "manual_sizes": MANUAL_SIZES}),
 ]
+# A probability pool of 1e19 draws, above the int64 limit of one multinomial.
+POOL_PAST_INT64 = {"sample_mode": "manual", "manual_sizes": {**MANUAL_SIZES, "pool_prob": 1e19}}
 
 
 class TestRunCommand:
@@ -132,6 +136,16 @@ class TestRunCommand:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 660341700890908750004 draws exceed the int64 limit")
+        assert not out.exists()
+
+    def test_pool_past_int64_refused(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json", scenario=SCENARIO_40F, p="2", eps=0.3, seed=0, **POOL_PAST_INT64
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 10000000000000000000 draws exceed the int64 limit")
         assert not out.exists()
 
     @pytest.mark.parametrize("p, sizes", GRIDS_PAST_FLOATS)
@@ -271,6 +285,61 @@ class TestSweepCommand:
         assert rows[0].startswith("11/10,0.3,0,error: 660341700890908750004 draws exceed the int64")
         assert rows[1].startswith("inf,0.3,0,ok,")
         assert not (out / "p11over10-eps0.3-seed0").exists()
+
+    def test_pool_past_int64_fails_its_cell(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", scenario=SCENARIO_40F, eps=0.3, **POOL_PAST_INT64)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(cfg), "--p", "2", "--seeds", "0", "--out-dir", str(out)]
+        assert main(args) == 1
+        rows = list(csv.reader((out / "summary.csv").open()))[1:]
+        assert rows[0][:3] == ["2", "0.3", "0"]
+        assert rows[0][3].startswith("error: 10000000000000000000 draws exceed the int64 limit")
+
+    @pytest.mark.parametrize(
+        "exc, status",
+        [
+            (MemoryError(), "error: MemoryError"),
+            (MemoryError("Unable to allocate 8 EiB"), "error: Unable to allocate 8 EiB"),
+            (OverflowError("int too large to convert to float"), "error: int too large"),
+            (ZeroDivisionError("float division by zero"), "error: float division by zero"),
+        ],
+    )
+    def test_resource_errors_fail_their_cell(self, tmp_path, monkeypatch, exc, status):
+        self.fail_seed_one(monkeypatch, exc)
+        out = tmp_path / "sweep"
+        assert main(self.sweep_args(tmp_path, out)) == 1
+        rows = list(csv.reader((out / "summary.csv").open()))[1:]
+        assert [row[2] for row in rows] == ["0", "1", "2"]
+        assert rows[0][3] == rows[2][3] == "ok"
+        assert rows[1][3].startswith(status)
+        assert not (out / "pinf-eps0.25-seed1").exists()
+        assert (out / "pinf-eps0.25-seed2" / "report.json").exists()
+
+    @pytest.mark.parametrize("error", [InvariantError, DisjointnessError, QueryBudgetError])
+    def test_bugs_end_the_sweep(self, tmp_path, monkeypatch, error):
+        self.fail_seed_one(monkeypatch, error("broken"))
+        out = tmp_path / "sweep"
+        with pytest.raises(error, match="broken"):
+            main(self.sweep_args(tmp_path, out))
+        assert not (out / "summary.csv").exists()
+        assert not (out / "pinf-eps0.25-seed2").exists()
+
+    @staticmethod
+    def fail_seed_one(monkeypatch, exc):
+        """Make the seed-1 cell raise ``exc`` before it does any work."""
+        real = lpcal.cli.run_config
+
+        def flaky(cfg):
+            if cfg.seed == 1:
+                raise exc
+            return real(cfg)
+
+        monkeypatch.setattr(lpcal.cli, "run_config", flaky)
+
+    @staticmethod
+    def sweep_args(tmp_path, out):
+        cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})
+        return ["sweep", "--config", str(cfg), "--seeds", "0:3", "--out-dir", str(out)]
 
     @pytest.mark.parametrize("p, sizes", GRIDS_PAST_FLOATS)
     def test_grid_past_floats_fails_its_cell(self, tmp_path, p, sizes):

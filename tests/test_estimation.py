@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import lpcal.estimation
 from lpcal.errors import DisjointnessError, QueryBudgetError
 from lpcal.estimation import (
-    bin_mass_sample_size,
     bin_mass_terms,
     estimate_bin_masses,
     laplace_invcdf,
@@ -24,7 +24,7 @@ from lpcal.world import (
     make_scenario,
 )
 
-from oracles import bin_masses_by_samples
+from oracles import bin_mass_sample_size, bin_masses_by_samples, dp_epsilon
 
 
 class TestBinMassSampleSize:
@@ -146,7 +146,7 @@ class TestDisjointQueryPool:
     def test_dp_epsilon_is_quarter_alpha(self):
         w, _ = make_scenario("perfect", 2, 3, seed=0)
         p = self.pool(w, m=1000, alpha=0.05)
-        assert p.dp_epsilon == pytest.approx(0.05 / 4, rel=1e-12)
+        assert dp_epsilon(p) == pytest.approx(0.05 / 4, rel=1e-12)
 
     def test_distinct_stream_names_share_no_samples(self):
         w, _ = make_scenario("perfect", 3, 10, seed=0)
@@ -165,16 +165,16 @@ class TestDisjointQueryPool:
         p = self.pool(w, m=100)
         lam = 4
         levels = f.levels(lam)
-        p.query([levels[0]], bin_table(f.table, lam))
+        p.query([[levels[0]]], bin_table(f.table, lam))
         with pytest.raises(DisjointnessError):
-            p.query([levels[0], (0, 0)], bin_table(f.table, lam))
+            p.query([[levels[0], (0, 0)]], bin_table(f.table, lam))
 
     def test_budget_enforced(self):
         w, f = make_scenario("perfect", 2, 5, seed=1)
         p = self.pool(w, m=100, n_events=1)
-        p.query([(4, 0)], bin_table(f.table, 4))
+        p.query([[(4, 0)]], bin_table(f.table, 4))
         with pytest.raises(QueryBudgetError):
-            p.query([(0, 4)], bin_table(f.table, 4))
+            p.query([[(0, 4)]], bin_table(f.table, 4))
 
     def test_zero_mass_event_answers_track_noise(self):
         # 1000 disjoint events that no sample can hit: answers are clamped
@@ -185,7 +185,7 @@ class TestDisjointQueryPool:
         hit = f.levels(lam)[0]
         empty = [v for v in enumerate_levels(lam, 3) if v != hit][:1000]
         p = self.pool(w, n_events=1000, m=50, alpha=0.2)
-        answers = [float(p.query([v], bin_table(f.table, lam))[0]) for v in empty]
+        answers = [float(p.query([[v]], bin_table(f.table, lam))[0, 0]) for v in empty]
         assert np.mean(np.abs(answers)) <= 3 * p.noise_scale
 
     def test_full_support_probability_within_alpha(self):
@@ -196,7 +196,7 @@ class TestDisjointQueryPool:
         failures = 0
         for seed in range(100):
             p = pool_create(w, seed, "full", 1, 1, alpha, delta)
-            ans = float(p.query(event, bin_table(f.table, lam))[0])
+            ans = float(p.query([event], bin_table(f.table, lam))[0, 0])
             failures += abs(ans - 1.0) > alpha
         assert failures <= 10  # nominal failure budget is delta = 10 runs
 
@@ -209,7 +209,7 @@ class TestDisjointQueryPool:
         failures = 0
         for seed in range(100):
             p = pool_create(w, seed, "lab", 1, 3, alpha, delta)
-            ans = p.query(event, bin_table(f.table, lam))
+            ans = p.query([event], bin_table(f.table, lam))[0]
             failures += bool(np.max(np.abs(ans - exact_mean)) > alpha)
         assert failures <= 10
 
@@ -217,6 +217,71 @@ class TestDisjointQueryPool:
         w, f = make_scenario("random-miscalibrated", 2, 6, seed=5)
         lam = 3
         p = self.pool(w, m=3, alpha=0.5, n_events=10, value_dim=2)  # huge noise
-        seen = [p.query([v], bin_table(f.table, lam)) for v in list(set(f.levels(lam)))[:2]]
+        seen = [p.query([[v]], bin_table(f.table, lam))[0] for v in list(set(f.levels(lam)))[:2]]
         for ans in seen:
             assert np.all(ans >= 0.0) and np.all(ans <= 1.0)
+
+
+class TestPoolDrawnOnFirstQuery:
+    @staticmethod
+    def no_draws(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pool drawn")
+
+        monkeypatch.setattr(lpcal.estimation, "joint_counts", refuse)
+        monkeypatch.setattr(lpcal.estimation, "stream_rng", refuse)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (0, "pool size must be positive"),
+            (-3, "pool size must be positive"),
+            (2**63, "9223372036854775808 draws exceed the int64 limit"),
+        ],
+    )
+    def test_bad_sizes_refused_before_any_draw(self, monkeypatch, m, message):
+        w, _ = make_scenario("perfect", 2, 3, seed=0)
+        self.no_draws(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            pool_create(w, 0, "t", 4, 1, 0.1, 0.1, m=m)
+
+    def test_creation_draws_nothing(self, monkeypatch):
+        w, _ = make_scenario("perfect", 2, 3, seed=0)
+        self.no_draws(monkeypatch)
+        for m in (1, 2**63 - 1, None):
+            pool = pool_create(w, 0, "t", 4, 1, 0.1, 0.1, m=m)
+            assert pool.noise_rng is None and pool.queries_issued == 0
+
+    @staticmethod
+    def queried_pool():
+        """A label pool with one event answered, and its binning."""
+        w, f = make_scenario("random-miscalibrated", 3, 30, seed=2)
+        binning = bin_table(f.table, 4)
+        pool = pool_create(w, 0, "label:0", 4, 3, 0.1, 0.1, m=10_000)
+        pool.query([[binning.levels[0]]], binning)
+        return pool, binning
+
+    @pytest.mark.parametrize(
+        "picks, error, message",
+        [
+            ([[1], [2, 0]], DisjointnessError, "overlaps earlier queries"),
+            ([[1], [2, 1]], DisjointnessError, "overlaps earlier queries"),
+            ([[1], [2], [3], [4]], QueryBudgetError, "budget of 4 disjoint events exhausted"),
+            ([[1], []], ValueError, "event must be nonempty"),
+        ],
+    )
+    def test_failing_batch_leaves_pool_unchanged(self, picks, error, message):
+        pool, binning = self.queried_pool()
+        claimed, state = set(pool._claimed), pool.noise_rng.bit_generator.state
+        events = [[binning.levels[i] for i in pick] for pick in picks]
+        with pytest.raises(error, match=message):
+            pool.query(events, binning)
+        assert pool._claimed == claimed and pool.queries_issued == 1
+        assert pool.noise_rng.bit_generator.state == state
+
+    def test_overlap_message_names_the_shared_bins(self):
+        pool, binning = self.queried_pool()
+        a, b = binning.levels[1], binning.levels[2]
+        with pytest.raises(DisjointnessError) as info:
+            pool.query([[a], [b, a]], binning)
+        assert str(info.value) == f"pool label:0: event overlaps earlier queries on bins {[a]}"

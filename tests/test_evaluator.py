@@ -5,7 +5,6 @@ import pytest
 
 from lpcal.evaluator import (
     empirical_report,
-    exact_bin_class_error,
     exact_error_table,
     exact_lp_error,
     exact_report,
@@ -17,6 +16,7 @@ from lpcal.world import Predictor, SampleBatch, World, draw, make_scenario
 
 from oracles import (
     error_table_by_rows,
+    exact_bin_class_error,
     lp_error_literal,
     simplex_grid,
     sq_error_by_expectation,

@@ -1,8 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpcal.estimation
+from lpcal.calibrator import EventMonitor
 from lpcal.errors import InvariantError
 from lpcal.estimation import pool_create
 from lpcal.partitions import (
@@ -11,17 +15,23 @@ from lpcal.partitions import (
     estimated_error,
     init_structures,
 )
-from lpcal.simplex import canonical, round_down
+from lpcal.simplex import canonical, enumerate_levels, round_down
+from lpcal.streams import stream_rng
 from lpcal.world import bin_table, make_scenario
-from oracles import ScanEstimationPartition
+from oracles import (
+    PerKindMonitor,
+    ScanEstimationPartition,
+    eager_pool_create,
+    init_structures_one_at_a_time,
+)
 
 
-def make_pools(world, seed, n_bins, m):
+def make_pools(world, seed, n_bins, m, create=pool_create):
     """Fresh pools for every size class; equal arguments give equal answers."""
     return {
         i: (
-            pool_create(world, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
-            pool_create(world, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
+            create(world, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
+            create(world, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
         )
         for i in range(n_bins.bit_length())
     }
@@ -134,7 +144,7 @@ class TestMergePass:
     def test_history_ledger_rejects_same_size_overlap(self):
         _, _, bins, est_part, _ = build()
         with pytest.raises(InvariantError):
-            est_part.add_singleton(bins[0])  # second singleton for the same bin
+            est_part.add_singletons([bins[0]])  # second singleton for the same bin
 
     def test_target_must_be_a_union_of_groups(self):
         _, _, bins, est_part, _ = build()
@@ -155,7 +165,9 @@ def test_owner_map_agrees_with_scan_oracle(seed, picks):
     """
     world, _, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
     oracle = ScanEstimationPartition(
-        make_pools(world, seed, len(bins), 100_000), est_part.binning, est_part.max_subsets
+        make_pools(world, seed, len(bins), 100_000, create=eager_pool_create),
+        est_part.binning,
+        est_part.max_subsets,
     )
     for v in bins:
         oracle.add_singleton(v)
@@ -280,3 +292,76 @@ class TestGStructure:
         _, _, bins, _, pred_part = build()
         routing = pred_part.routing()
         assert set(routing) == set(bins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    k=st.integers(2, 4),
+    n_features=st.integers(1, 60),
+    lam=st.integers(1, 8),
+    m=st.integers(1, 10**7),
+    data=st.data(),
+)
+def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam, m, data):
+    """Lazy pools with batched queries against eager pools asked one event at a time.
+
+    The bin sets mix realized bins with bins no feature rounds to; the
+    prediction merges that follow query the larger size classes too.
+    """
+    world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
+    binning = bin_table(f.table, lam)
+    candidates = sorted(set(binning.levels) | set(enumerate_levels(lam, k)[:8]))
+    bins = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8))
+    classes = len(bins).bit_length()
+
+    eager = make_pools(world, seed, len(bins), m, create=eager_pool_create)
+    watch_o = PerKindMonitor(world, binning)
+    est_o, pred_o = init_structures_one_at_a_time(
+        bins, eager, binning, classes, on_estimate=watch_o.observe_pool_answer
+    )
+    opened = {}
+
+    def recording_stream_rng(seed, name):
+        opened[name] = stream_rng(seed, name)
+        return opened[name]
+
+    with patch.object(lpcal.estimation, "stream_rng", recording_stream_rng):
+        lazy = make_pools(world, seed, len(bins), m)
+        watch = EventMonitor(world, binning)
+        est, pred = init_structures(
+            bins, lazy, binning, classes, on_estimate=watch.observe_pool_answer
+        )
+        for i, j in picks:
+            targets = []
+            for part in (pred, pred_o):
+                gids = sorted(part.groups)
+                a, b = gids[i % len(gids)], gids[j % len(gids)]
+                gid = a if a == b else part.merge(a, b, part.groups[a].pred)
+                targets.append(part.groups[gid].bins)
+            assert est.merge_pass(targets[0]) == est_o.merge_pass(targets[1])
+
+    assert list(est.groups) == list(est_o.groups)
+    for gid, g in est.groups.items():
+        g_o = est_o.groups[gid]
+        assert g.bins == g_o.bins and g.prob == g_o.prob
+        assert g.label_mass.tobytes() == g_o.label_mass.tobytes()
+    for gid, g in pred.groups.items():
+        assert g.bins == pred_o.groups[gid].bins
+        assert g.err.tobytes() == pred_o.groups[gid].err.tobytes()
+    assert (watch.pool_prob_max_dev, watch.pool_label_max_dev) == (
+        watch_o.pool_prob_max_dev,
+        watch_o.pool_label_max_dev,
+    )
+    for pair, pair_o in zip(lazy.values(), eager.values()):
+        for pool, pool_o in zip(pair, pair_o):
+            assert pool.queries_issued == pool_o.queries_issued
+            drawn = pool.queries_issued > 0
+            assert (f"data:pool:{pool.name}" in opened) == drawn
+            if drawn:
+                data_rng = opened[f"data:pool:{pool.name}"]
+                assert data_rng.bit_generator.state == pool_o.data_rng.bit_generator.state
+                assert pool.noise_rng.bit_generator.state == pool_o.noise_rng.bit_generator.state
+            else:
+                assert pool.noise_rng is None

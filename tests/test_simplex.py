@@ -12,7 +12,6 @@ from lpcal.simplex import (
     check_prob_rows,
     enumerate_levels,
     is_member,
-    level_coords,
     level_count,
     project_simplex,
     round_down,
@@ -22,6 +21,7 @@ from oracles import (
     canonical_by_grid,
     first_bad_row,
     levels_by_greedy_certificate,
+    level_coords,
     levels_by_witness_enumeration,
     project_by_grid,
     simplex_grid,

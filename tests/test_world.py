@@ -12,7 +12,7 @@ import lpcal.evaluator
 import lpcal.partitions
 import lpcal.world
 from lpcal.cli import RunConfig, run_config
-from lpcal.evaluator import exact_bin_class_error, exact_lp_error
+from lpcal.evaluator import exact_lp_error
 from lpcal.simplex import PROB_ATOL, SNAP, enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import (
@@ -31,6 +31,7 @@ from lpcal.world import (
 from oracles import (
     FEATURE_CHUNK,
     bin_table_by_round_down,
+    exact_bin_class_error,
     feature_counts_by_choice,
     feature_counts_by_sorting,
     rows_in_by_level_scan,
