@@ -333,17 +333,13 @@ def calibrate(
     m_prob, m_label = sizes.get("pool_prob"), sizes.get("pool_label")
     pools = {}
     for i in range(classes):
-        pools[i] = (
-            pool_create(
-                world, seed, f"prob:{i}", n_bins, 1, alpha_pool, delta_pool, m=m_prob
-            ),
-            pool_create(
-                world, seed, f"label:{i}", n_bins, k, alpha_pool, delta_pool, m=m_label
-            ),
+        pools[i] = tuple(
+            pool_create(world, binning, seed, f"{kind}:{i}", n_bins, dim, alpha_pool, delta_pool, m)
+            for kind, dim, m in (("prob", 1, m_prob), ("label", k, m_label))
         )
 
     est_part, pred_part = init_structures(
-        bins, pools, binning, max_subsets=classes, on_estimate=monitor.observe_pool_answer
+        bins, pools, lam, max_subsets=classes, on_estimate=monitor.observe_pool_answer
     )
     universe = frozenset(bins)
     trace.moved_counts = {v: 0 for v in bins}
@@ -373,7 +369,7 @@ def calibrate(
 
         group = pred_part.groups[sel_gid]
         sel_bins = tuple(sorted(group.bins))
-        prob_sum, label_sum, _ = est_part.aggregate(group.bins)
+        prob_sum, label_sum, _ = est_part.aggregate(group.parts)
         if prob_sum <= 0.0:
             raise EstimateFailureError(
                 "aggregated group probability is nonpositive; the pooled "
@@ -383,29 +379,23 @@ def calibrate(
         target[sel_j] = min(float(label_sum[sel_j]) / prob_sum, 1.0)
         pred_part.set_pred(sel_gid, project_simplex(target))
 
-        partner_gid = pred_part.find_collision(
-            pred_part.groups[sel_gid].level, exclude=sel_gid
-        )
+        partner_gid = pred_part.find_collision(group.level, exclude=sel_gid)
         moved_gid, merged_gid = -1, -1
-        cur_gid = sel_gid
+        cur = group
         if partner_gid is not None:
-            prob_sum_partner, _, _ = est_part.aggregate(pred_part.groups[partner_gid].bins)
-            if prob_sum <= prob_sum_partner:
-                winner_pred = pred_part.groups[partner_gid].pred
-                moved_gid = sel_gid
-            else:
-                winner_pred = pred_part.groups[sel_gid].pred
-                moved_gid = partner_gid
-            for v in pred_part.groups[moved_gid].bins:
+            partner = pred_part.groups[partner_gid]
+            # the side with no more aggregated mass gives up its prediction
+            prob_sum_partner, _, _ = est_part.aggregate(partner.parts)
+            moved, kept = (group, partner) if prob_sum <= prob_sum_partner else (partner, group)
+            for v in moved.bins:
                 trace.moved_counts[v] += 1
-            merged_gid = pred_part.merge(sel_gid, partner_gid, winner_pred)
-            cur_gid = merged_gid
+            moved_gid = moved.gid
+            merged_gid = pred_part.merge(sel_gid, partner_gid, kept.pred)
+            cur = pred_part.groups[merged_gid]
 
-        est_merges = tuple(est_part.merge_pass(pred_part.groups[cur_gid].bins))
-        prob_sum2, label_sum2, _ = est_part.aggregate(pred_part.groups[cur_gid].bins)
-        pred_part.groups[cur_gid].err = estimated_error(
-            prob_sum2, pred_part.groups[cur_gid].pred, label_sum2
-        )
+        est_merges = tuple(est_part.merge_pass(cur.parts))
+        prob_sum2, label_sum2, _ = est_part.aggregate(cur.parts)
+        cur.err = estimated_error(prob_sum2, cur.pred, label_sum2)
         trace.records.append(
             IterationRecord(
                 t=t,

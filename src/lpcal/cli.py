@@ -65,11 +65,11 @@ def p_label(p: PNorm) -> str:
     return "inf" if p == math.inf else str(p)
 
 
-def _sample_size(key: str, raw) -> int:
-    """A manual sample size: a positive integer, also written as a float (2e4)."""
+def _integer(name: str, raw, least: int = 1) -> int:
+    """An integer of at least ``least``, also written as a float (2e4); never a bool."""
     ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    if not (ok and math.isfinite(raw) and raw > 0 and raw == int(raw)):
-        raise ValueError(f"manual size {key} must be a positive integer, got {raw!r}")
+    if not (ok and math.isfinite(raw) and raw >= least and raw == int(raw)):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {raw!r}")
     return int(raw)
 
 
@@ -90,6 +90,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Parse and check a config document; a bad one fails here, before any work."""
         scenario = doc.get("scenario", {})
         if isinstance(scenario, str):
             scenario = {"name": scenario}
@@ -106,16 +107,24 @@ class RunConfig:
             raise ValueError(
                 f"manual size keys {unknown} unknown; expected {list(MANUAL_SIZE_KEYS)}"
             )
+        if sample_mode not in ("auto", "manual"):
+            raise ValueError(f"unknown sample_mode {sample_mode!r}")
+        if sample_mode == "manual" and not manual:
+            raise ValueError("manual sample_mode requires manual_sizes")
+        if sample_mode == "auto" and manual:
+            raise ValueError(f"manual sizes {sorted(manual)} given in auto sample_mode")
+        if scenario["name"] not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario['name']!r}; expected one of {SCENARIOS}")
         return cls(
             scenario=scenario["name"],
-            k=int(scenario.get("k", 3)),
-            n_features=int(scenario.get("n_features", 20)),
+            k=_integer("k", scenario.get("k", 3)),
+            n_features=_integer("n_features", scenario.get("n_features", 20)),
             p=parse_p(doc.get("p", "inf")),
             eps=float(doc["eps"]),
             delta=float(doc.get("delta", 0.1)),
-            seed=int(doc.get("seed", 0)),
+            seed=_integer("seed", doc.get("seed", 0), least=0),
             sample_mode=sample_mode,
-            manual_sizes={key: _sample_size(key, n) for key, n in manual.items()},
+            manual_sizes={key: _integer(f"manual size {key}", n) for key, n in manual.items()},
             scenario_kwargs=kwargs,
         )
 
@@ -368,7 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.p_grid
         else [parse_p(base.get("p", "inf"))]
     )
-    seeds = _parse_seeds(args.seeds) if args.seeds else [int(base.get("seed", 0))]
+    seeds = _parse_seeds(args.seeds) if args.seeds else [base.get("seed", 0)]
     # a config error ends the sweep (exit 2) before any cell runs, as it ends `run`
     cells = [
         RunConfig.from_dict({**base, "p": p_label(p), "eps": eps, "seed": seed})

@@ -11,14 +11,14 @@ Two kinds of estimates feed the calibration loop:
   which is what lets one pool of ``m = ceil(32*ln(4nk/delta)/alpha^2)``
   samples survive up to ``n`` adaptively chosen events at accuracy ``alpha``.
 
-Each pool stores its samples as a (feature, label) count table, a sufficient
-statistic for every query it can answer, so the formula-sized pools (easily
-1e8+ samples) cost O(n_features * k) memory.  A pool is drawn on its first
-query, from its own streams, so a pool no query reaches costs nothing and
-the bytes of a run do not depend on when its pools are drawn.  On that first
-query the pool also sums its counts per bin; a query then adds up its bins'
-rows, O(|event| * k), and the integer sums make every answer bit-for-bit
-the one a per-feature row mask gives.
+Each pool holds the run's binning and keeps its samples as a (bin, label)
+count table, a sufficient statistic for every query it can answer, so the
+formula-sized pools (easily 1e8+ samples) keep O(n_levels * k) numbers.  A
+pool is drawn on its first query, from its own streams, so a pool no query
+reaches costs nothing and the bytes of a run do not depend on when its pools
+are drawn: that query draws (feature, label) counts and keeps only their
+sums per bin.  A query adds up its bins' rows, O(|event| * k), and the
+integer sums make every answer bit-for-bit the one a row mask gives.
 """
 
 from __future__ import annotations
@@ -122,35 +122,19 @@ class DisjointQueryPool:
     value_dim: int
     alpha: float
     world: World = field(repr=False)
+    binning: Binning = field(repr=False)  # of the run's predictor, over the world's features
     master_seed: int
     noise_scale: float = field(init=False)
     queries_issued: int = field(init=False, default=0)
     noise_rng: np.random.Generator | None = field(init=False, default=None)
-    _counts: np.ndarray | None = field(init=False, default=None, repr=False)
-    # (binning, (n_levels, k) counts per bin of that binning)
-    _bin_counts: tuple[Binning, np.ndarray] | None = field(init=False, default=None, repr=False)
+    # (n_levels, k) sample counts per bin of ``binning``; None until the first query
+    bin_counts: np.ndarray | None = field(init=False, default=None, repr=False)
     _claimed: set[Level] = field(init=False, default_factory=set)
 
     def __post_init__(self) -> None:
         self.noise_scale = 8.0 / (self.m * self.alpha)
 
-    @property
-    def counts(self) -> np.ndarray:
-        """(n_features, k) sample counts; the first use draws them and opens the noise stream."""
-        if self._counts is None:
-            data_rng = stream_rng(self.master_seed, f"data:pool:{self.name}")
-            self._counts = joint_counts(self.world, data_rng, self.m)
-            self.noise_rng = stream_rng(self.master_seed, f"laplace:pool:{self.name}")
-        return self._counts
-
-    def _counts_per_bin(self, binning: Binning) -> np.ndarray:
-        if self._bin_counts is None or self._bin_counts[0] is not binning:
-            table = np.zeros((len(binning.levels), self.world.k), dtype=np.int64)
-            np.add.at(table, binning.ids, self.counts)
-            self._bin_counts = (binning, table)
-        return self._bin_counts[1]
-
-    def query(self, events: Sequence[Iterable[Level]], binning: Binning) -> np.ndarray:
+    def query(self, events: Sequence[Iterable[Level]]) -> np.ndarray:
         """Noised, clamped answers to a batch of new disjoint events, one row each.
 
         Each event is a set of bins; one event is a batch of one.  The whole
@@ -175,8 +159,13 @@ class DisjointQueryPool:
                     f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
                 )
             batch |= event
-        per_bin = self._counts_per_bin(binning)
-        cells = np.stack([per_bin[binning.positions(event)].sum(axis=0) for event in events])
+        if self.bin_counts is None:  # the first query draws the sample and opens the noise stream
+            data_rng = stream_rng(self.master_seed, f"data:pool:{self.name}")
+            counts = joint_counts(self.world, data_rng, self.m)
+            self.bin_counts = np.zeros((len(self.binning.levels), self.world.k), dtype=np.int64)
+            np.add.at(self.bin_counts, self.binning.ids, counts)
+            self.noise_rng = stream_rng(self.master_seed, f"laplace:pool:{self.name}")
+        cells = np.stack([self.bin_counts[self.binning.positions(e)].sum(axis=0) for e in events])
         if self.value_dim == 1:
             cells = cells.sum(axis=1, keepdims=True)
         raw = cells / self.m
@@ -188,6 +177,7 @@ class DisjointQueryPool:
 
 def pool_create(
     world: World,
+    binning: Binning,
     master_seed: int,
     name: str,
     n_events: int,
@@ -216,5 +206,6 @@ def pool_create(
         value_dim=value_dim,
         alpha=alpha,
         world=world,
+        binning=binning,
         master_seed=master_seed,
     )

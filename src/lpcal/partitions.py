@@ -10,9 +10,10 @@ cached error estimate per class.
 Both structures only merge, never split: group counts are nonincreasing and
 a run performs at most one fewer merge than there are bins, per structure.
 Every prediction group is at all times a disjoint union of current
-estimation groups, so its statistics aggregate over at most
-``floor(log2 n_bins) + 1`` stored estimates (all constituents have distinct
-power-of-two sizes; equal sizes would already have merged).
+estimation groups, its ``parts``: a binary counter whose digits have
+distinct power-of-two sizes (equal sizes would already have merged), so its
+statistics aggregate over at most ``floor(log2 n_bins) + 1`` stored
+estimates.  A prediction merge joins two counters; a merge pass carries.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .errors import InvariantError
 from .simplex import Level, canonical, round_down
 from .estimation import DisjointQueryPool
-from .world import Binning
 
 # (event bins, probability answer, (k,) label-mass answer) -> None, once per event.
 EstimateHook = Callable[[frozenset[Level], float, np.ndarray], None]
@@ -59,6 +59,7 @@ class PredictionGroup:
     pred: np.ndarray
     level: Level  # cache of round_down(pred)
     err: np.ndarray  # (k,) cached per-class error estimate
+    parts: list[int]  # gids of the estimation groups tiling ``bins``, ascending
 
 
 @dataclass(frozen=True)
@@ -74,25 +75,22 @@ class MergeEvent:
 class EstimationPartition:
     """Bin partition carrying pooled statistics, merged in size classes.
 
-    ``owner`` maps every bin to its current group, so a bin set finds its
-    constituent groups without scanning the partition.  ``history`` keeps,
-    per size class, the union of every group ever created in it and their
-    total size: the groups are pairwise disjoint exactly when the two agree.
+    The prediction groups hold the gids of their parts; this partition
+    holds the groups by gid.  ``history`` keeps, per size class, the union
+    of every group ever created in it and their total size: the groups are
+    pairwise disjoint exactly when the two agree.
     """
 
     def __init__(
         self,
         pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-        binning: Binning,
         max_subsets: int,
         on_estimate: EstimateHook | None = None,
     ) -> None:
         self.pools = dict(pools)  # size class i -> (prob pool, label pool)
-        self.binning = binning
         self.max_subsets = max_subsets
         self.on_estimate = on_estimate
         self.groups: dict[int, EstimationGroup] = {}
-        self.owner: dict[Level, int] = {}  # bin -> gid of its current group
         # size class -> (union of every group ever created in it, their total size)
         self.history: dict[int, tuple[set[Level], int]] = {}
         self._next_gid = 0
@@ -118,8 +116,8 @@ class EstimationPartition:
         for bins in sets:
             self._record(size_class, bins)
         prob_pool, label_pool = self.pools[size_class]
-        probs = prob_pool.query(sets, self.binning)[:, 0].tolist()
-        label_masses = label_pool.query(sets, self.binning)
+        probs = prob_pool.query(sets)[:, 0].tolist()
+        label_masses = label_pool.query(sets)
         groups = []
         for bins, prob, label_mass in zip(sets, probs, label_masses):
             if self.on_estimate is not None:
@@ -127,7 +125,6 @@ class EstimationPartition:
             g = EstimationGroup(self._next_gid, bins, prob, label_mass)
             self._next_gid += 1
             self.groups[g.gid] = g
-            self.owner.update(dict.fromkeys(bins, g.gid))
             groups.append(g)
         return groups
 
@@ -135,44 +132,41 @@ class EstimationPartition:
         """Create a one-bin group for each of ``bins``, queried on size class 0 in one batch."""
         return self._add([frozenset([v]) for v in bins])
 
-    def constituents(self, bins: frozenset[Level]) -> list[EstimationGroup]:
-        """Current groups making up ``bins`` (must tile it exactly), in gid order."""
+    def _current(self, gids: Iterable[int]) -> list[EstimationGroup]:
+        """The groups ``gids`` name, in order; a gid of no current group breaks an invariant."""
         try:
-            parts = [self.groups[gid] for gid in sorted({self.owner[v] for v in bins})]
-        except KeyError:
-            parts = []
-        if sum(g.size for g in parts) != len(bins):
-            raise InvariantError("bin set is not a union of current estimation groups")
-        return parts
+            return [self.groups[gid] for gid in gids]
+        except KeyError as exc:
+            raise InvariantError(f"estimation group {exc.args[0]} is not current") from None
 
-    def aggregate(self, bins: frozenset[Level]) -> tuple[float, np.ndarray, int]:
-        """Sum stored estimates over the constituents of ``bins``.
+    def aggregate(self, parts: list[int]) -> tuple[float, np.ndarray, int]:
+        """Sum stored estimates over ``parts``, a prediction group's parts, in their order.
 
         Also enforces the structural bound: a prediction group never
         decomposes into more than ``floor(log2 n_bins) + 1`` pieces.
         """
-        parts = self.constituents(bins)
-        if len(parts) > self.max_subsets:
-            raise InvariantError(
-                f"{len(parts)} constituents exceed the bound {self.max_subsets}"
-            )
-        prob_sum = float(sum(g.prob for g in parts))
-        label_sum = np.sum([g.label_mass for g in parts], axis=0)
-        return prob_sum, np.asarray(label_sum, float), len(parts)
+        groups = self._current(parts)
+        if len(groups) > self.max_subsets:
+            raise InvariantError(f"{len(groups)} parts exceed the bound {self.max_subsets}")
+        prob_sum = float(sum(g.prob for g in groups))
+        label_sum = np.sum([g.label_mass for g in groups], axis=0)
+        return prob_sum, np.asarray(label_sum, float), len(groups)
 
-    def merge_pass(self, target: frozenset[Level]) -> list[MergeEvent]:
-        """Merge equal-size groups inside ``target`` until all sizes differ.
+    def merge_pass(self, parts: list[int]) -> list[MergeEvent]:
+        """Merge equal-size groups among ``parts`` until all sizes differ.
 
         Binary-counter behaviour: repeatedly merges the two smallest-id
         groups of the smallest duplicated size.  Each merged group gets fresh
-        estimates from its own size class's pools.
+        estimates from its own size class's pools.  ``parts`` is replaced in
+        place by the gids of the groups left, ascending.
         """
         events: list[MergeEvent] = []
-        inside = self.constituents(target)
+        inside = self._current(parts)
         while True:
             inside.sort(key=lambda g: (g.size, g.gid))
             dup = [i for i in range(len(inside) - 1) if inside[i].size == inside[i + 1].size]
             if not dup:
+                parts[:] = sorted(g.gid for g in inside)
                 return events
             i = dup[0]
             a, b = inside[i], inside[i + 1]
@@ -184,18 +178,17 @@ class EstimationPartition:
     def check_invariants(self, universe: frozenset[Level]) -> None:
         """Power-of-two sizes, exact partition, historical disjointness.
 
-        Every bin of every group must be owned by that group, so no bin lies
-        in two groups; sizes summing to ``len(universe)`` over an owner map
-        keyed by exactly ``universe`` then make the groups tile it.
+        The union of the groups has at most the sum of their sizes, with
+        equality exactly when no bin lies in two groups.  So sizes summing
+        to ``len(universe)`` and a union equal to ``universe`` make the
+        groups pairwise disjoint and make them tile ``universe``: a bin in
+        two groups, in none, or outside ``universe`` fails one of the two.
         """
-        total = 0
         for g in self.groups.values():
             if g.size & (g.size - 1):
                 raise InvariantError(f"group {g.gid} has non-power-of-2 size {g.size}")
-            if any(self.owner.get(v) != g.gid for v in g.bins):
-                raise InvariantError(f"owner map disagrees with group {g.gid}")
-            total += g.size
-        if total != len(universe) or self.owner.keys() != universe:
+        bins = [g.bins for g in self.groups.values()]
+        if sum(map(len, bins)) != len(universe) or frozenset().union(*bins) != universe:
             raise InvariantError("current estimation groups do not partition the bin set")
         for size_class, (union, size_sum) in self.history.items():
             if len(union) != size_sum:
@@ -210,15 +203,15 @@ class PredictionPartition:
         self.groups: dict[int, PredictionGroup] = {}
         self._next_gid = 0
 
-    def _add(self, bins: frozenset[Level], pred: np.ndarray, err: np.ndarray) -> int:
+    def add(
+        self, bins: frozenset[Level], pred: np.ndarray, err: np.ndarray, parts: list[int]
+    ) -> int:
+        """A new group over ``bins``, the union of the estimation groups ``parts``."""
         gid = self._next_gid
         self._next_gid += 1
         pred = np.asarray(pred, float)
-        self.groups[gid] = PredictionGroup(gid, bins, pred, round_down(pred, self.lam), err)
+        self.groups[gid] = PredictionGroup(gid, bins, pred, round_down(pred, self.lam), err, parts)
         return gid
-
-    def add_singleton(self, v: Level, pred: np.ndarray, err: np.ndarray) -> int:
-        return self._add(frozenset([v]), pred, err)
 
     def set_pred(self, gid: int, pred: np.ndarray) -> None:
         g = self.groups[gid]
@@ -235,13 +228,15 @@ class PredictionPartition:
     def merge(self, a: int, b: int, winner_pred: np.ndarray) -> int:
         """Replace groups ``a`` and ``b`` by their union with the winning pred.
 
-        The caller picks the winner (larger aggregated probability mass) and
-        recomputes the cached errors afterwards.
+        The union's parts are both groups' parts.  The caller picks the
+        winner (larger aggregated probability mass), runs the merge pass on
+        the parts and recomputes the cached errors afterwards.
         """
         if a == b:
             raise ValueError("cannot merge a group with itself")
         ga, gb = self.groups.pop(a), self.groups.pop(b)
-        return self._add(ga.bins | gb.bins, winner_pred, np.full_like(ga.err, np.nan))
+        err = np.full_like(ga.err, np.nan)
+        return self.add(ga.bins | gb.bins, winner_pred, err, sorted(ga.parts + gb.parts))
 
     def routing(self) -> dict[Level, np.ndarray]:
         """Bin -> current group prediction, for assembling the final predictor."""
@@ -267,16 +262,27 @@ class PredictionPartition:
 
 
 def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartition) -> None:
-    """Every prediction group must be a disjoint union of estimation groups."""
-    used = sum(len(est_part.constituents(g.bins)) for g in pred_part.groups.values())
-    if used != len(est_part.groups):
-        raise InvariantError("some estimation group is split across prediction groups")
+    """Every prediction group must be the disjoint union of its parts.
+
+    The parts of all groups must be the current estimation groups, each used
+    once, and each group's parts must have its bins as their union.  As the
+    estimation groups are pairwise disjoint (their ``check_invariants`` runs
+    first), the parts then tile their group.  That catches a bin in two
+    groups or in none, an estimation group split across prediction groups or
+    left out, and any part list on which ``aggregate`` would sum wrongly.
+    """
+    used = sorted(gid for g in pred_part.groups.values() for gid in g.parts)
+    if used != sorted(est_part.groups):
+        raise InvariantError("parts are not the current estimation groups, each used once")
+    for g in pred_part.groups.values():
+        if frozenset().union(*(est_part.groups[gid].bins for gid in g.parts)) != g.bins:
+            raise InvariantError(f"the parts of prediction group {g.gid} do not tile its bins")
 
 
 def init_structures(
     bins: Iterable[Level],
     pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-    binning: Binning,
+    lam: int,
     max_subsets: int,
     on_estimate: EstimateHook | None = None,
 ) -> tuple[EstimationPartition, PredictionPartition]:
@@ -285,14 +291,16 @@ def init_structures(
     Every bin gets a one-bin group in each structure; the statistics of all
     of them come from one batch query to each size-class-0 pool, each
     bin's prediction is its canonical distribution, and its cached error is
-    the estimated gap ``|prob * pred_j - label_mass_j|``.
+    the estimated gap ``|prob * pred_j - label_mass_j|``; its one part is
+    the bin's estimation singleton.
     """
     bins = sorted(bins)
     if not bins:
         raise ValueError("bin set must be nonempty")
-    est = EstimationPartition(pools, binning, max_subsets, on_estimate)
-    pred_part = PredictionPartition(binning.lam)
+    est = EstimationPartition(pools, max_subsets, on_estimate)
+    pred_part = PredictionPartition(lam)
     for v, grp in zip(bins, est.add_singletons(bins)):
-        pred = canonical(v, binning.lam)
-        pred_part.add_singleton(v, pred, estimated_error(grp.prob, pred, grp.label_mass))
+        pred = canonical(v, lam)
+        err = estimated_error(grp.prob, pred, grp.label_mass)
+        pred_part.add(frozenset([v]), pred, err, [grp.gid])
     return est, pred_part

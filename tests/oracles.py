@@ -284,22 +284,24 @@ def dp_epsilon(pool) -> float:
 class EagerQueryPool:
     """Query pool drawn when it is created, answering one event at a time.
 
-    Each query builds a row mask over every feature and sums the sampled
-    counts under it.  ``data_rng`` is kept so its state can be compared.
-    A plain class: ``perfbench/checker.py`` loads this file outside
-    ``sys.modules``, where ``dataclass`` cannot resolve its annotations.
+    Each query builds a row mask over every feature of ``binning`` and sums
+    the sampled counts under it.  ``data_rng`` is kept so its state can be
+    compared.  A plain class: ``perfbench/checker.py`` loads this file
+    outside ``sys.modules``, where ``dataclass`` cannot resolve its
+    annotations.
     """
 
-    def __init__(self, name, m, n_events, value_dim, alpha, counts, data_rng, noise_rng):
+    def __init__(self, name, m, n_events, value_dim, alpha, binning, counts, data_rng, noise_rng):
         self.name, self.m, self.n_events = name, m, n_events
         self.value_dim, self.alpha = value_dim, alpha
+        self.binning = binning
         self.counts = counts  # (n_features, k) sample counts
         self.data_rng, self.noise_rng = data_rng, noise_rng
         self.noise_scale = 8.0 / (m * alpha)
         self.queries_issued = 0
         self._claimed: set[Level] = set()
 
-    def query(self, event: Iterable[Level], binning: Binning) -> np.ndarray:
+    def query(self, event: Iterable[Level]) -> np.ndarray:
         event = frozenset(event)
         if not event:
             raise ValueError("event must be nonempty")
@@ -312,7 +314,7 @@ class EagerQueryPool:
             raise QueryBudgetError(
                 f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
             )
-        cell = self.counts[binning.rows_in(event)]
+        cell = self.counts[self.binning.rows_in(event)]
         if self.value_dim == 1:
             raw = np.array([cell.sum() / self.m])
         else:
@@ -325,6 +327,7 @@ class EagerQueryPool:
 
 def eager_pool_create(
     world: World,
+    binning: Binning,
     master_seed: int,
     name: str,
     n_events: int,
@@ -341,7 +344,9 @@ def eager_pool_create(
     data_rng = stream_rng(master_seed, f"data:pool:{name}")
     noise_rng = stream_rng(master_seed, f"laplace:pool:{name}")
     counts = joint_counts(world, data_rng, m)
-    return EagerQueryPool(name, m, n_events, value_dim, alpha, counts, data_rng, noise_rng)
+    return EagerQueryPool(
+        name, m, n_events, value_dim, alpha, binning, counts, data_rng, noise_rng
+    )
 
 
 class PerKindMonitor(EventMonitor):
@@ -365,8 +370,8 @@ class OneAtATimeEstimationPartition(EstimationPartition):
 
     def _estimate(self, size_class: int, bins: frozenset[Level]) -> tuple[float, np.ndarray]:
         prob_pool, label_pool = self.pools[size_class]
-        prob = float(prob_pool.query(bins, self.binning)[0])
-        label_mass = label_pool.query(bins, self.binning)
+        prob = float(prob_pool.query(bins)[0])
+        label_mass = label_pool.query(bins)
         if self.on_estimate is not None:
             self.on_estimate("prob", bins, np.array([prob]))
             self.on_estimate("label", bins, label_mass)
@@ -383,7 +388,6 @@ class OneAtATimeEstimationPartition(EstimationPartition):
             g = EstimationGroup(self._next_gid, bins, prob, label_mass)
             self._next_gid += 1
             self.groups[g.gid] = g
-            self.owner.update(dict.fromkeys(bins, g.gid))
             groups.append(g)
         return groups
 
@@ -392,28 +396,29 @@ class OneAtATimeEstimationPartition(EstimationPartition):
         return self._add([frozenset([v])])[0].gid
 
 
-def init_structures_one_at_a_time(
-    bins, pools, binning: Binning, max_subsets: int, on_estimate=None
-):
+def init_structures_one_at_a_time(bins, pools, lam: int, max_subsets: int, on_estimate=None):
     """``init_structures`` with one query pair per singleton, in bin order."""
     bins = sorted(bins)
     if not bins:
         raise ValueError("bin set must be nonempty")
-    est = OneAtATimeEstimationPartition(pools, binning, max_subsets, on_estimate)
-    pred_part = PredictionPartition(binning.lam)
+    est = OneAtATimeEstimationPartition(pools, max_subsets, on_estimate)
+    pred_part = PredictionPartition(lam)
     for v in bins:
         grp = est.groups[est.add_singleton(v)]
-        pred = canonical(v, binning.lam)
-        pred_part.add_singleton(v, pred, estimated_error(grp.prob, pred, grp.label_mass))
+        pred = canonical(v, lam)
+        err = estimated_error(grp.prob, pred, grp.label_mass)
+        pred_part.add(frozenset([v]), pred, err, [grp.gid])
     return est, pred_part
 
 
 class ScanEstimationPartition(OneAtATimeEstimationPartition):
     """Estimation partition that finds groups by scanning every current group.
 
-    Keeps each size class's history as a list of every group's bins, checked
-    pairwise; only the pools, the one-at-a-time estimates and ``aggregate``
-    are shared with the owner-map version it is compared against.
+    Finds the groups inside a bin set by testing every current group, and
+    takes bin sets where the package takes part lists.  Keeps each size
+    class's history as a list of every group's bins, checked pairwise; only
+    the pools, the one-at-a-time estimates and the sums of ``aggregate``
+    are shared with the part-list version it is compared against.
     """
 
     def _record(self, size_class: int, bins: frozenset[Level]) -> None:
@@ -437,10 +442,14 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
         return self._new_group(0, frozenset([v])).gid
 
     def constituents(self, bins: frozenset[Level]) -> list[EstimationGroup]:
+        """Current groups inside ``bins`` (they must tile it), in gid order."""
         parts = [g for g in self.groups.values() if g.bins <= bins]
         if sum(g.size for g in parts) != len(bins):
             raise InvariantError("bin set is not a union of current estimation groups")
         return parts
+
+    def aggregate(self, bins: frozenset[Level]) -> tuple[float, np.ndarray, int]:
+        return super().aggregate([g.gid for g in self.constituents(bins)])
 
     def merge_pass(self, target: frozenset[Level]) -> list[MergeEvent]:
         events: list[MergeEvent] = []

@@ -5,6 +5,8 @@ output).  The two Monte-Carlo suites run the full pipeline on 100 seeds each
 and are shared across criteria via module-scoped fixtures.
 """
 
+import csv
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -237,11 +239,11 @@ def test_criterion_9_mechanism_structure(suite_inf, suite_p2):
                 )
                 checked += 1
     world, f = make_scenario("perfect", 2, 5, seed=1)
-    pool = pool_create(world, 0, "overlap-check", 4, 1, 0.1, 0.1, m=100)
     binning = bin_table(f.table, 4)
-    pool.query([[binning.levels[0]]], binning)
+    pool = pool_create(world, binning, 0, "overlap-check", 4, 1, 0.1, 0.1, m=100)
+    pool.query([[binning.levels[0]]])
     with pytest.raises(DisjointnessError):
-        pool.query([[binning.levels[0]]], binning)
+        pool.query([[binning.levels[0]]])
     print(
         f"ACCEPTANCE 9 PASS: noise scale 8/(m*alpha) and m = ceil(32 ln(4nd/delta)/alpha^2) "
         f"on all {checked} configured pools; overlapping query rejected"
@@ -272,3 +274,26 @@ def test_criterion_10_determinism(tmp_path):
         "ACCEPTANCE 10 PASS: byte-identical reports and traces on repeated runs; "
         "3 pinned golden configs match"
     )
+
+
+# A run whose prediction merges drive estimation merges: 159 bins, 136
+# iterations, 44 prediction merges and 38 estimation merges.  The goldens
+# make none of the latter, so these digests are the byte-exact pin on the
+# merge pass.
+MERGE_HEAVY_ARGS = ["--scenario", "random-miscalibrated", "--k", "2", "--n-features", "200",
+                    "--p", "3/2", "--eps", "0.2", "--seed", "1"]
+MERGE_HEAVY_SHA256 = {
+    "report.json": "d1612aa37cd7013e5bed6e330aa0a4c6a00d22d953ca4d85689be800f938915a",
+    "trace.csv": "5630a325d81e6b3f0df2a1b8ef32258a9f1dc1e4eb0903194afd700956b4174a",
+}
+
+
+def test_merge_heavy_run_pinned(tmp_path):
+    assert main(["run", *MERGE_HEAVY_ARGS, "--out-dir", str(tmp_path)]) == 0
+    with (tmp_path / "trace.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 136
+    assert sum(row["merged_id"] != "-1" for row in rows) == 44
+    assert sum(int(row["est_merges"]) for row in rows) == 38
+    for fname, digest in MERGE_HEAVY_SHA256.items():
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname

@@ -227,6 +227,68 @@ class TestManualSizes:
         assert not out.exists()
 
 
+PERFECT_12 = {"name": "perfect", "k": 3, "n_features": 12}
+# Config documents RunConfig.from_dict refuses, so that no run or sweep cell starts.
+BAD_CONFIGS = [
+    ({"sample_mode": "bootstrap"}, "unknown sample_mode 'bootstrap'"),
+    ({"sample_mode": "manual"}, "manual sample_mode requires manual_sizes"),
+    ({"sample_mode": {"mode": "manual"}}, "manual sample_mode requires manual_sizes"),
+    ({"scenario": {**PERFECT_12, "name": "nonesuch"}}, "unknown scenario 'nonesuch'"),
+    ({"manual_sizes": {"bin_mass": 200}}, "manual sizes ['bin_mass'] given in auto sample_mode"),
+    (
+        {"sample_mode": {"mode": "auto", "bin_mass": 200}},
+        "manual sizes ['bin_mass'] given in auto sample_mode",
+    ),
+    # integer fields are never truncated or read from a bool
+    ({"scenario": {**PERFECT_12, "k": 3.7}}, "k must be an integer of at least 1, got 3.7"),
+    ({"scenario": {**PERFECT_12, "k": True}}, "k must be an integer of at least 1, got True"),
+    ({"scenario": {**PERFECT_12, "k": 0}}, "k must be an integer of at least 1, got 0"),
+    ({"scenario": {**PERFECT_12, "n_features": 5.9}}, "n_features must be an integer of at least 1"),
+    ({"scenario": {**PERFECT_12, "n_features": "12"}}, "n_features must be an integer of at least 1"),
+    ({"seed": 1.5}, "seed must be an integer of at least 0, got 1.5"),
+    ({"seed": False}, "seed must be an integer of at least 0, got False"),
+    ({"seed": -1}, "seed must be an integer of at least 0, got -1"),
+    ({"seed": math.nan}, "seed must be an integer of at least 0, got nan"),
+]
+
+
+class TestConfigRefused:
+    @pytest.mark.parametrize("overrides, message", BAD_CONFIGS)
+    def test_run_exits_2_before_any_work(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", BAD_CONFIGS)
+    def test_sweep_exits_2_before_any_cell(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(cfg), "--p", "inf,2", "--out-dir", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_integral_floats_run_as_ints(self, tmp_path):
+        as_int = write_config(tmp_path / "int.json")
+        as_float = write_config(
+            tmp_path / "float.json", scenario={**PERFECT_12, "k": 3.0, "n_features": 12.0}, seed=7.0
+        )
+        for cfg, out in ((as_int, "a"), (as_float, "b")):
+            assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / out)]) == 0
+        for name in ("report.json", "trace.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        echo = json.loads((tmp_path / "b" / "report.json").read_text())["config"]
+        assert (echo["scenario"]["k"], echo["scenario"]["n_features"], echo["seed"]) == (3, 12, 7)
+
+    def test_sweep_seed_from_the_config_is_not_truncated(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", seed=7.0)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "pinf-eps0.25-seed7" / "report.json").exists()
+
+
 class TestSweepCommand:
     def test_grid_shape(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})

@@ -21,6 +21,7 @@ from lpcal.world import (
     draw,
     exact_event_stats,
     feature_counts,
+    joint_counts,
     make_scenario,
 )
 
@@ -135,46 +136,68 @@ class TestLaplaceInverseCdf:
 
 class TestDisjointQueryPool:
     @staticmethod
-    def pool(world, seed=0, name="t", n_events=4, value_dim=1, alpha=0.1, delta=0.1, m=None):
-        return pool_create(world, seed, name, n_events, value_dim, alpha, delta, m=m)
+    def pool(
+        world, binning, seed=0, name="t", n_events=4, value_dim=1, alpha=0.1, delta=0.1, m=None
+    ):
+        return pool_create(world, binning, seed, name, n_events, value_dim, alpha, delta, m=m)
 
     def test_noise_scale_definitional(self):
-        w, _ = make_scenario("perfect", 2, 3, seed=0)
-        p = self.pool(w, m=1000, alpha=0.05)
+        w, f = make_scenario("perfect", 2, 3, seed=0)
+        p = self.pool(w, bin_table(f.table, 4), m=1000, alpha=0.05)
         assert p.noise_scale == 8.0 / (1000 * 0.05)
 
     def test_dp_epsilon_is_quarter_alpha(self):
-        w, _ = make_scenario("perfect", 2, 3, seed=0)
-        p = self.pool(w, m=1000, alpha=0.05)
+        w, f = make_scenario("perfect", 2, 3, seed=0)
+        p = self.pool(w, bin_table(f.table, 4), m=1000, alpha=0.05)
         assert dp_epsilon(p) == pytest.approx(0.05 / 4, rel=1e-12)
 
+    @staticmethod
+    def drawn_pair(name_a, name_b):
+        """Two pools of 5000 samples, each drawn by one query, and their binning."""
+        w, f = make_scenario("perfect", 3, 10, seed=0)
+        binning = bin_table(f.table, 8)
+        pools = [
+            TestDisjointQueryPool.pool(w, binning, name=name, m=5000) for name in (name_a, name_b)
+        ]
+        for pool in pools:
+            pool.query([[binning.levels[0]]])
+        assert len(binning.levels) > 1
+        return pools
+
     def test_distinct_stream_names_share_no_samples(self):
-        w, _ = make_scenario("perfect", 3, 10, seed=0)
-        a = self.pool(w, name="a", m=5000)
-        b = self.pool(w, name="b", m=5000)
-        assert not np.array_equal(a.counts, b.counts)
+        a, b = self.drawn_pair("a", "b")
+        assert not np.array_equal(a.bin_counts, b.bin_counts)
 
     def test_same_name_reproducible(self):
-        w, _ = make_scenario("perfect", 3, 10, seed=0)
-        a = self.pool(w, name="a", m=5000)
-        b = self.pool(w, name="a", m=5000)
-        assert np.array_equal(a.counts, b.counts)
+        a, b = self.drawn_pair("a", "a")
+        assert np.array_equal(a.bin_counts, b.bin_counts)
+
+    def test_bin_counts_sum_the_joint_counts_per_bin(self):
+        w, f = make_scenario("random-miscalibrated", 3, 30, seed=2)
+        binning = bin_table(f.table, 4)
+        pool = self.pool(w, binning, name="label:0", value_dim=3, m=10_000)
+        pool.query([[binning.levels[0]]])
+        counts = joint_counts(w, stream_rng(0, "data:pool:label:0"), 10_000)
+        assert pool.bin_counts.sum() == 10_000
+        for i in range(len(binning.levels)):
+            want = counts[binning.ids == i].sum(axis=0)
+            assert pool.bin_counts[i].tolist() == want.tolist()
 
     def test_disjointness_ledger_rejects_overlap(self):
         w, f = make_scenario("perfect", 2, 5, seed=1)
-        p = self.pool(w, m=100)
         lam = 4
+        p = self.pool(w, bin_table(f.table, lam), m=100)
         levels = f.levels(lam)
-        p.query([[levels[0]]], bin_table(f.table, lam))
+        p.query([[levels[0]]])
         with pytest.raises(DisjointnessError):
-            p.query([[levels[0], (0, 0)]], bin_table(f.table, lam))
+            p.query([[levels[0], (0, 0)]])
 
     def test_budget_enforced(self):
         w, f = make_scenario("perfect", 2, 5, seed=1)
-        p = self.pool(w, m=100, n_events=1)
-        p.query([[(4, 0)]], bin_table(f.table, 4))
+        p = self.pool(w, bin_table(f.table, 4), m=100, n_events=1)
+        p.query([[(4, 0)]])
         with pytest.raises(QueryBudgetError):
-            p.query([[(0, 4)]], bin_table(f.table, 4))
+            p.query([[(0, 4)]])
 
     def test_zero_mass_event_answers_track_noise(self):
         # 1000 disjoint events that no sample can hit: answers are clamped
@@ -184,8 +207,8 @@ class TestDisjointQueryPool:
         lam = 50
         hit = f.levels(lam)[0]
         empty = [v for v in enumerate_levels(lam, 3) if v != hit][:1000]
-        p = self.pool(w, n_events=1000, m=50, alpha=0.2)
-        answers = [float(p.query([[v]], bin_table(f.table, lam))[0, 0]) for v in empty]
+        p = self.pool(w, bin_table(f.table, lam), n_events=1000, m=50, alpha=0.2)
+        answers = [float(p.query([[v]])[0, 0]) for v in empty]
         assert np.mean(np.abs(answers)) <= 3 * p.noise_scale
 
     def test_full_support_probability_within_alpha(self):
@@ -195,8 +218,8 @@ class TestDisjointQueryPool:
         event = set(f.levels(lam))
         failures = 0
         for seed in range(100):
-            p = pool_create(w, seed, "full", 1, 1, alpha, delta)
-            ans = float(p.query([event], bin_table(f.table, lam))[0, 0])
+            p = pool_create(w, bin_table(f.table, lam), seed, "full", 1, 1, alpha, delta)
+            ans = float(p.query([event])[0, 0])
             failures += abs(ans - 1.0) > alpha
         assert failures <= 10  # nominal failure budget is delta = 10 runs
 
@@ -205,19 +228,20 @@ class TestDisjointQueryPool:
         w, f = make_scenario("random-miscalibrated", 3, 6, seed=6)
         lam = 3
         event = [f.levels(lam)[0]]
-        _, exact_mean = exact_event_stats(w, bin_table(f.table, lam), event)
+        binning = bin_table(f.table, lam)
+        _, exact_mean = exact_event_stats(w, binning, event)
         failures = 0
         for seed in range(100):
-            p = pool_create(w, seed, "lab", 1, 3, alpha, delta)
-            ans = p.query([event], bin_table(f.table, lam))[0]
+            p = pool_create(w, binning, seed, "lab", 1, 3, alpha, delta)
+            ans = p.query([event])[0]
             failures += bool(np.max(np.abs(ans - exact_mean)) > alpha)
         assert failures <= 10
 
     def test_answers_clamped_to_unit_interval(self):
         w, f = make_scenario("random-miscalibrated", 2, 6, seed=5)
         lam = 3
-        p = self.pool(w, m=3, alpha=0.5, n_events=10, value_dim=2)  # huge noise
-        seen = [p.query([[v]], bin_table(f.table, lam))[0] for v in list(set(f.levels(lam)))[:2]]
+        p = self.pool(w, bin_table(f.table, lam), m=3, alpha=0.5, n_events=10, value_dim=2)
+        seen = [p.query([[v]])[0] for v in list(set(f.levels(lam)))[:2]]  # huge noise
         for ans in seen:
             assert np.all(ans >= 0.0) and np.all(ans <= 1.0)
 
@@ -240,25 +264,26 @@ class TestPoolDrawnOnFirstQuery:
         ],
     )
     def test_bad_sizes_refused_before_any_draw(self, monkeypatch, m, message):
-        w, _ = make_scenario("perfect", 2, 3, seed=0)
+        w, f = make_scenario("perfect", 2, 3, seed=0)
         self.no_draws(monkeypatch)
         with pytest.raises(ValueError, match=message):
-            pool_create(w, 0, "t", 4, 1, 0.1, 0.1, m=m)
+            pool_create(w, bin_table(f.table, 4), 0, "t", 4, 1, 0.1, 0.1, m=m)
 
     def test_creation_draws_nothing(self, monkeypatch):
-        w, _ = make_scenario("perfect", 2, 3, seed=0)
+        w, f = make_scenario("perfect", 2, 3, seed=0)
         self.no_draws(monkeypatch)
         for m in (1, 2**63 - 1, None):
-            pool = pool_create(w, 0, "t", 4, 1, 0.1, 0.1, m=m)
-            assert pool.noise_rng is None and pool.queries_issued == 0
+            pool = pool_create(w, bin_table(f.table, 4), 0, "t", 4, 1, 0.1, 0.1, m=m)
+            assert pool.noise_rng is None and pool.bin_counts is None
+            assert pool.queries_issued == 0
 
     @staticmethod
     def queried_pool():
         """A label pool with one event answered, and its binning."""
         w, f = make_scenario("random-miscalibrated", 3, 30, seed=2)
         binning = bin_table(f.table, 4)
-        pool = pool_create(w, 0, "label:0", 4, 3, 0.1, 0.1, m=10_000)
-        pool.query([[binning.levels[0]]], binning)
+        pool = pool_create(w, binning, 0, "label:0", 4, 3, 0.1, 0.1, m=10_000)
+        pool.query([[binning.levels[0]]])
         return pool, binning
 
     @pytest.mark.parametrize(
@@ -275,7 +300,7 @@ class TestPoolDrawnOnFirstQuery:
         claimed, state = set(pool._claimed), pool.noise_rng.bit_generator.state
         events = [[binning.levels[i] for i in pick] for pick in picks]
         with pytest.raises(error, match=message):
-            pool.query(events, binning)
+            pool.query(events)
         assert pool._claimed == claimed and pool.queries_issued == 1
         assert pool.noise_rng.bit_generator.state == state
 
@@ -283,5 +308,5 @@ class TestPoolDrawnOnFirstQuery:
         pool, binning = self.queried_pool()
         a, b = binning.levels[1], binning.levels[2]
         with pytest.raises(DisjointnessError) as info:
-            pool.query([[a], [b, a]], binning)
+            pool.query([[a], [b, a]])
         assert str(info.value) == f"pool label:0: event overlaps earlier queries on bins {[a]}"

@@ -26,12 +26,12 @@ from oracles import (
 )
 
 
-def make_pools(world, seed, n_bins, m, create=pool_create):
+def make_pools(world, binning, seed, n_bins, m, create=pool_create):
     """Fresh pools for every size class; equal arguments give equal answers."""
     return {
         i: (
-            create(world, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
-            create(world, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
+            create(world, binning, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
+            create(world, binning, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
         )
         for i in range(n_bins.bit_length())
     }
@@ -42,9 +42,14 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
     world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
     bins = sorted(set(f.levels(lam)))
     classes = len(bins).bit_length()
-    pools = make_pools(world, seed, len(bins), m)
-    est_part, pred_part = init_structures(bins, pools, bin_table(f.table, lam), max_subsets=classes)
+    pools = make_pools(world, bin_table(f.table, lam), seed, len(bins), m)
+    est_part, pred_part = init_structures(bins, pools, lam, max_subsets=classes)
     return world, f, bins, est_part, pred_part
+
+
+def parts_of(est_part, bins):
+    """Gids of the current estimation groups inside ``bins``, ascending, found by a scan."""
+    return [g.gid for g in est_part.groups.values() if g.bins <= frozenset(bins)]
 
 
 class TestEstimatedError:
@@ -79,7 +84,9 @@ class TestInit:
     def test_error_cache_matches_formula(self):
         _, _, _, est_part, pred_part = build()
         for gid, g in pred_part.groups.items():
+            assert g.parts == [gid]
             mg = est_part.groups[gid]
+            assert mg.bins == g.bins
             assert np.allclose(g.err, np.abs(mg.prob * g.pred - mg.label_mass))
 
     def test_empty_bins_rejected(self):
@@ -91,7 +98,7 @@ class TestAggregate:
     def test_single_group_identity(self):
         _, _, _, est_part, _ = build()
         g = next(iter(est_part.groups.values()))
-        p, e, n = est_part.aggregate(g.bins)
+        p, e, n = est_part.aggregate([g.gid])
         assert p == g.prob
         assert np.allclose(e, g.label_mass)
         assert n == 1
@@ -99,46 +106,63 @@ class TestAggregate:
     def test_two_group_additivity(self):
         _, _, _, est_part, _ = build()
         groups = list(est_part.groups.values())[:2]
-        union = groups[0].bins | groups[1].bins
-        p, e, n = est_part.aggregate(union)
+        p, e, n = est_part.aggregate([g.gid for g in groups])
         assert p == pytest.approx(groups[0].prob + groups[1].prob)
         assert np.allclose(e, groups[0].label_mass + groups[1].label_mass)
         assert n == 2
 
     def test_non_union_rejected(self):
-        _, _, bins, est_part, _ = build()
-        with pytest.raises(InvariantError):
-            est_part.aggregate(frozenset([bins[0], (9, 9)]))
+        # a part list naming no current group is a broken invariant, not a KeyError
+        _, _, _, est_part, _ = build()
+        with pytest.raises(InvariantError, match="estimation group 1000000 is not current"):
+            est_part.aggregate([0, 10**6])
+
+    def test_more_parts_than_the_bound_rejected(self):
+        _, _, _, est_part, _ = build()
+        with pytest.raises(InvariantError, match="exceed the bound"):
+            est_part.aggregate(list(est_part.groups)[: est_part.max_subsets + 1])
 
 
 class TestMergePass:
     def test_two_singletons_one_merge(self):
         _, _, bins, est_part, _ = build()
-        target = frozenset(bins[:2])
-        events = est_part.merge_pass(target)
+        parts = parts_of(est_part, bins[:2])
+        events = est_part.merge_pass(parts)
         assert len(events) == 1
         assert events[0].size == 2
-        sizes = sorted(g.size for g in est_part.groups.values() if g.bins <= target)
-        assert sizes == [2]
+        assert parts == [events[0].new_gid] == parts_of(est_part, bins[:2])
 
     def test_four_singletons_collapse_like_binary_counter(self):
         _, _, bins, est_part, _ = build()
         assert len(bins) >= 4
-        target = frozenset(bins[:4])
-        events = est_part.merge_pass(target)
+        parts = parts_of(est_part, bins[:4])
+        events = est_part.merge_pass(parts)
         assert [e.size for e in events] == [2, 2, 4]
-        sizes = sorted(g.size for g in est_part.groups.values() if g.bins <= target)
-        assert sizes == [4]
+        assert [est_part.groups[gid].size for gid in parts] == [4]
+
+    def test_carry_keeps_parts_ascending(self):
+        # sizes 2 and 1, then one more singleton: 1+1 carries to 2, then 2+2 to 4
+        _, _, bins, est_part, _ = build()
+        parts = parts_of(est_part, bins[:3])
+        est_part.merge_pass(parts)
+        assert [est_part.groups[gid].size for gid in parts] == [1, 2]
+        assert parts == sorted(parts)
+        parts.append(parts_of(est_part, bins[3:4])[0])
+        events = est_part.merge_pass(parts)
+        assert [e.size for e in events] == [2, 4]
+        assert parts == [events[-1].new_gid]
 
     def test_distinct_sizes_noop(self):
         _, _, bins, est_part, _ = build()
-        est_part.merge_pass(frozenset(bins[:2]))  # leaves sizes {2, 1, 1, ...}
+        est_part.merge_pass(parts_of(est_part, bins[:2]))  # leaves sizes {2, 1, 1, ...}
         one = next(g for g in est_part.groups.values() if g.size == 2)
-        assert est_part.merge_pass(one.bins) == []
+        parts = [one.gid]
+        assert est_part.merge_pass(parts) == []
+        assert parts == [one.gid]
 
     def test_merges_preserve_partition(self):
         _, _, bins, est_part, _ = build()
-        est_part.merge_pass(frozenset(bins[:4]))
+        est_part.merge_pass(parts_of(est_part, bins[:4]))
         est_part.check_invariants(frozenset(bins))
 
     def test_history_ledger_rejects_same_size_overlap(self):
@@ -148,9 +172,11 @@ class TestMergePass:
 
     def test_target_must_be_a_union_of_groups(self):
         _, _, bins, est_part, _ = build()
-        est_part.merge_pass(frozenset(bins[:2]))
-        with pytest.raises(InvariantError):
-            est_part.merge_pass(frozenset(bins[1:3]))  # cuts the new size-2 group
+        est_part.merge_pass(parts_of(est_part, bins[:2]))
+        groups = dict(est_part.groups)
+        with pytest.raises(InvariantError, match="estimation group 1 is not current"):
+            est_part.merge_pass([1, 2])  # bins[1:3]: cuts the new size-2 group
+        assert est_part.groups == groups
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,15 +184,16 @@ class TestMergePass:
     seed=st.integers(0, 3),
     picks=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=30),
 )
-def test_owner_map_agrees_with_scan_oracle(seed, picks):
+def test_parts_agree_with_scan_oracle(seed, picks):
     """Random prediction merges, each followed by a merge pass, in both versions.
 
-    A pick of two equal groups calls ``merge_pass`` on an unchanged group.
+    The oracle finds each group's parts by scanning for the estimation groups
+    inside its bins.  A pick of two equal groups calls ``merge_pass`` on an
+    unchanged group.
     """
-    world, _, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
+    world, f, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
     oracle = ScanEstimationPartition(
-        make_pools(world, seed, len(bins), 100_000, create=eager_pool_create),
-        est_part.binning,
+        make_pools(world, bin_table(f.table, 6), seed, len(bins), 100_000, create=eager_pool_create),
         est_part.max_subsets,
     )
     for v in bins:
@@ -176,13 +203,12 @@ def test_owner_map_agrees_with_scan_oracle(seed, picks):
         gids = sorted(pred_part.groups)
         a, b = gids[i % len(gids)], gids[j % len(gids)]
         gid = a if a == b else pred_part.merge(a, b, pred_part.groups[a].pred)
-        target = pred_part.groups[gid].bins
-        assert est_part.merge_pass(target) == oracle.merge_pass(target)
+        group = pred_part.groups[gid]
+        assert est_part.merge_pass(group.parts) == oracle.merge_pass(group.bins)
         assert list(est_part.groups) == list(oracle.groups)
         for g in pred_part.groups.values():
-            gids = [part.gid for part in est_part.constituents(g.bins)]
-            assert gids == [part.gid for part in oracle.constituents(g.bins)]
-            prob, label, n = est_part.aggregate(g.bins)
+            assert g.parts == [part.gid for part in oracle.constituents(g.bins)]
+            prob, label, n = est_part.aggregate(g.parts)
             prob_o, label_o, n_o = oracle.aggregate(g.bins)
             assert (prob, n) == (prob_o, n_o)
             assert label.tobytes() == label_o.tobytes()
@@ -195,39 +221,97 @@ class TestTamper:
     """Corrupted bookkeeping must fail the structure checks."""
 
     def merged(self):
+        """Structures after two prediction merges: one group has parts of sizes 2 and 1."""
         _, _, bins, est_part, pred_part = build(n_features=40, k=3)
-        a, b = list(pred_part.groups)[:2]
+        a, b, c = list(pred_part.groups)[:3]
         gid = pred_part.merge(a, b, pred_part.groups[a].pred)
-        est_part.merge_pass(pred_part.groups[gid].bins)
-        return frozenset(bins), est_part, pred_part
+        est_part.merge_pass(pred_part.groups[gid].parts)
+        gid = pred_part.merge(gid, c, pred_part.groups[c].pred)
+        est_part.merge_pass(pred_part.groups[gid].parts)
+        universe = frozenset(bins)
+        est_part.check_invariants(universe)
+        check_refinement(pred_part, est_part)
+        return universe, est_part, pred_part
 
-    def test_owner_pointing_at_another_group(self):
-        universe, est_part, _ = self.merged()
-        est_part.owner[min(universe)] = est_part.owner[max(universe)]
-        with pytest.raises(InvariantError):
-            est_part.check_invariants(universe)
+    @staticmethod
+    def two_part_group(pred_part):
+        return next(g for g in pred_part.groups.values() if len(g.parts) == 2)
 
-    def test_owner_missing_a_bin(self):
-        universe, est_part, pred_part = self.merged()
-        del est_part.owner[min(universe)]
-        with pytest.raises(InvariantError):
-            est_part.check_invariants(universe)
-        with pytest.raises(InvariantError):
+    @staticmethod
+    def singletons(pred_part):
+        return [g for g in pred_part.groups.values() if len(g.bins) == 1]
+
+    def test_dropped_part(self):
+        _, est_part, pred_part = self.merged()
+        self.two_part_group(pred_part).parts.pop()
+        with pytest.raises(InvariantError, match="each used once"):
             check_refinement(pred_part, est_part)
 
-    def test_owner_naming_a_dead_group(self):
-        universe, est_part, pred_part = self.merged()
-        est_part.owner[min(universe)] = 10**6
-        with pytest.raises(InvariantError):
-            est_part.check_invariants(universe)
-        with pytest.raises(InvariantError):
+    def test_part_moved_to_another_group(self):
+        _, est_part, pred_part = self.merged()
+        g, other = self.two_part_group(pred_part), self.singletons(pred_part)[0]
+        other.parts = sorted(other.parts + [g.parts.pop()])
+        with pytest.raises(InvariantError, match="do not tile its bins"):
             check_refinement(pred_part, est_part)
+
+    def test_dead_gid(self):
+        _, est_part, pred_part = self.merged()
+        self.two_part_group(pred_part).parts[0] = 10**6
+        with pytest.raises(InvariantError, match="each used once"):
+            check_refinement(pred_part, est_part)
+
+    @pytest.mark.parametrize("where", ["same group", "another group"])
+    def test_duplicated_gid(self, where):
+        _, est_part, pred_part = self.merged()
+        g = self.two_part_group(pred_part)
+        into = g if where == "same group" else self.singletons(pred_part)[0]
+        into.parts = sorted(into.parts + [g.parts[0]])
+        with pytest.raises(InvariantError, match="each used once"):
+            check_refinement(pred_part, est_part)
+
+    def test_part_outside_its_group(self):
+        # each gid still used once; only the tiling check sees the swap
+        _, est_part, pred_part = self.merged()
+        a, b = self.singletons(pred_part)[:2]
+        a.parts, b.parts = b.parts, a.parts
+        with pytest.raises(InvariantError, match="do not tile its bins"):
+            check_refinement(pred_part, est_part)
+
+    @pytest.mark.parametrize("method", ["aggregate", "merge_pass"])
+    def test_dead_gid_passed_to(self, method):
+        _, est_part, pred_part = self.merged()
+        parts = self.two_part_group(pred_part).parts + [10**6]
+        groups = dict(est_part.groups)
+        with pytest.raises(InvariantError, match="estimation group 1000000 is not current"):
+            getattr(est_part, method)(parts)
+        assert est_part.groups == groups
 
     def test_overlapping_current_groups(self):
         universe, est_part, _ = self.merged()
-        g = est_part.groups[est_part.owner[min(universe)]]
+        g = next(iter(est_part.groups.values()))
         est_part.groups[10**6] = EstimationGroup(10**6, g.bins, g.prob, g.label_mass)
         with pytest.raises(InvariantError):
+            est_part.check_invariants(universe)
+
+    def test_overlap_with_the_right_total(self):
+        # two singletons on one bin: sizes still sum to len(universe), the union falls short
+        universe, est_part, _ = self.merged()
+        a, b = [g for g in est_part.groups.values() if g.size == 1][:2]
+        a.bins = b.bins
+        with pytest.raises(InvariantError, match="do not partition"):
+            est_part.check_invariants(universe)
+
+    def test_group_outside_the_universe(self):
+        universe, est_part, _ = self.merged()
+        g = next(g for g in est_part.groups.values() if g.size == 1)
+        g.bins = frozenset([(99, 99, 99)])
+        with pytest.raises(InvariantError, match="do not partition"):
+            est_part.check_invariants(universe)
+
+    def test_missing_group(self):
+        universe, est_part, _ = self.merged()
+        del est_part.groups[next(iter(est_part.groups))]
+        with pytest.raises(InvariantError, match="do not partition"):
             est_part.check_invariants(universe)
 
     @pytest.mark.parametrize("size_class", [0, 1])
@@ -316,10 +400,10 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
     picks = data.draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8))
     classes = len(bins).bit_length()
 
-    eager = make_pools(world, seed, len(bins), m, create=eager_pool_create)
+    eager = make_pools(world, binning, seed, len(bins), m, create=eager_pool_create)
     watch_o = PerKindMonitor(world, binning)
     est_o, pred_o = init_structures_one_at_a_time(
-        bins, eager, binning, classes, on_estimate=watch_o.observe_pool_answer
+        bins, eager, lam, classes, on_estimate=watch_o.observe_pool_answer
     )
     opened = {}
 
@@ -328,10 +412,10 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
         return opened[name]
 
     with patch.object(lpcal.estimation, "stream_rng", recording_stream_rng):
-        lazy = make_pools(world, seed, len(bins), m)
+        lazy = make_pools(world, binning, seed, len(bins), m)
         watch = EventMonitor(world, binning)
         est, pred = init_structures(
-            bins, lazy, binning, classes, on_estimate=watch.observe_pool_answer
+            bins, lazy, lam, classes, on_estimate=watch.observe_pool_answer
         )
         for i, j in picks:
             targets = []
@@ -339,7 +423,7 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
                 gids = sorted(part.groups)
                 a, b = gids[i % len(gids)], gids[j % len(gids)]
                 gid = a if a == b else part.merge(a, b, part.groups[a].pred)
-                targets.append(part.groups[gid].bins)
+                targets.append(part.groups[gid].parts)
             assert est.merge_pass(targets[0]) == est_o.merge_pass(targets[1])
 
     assert list(est.groups) == list(est_o.groups)
@@ -348,7 +432,7 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
         assert g.bins == g_o.bins and g.prob == g_o.prob
         assert g.label_mass.tobytes() == g_o.label_mass.tobytes()
     for gid, g in pred.groups.items():
-        assert g.bins == pred_o.groups[gid].bins
+        assert g.bins == pred_o.groups[gid].bins and g.parts == pred_o.groups[gid].parts
         assert g.err.tobytes() == pred_o.groups[gid].err.tobytes()
     assert (watch.pool_prob_max_dev, watch.pool_label_max_dev) == (
         watch_o.pool_prob_max_dev,
