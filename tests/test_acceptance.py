@@ -297,3 +297,19 @@ def test_merge_heavy_run_pinned(tmp_path):
     assert sum(int(row["est_merges"]) for row in rows) == 38
     for fname, digest in MERGE_HEAVY_SHA256.items():
         assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+# A wide run: 5,000 features, 297 realized levels, 67 selected bins and no
+# iterations, so its report is nearly all exact evaluation of f and h.
+WIDE_ARGS = ["--scenario", "overconfident", "--k", "5", "--n-features", "5000",
+             "--p", "2", "--eps", "0.3", "--seed", "0"]
+WIDE_SHA256 = {
+    "report.json": "1e7ef3b165eacb246af423786645c09d25bfbb64d1adb3a0a30ade71807dbec5",
+    "trace.csv": "e5a40454b75738919b7485705b1a99809b955d8145dd22049cc447432484ca8e",
+}
+
+
+def test_wide_run_pinned(tmp_path):
+    assert main(["run", *WIDE_ARGS, "--out-dir", str(tmp_path)]) == 0
+    for fname, digest in WIDE_SHA256.items():
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
