@@ -38,7 +38,7 @@ from .partitions import (
     init_structures,
 )
 # round_down and draw go unused here; perfbench/tracer.py patches both names.
-from .simplex import Level, canonical, level_count, project_simplex, round_down
+from .simplex import Level, canonical_rows, level_count, project_simplex, round_down
 from .streams import stream_rng
 from .world import (
     MAX_LAM,
@@ -156,24 +156,46 @@ class CalibratedPredictor:
     """Final predictor: route selected bins to their group's prediction.
 
     Any bin outside the selected set falls back to the bin's canonical
-    distribution.
+    distribution.  h is constant on each bin of the base predictor, so its
+    ``(n_levels, k)`` table over ``binning.levels`` is built once.
     """
 
     routing: dict[Level, np.ndarray]
     binning: Binning  # of the base predictor
+    per_level: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _predict(self, v: Level) -> np.ndarray:
-        pred = self.routing.get(v)
-        if pred is None:
-            return canonical(v, self.binning.lam)
-        return np.array(pred, copy=True)
+    def __post_init__(self) -> None:
+        levels = self.binning.levels
+        rows = {v: self.routing[v] for v in levels if v in self.routing}
+        fallback = [v for v in levels if v not in rows]
+        if fallback:
+            rows.update(zip(fallback, canonical_rows(fallback, self.binning.lam)))
+        per_level = np.array([rows[v] for v in levels], dtype=float)
+        per_level.flags.writeable = False
+        object.__setattr__(self, "per_level", per_level)
 
     def apply(self, x: int) -> np.ndarray:
-        return self._predict(self.binning.levels[self.binning.ids[x]])
+        return self.per_level[self.binning.ids[x]].copy()
 
     def to_table(self) -> np.ndarray:
         """Predictions for every feature, for exact evaluation."""
-        return np.stack([self._predict(v) for v in self.binning.levels])[self.binning.ids]
+        return self.per_level[self.binning.ids]
+
+    def own_binning(self) -> Binning:
+        """h's rounded bins, equal to ``bin_table(self.to_table(), lam)``, from ``per_level``.
+
+        Row x of ``to_table()`` is ``per_level[i]`` with ``i = binning.ids[x]``,
+        and rounding acts row by row, so row x rounds to level ``small.ids[i]``
+        of ``small = bin_table(per_level, lam)``: the ids agree.  The base
+        binning holds only realized levels, so every ``i`` occurs, and its
+        levels are numbered by first row: the first row of level ``i`` comes
+        before the first row of level ``i' > i``.  So the first row of an h
+        level is the first row of its lowest ``i``, and h's levels appear in
+        ``to_table()``'s rows in the order their lowest ``i`` has in
+        ``per_level``: the order of ``small.levels``.
+        """
+        small = bin_table(self.per_level, self.binning.lam)
+        return Binning(self.binning.lam, small.levels, small.ids[self.binning.ids])
 
 
 @dataclass

@@ -44,6 +44,7 @@ from .world import (
     SCENARIOS,
     Predictor,
     World,
+    bin_table,
     make_scenario,
     world_from_dict,
     world_to_dict,
@@ -71,6 +72,14 @@ def _integer(name: str, raw, least: int = 1) -> int:
     if not (ok and math.isfinite(raw) and raw >= least and raw == int(raw)):
         raise ValueError(f"{name} must be an integer of at least {least}, got {raw!r}")
     return int(raw)
+
+
+def _number(name: str, raw) -> float:
+    """A finite int or float; never a bool, a string or null.  ``derive_params`` checks the range."""
+    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if not (ok and math.isfinite(raw)):
+        raise ValueError(f"{name} must be a finite number, got {raw!r}")
+    return float(raw)
 
 
 @dataclass
@@ -120,8 +129,8 @@ class RunConfig:
             k=_integer("k", scenario.get("k", 3)),
             n_features=_integer("n_features", scenario.get("n_features", 20)),
             p=parse_p(doc.get("p", "inf")),
-            eps=float(doc["eps"]),
-            delta=float(doc.get("delta", 0.1)),
+            eps=_number("eps", doc["eps"]),
+            delta=_number("delta", doc.get("delta", 0.1)),
             seed=_integer("seed", doc.get("seed", 0), least=0),
             sample_mode=sample_mode,
             manual_sizes={key: _integer(f"manual size {key}", n) for key, n in manual.items()},
@@ -186,10 +195,11 @@ def build_report(
     p = params.p
     p_eval = math.inf if p == math.inf else float(p)
     p_list = tuple(sorted({1.0, 2.0, math.inf, p_eval}))
-    rep_f = exact_report(world, predictor, lam, p_list)
-    rep_h = exact_report(world, calibrated.to_table(), lam, p_list)
+    # the run's binning of f, and h's own bins composed with it: no row is rounded again
+    rep_f = exact_report(world, predictor, calibrated.binning, p_list)
+    rep_h = exact_report(world, calibrated.to_table(), calibrated.own_binning(), p_list)
 
-    max_bin_err_h = rep_h.max_bin_class_error()
+    max_bin_err_h = rep_h.max_bin_class_error
     err_p_f = rep_f.aggregates[p_eval]
     err_p_h = rep_h.aggregates[p_eval]
     sq_budget = (4.0 / lam) * (1.0 + math.log2(36.0 / beta))
@@ -370,7 +380,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config_doc(args)
     out_dir = _resolve_out_dir(args, base)
     eps_grid = (
-        [float(e) for e in args.eps_grid.split(",")] if args.eps_grid else [float(base["eps"])]
+        [float(e) for e in args.eps_grid.split(",")]
+        if args.eps_grid
+        else [_number("eps", base["eps"])]
     )
     p_grid = (
         [parse_p(s) for s in args.p_grid.split(",")]
@@ -439,7 +451,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
     world, predictor = world_from_dict(doc)
     p_list = tuple(math.inf if s.strip() == "inf" else float(Fraction(s)) for s in args.p.split(","))
-    rep = exact_report(world, predictor, args.lam, p_list)
+    rep = exact_report(world, predictor, bin_table(predictor.table, args.lam), p_list)
     out = {
         "lambda": args.lam,
         "aggregates": {("inf" if math.isinf(q) else f"{q:g}"): rep.aggregates[q] for q in p_list},

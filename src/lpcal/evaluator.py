@@ -7,10 +7,14 @@ evaluator computes them exactly: the per-(bin, class) calibration error
                                    * 1[ round(h(x)) = v ] |,
 
 its p-norm over all (bin, class) pairs, and the expected squared error
-``E ||h(x) - y||^2`` with the label expectation taken in closed form.  Note
-the conditioning: evaluating a predictor always bins by that predictor's own
-rounded outputs, never by the bins of whatever predictor it was derived
-from.
+``E ||h(x) - y||^2`` with the label expectation taken in closed form.  The
+exact functions take the predictor's :class:`~lpcal.world.Binning`, rounded
+once per run.  Note the conditioning: evaluating a predictor always bins by
+that predictor's own rounded outputs, never by the bins of whatever
+predictor it was derived from.  A calibrated predictor h is still binned by
+its own rounded outputs; as h is constant on each bin of the base predictor
+f, those are computed once per f bin and composed with f's bins
+(:meth:`~lpcal.calibrator.CalibratedPredictor.own_binning`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import Level, round_down  # round_down unused; perfbench/tracer.py patches it
-from .world import Predictor, SampleBatch, World, bin_table
+from .world import Binning, Predictor, SampleBatch, World, bin_table
 
 PList = tuple[float, ...]
 
@@ -32,36 +36,40 @@ def _as_table(pred: Predictor | np.ndarray) -> np.ndarray:
     return np.asarray(pred, dtype=float)
 
 
-def exact_error_table(
-    world: World, pred: Predictor | np.ndarray, lam: int
-) -> dict[Level, np.ndarray]:
-    """Per-bin, per-class exact calibration error of ``pred``.
-
-    Only bins realized by some feature appear; all other bins contribute
-    exactly zero.
-    """
-    table = _as_table(pred)
-    binning = bin_table(table, lam)
+def _abs_errors(world: World, table: np.ndarray, binning: Binning) -> np.ndarray:
+    """``(n_levels, k)`` exact errors, row i for ``binning.levels[i]``; sums in row order."""
+    if binning.ids.shape != (table.shape[0],):
+        raise ValueError(f"binning has {binning.ids.size} rows, the predictor {table.shape[0]}")
     signed = np.zeros((len(binning.levels), table.shape[1]))
     np.add.at(signed, binning.ids, world.mass[:, None] * (table - world.conditional))
-    return dict(zip(binning.levels, np.abs(signed)))
+    return np.abs(signed)
 
 
-def lp_aggregate(errors: dict[Level, np.ndarray], p: float) -> float:
-    """p-norm over all (bin, class) error entries; p = inf takes the max."""
-    if not errors:
+def exact_error_table(
+    world: World, pred: Predictor | np.ndarray, binning: Binning
+) -> dict[Level, np.ndarray]:
+    """Per-bin, per-class exact calibration error of ``pred``, binned by ``binning``.
+
+    ``binning`` must be ``pred``'s own rounding.  Only bins realized by some
+    feature appear; all other bins contribute exactly zero.
+    """
+    return dict(zip(binning.levels, _abs_errors(world, _as_table(pred), binning)))
+
+
+def _lp_norm(errors: np.ndarray, p: float) -> float:
+    """p-norm over all (bin, class) error entries; p = inf takes the max, no entries give 0."""
+    if not errors.size:
         return 0.0
-    flat = np.concatenate([e.ravel() for e in errors.values()])
     if math.isinf(p):
-        return float(np.max(flat))
+        return float(np.max(errors))
     if p < 1:
         raise ValueError("p must be at least 1")
-    return float(np.sum(flat**p) ** (1.0 / p))
+    return float(np.sum(errors**p) ** (1.0 / p))
 
 
-def exact_lp_error(world: World, pred: Predictor | np.ndarray, lam: int, p: float) -> float:
-    """Exact lp calibration error of ``pred`` at granularity ``lam``."""
-    return lp_aggregate(exact_error_table(world, pred, lam), p)
+def exact_lp_error(world: World, pred: Predictor | np.ndarray, binning: Binning, p: float) -> float:
+    """Exact lp calibration error of ``pred``, binned by its own ``binning``."""
+    return _lp_norm(_abs_errors(world, _as_table(pred), binning).ravel(), p)
 
 
 def exact_sq_error(world: World, pred: Predictor | np.ndarray) -> float:
@@ -85,20 +93,31 @@ class ErrorReport:
     per_bin: dict[Level, np.ndarray]
     aggregates: dict[float, float]  # p -> Err_p
     sq_error: float
+    max_bin_class_error: float
 
-    def max_bin_class_error(self) -> float:
-        return lp_aggregate(self.per_bin, math.inf)
+
+def _report(
+    per_bin: dict[Level, np.ndarray], errors: np.ndarray, p_list: PList, sq: float
+) -> ErrorReport:
+    # ``errors`` holds the entries of ``per_bin`` in its order, so every norm sums them alike
+    return ErrorReport(
+        per_bin=per_bin,
+        aggregates={p: _lp_norm(errors, p) for p in p_list},
+        sq_error=sq,
+        max_bin_class_error=_lp_norm(errors, math.inf),
+    )
 
 
 def exact_report(
-    world: World, pred: Predictor | np.ndarray, lam: int, p_list: PList = (1.0, 2.0, math.inf)
+    world: World,
+    pred: Predictor | np.ndarray,
+    binning: Binning,
+    p_list: PList = (1.0, 2.0, math.inf),
 ) -> ErrorReport:
-    errors = exact_error_table(world, pred, lam)
-    return ErrorReport(
-        per_bin=errors,
-        aggregates={p: lp_aggregate(errors, p) for p in p_list},
-        sq_error=exact_sq_error(world, pred),
-    )
+    """Exact report of ``pred``, binned by its own ``binning``."""
+    errors = _abs_errors(world, _as_table(pred), binning)
+    per_bin = dict(zip(binning.levels, errors))
+    return _report(per_bin, errors.ravel(), p_list, exact_sq_error(world, pred))
 
 
 def empirical_report(
@@ -136,8 +155,4 @@ def empirical_report(
             signed[v] = gap
         sq += w * float(np.sum((table[x] - onehot[y]) ** 2))
     errors = {v: np.abs(g) for v, g in signed.items()}
-    return ErrorReport(
-        per_bin=errors,
-        aggregates={p: lp_aggregate(errors, p) for p in p_list},
-        sq_error=sq,
-    )
+    return _report(errors, np.concatenate(list(errors.values())), p_list, sq)

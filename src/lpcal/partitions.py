@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import InvariantError
-from .simplex import Level, canonical, round_down
+from .simplex import Level, canonical_rows, round_down
 from .estimation import DisjointQueryPool
 
 # (event bins, probability answer, (k,) label-mass answer) -> None, once per event.
@@ -209,7 +209,7 @@ class PredictionPartition:
         """A new group over ``bins``, the union of the estimation groups ``parts``."""
         gid = self._next_gid
         self._next_gid += 1
-        pred = np.asarray(pred, float)
+        pred = np.array(pred, dtype=float)  # each group owns its prediction
         self.groups[gid] = PredictionGroup(gid, bins, pred, round_down(pred, self.lam), err, parts)
         return gid
 
@@ -299,8 +299,7 @@ def init_structures(
         raise ValueError("bin set must be nonempty")
     est = EstimationPartition(pools, max_subsets, on_estimate)
     pred_part = PredictionPartition(lam)
-    for v, grp in zip(bins, est.add_singletons(bins)):
-        pred = canonical(v, lam)
+    for v, pred, grp in zip(bins, canonical_rows(bins, lam), est.add_singletons(bins)):
         err = estimated_error(grp.prob, pred, grp.label_mass)
         pred_part.add(frozenset([v]), pred, err, [grp.gid])
     return est, pred_part

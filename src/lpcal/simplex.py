@@ -105,11 +105,29 @@ def canonical(v: Level, lam: int) -> np.ndarray:
     moves by at least ``d/k``), and it rounds back to ``v`` because
     ``d/k < 1/lam`` for every member.
     """
-    if not is_member(v, lam):
+    return canonical_rows([v], lam)[0]
+
+
+def canonical_rows(levels: Sequence[Level], lam: int) -> np.ndarray:
+    """``(len(levels), k)`` canonical distributions of level sets of one length ``k``.
+
+    Row i is ``v / lam + ((lam - sum(v)) / lam) / k`` for ``v = levels[i]``,
+    with :func:`is_member`'s test first.  Every numerator, ``lam`` and
+    ``lam - sum(v)`` is an integer of at most 2**53, so each converts to
+    float exactly, and the divisions and the sum are the same correctly
+    rounded operations for one row as for many.  Raises
+    ``MembershipError`` naming the first level set that is not a member.
+    """
+    num = np.array(levels, dtype=np.int64)
+    if num.ndim != 2 or not len(num):
+        raise ValueError("levels must be a nonempty sequence of level sets of one length")
+    k = num.shape[1]
+    s = num.sum(axis=1)
+    member = ((num >= 0) & (num <= lam)).all(axis=1) & (s <= lam) & (s + k > lam)
+    if not member.all():
+        v = levels[int(np.argmin(member))]
         raise MembershipError(f"{v} is not a level set for lam={lam}")
-    k = len(v)
-    d = (lam - sum(v)) / lam
-    return np.asarray(v, dtype=float) / lam + d / k
+    return num / lam + ((lam - s) / lam / k)[:, None]
 
 
 def project_simplex(z: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -90,25 +90,36 @@ class Binning:
 
     levels: the distinct level sets, in order of their first row.
     ids:    (n_rows,) position in ``levels`` of each row's level set.
+
+    A per-level row index is built once: the rows sorted stably by id, so
+    level ``i``'s rows are ``_order[_starts[i]:_starts[i + 1]]``, ascending.
     """
 
     lam: int
     levels: tuple[Level, ...]
     ids: np.ndarray
     _position: dict[Level, int] = field(init=False, repr=False, compare=False)
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_position", {v: i for i, v in enumerate(self.levels)})
+        order = np.argsort(self.ids, kind="stable")
+        order.flags.writeable = False  # ``rows`` hands out views of it
+        object.__setattr__(self, "_order", order)
+        sizes = np.bincount(self.ids, minlength=len(self.levels))
+        object.__setattr__(self, "_starts", np.concatenate(([0], np.cumsum(sizes))))
 
     def positions(self, bins: Iterable[Level]) -> list[int]:
         """Positions in ``levels`` of the realized level sets among ``bins``, each once."""
         return [self._position[v] for v in set(bins) if v in self._position]
 
-    def rows_in(self, bins: Iterable[Level]) -> np.ndarray:
-        """Boolean mask of the rows whose level set lies in ``bins``."""
-        hit = np.zeros(len(self.levels), dtype=bool)
-        hit[self.positions(bins)] = True
-        return hit[self.ids]
+    def rows(self, bins: Iterable[Level]) -> np.ndarray:
+        """Indices of the rows whose level set lies in ``bins``, ascending."""
+        segments = [self._order[self._starts[i] : self._starts[i + 1]] for i in self.positions(bins)]
+        if len(segments) == 1:
+            return segments[0]  # one level's rows are already ascending
+        return np.sort(np.concatenate(segments)) if segments else np.zeros(0, dtype=np.int64)
 
 
 # Above 2**53 not every numerator up to lam is a float64: float rounding of the grid is inexact.
@@ -221,10 +232,9 @@ def exact_event_stats(
     bins = frozenset(bins)
     if not bins:
         raise ValueError("bins must be nonempty")
-    sel = binning.rows_in(bins)
-    mass = float(world.mass[sel].sum())
-    mean_label = world.mass[sel] @ world.conditional[sel]
-    return mass, np.asarray(mean_label, dtype=float)
+    rows = binning.rows(bins)  # ascending, so the sums see a row mask's elements in its order
+    mass = world.mass[rows]
+    return float(mass.sum()), np.asarray(mass @ world.conditional[rows], dtype=float)
 
 
 def make_scenario(

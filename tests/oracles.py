@@ -15,7 +15,7 @@ import numpy as np
 from typing import Iterable
 
 from lpcal.calibrator import EventMonitor
-from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
+from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
 from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
 from lpcal.evaluator import exact_error_table
 from lpcal.partitions import (
@@ -25,9 +25,9 @@ from lpcal.partitions import (
     PredictionPartition,
     estimated_error,
 )
-from lpcal.simplex import PROB_ATOL, Level, canonical, enumerate_levels, round_down
+from lpcal.simplex import PROB_ATOL, Level, enumerate_levels, is_member, round_down
 from lpcal.streams import stream_rng
-from lpcal.world import Binning, Predictor, World, exact_event_stats, joint_counts
+from lpcal.world import Binning, Predictor, World, bin_table, joint_counts
 
 
 def compositions(total: int, parts: int):
@@ -172,6 +172,45 @@ def rows_in_by_level_scan(binning: Binning, bins) -> np.ndarray:
     return hit[binning.ids]
 
 
+def rows_in(binning: Binning, bins) -> np.ndarray:
+    """Boolean mask of the rows whose level set lies in ``bins``, by position lookup."""
+    hit = np.zeros(len(binning.levels), dtype=bool)
+    hit[binning.positions(bins)] = True
+    return hit[binning.ids]
+
+
+def exact_event_stats_by_mask(world: World, binning: Binning, bins) -> tuple[float, np.ndarray]:
+    """Exact mass and per-class label mass of a bin-set event, through a row mask."""
+    bins = frozenset(bins)
+    if not bins:
+        raise ValueError("bins must be nonempty")
+    sel = rows_in(binning, bins)
+    mass = float(world.mass[sel].sum())
+    mean_label = world.mass[sel] @ world.conditional[sel]
+    return mass, np.asarray(mean_label, dtype=float)
+
+
+def canonical_one(v: Level, lam: int) -> np.ndarray:
+    """Canonical distribution of one level set: ``v/lam + d/k`` with ``d = 1 - sum(v)/lam``."""
+    if not is_member(v, lam):
+        raise MembershipError(f"{v} is not a level set for lam={lam}")
+    k = len(v)
+    d = (lam - sum(v)) / lam
+    return np.asarray(v, dtype=float) / lam + d / k
+
+
+def lp_aggregate(errors: dict[Level, np.ndarray], p: float) -> float:
+    """p-norm over the entries of a per-bin error dict, concatenated in its order."""
+    if not errors:
+        return 0.0
+    flat = np.concatenate([e.ravel() for e in errors.values()])
+    if math.isinf(p):
+        return float(np.max(flat))
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    return float(np.sum(flat**p) ** (1.0 / p))
+
+
 def project_by_grid(z: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Grid point of the simplex closest to z in l2."""
     d = np.sum((grid - np.asarray(z, float)) ** 2, axis=1)
@@ -273,7 +312,9 @@ def exact_bin_class_error(
     world: World, pred: Predictor | np.ndarray, lam: int, v: Level, j: int
 ) -> float:
     """Exact calibration error of one (bin, class) pair."""
-    return float(exact_error_table(world, pred, lam).get(v, np.zeros(world.k))[j])
+    table = pred.table if isinstance(pred, Predictor) else np.asarray(pred, float)
+    errors = exact_error_table(world, table, bin_table(table, lam))
+    return float(errors.get(v, np.zeros(world.k))[j])
 
 
 def dp_epsilon(pool) -> float:
@@ -314,7 +355,7 @@ class EagerQueryPool:
             raise QueryBudgetError(
                 f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
             )
-        cell = self.counts[self.binning.rows_in(event)]
+        cell = self.counts[rows_in(self.binning, event)]
         if self.value_dim == 1:
             raw = np.array([cell.sum() / self.m])
         else:
@@ -353,7 +394,7 @@ class PerKindMonitor(EventMonitor):
     """Event monitor fed one answer at a time, computing exact statistics for each."""
 
     def observe_pool_answer(self, kind: str, bins: frozenset[Level], answer: np.ndarray) -> None:
-        mass, mean_label = exact_event_stats(self.world, self.binning, bins)
+        mass, mean_label = exact_event_stats_by_mask(self.world, self.binning, bins)
         if kind == "prob":
             self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(float(answer[0]) - mass))
         else:
@@ -405,7 +446,7 @@ def init_structures_one_at_a_time(bins, pools, lam: int, max_subsets: int, on_es
     pred_part = PredictionPartition(lam)
     for v in bins:
         grp = est.groups[est.add_singleton(v)]
-        pred = canonical(v, lam)
+        pred = canonical_one(v, lam)
         err = estimated_error(grp.prob, pred, grp.label_mass)
         pred_part.add(frozenset([v]), pred, err, [grp.gid])
     return est, pred_part

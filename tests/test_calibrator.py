@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpcal.calibrator
 import lpcal.estimation
 from lpcal.calibrator import (
     CalibParams,
+    CalibratedPredictor,
     calibrate,
     derive_params,
     select_bins,
@@ -17,7 +20,7 @@ from lpcal.errors import EstimateFailureError
 from lpcal.estimation import BinMassTable
 from lpcal.evaluator import exact_lp_error, exact_sq_error
 from lpcal.simplex import canonical, enumerate_levels, round_down
-from lpcal.world import Predictor, World, make_scenario
+from lpcal.world import Predictor, World, bin_table, make_scenario
 
 
 class TestDeriveParams:
@@ -106,7 +109,7 @@ class TestCalibrate:
         h, trace = calibrate(world, predictor, params, seed=3)
         assert trace.iterations >= 1
         assert np.max(np.abs(h.apply(0) - np.array([0.6, 0.4]))) <= 0.2
-        assert exact_lp_error(world, h.to_table(), params.lam, math.inf) <= params.beta
+        assert exact_lp_error(world, h.to_table(), h.own_binning(), math.inf) <= params.beta
 
     def test_perfect_scenario_rarely_iterates(self):
         params = derive_params(math.inf, 0.25, 0.1)
@@ -194,6 +197,45 @@ class TestCalibrate:
         _, trace = calibrate(world, predictor, params, seed=2)
         assert trace.iterations >= 1
         assert trace.final_max_err <= params.error_threshold
+
+
+@st.composite
+def calibrated_predictors(draw):
+    """A base binning whose routed bins share a few predictions, so h merges f's bins."""
+    k = draw(st.integers(1, 4))
+    lam = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binning = bin_table(rng.dirichlet(np.ones(k), size=draw(st.integers(1, 80))), lam)
+    targets = rng.dirichlet(np.ones(k), size=draw(st.integers(1, 3)))
+    routed = draw(st.sets(st.sampled_from(binning.levels)))
+    return CalibratedPredictor({v: targets[rng.integers(len(targets))] for v in routed}, binning)
+
+
+class TestOwnBinning:
+    def test_bins_shared_by_several_f_bins(self):
+        # f's levels (1,0), (0,1), (1,1); h sends the last two to one level
+        table = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.95, 0.05]])
+        f_binning = bin_table(table, 2)
+        routing = {(1, 0): np.array([0.2, 0.8]), (0, 1): np.array([0.6, 0.4]),
+                   (1, 1): np.array([0.6, 0.4])}  # fmt: skip
+        h_binning = CalibratedPredictor(routing, f_binning).own_binning()
+        assert h_binning.levels == ((0, 1), (1, 0))
+        assert h_binning.ids.tolist() == [0, 1, 1, 0]
+
+    @given(calibrated_predictors())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_binning_the_table(self, h):
+        got, want = h.own_binning(), bin_table(h.to_table(), h.binning.lam)
+        assert got.lam == want.lam
+        assert got.levels == want.levels
+        assert np.array_equal(got.ids, want.ids)
+
+    def test_table_rows_are_routed_or_canonical(self):
+        table = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+        h = CalibratedPredictor({(0, 1): np.array([0.3, 0.7])}, bin_table(table, 2))
+        assert h.to_table().tolist() == [[0.75, 0.25], [0.3, 0.7], [0.5, 0.5]]
+        h.to_table()[0, 0] = 9.0  # a fresh array each call
+        assert h.apply(0).tolist() == [0.75, 0.25]
 
 
 class TestGuards:

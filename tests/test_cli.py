@@ -10,7 +10,7 @@ from lpcal.cli import RunConfig, main, parse_p, run_config
 from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
 from lpcal.evaluator import exact_report
 from lpcal.simplex import level_count
-from lpcal.world import world_from_dict
+from lpcal.world import bin_table, world_from_dict
 
 
 def write_config(path, **overrides):
@@ -249,6 +249,14 @@ BAD_CONFIGS = [
     ({"seed": False}, "seed must be an integer of at least 0, got False"),
     ({"seed": -1}, "seed must be an integer of at least 0, got -1"),
     ({"seed": math.nan}, "seed must be an integer of at least 0, got nan"),
+    # eps and delta are numbers, never a string, a bool or null
+    ({"eps": "0.25"}, "eps must be a finite number, got '0.25'"),
+    ({"eps": None}, "eps must be a finite number, got None"),
+    ({"eps": True}, "eps must be a finite number, got True"),
+    ({"eps": math.inf}, "eps must be a finite number, got inf"),
+    ({"delta": None}, "delta must be a finite number, got None"),
+    ({"delta": "0.1"}, "delta must be a finite number, got '0.1'"),
+    ({"delta": False}, "delta must be a finite number, got False"),
 ]
 
 
@@ -467,7 +475,7 @@ class TestOtherCommands:
         assert main(["eval", "--world", str(out), "--lambda", "4", "--p", "inf,2,1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         world, predictor = world_from_dict(json.loads(out.read_text()))
-        rep = exact_report(world, predictor, 4)
+        rep = exact_report(world, predictor, bin_table(predictor.table, 4))
         assert doc["aggregates"]["inf"] == pytest.approx(rep.aggregates[math.inf])
         assert doc["aggregates"]["2"] == pytest.approx(rep.aggregates[2.0])
         assert doc["sq_error"] == pytest.approx(rep.sq_error)
@@ -485,7 +493,7 @@ class TestOtherCommands:
                      "--lambda", "4", "--p", "inf"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["aggregates"]["inf"] == pytest.approx(
-            exact_report(world, alt, 4).aggregates[math.inf]
+            exact_report(world, alt, bin_table(alt, 4)).aggregates[math.inf]
         )
 
     @pytest.mark.parametrize(

@@ -76,6 +76,11 @@ class TestInit:
             (v,) = g.bins
             assert np.allclose(g.pred, canonical(v, 4))
 
+    def test_each_group_owns_its_prediction(self):
+        _, _, _, _, pred_part = build(lam=4)
+        # no view of a shared array, which one group's in-place write would change for others
+        assert all(g.pred.flags.owndata for g in pred_part.groups.values())
+
     def test_levels_distinct_at_init(self):
         _, _, bins, est_part, pred_part = build()
         pred_part.check_invariants(frozenset(bins))

@@ -9,6 +9,7 @@ from lpcal.errors import EnumerationCapError, MembershipError
 from lpcal.simplex import (
     PROB_ATOL,
     canonical,
+    canonical_rows,
     check_prob_rows,
     enumerate_levels,
     is_member,
@@ -19,6 +20,7 @@ from lpcal.simplex import (
 
 from oracles import (
     canonical_by_grid,
+    canonical_one,
     first_bad_row,
     levels_by_greedy_certificate,
     level_coords,
@@ -165,6 +167,54 @@ class TestCanonical:
                 if round_down(u, lam) == v:
                     theirs = float(np.max(np.abs(u - level_coords(v, lam))))
                     assert ours <= theirs + 1e-12
+
+
+@st.composite
+def level_lists(draw):
+    """Level sets of one length: mostly members, some arbitrary tuples near the grid's range."""
+    k = draw(st.integers(1, 8))
+    lam = draw(st.one_of(st.integers(1, 30), st.integers(1, 2**53)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def member():
+        s = lam - int(rng.integers(0, min(lam, k - 1) + 1))
+        cuts = np.sort(rng.integers(0, s + 1, size=k - 1))
+        return tuple(int(n) for n in np.diff(cuts, prepend=0, append=s))
+
+    arbitrary = st.lists(st.integers(-2, lam + 2), min_size=k, max_size=k).map(tuple)
+    n = draw(st.integers(1, 20))
+    return [member() if draw(st.integers(0, 3)) else draw(arbitrary) for _ in range(n)], lam
+
+
+class TestCanonicalRows:
+    @given(level_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_scalar_formula(self, case):
+        levels, lam = case
+        want = []
+        for v in levels:
+            try:
+                want.append(canonical_one(v, lam))
+            except MembershipError as exc:
+                want.append(exc)
+        refused = [w for w in want if isinstance(w, MembershipError)]
+        if refused:
+            with pytest.raises(MembershipError) as info:
+                canonical_rows(levels, lam)
+            assert str(info.value) == str(refused[0])  # names the first bad level
+        else:
+            assert canonical_rows(levels, lam).tobytes() == np.stack(want).tobytes()
+        for v, w in zip(levels, want):
+            if isinstance(w, MembershipError):
+                with pytest.raises(MembershipError):
+                    canonical(v, lam)
+            else:
+                assert canonical(v, lam).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("levels", [[], [(1, 1), (2,)]])
+    def test_empty_or_ragged_refused(self, levels):
+        with pytest.raises(ValueError):
+            canonical_rows(levels, 2)
 
 
 class TestProjection:

@@ -33,7 +33,9 @@ from oracles import (
     bin_table_by_round_down,
     exact_bin_class_error,
     feature_counts_by_choice,
+    exact_event_stats_by_mask,
     feature_counts_by_sorting,
+    rows_in,
     rows_in_by_level_scan,
 )
 
@@ -121,11 +123,12 @@ class TestBinning:
         assert binning.levels == ((1, 0), (0, 1), (1, 1))
         assert binning.ids.tolist() == [0, 1, 0, 2]
 
-    def test_rows_in(self):
+    def test_rows(self):
         table = np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]])
         binning = bin_table(table, 2)
-        assert binning.rows_in([(1, 0)]).tolist() == [True, False, True]
-        assert binning.rows_in([(0, 2)]).tolist() == [False, False, False]
+        assert binning.rows([(1, 0)]).tolist() == [0, 2]
+        assert binning.rows([(1, 0), (0, 1)]).tolist() == [0, 1, 2]
+        assert binning.rows([(0, 2)]).tolist() == []
 
 
 @st.composite
@@ -167,6 +170,18 @@ def binnings_and_bins(draw):
 
 
 class TestVectorisedBinning:
+    # overconfident, k=5, 5,000 features, p=2, eps=0.3, seed 0: 297 levels, 67 bins
+    WIDE = RunConfig.from_dict(
+        {
+            "scenario": {"name": "overconfident", "k": 5, "n_features": 5000},
+            "p": "2",
+            "eps": 0.3,
+            "delta": 0.1,
+            "seed": 0,
+            "sample_mode": "auto",
+        }
+    )
+
     @given(tables_to_bin())
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_round_down(self, case):
@@ -188,16 +203,37 @@ class TestVectorisedBinning:
 
     @given(binnings_and_bins(), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_rows_in_matches_level_scan(self, case, as_generator):
+    def test_rows_match_level_scan(self, case, as_generator):
         binning, bins = case
         want = rows_in_by_level_scan(binning, bins)
-        got = binning.rows_in(v for v in bins) if as_generator else binning.rows_in(bins)
-        assert got.dtype == bool
-        assert np.array_equal(got, want)
+        assert np.array_equal(rows_in(binning, bins), want)  # the row-mask oracle
+        got = binning.rows(v for v in bins) if as_generator else binning.rows(bins)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, np.flatnonzero(want))
 
-    def test_rows_in_empty(self):
+    def test_rows_empty(self):
         binning = bin_table(np.array([[0.9, 0.1], [0.2, 0.8]]), 2)
-        assert binning.rows_in([]).tolist() == [False, False]
+        assert binning.rows([]).tolist() == []
+        assert bin_table(np.zeros((0, 2)), 2).rows([(1, 0)]).tolist() == []
+
+    def test_rows_index_is_read_only(self):
+        binning = bin_table(np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]]), 2)
+        with pytest.raises(ValueError):
+            binning.rows([(1, 0)])[0] = 1
+
+    def test_run_passes_each_table_to_bin_table_once(self, monkeypatch):
+        # f's 5,000 rows once, then h's table of one row per f level (297)
+        rows = []
+        for module in (lpcal.calibrator, lpcal.evaluator):
+            real = module.bin_table
+
+            def counted(table, lam, real=real):
+                rows.append(len(table))
+                return real(table, lam)
+
+            monkeypatch.setattr(module, "bin_table", counted)
+        run_config(self.WIDE)
+        assert rows == [5000, 297]
 
     def test_run_rounds_no_row_by_row(self, monkeypatch):
         # wide, shallow run: 67 bins, so only the partitions' per-group roundings remain
@@ -209,17 +245,7 @@ class TestVectorisedBinning:
 
         for module in (lpcal.world, lpcal.partitions, lpcal.calibrator, lpcal.evaluator):
             monkeypatch.setattr(module, "round_down", counted)
-        cfg = RunConfig.from_dict(
-            {
-                "scenario": {"name": "overconfident", "k": 5, "n_features": 5000},
-                "p": "2",
-                "eps": 0.3,
-                "delta": 0.1,
-                "seed": 0,
-                "sample_mode": "auto",
-            }
-        )
-        run_config(cfg)
+        run_config(self.WIDE)
         assert 0 < calls[0] < 500
 
 
@@ -379,7 +405,7 @@ class TestScenarios:
     def test_perfect_has_zero_error(self):
         w, f = make_scenario("perfect", 3, 15, seed=2)
         for p in (1.0, 2.0, math.inf):
-            assert exact_lp_error(w, f, 4, p) == pytest.approx(0.0, abs=1e-12)
+            assert exact_lp_error(w, f, bin_table(f.table, 4), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_overconfident_one_point_error(self):
         # conditional (0.6, 0.4) pushed to (0.9, 0.1): the whole unit of mass
@@ -414,7 +440,29 @@ class TestScenarios:
         assert np.array_equal(f1.table, f2.table)
 
 
+@st.composite
+def worlds_and_events(draw):
+    """A random world, its predictor's binning and a nonempty event, with unrealized levels."""
+    k = draw(st.integers(1, 4))
+    lam = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    world = World(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(k), size=n))
+    binning = bin_table(rng.dirichlet(np.ones(k), size=n), lam)
+    candidates = list(binning.levels) + enumerate_levels(lam, k) + [(lam + 1,) * k]
+    return world, binning, draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=12))
+
+
 class TestExactEventStats:
+    @given(worlds_and_events())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_the_mask_oracle(self, case):
+        world, binning, event = case
+        mass, mean = exact_event_stats(world, binning, event)
+        want_mass, want_mean = exact_event_stats_by_mask(world, binning, event)
+        assert mass == want_mass
+        assert mean.dtype == want_mean.dtype and np.array_equal(mean, want_mean)
+
     def test_total_probability(self):
         w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
         mass, mean = exact_event_stats(w, bin_table(f.table, 3), enumerate_levels(3, 3))
