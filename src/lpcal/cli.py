@@ -66,18 +66,22 @@ def p_label(p: PNorm) -> str:
     return "inf" if p == math.inf else str(p)
 
 
+def _finite(raw) -> bool:
+    """Whether ``raw`` is an int or float within float range; never a bool, NaN or inf."""
+    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    return ok and -sys.float_info.max <= raw <= sys.float_info.max
+
+
 def _integer(name: str, raw, least: int = 1) -> int:
     """An integer of at least ``least``, also written as a float (2e4); never a bool."""
-    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    if not (ok and math.isfinite(raw) and raw >= least and raw == int(raw)):
+    if not (_finite(raw) and raw >= least and raw == int(raw)):
         raise ValueError(f"{name} must be an integer of at least {least}, got {raw!r}")
     return int(raw)
 
 
 def _number(name: str, raw) -> float:
     """A finite int or float; never a bool, a string or null.  ``derive_params`` checks the range."""
-    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    if not (ok and math.isfinite(raw)):
+    if not _finite(raw):
         raise ValueError(f"{name} must be a finite number, got {raw!r}")
     return float(raw)
 

@@ -226,13 +226,13 @@ def exact_event_stats(
     """Exact mass and per-class label mass of a bin-set event.
 
     Returns ``P[R(f(x)) in bins]`` and the vector ``E[y_j * 1[R(f(x)) in
-    bins]]`` computed by full enumeration over features.  The label vector is
-    unnormalized (it sums to the event mass).
+    bins]]`` summed exactly over the event's features, in ascending feature
+    order.  The label vector is unnormalized (it sums to the event mass).
     """
     bins = frozenset(bins)
     if not bins:
         raise ValueError("bins must be nonempty")
-    rows = binning.rows(bins)  # ascending, so the sums see a row mask's elements in its order
+    rows = binning.rows(bins)  # ascending: the elements a row mask selects, in its order
     mass = world.mass[rows]
     return float(mass.sum()), np.asarray(mass @ world.conditional[rows], dtype=float)
 

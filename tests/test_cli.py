@@ -257,6 +257,9 @@ BAD_CONFIGS = [
     ({"delta": None}, "delta must be a finite number, got None"),
     ({"delta": "0.1"}, "delta must be a finite number, got '0.1'"),
     ({"delta": False}, "delta must be a finite number, got False"),
+    # an int past float range is refused, not an OverflowError traceback
+    ({"eps": 10**400}, "eps must be a finite number, got 1000"),
+    ({"scenario": {**PERFECT_12, "k": 10**400}}, "k must be an integer of at least 1, got 1000"),
 ]
 
 

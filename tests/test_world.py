@@ -32,8 +32,8 @@ from oracles import (
     FEATURE_CHUNK,
     bin_table_by_round_down,
     exact_bin_class_error,
-    feature_counts_by_choice,
     exact_event_stats_by_mask,
+    feature_counts_by_choice,
     feature_counts_by_sorting,
     rows_in,
     rows_in_by_level_scan,
