@@ -184,15 +184,19 @@ class CalibratedPredictor:
     def own_binning(self) -> Binning:
         """h's rounded bins, equal to ``bin_table(self.to_table(), lam)``, from ``per_level``.
 
-        Row x of ``to_table()`` is ``per_level[i]`` with ``i = binning.ids[x]``,
-        and rounding acts row by row, so row x rounds to level ``small.ids[i]``
-        of ``small = bin_table(per_level, lam)``: the ids agree.  The base
-        binning holds only realized levels, so every ``i`` occurs, and its
-        levels are numbered by first row: the first row of level ``i`` comes
-        before the first row of level ``i' > i``.  So the first row of an h
-        level is the first row of its lowest ``i``, and h's levels appear in
-        ``to_table()``'s rows in the order their lowest ``i`` has in
-        ``per_level``: the order of ``small.levels``.
+        Let ``small = bin_table(per_level, lam)`` and ``i(x) = binning.ids[x]``.
+        Rounding acts row by row and row x of ``to_table()`` is
+        ``per_level[i(x)]``, so it rounds to ``small.levels[small.ids[i(x)]]``:
+        both binnings give every row the same level set, and they could
+        differ only in how they number the level sets.  ``bin_table`` numbers
+        them by first row.  The base binning holds only realized levels,
+        numbered by first row, so every ``i`` occurs and the first row with
+        ``i(x) = i`` comes before the first with ``i(x) = i'`` when
+        ``i < i'``.  Hence a level set of h first appears in ``to_table()``
+        at the first row of the lowest ``i`` that rounds to it, and the
+        level sets come in the order of their lowest ``i``: the order in
+        which ``small`` numbers them.  So the levels, their order and the
+        ids ``small.ids[i(x)]`` are those of ``bin_table(to_table(), lam)``.
         """
         small = bin_table(self.per_level, self.binning.lam)
         return Binning(self.binning.lam, small.levels, small.ids[self.binning.ids])
