@@ -25,7 +25,6 @@ from .errors import (
     QueryBudgetError,
 )
 from .estimation import (
-    BinMassTable,
     DisjointQueryPool,
     estimate_bin_masses,
     pool_create,
@@ -33,16 +32,13 @@ from .estimation import (
 )
 from .evaluator import (
     ErrorReport,
-    empirical_report,
     exact_lp_error,
     exact_report,
     exact_sq_error,
 )
 from .simplex import (
     Level,
-    canonical,
     enumerate_levels,
-    is_member,
     level_count,
     project_simplex,
     round_down,
@@ -59,7 +55,6 @@ from .world import (
 )
 
 __all__ = [
-    "BinMassTable",
     "CalibParams",
     "CalibratedPredictor",
     "DisjointQueryPool",
@@ -77,10 +72,8 @@ __all__ = [
     "World",
     "bin_table",
     "calibrate",
-    "canonical",
     "derive_params",
     "draw",
-    "empirical_report",
     "enumerate_levels",
     "estimate_bin_masses",
     "exact_event_stats",
@@ -88,7 +81,6 @@ __all__ = [
     "exact_report",
     "exact_sq_error",
     "feature_counts",
-    "is_member",
     "level_count",
     "make_scenario",
     "pool_create",

@@ -25,12 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EstimateFailureError, InvariantError
-from .estimation import (
-    BinMassTable,
-    bin_mass_terms,
-    estimate_bin_masses,
-    pool_create,
-)
+from .estimation import bin_mass_terms, estimate_bin_masses, pool_create
 from .partitions import (
     MergeEvent,
     check_refinement,
@@ -146,9 +141,9 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
     )
 
 
-def select_bins(masses: BinMassTable, params: CalibParams) -> list[Level]:
-    """Bins whose estimated mass reaches beta/6, in lexicographic order."""
-    return sorted(v for v, mu in masses.masses.items() if mu >= params.bin_threshold)
+def select_bins(masses: np.ndarray, binning: Binning, params: CalibParams) -> list[Level]:
+    """Bins whose estimated mass (row i for ``binning.levels[i]``) reaches beta/6, sorted."""
+    return sorted(binning.levels[i] for i in np.flatnonzero(masses >= params.bin_threshold))
 
 
 @dataclass(frozen=True)
@@ -248,12 +243,11 @@ class EventMonitor:
     pool_prob_max_dev: float = 0.0
     pool_label_max_dev: float = 0.0
 
-    def observe_mass_table(self, table: BinMassTable) -> None:
-        exact = np.bincount(self.binning.ids, weights=self.world.mass)
-        exact_mass = dict(zip(self.binning.levels, exact.tolist()))
-        for v in set(table.masses) | set(exact_mass):
-            dev = abs(table.mass(v) - exact_mass.get(v, 0.0))
-            self.mass_table_max_dev = max(self.mass_table_max_dev, dev)
+    def observe_mass_table(self, masses: np.ndarray) -> None:
+        """Compare estimated bin masses, row i for ``binning.levels[i]``, with the exact ones."""
+        exact = np.bincount(self.binning.ids, weights=self.world.mass, minlength=len(masses))
+        dev = float(np.max(np.abs(masses - exact)))
+        self.mass_table_max_dev = max(self.mass_table_max_dev, dev)
 
     def observe_pool_answer(
         self, bins: frozenset[Level], prob: float, label_mass: np.ndarray
@@ -323,10 +317,10 @@ def calibrate(
     m1, m2 = bin_mass_terms(params.mass_accuracy, params.mass_delta, n_levels)
     m_mass = sizes.get("bin_mass", m1 + m2)
     mass_counts = feature_counts(world, stream_rng(seed, "data:bin-mass"), m_mass)
-    mass_table = estimate_bin_masses(mass_counts, binning)
-    monitor.observe_mass_table(mass_table)
+    masses = estimate_bin_masses(mass_counts, binning)
+    monitor.observe_mass_table(masses)
 
-    bins = select_bins(mass_table, params)
+    bins = select_bins(masses, binning, params)
     trace = RunTrace(bins=bins, t_max=params.t_max)
     trace.bin_mass_stats = {
         "m1": m1,

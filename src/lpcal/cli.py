@@ -86,6 +86,18 @@ def _number(name: str, raw) -> float:
     return float(raw)
 
 
+def _object(name: str, raw) -> dict:
+    """A JSON object; any other JSON value is refused with ``ValueError``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _scenario(raw) -> dict:
+    """The scenario object; a bare string is its name."""
+    return _object("scenario", {"name": raw} if isinstance(raw, str) else raw)
+
+
 @dataclass
 class RunConfig:
     """One experiment cell; everything that determines a run."""
@@ -104,14 +116,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Parse and check a config document; a bad one fails here, before any work."""
-        scenario = doc.get("scenario", {})
-        if isinstance(scenario, str):
-            scenario = {"name": scenario}
+        scenario = _scenario(doc.get("scenario", {}))
         known = ("gamma", "shift")
         kwargs = {key: scenario[key] for key in known if key in scenario}
+        for key, val in kwargs.items():
+            _number(key, val)
         sample_mode = doc.get("sample_mode", "auto")
         # sizes as echoed in a report, or inline in the dict form of sample_mode
-        manual = dict(doc.get("manual_sizes", {}))
+        manual = dict(_object("manual_sizes", doc.get("manual_sizes", {})))
         if isinstance(sample_mode, dict):
             manual.update((k, v) for k, v in sample_mode.items() if k != "mode")
             sample_mode = sample_mode.get("mode", "auto")
@@ -126,14 +138,15 @@ class RunConfig:
             raise ValueError("manual sample_mode requires manual_sizes")
         if sample_mode == "auto" and manual:
             raise ValueError(f"manual sizes {sorted(manual)} given in auto sample_mode")
-        if scenario["name"] not in SCENARIOS:
-            raise ValueError(f"unknown scenario {scenario['name']!r}; expected one of {SCENARIOS}")
+        name = scenario.get("name")
+        if name not in SCENARIOS:
+            raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
         return cls(
-            scenario=scenario["name"],
+            scenario=name,
             k=_integer("k", scenario.get("k", 3)),
             n_features=_integer("n_features", scenario.get("n_features", 20)),
             p=parse_p(doc.get("p", "inf")),
-            eps=_number("eps", doc["eps"]),
+            eps=_number("eps", doc.get("eps")),
             delta=_number("delta", doc.get("delta", 0.1)),
             seed=_integer("seed", doc.get("seed", 0), least=0),
             sample_mode=sample_mode,
@@ -200,7 +213,7 @@ def build_report(
     p_eval = math.inf if p == math.inf else float(p)
     p_list = tuple(sorted({1.0, 2.0, math.inf, p_eval}))
     # the run's binning of f, and h's own bins composed with it: no row is rounded again
-    rep_f = exact_report(world, predictor, calibrated.binning, p_list)
+    rep_f = exact_report(world, predictor.table, calibrated.binning, p_list)
     rep_h = exact_report(world, calibrated.to_table(), calibrated.own_binning(), p_list)
 
     max_bin_err_h = rep_h.max_bin_class_error
@@ -386,7 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     eps_grid = (
         [float(e) for e in args.eps_grid.split(",")]
         if args.eps_grid
-        else [_number("eps", base["eps"])]
+        else [_number("eps", base.get("eps"))]
     )
     p_grid = (
         [parse_p(s) for s in args.p_grid.split(",")]
@@ -448,14 +461,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.world).read_text(encoding="utf-8"))
+    doc = _object(f"world {args.world}", json.loads(Path(args.world).read_text(encoding="utf-8")))
     if args.pred:
         # validated exactly like the world's own predictor
         pred_doc = json.loads(Path(args.pred).read_text(encoding="utf-8"))
         doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
     world, predictor = world_from_dict(doc)
-    p_list = tuple(math.inf if s.strip() == "inf" else float(Fraction(s)) for s in args.p.split(","))
-    rep = exact_report(world, predictor, bin_table(predictor.table, args.lam), p_list)
+    p_list = tuple(float(parse_p(s)) for s in args.p.split(","))
+    rep = exact_report(world, predictor.table, bin_table(predictor.table, args.lam), p_list)
     out = {
         "lambda": args.lam,
         "aggregates": {("inf" if math.isinf(q) else f"{q:g}"): rep.aggregates[q] for q in p_list},
@@ -492,29 +505,26 @@ def _load_config_doc(args: argparse.Namespace) -> dict:
     doc: dict = {}
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        _object(f"config {args.config}", doc)
     for key in ("eps", "delta", "seed", "p"):
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
-    if getattr(args, "scenario", None):
-        scen = doc.get("scenario", {})
-        if isinstance(scen, str):
-            scen = {"name": scen}
-        scen["name"] = args.scenario
-        doc["scenario"] = scen
-    for key in ("k", "n_features"):
-        val = getattr(args, key, None)
-        if val is not None:
-            scen = doc.setdefault("scenario", {})
-            scen[key] = val
+    flags = {"name": getattr(args, "scenario", None)}
+    flags.update((key, getattr(args, key, None)) for key in ("k", "n_features"))
+    flags = {key: val for key, val in flags.items() if val is not None}
+    if flags:
+        doc["scenario"] = {**_scenario(doc.get("scenario", {})), **flags}
     return doc
 
 
 def _parse_seeds(raw: str) -> list[int]:
     """Seed list "0,1,5" or half-open range "0:100"."""
     if ":" in raw:
-        lo, hi = raw.split(":")
-        seeds = list(range(int(lo), int(hi)))
+        bounds = raw.split(":")
+        if len(bounds) != 2:
+            raise ValueError(f"seed range {raw!r} must be lo:hi")
+        seeds = list(range(int(bounds[0]), int(bounds[1])))
     else:
         seeds = [int(s) for s in raw.split(",")]
     if not seeds:

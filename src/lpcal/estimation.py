@@ -58,28 +58,16 @@ def bin_mass_terms(alpha: float, delta: float, n_levels: int) -> tuple[int, int]
     return m1, m2
 
 
-@dataclass(frozen=True)
-class BinMassTable:
-    """Empirical bin masses; bins never observed have implicit mass 0."""
-
-    masses: dict[Level, float]
-    pool_size: int
-
-    def mass(self, v: Level) -> float:
-        return self.masses.get(v, 0.0)
-
-
-def estimate_bin_masses(counts: np.ndarray, binning: Binning) -> BinMassTable:
+def estimate_bin_masses(counts: np.ndarray, binning: Binning) -> np.ndarray:
     """Empirical frequency of each rounded-prediction bin from per-feature counts.
 
-    Only bins with a nonzero count appear in the table.
+    Returns the ``(n_levels,)`` frequencies, row i for ``binning.levels[i]``;
+    a bin no sample reached has frequency 0.
     """
     n = int(counts.sum())
     if n == 0:
         raise ValueError("samples must be nonempty")
-    freq = np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
-    masses = {binning.levels[i]: float(freq[i]) for i in np.flatnonzero(freq)}
-    return BinMassTable(masses, n)
+    return np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
 
 
 def pool_sample_size(n_events: int, value_dim: int, alpha: float, delta: float) -> int:

@@ -80,39 +80,20 @@ def round_down(u: Sequence[float] | np.ndarray, lam: int) -> Level:
     return tuple(min(int(math.floor(x * lam + SNAP)), lam) for x in u)
 
 
-def is_member(v: Level, lam: int) -> bool:
-    """Whether some probability vector rounds down to ``v``.
-
-    Closed form: sum(n) <= lam and sum(n) + k > lam, with every numerator in
-    {0, ..., lam}.  Exact integer arithmetic, no search.
-    """
-    k = len(v)
-    if k == 0:
-        return False
-    if any(n < 0 or n > lam for n in v):
-        return False
-    s = sum(v)
-    return s <= lam and s + k > lam
-
-
-def canonical(v: Level, lam: int) -> np.ndarray:
-    """The canonical distribution of a level set.
-
-    Spreads the rounding deficit ``d = 1 - sum(v)`` equally over all
-    coordinates: ``u = v + (d/k) * 1``.  This attains the minimal possible
-    sup-norm distance ``d/k`` from ``v`` among distributions rounding down to
-    ``v`` (any witness must absorb the whole deficit, so some coordinate
-    moves by at least ``d/k``), and it rounds back to ``v`` because
-    ``d/k < 1/lam`` for every member.
-    """
-    return canonical_rows([v], lam)[0]
-
-
 def canonical_rows(levels: Sequence[Level], lam: int) -> np.ndarray:
     """``(len(levels), k)`` canonical distributions of level sets of one length ``k``.
 
+    The canonical distribution of a level set ``v`` spreads the rounding
+    deficit ``d = 1 - sum(v)`` equally over all coordinates:
+    ``u = v + (d/k) * 1``.  This attains the minimal possible sup-norm
+    distance ``d/k`` from ``v`` among distributions rounding down to ``v``
+    (any witness must absorb the whole deficit, so some coordinate moves by
+    at least ``d/k``), and it rounds back to ``v`` because ``d/k < 1/lam``
+    for every member.
+
     Row i is ``v / lam + ((lam - sum(v)) / lam) / k`` for ``v = levels[i]``,
-    with :func:`is_member`'s test first.  Every numerator, ``lam`` and
+    after the membership test of the module docstring (every numerator in
+    {0, ..., lam}, exact integer arithmetic).  Every numerator, ``lam`` and
     ``lam - sum(v)`` is an integer of at most 2**53, so each converts to
     float exactly, and the divisions and the sum are the same correctly
     rounded operations for one row as for many.  Raises

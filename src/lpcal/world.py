@@ -74,10 +74,6 @@ class Predictor:
             raise ValueError("table must be 2-d")
         check_prob_rows(self.table)
 
-    @property
-    def k(self) -> int:
-        return self.table.shape[1]
-
     def levels(self, lam: int) -> list[Level]:
         """Rounded level set of each row."""
         binning = bin_table(self.table, lam)

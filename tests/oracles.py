@@ -17,7 +17,7 @@ from typing import Iterable
 from lpcal.calibrator import EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
 from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
-from lpcal.evaluator import exact_error_table
+from lpcal.evaluator import ErrorReport, _lp_norm, exact_report
 from lpcal.partitions import (
     EstimationGroup,
     EstimationPartition,
@@ -25,7 +25,7 @@ from lpcal.partitions import (
     PredictionPartition,
     estimated_error,
 )
-from lpcal.simplex import PROB_ATOL, Level, enumerate_levels, is_member, round_down
+from lpcal.simplex import PROB_ATOL, Level, canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import Binning, Predictor, World, bin_table, joint_counts
 
@@ -190,6 +190,26 @@ def exact_event_stats_by_mask(world: World, binning: Binning, bins) -> tuple[flo
     return mass, np.asarray(mean_label, dtype=float)
 
 
+def is_member(v: Level, lam: int) -> bool:
+    """Whether some probability vector rounds down to ``v``.
+
+    Closed form: sum(n) <= lam and sum(n) + k > lam, with every numerator in
+    {0, ..., lam}.  Exact integer arithmetic, no search.
+    """
+    k = len(v)
+    if k == 0:
+        return False
+    if any(n < 0 or n > lam for n in v):
+        return False
+    s = sum(v)
+    return s <= lam and s + k > lam
+
+
+def canonical(v: Level, lam: int) -> np.ndarray:
+    """The canonical distribution of one level set: ``canonical_rows``'s one-row case."""
+    return canonical_rows([v], lam)[0]
+
+
 def canonical_one(v: Level, lam: int) -> np.ndarray:
     """Canonical distribution of one level set: ``v/lam + d/k`` with ``d = 1 - sum(v)/lam``."""
     if not is_member(v, lam):
@@ -306,6 +326,89 @@ def bin_mass_sample_size(alpha: float, delta: float, n_levels: int) -> int:
     """
     m1, m2 = bin_mass_terms(alpha, delta, n_levels)
     return m1 + m2
+
+
+def exact_error_table(
+    world: World, pred: Predictor | np.ndarray, binning: Binning
+) -> dict[Level, np.ndarray]:
+    """Per-bin, per-class exact calibration error of ``pred``, binned by ``binning``.
+
+    ``binning`` must be ``pred``'s own rounding.  Only bins realized by some
+    feature appear; all other bins contribute exactly zero.
+    """
+    table = pred.table if isinstance(pred, Predictor) else np.asarray(pred, float)
+    return exact_report(world, table, binning).per_bin
+
+
+def empirical_report(
+    samples: SampleBatch,
+    pred: Predictor | np.ndarray,
+    lam: int,
+    p_list: tuple[float, ...] = (1.0, 2.0, math.inf),
+    weights: np.ndarray | None = None,
+) -> ErrorReport:
+    """Sampled analogue of ``exact_report``.
+
+    Per-sample weights default to 1/n; passing the exact joint weights of an
+    exhaustive (feature, label) enumeration reproduces the exact report.
+    """
+    if len(samples) == 0:
+        raise ValueError("samples must be nonempty")
+    table = pred.table if isinstance(pred, Predictor) else np.asarray(pred, float)
+    k = table.shape[1]
+    if weights is None:
+        weights = np.full(len(samples), 1.0 / len(samples))
+    else:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(samples),):
+            raise ValueError("weights must parallel the samples")
+    binning = bin_table(table, lam)
+    onehot = np.eye(k)
+    signed: dict[Level, np.ndarray] = {}
+    sq = 0.0
+    for x, y, w in zip(samples.features, samples.labels, weights):
+        v = binning.levels[binning.ids[x]]
+        gap = w * (table[x] - onehot[y])
+        if v in signed:
+            signed[v] = signed[v] + gap
+        else:
+            signed[v] = gap
+        sq += w * float(np.sum((table[x] - onehot[y]) ** 2))
+    errors = {v: np.abs(g) for v, g in signed.items()}
+    flat = np.concatenate(list(errors.values()))  # every norm sums the entries in one order
+    return ErrorReport(
+        per_bin=errors,
+        aggregates={p: _lp_norm(flat, p) for p in p_list},
+        sq_error=sq,
+        max_bin_class_error=_lp_norm(flat, math.inf),
+    )
+
+
+def bin_mass_dict(counts: np.ndarray, binning: Binning) -> dict[Level, float]:
+    """Empirical bin masses as a dict holding only the bins with a nonzero count.
+
+    A bin missing from the dict has implicit mass 0.
+    """
+    n = int(counts.sum())
+    if n == 0:
+        raise ValueError("samples must be nonempty")
+    freq = np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
+    return {binning.levels[i]: float(freq[i]) for i in np.flatnonzero(freq)}
+
+
+def select_bins_by_dict(masses: dict[Level, float], bin_threshold: float) -> list[Level]:
+    """Bins of a mass dict whose mass reaches ``bin_threshold``, sorted."""
+    return sorted(v for v, mu in masses.items() if mu >= bin_threshold)
+
+
+def mass_table_max_dev_by_dict(world: World, binning: Binning, masses: dict[Level, float]) -> float:
+    """Largest gap between a mass dict and the exact bin masses, over the union of their bins."""
+    exact = np.bincount(binning.ids, weights=world.mass)
+    exact_mass = dict(zip(binning.levels, exact.tolist()))
+    worst = 0.0
+    for v in set(masses) | set(exact_mass):
+        worst = max(worst, abs(masses.get(v, 0.0) - exact_mass.get(v, 0.0)))
+    return worst
 
 
 def exact_bin_class_error(

@@ -11,16 +11,19 @@ import lpcal.estimation
 from lpcal.calibrator import (
     CalibParams,
     CalibratedPredictor,
+    EventMonitor,
     calibrate,
     derive_params,
     select_bins,
 )
 from lpcal.cli import RunConfig, run_config
 from lpcal.errors import EstimateFailureError
-from lpcal.estimation import BinMassTable
+from lpcal.estimation import estimate_bin_masses
 from lpcal.evaluator import exact_lp_error, exact_sq_error
-from lpcal.simplex import canonical, enumerate_levels, round_down
-from lpcal.world import Predictor, World, bin_table, make_scenario
+from lpcal.simplex import enumerate_levels, round_down
+from lpcal.world import Binning, Predictor, World, bin_table, make_scenario
+
+from oracles import bin_mass_dict, canonical, mass_table_max_dev_by_dict, select_bins_by_dict
 
 
 class TestDeriveParams:
@@ -77,23 +80,64 @@ class TestDeriveParams:
         assert p.pool_delta(8) == pytest.approx(0.1 / 12)
 
 
+def mass_array(masses: dict) -> tuple[np.ndarray, Binning]:
+    """The bin-mass array of ``masses`` and a binning with one row per bin, in dict order."""
+    return np.array(list(masses.values())), Binning(4, tuple(masses), np.arange(len(masses)))
+
+
 class TestSelectBins:
     def params(self):
         return derive_params(math.inf, 0.25, 0.1)
 
     def test_all_mass_on_one_bin(self):
-        table = BinMassTable({(4, 0): 1.0}, 100)
-        assert select_bins(table, self.params()) == [(4, 0)]
+        masses, binning = mass_array({(4, 0): 1.0})
+        assert select_bins(masses, binning, self.params()) == [(4, 0)]
 
     def test_threshold_boundary_included(self):
         p = self.params()
-        table = BinMassTable({(4, 0): p.bin_threshold, (0, 4): p.bin_threshold / 2}, 100)
-        assert select_bins(table, p) == [(4, 0)]
+        masses, binning = mass_array({(4, 0): p.bin_threshold, (0, 4): p.bin_threshold / 2})
+        assert select_bins(masses, binning, p) == [(4, 0)]
 
     def test_uniform_small_masses_select_nothing(self):
         p = self.params()
-        table = BinMassTable({v: 0.01 for v in enumerate_levels(4, 2)}, 100)
-        assert select_bins(table, p) == []
+        masses, binning = mass_array({v: 0.01 for v in enumerate_levels(4, 2)})
+        assert select_bins(masses, binning, p) == []
+
+
+@st.composite
+def count_cases(draw):
+    """A world, a binning on it and per-feature counts; with two or more bins, one draws none."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    world = World(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(k), size=n))
+    rows = rng.dirichlet(np.ones(k), size=draw(st.integers(1, n)))
+    binning = bin_table(rows[rng.integers(0, len(rows), size=n)], draw(st.integers(1, 8)))
+    empty = draw(st.integers(0, len(binning.levels) - 1))
+    keep = (binning.ids != empty) | (len(binning.levels) == 1)
+    counts = np.where(keep, rng.integers(0, draw(st.integers(1, 6)), size=n), 0)
+    counts[np.argmax(keep)] += 1  # at least one sample
+    return world, binning, counts, draw(st.floats(0.01, 0.99))
+
+
+class TestBinMassArray:
+    """The bin-mass array against the dict table it replaced, kept in ``oracles``."""
+
+    @given(count_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bins_and_deviation_as_the_dict_table(self, case):
+        world, binning, counts, eps = case
+        masses = estimate_bin_masses(counts, binning)
+        table = bin_mass_dict(counts, binning)
+        assert masses.shape == (len(binning.levels),)
+        assert len(binning.levels) == 1 or 0.0 in masses  # a realized bin no sample reached
+        assert {v: m for v, m in zip(binning.levels, masses.tolist()) if m} == table
+        params = derive_params(math.inf, eps, 0.1)
+        want = select_bins_by_dict(table, params.bin_threshold)
+        assert select_bins(masses, binning, params) == want
+        monitor = EventMonitor(world, binning)
+        monitor.observe_mass_table(masses)
+        assert monitor.mass_table_max_dev == mass_table_max_dev_by_dict(world, binning, table)
 
 
 def one_point_setup():
@@ -304,7 +348,7 @@ class TestAccuracyPreservation:
         for seed in range(5):
             world, predictor = make_scenario("overconfident", 3, 25, seed=seed)
             h, _ = calibrate(world, predictor, params, seed)
-            gap = exact_sq_error(world, h.to_table()) - exact_sq_error(world, predictor)
+            gap = exact_sq_error(world, h.to_table()) - exact_sq_error(world, predictor.table)
             assert gap <= budget + 1e-12
 
 

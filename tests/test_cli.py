@@ -300,6 +300,48 @@ class TestConfigRefused:
         assert (out / "pinf-eps0.25-seed7" / "report.json").exists()
 
 
+CONFIG_12 = {"scenario": PERFECT_12, "p": "inf", "eps": 0.25, "delta": 0.1, "seed": 7}
+RUN = ["run", "--config", "{doc}", "--out-dir", "{out}"]
+# Documents of the wrong JSON shape, the command that reads them and the start of its error.
+WRONG_SHAPES = [
+    (RUN, [CONFIG_12], "config {doc} must be a JSON object, got list"),
+    (RUN, {**CONFIG_12, "scenario": 5}, "scenario must be a JSON object, got int"),
+    (RUN + ["--k", "4"], {**CONFIG_12, "scenario": 5}, "scenario must be a JSON object, got int"),
+    (RUN, {**CONFIG_12, "scenario": {}}, "unknown scenario None; expected one of"),
+    (RUN, {**CONFIG_12, "manual_sizes": 5}, "manual_sizes must be a JSON object, got int"),
+    (RUN, {**CONFIG_12, "scenario": {**PERFECT_12, "gamma": "0.5"}}, "gamma must be a finite"),
+    (RUN, {"scenario": PERFECT_12}, "eps must be a finite number, got None"),
+    (
+        ["eval", "--world", "{doc}", "--lambda", "4", "--out", "{out}"],
+        [[0.5, 0.5]],
+        "world {doc} must be a JSON object, got list",
+    ),
+    (
+        ["sweep", "--config", "{doc}", "--seeds", "0:3:1", "--out-dir", "{out}"],
+        CONFIG_12,
+        "seed range '0:3:1' must be lo:hi",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", WRONG_SHAPES)
+def test_wrong_json_shape_exits_2(tmp_path, capsys, argv, doc, message):
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([a.format(doc=path, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message.format(doc=path))
+    assert not out.exists()
+
+
+def test_scenario_name_string_takes_size_flags(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", scenario="perfect")
+    out = tmp_path / "out"
+    args = ["run", "--config", str(cfg), "--k", "2", "--n-features", "5", "--out-dir", str(out)]
+    assert main(args) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]["scenario"]
+    assert echo == {"name": "perfect", "k": 2, "n_features": 5}
+
+
 class TestSweepCommand:
     def test_grid_shape(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})
@@ -478,7 +520,7 @@ class TestOtherCommands:
         assert main(["eval", "--world", str(out), "--lambda", "4", "--p", "inf,2,1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         world, predictor = world_from_dict(json.loads(out.read_text()))
-        rep = exact_report(world, predictor, bin_table(predictor.table, 4))
+        rep = exact_report(world, predictor.table, bin_table(predictor.table, 4))
         assert doc["aggregates"]["inf"] == pytest.approx(rep.aggregates[math.inf])
         assert doc["aggregates"]["2"] == pytest.approx(rep.aggregates[2.0])
         assert doc["sq_error"] == pytest.approx(rep.sq_error)
@@ -498,6 +540,18 @@ class TestOtherCommands:
         assert doc["aggregates"]["inf"] == pytest.approx(
             exact_report(world, alt, bin_table(alt, 4)).aggregates[math.inf]
         )
+
+    def test_eval_parses_p_like_run(self, tmp_path, capsys):
+        out = tmp_path / "world.json"
+        main(["scenario", "--name", "shifted", "--k", "3", "--n-features", "7",
+              "--seed", "2", "--out", str(out)])
+        docs = []
+        for p in ("inf,2,3/2", "Infinity, 2.0,1.5"):
+            capsys.readouterr()
+            assert main(["eval", "--world", str(out), "--lambda", "4", "--p", p]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+        assert sorted(docs[0]["aggregates"]) == ["1.5", "2", "inf"]
 
     @pytest.mark.parametrize(
         "rows",

@@ -15,12 +15,13 @@ from lpcal.partitions import (
     estimated_error,
     init_structures,
 )
-from lpcal.simplex import canonical, enumerate_levels, round_down
+from lpcal.simplex import enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import bin_table, make_scenario
 from oracles import (
     PerKindMonitor,
     ScanEstimationPartition,
+    canonical,
     eager_pool_create,
     init_structures_one_at_a_time,
 )

@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 from lpcal.errors import EnumerationCapError, MembershipError
 from lpcal.simplex import (
     PROB_ATOL,
-    canonical,
     canonical_rows,
     check_prob_rows,
     enumerate_levels,
-    is_member,
     level_count,
     project_simplex,
     round_down,
 )
 
 from oracles import (
+    canonical,
     canonical_by_grid,
     canonical_one,
     first_bad_row,
+    is_member,
     levels_by_greedy_certificate,
     level_coords,
     levels_by_witness_enumeration,
