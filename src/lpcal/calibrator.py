@@ -382,18 +382,22 @@ def calibrate(
             trace.final_max_err = sel_err
             break
         if t >= params.t_max:
-            raise EstimateFailureError(
+            raise _loop_failure(
                 f"error {sel_err:.6g} still above {params.error_threshold:.6g} "
-                f"after t_max={params.t_max} iterations; accuracy events violated"
+                f"after t_max={params.t_max} iterations; accuracy events violated",
+                trace,
+                t,
             )
 
         group = pred_part.groups[sel_gid]
         sel_bins = tuple(sorted(group.bins))
         prob_sum, label_sum, _ = est_part.aggregate(group.parts)
         if prob_sum <= 0.0:
-            raise EstimateFailureError(
+            raise _loop_failure(
                 "aggregated group probability is nonpositive; the pooled "
-                "probability estimates cannot all be accurate"
+                "probability estimates cannot all be accurate",
+                trace,
+                t,
             )
         target = np.array(group.pred, copy=True)
         target[sel_j] = min(float(label_sum[sel_j]) / prob_sum, 1.0)
@@ -452,6 +456,14 @@ def calibrate(
     trace.events = _event_summary(monitor, params, n_bins=n_bins)
     trace.wall_time_s = time.perf_counter() - start
     return CalibratedPredictor(pred_part.routing(), binning), trace
+
+
+def _loop_failure(message: str, trace: RunTrace, t: int) -> EstimateFailureError:
+    """A loop guard's failure, carrying the trace of the ``t`` iterations run before it."""
+    trace.iterations = t
+    exc = EstimateFailureError(message)
+    exc.trace = trace
+    return exc
 
 
 def _event_summary(monitor: EventMonitor, params: CalibParams, n_bins: int) -> dict:

@@ -26,7 +26,13 @@ class EstimateFailureError(RuntimeError):
     probability is nonpositive, or when the high-probability bin count
     exceeds its cap.  Continuing past any of these would void every
     guarantee the run is supposed to certify.
+
+    A loop guard (the iteration cap or a nonpositive mass) sets ``trace``
+    to the run's ``RunTrace`` up to the failing iteration; it stays
+    ``None`` for a failure before the loop.
     """
+
+    trace = None
 
 
 class InvariantError(RuntimeError):

@@ -313,3 +313,30 @@ def test_wide_run_pinned(tmp_path):
     assert main(["run", *WIDE_ARGS, "--out-dir", str(tmp_path)]) == 0
     for fname, digest in WIDE_SHA256.items():
         assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+# A manual-size run that trips its iteration cap: 11,899 records, the longest
+# trace any test pins.  The failure carries the trace built up to the guard,
+# so these bytes pin every iteration of a long loop run, not just its outcome.
+GUARD_DOC = {
+    "scenario": {"name": "shifted", "k": 3, "n_features": 60, "shift": 0.6},
+    "p": "2",
+    "eps": 0.3,
+    "delta": 0.1,
+    "seed": 0,
+    "sample_mode": {"mode": "manual", "bin_mass": 2e6, "pool_prob": 3e6, "pool_label": 3e6},
+}
+GUARD_MESSAGE = (
+    "error 0.0426779 still above 0.0225 after t_max=11899 iterations; accuracy events violated"
+)
+GUARD_TRACE_SHA256 = "80b81298b082a2b47580c1a24f784e8fc0f4d1fd8633d2335150e97b9d178149"
+
+
+def test_guard_run_pinned():
+    with pytest.raises(EstimateFailureError) as failure:
+        run_config(RunConfig.from_dict(GUARD_DOC))
+    assert str(failure.value) == GUARD_MESSAGE
+    trace = failure.value.trace
+    assert trace.iterations == len(trace.records) == trace.t_max == 11_899
+    digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
+    assert digest == GUARD_TRACE_SHA256

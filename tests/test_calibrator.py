@@ -297,15 +297,17 @@ class TestGuards:
             mass_accuracy=base.mass_accuracy,
             t_max=0,
         )
-        with pytest.raises(EstimateFailureError, match="t_max"):
+        with pytest.raises(EstimateFailureError, match="t_max") as failure:
             calibrate(world, predictor, params, seed=3)
+        # the guard carries the run's trace, here of no iteration
+        assert failure.value.trace.iterations == 0 and failure.value.trace.records == []
 
     def test_nonpositive_aggregate_raises(self):
         # single-sample pools: answers clamp to 0/1 noise, so a selected
         # group can carry zero estimated mass
         params = derive_params(math.inf, 0.3, 0.1)
         world, predictor = make_scenario("random-miscalibrated", 2, 6, seed=0)
-        with pytest.raises(EstimateFailureError, match="nonpositive"):
+        with pytest.raises(EstimateFailureError, match="nonpositive") as failure:
             calibrate(
                 world,
                 predictor,
@@ -314,11 +316,12 @@ class TestGuards:
                 sample_mode="manual",
                 manual_sizes={"bin_mass": 200, "pool_prob": 1, "pool_label": 1},
             )
+        assert failure.value.trace.iterations == len(failure.value.trace.records) == 0
 
     def test_hopeless_estimates_hit_t_max(self):
         params = derive_params(math.inf, 0.3, 0.1)
         world, predictor = make_scenario("random-miscalibrated", 2, 6, seed=3)
-        with pytest.raises(EstimateFailureError, match="t_max"):
+        with pytest.raises(EstimateFailureError, match="t_max") as failure:
             calibrate(
                 world,
                 predictor,
@@ -327,6 +330,9 @@ class TestGuards:
                 sample_mode="manual",
                 manual_sizes={"bin_mass": 200, "pool_prob": 1, "pool_label": 1},
             )
+        trace = failure.value.trace
+        assert trace.iterations == len(trace.records) == params.t_max
+        assert [r.t for r in trace.records] == list(range(params.t_max))
 
     def test_manual_mode_requires_sizes(self):
         world, predictor = one_point_setup()
