@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EstimateFailureError, InvariantError
+from .errors import EstimateFailureError
 from .estimation import bin_mass_terms, estimate_bin_masses, pool_create
 from .partitions import (
     MergeEvent,
@@ -169,9 +169,6 @@ class CalibratedPredictor:
         per_level.flags.writeable = False
         object.__setattr__(self, "per_level", per_level)
 
-    def apply(self, x: int) -> np.ndarray:
-        return self.per_level[self.binning.ids[x]].copy()
-
     def to_table(self) -> np.ndarray:
         """Predictions for every feature, for exact evaluation."""
         return self.per_level[self.binning.ids]
@@ -268,7 +265,8 @@ class RunTrace:
     iterations: int = 0
     bin_mass_stats: dict = field(default_factory=dict)
     pool_stats: list[PoolStats] = field(default_factory=list)
-    moved_counts: dict[Level, int] = field(default_factory=dict)
+    # discarded-prediction merges per bin, aligned with ``bins``
+    moved_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     moved_bound: float = 0.0  # per-bin cap on discarded-prediction merges
     events: dict = field(default_factory=dict)
     t_max: int = 0
@@ -281,7 +279,7 @@ class RunTrace:
 
     @property
     def max_moved(self) -> int:
-        return max(self.moved_counts.values(), default=0)
+        return int(self.moved_counts.max(initial=0))
 
 
 def calibrate(
@@ -361,23 +359,15 @@ def calibrate(
     est_part, pred_part = init_structures(
         bins, pools, lam, max_subsets=classes, on_estimate=monitor.observe_pool_answer
     )
-    universe = frozenset(bins)
-    trace.moved_counts = {v: 0 for v in bins}
+    trace.moved_counts = np.zeros(n_bins, dtype=np.int64)
     t = 0
     while True:
         # the initial state and the state after every iteration
-        est_part.check_invariants(universe)
-        pred_part.check_invariants(universe)
+        est_part.check_invariants()
+        pred_part.check_invariants()
         check_refinement(pred_part, est_part)
 
-        gids = sorted(pred_part.groups)
-        errs = np.stack([pred_part.groups[gid].err for gid in gids])
-        unset = np.isnan(errs).any(axis=1)
-        if unset.any():
-            raise InvariantError(f"group {gids[int(np.argmax(unset))]} has unset error cache")
-        # first maximum in (gid, class) order
-        row, sel_j = divmod(int(np.argmax(errs)), k)
-        sel_gid, sel_err = gids[row], float(errs[row, sel_j])
+        sel_gid, sel_j, sel_err = pred_part.select()
         if sel_err <= params.error_threshold:
             trace.final_max_err = sel_err
             break
@@ -389,9 +379,9 @@ def calibrate(
                 t,
             )
 
-        group = pred_part.groups[sel_gid]
-        sel_bins = tuple(sorted(group.bins))
-        prob_sum, label_sum, _ = est_part.aggregate(group.parts)
+        sel_bins = tuple(map(bins.__getitem__, pred_part.bins(sel_gid).tolist()))
+        parts = pred_part.parts(sel_gid)
+        prob_sum, label_sum, _ = est_part.aggregate(parts)
         if prob_sum <= 0.0:
             raise _loop_failure(
                 "aggregated group probability is nonpositive; the pooled "
@@ -399,27 +389,30 @@ def calibrate(
                 trace,
                 t,
             )
-        target = np.array(group.pred, copy=True)
+        target = pred_part.pred[sel_gid].copy()
         target[sel_j] = min(float(label_sum[sel_j]) / prob_sum, 1.0)
-        pred_part.set_pred(sel_gid, project_simplex(target))
+        level = pred_part.set_pred(sel_gid, project_simplex(target))
 
-        partner_gid = pred_part.find_collision(group.level, exclude=sel_gid)
+        partner_gid = pred_part.find_collision(level, exclude=sel_gid)
         moved_gid, merged_gid = -1, -1
-        cur = group
+        cur = sel_gid
         if partner_gid is not None:
-            partner = pred_part.groups[partner_gid]
             # the side with no more aggregated mass gives up its prediction
-            prob_sum_partner, _, _ = est_part.aggregate(partner.parts)
-            moved, kept = (group, partner) if prob_sum <= prob_sum_partner else (partner, group)
-            for v in moved.bins:
-                trace.moved_counts[v] += 1
-            moved_gid = moved.gid
-            merged_gid = pred_part.merge(sel_gid, partner_gid, kept.pred)
-            cur = pred_part.groups[merged_gid]
+            prob_sum_partner, _, _ = est_part.aggregate(pred_part.parts(partner_gid))
+            if prob_sum <= prob_sum_partner:
+                moved_gid, kept_gid = sel_gid, partner_gid
+            else:
+                moved_gid, kept_gid = partner_gid, sel_gid
+            trace.moved_counts[pred_part.owner == moved_gid] += 1
+            cur = merged_gid = pred_part.merge(sel_gid, partner_gid, pred_part.pred[kept_gid])
+            parts = pred_part.parts(cur)
 
-        est_merges = tuple(est_part.merge_pass(cur.parts))
-        prob_sum2, label_sum2, _ = est_part.aggregate(cur.parts)
-        cur.err = estimated_error(prob_sum2, cur.pred, label_sum2)
+        est_merges = tuple(est_part.merge_pass(parts))
+        if merged_gid != -1 or est_merges:
+            pred_part.carry(cur, est_merges)
+            prob_sum, label_sum, _ = est_part.aggregate(pred_part.parts(cur))
+        # else the parts and so their sums are the ones aggregated above
+        pred_part.err[cur] = estimated_error(prob_sum, pred_part.pred[cur], label_sum)
         trace.records.append(
             IterationRecord(
                 t=t,

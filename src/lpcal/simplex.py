@@ -116,20 +116,25 @@ def project_simplex(z: Sequence[float] | np.ndarray) -> np.ndarray:
 
     Sort-and-threshold characterization: the projection is
     ``max(z - theta, 0)`` where ``theta`` is the unique shift making the
-    positive part sum to 1.  O(k log k); ties in the sort do not affect the
-    output.
+    positive part sum to 1.  With ``w`` sorted in descending order,
+    ``theta = (w_1 + ... + w_rho - 1) / rho`` for the last ``rho`` at which
+    ``w_rho - (w_1 + ... + w_rho - 1) / rho > 0``.  O(k log k); ties in the
+    sort do not affect the output.  The scan runs over Python floats: the
+    running sum adds in sort order, so every value is the correctly rounded
+    result a ``cumsum`` over the sorted array gives, at a fraction of its
+    per-call cost for the few classes of a prediction.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("input must be a 1-d nonempty vector")
-    if not np.all(np.isfinite(z)):
+    coords = z.tolist()
+    if not all(map(math.isfinite, coords)):
         raise ValueError("input must be finite")
-    w = np.sort(z)[::-1]
-    css = np.cumsum(w)
-    idx = np.arange(1, z.size + 1)
-    support = np.nonzero(w - (css - 1.0) / idx > 0)[0]
-    rho = support[-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    theta = total = 0.0
+    for rho, w in enumerate(sorted(coords, reverse=True), 1):
+        total += w
+        if w - (total - 1.0) / rho > 0:
+            theta = (total - 1.0) / rho
     return np.maximum(z - theta, 0.0)
 
 

@@ -18,13 +18,7 @@ from lpcal.calibrator import EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
 from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
 from lpcal.evaluator import ErrorReport, _lp_norm, exact_report
-from lpcal.partitions import (
-    EstimationGroup,
-    EstimationPartition,
-    MergeEvent,
-    PredictionPartition,
-    estimated_error,
-)
+from lpcal.partitions import MergeEvent, estimated_error
 from lpcal.simplex import PROB_ATOL, Level, canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import Binning, Predictor, World, bin_table, joint_counts
@@ -229,6 +223,18 @@ def lp_aggregate(errors: dict[Level, np.ndarray], p: float) -> float:
     if p < 1:
         raise ValueError("p must be at least 1")
     return float(np.sum(flat**p) ** (1.0 / p))
+
+
+def project_simplex_by_cumsum(z) -> np.ndarray:
+    """Euclidean projection onto the simplex with numpy's sort, cumsum and nonzero."""
+    z = np.asarray(z, dtype=float)
+    w = np.sort(z)[::-1]
+    css = np.cumsum(w)
+    idx = np.arange(1, z.size + 1)
+    support = np.nonzero(w - (css - 1.0) / idx > 0)[0]
+    rho = support[-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(z - theta, 0.0)
 
 
 def project_by_grid(z: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -505,7 +511,235 @@ class PerKindMonitor(EventMonitor):
             self.pool_label_max_dev = max(self.pool_label_max_dev, dev)
 
 
-class OneAtATimeEstimationPartition(EstimationPartition):
+class EstimationGroup:
+    """One estimation group of the set-based partitions: a frozenset of levels."""
+
+    def __init__(self, gid: int, bins: frozenset[Level], prob: float, label_mass: np.ndarray):
+        self.gid, self.bins, self.prob, self.label_mass = gid, bins, prob, label_mass
+
+    @property
+    def size(self) -> int:
+        return len(self.bins)
+
+
+class PredictionGroup:
+    """One prediction group of the set-based partitions."""
+
+    def __init__(self, gid, bins, pred, level, err, parts):
+        self.gid, self.bins, self.pred, self.level = gid, bins, pred, level
+        self.err = err  # (k,) cached per-class error estimate
+        self.parts = parts  # gids of the estimation groups tiling ``bins``, ascending
+
+
+class SetEstimationPartition:
+    """The estimation partition as groups of level frozensets, by gid.
+
+    This is the package's partition before bins became integer ids, kept
+    with its set-based ``check_invariants`` as the differential oracle of
+    the array version: the prediction groups hold the gids of their parts;
+    this partition holds the groups by gid.  ``history`` keeps, per size
+    class, the union of every group ever created in it and their total
+    size: the groups are pairwise disjoint exactly when the two agree.
+    """
+
+    def __init__(self, pools, max_subsets: int, on_estimate=None) -> None:
+        self.pools = dict(pools)  # size class i -> (prob pool, label pool)
+        self.max_subsets = max_subsets
+        self.on_estimate = on_estimate
+        self.groups: dict[int, EstimationGroup] = {}
+        # size class -> (union of every group ever created in it, their total size)
+        self.history: dict[int, tuple[set[Level], int]] = {}
+        self._next_gid = 0
+
+    def _record(self, size_class: int, bins: frozenset[Level]) -> None:
+        union, total = self.history.get(size_class, (set(), 0))
+        if not union.isdisjoint(bins):
+            raise InvariantError(
+                f"size class {size_class}: new group overlaps an earlier equal-size group"
+            )
+        union |= bins
+        self.history[size_class] = (union, total + len(bins))
+
+    def _add(self, sets: list[frozenset[Level]]) -> list[EstimationGroup]:
+        size_class = len(sets[0]).bit_length() - 1
+        if size_class not in self.pools:
+            raise InvariantError(f"no pools for size class {size_class}")
+        for bins in sets:
+            self._record(size_class, bins)
+        prob_pool, label_pool = self.pools[size_class]
+        probs = prob_pool.query(sets)[:, 0].tolist()
+        label_masses = label_pool.query(sets)
+        groups = []
+        for bins, prob, label_mass in zip(sets, probs, label_masses):
+            if self.on_estimate is not None:
+                self.on_estimate(bins, prob, label_mass)
+            g = EstimationGroup(self._next_gid, bins, prob, label_mass)
+            self._next_gid += 1
+            self.groups[g.gid] = g
+            groups.append(g)
+        return groups
+
+    def add_singletons(self, bins) -> list[EstimationGroup]:
+        return self._add([frozenset([v]) for v in bins])
+
+    def _current(self, gids) -> list[EstimationGroup]:
+        try:
+            return [self.groups[gid] for gid in gids]
+        except KeyError as exc:
+            raise InvariantError(f"estimation group {exc.args[0]} is not current") from None
+
+    def aggregate(self, parts: list[int]) -> tuple[float, np.ndarray, int]:
+        groups = self._current(parts)
+        if len(groups) > self.max_subsets:
+            raise InvariantError(f"{len(groups)} parts exceed the bound {self.max_subsets}")
+        prob_sum = float(sum(g.prob for g in groups))
+        label_sum = np.sum([g.label_mass for g in groups], axis=0)
+        return prob_sum, np.asarray(label_sum, float), len(groups)
+
+    def merge_pass(self, parts: list[int]) -> list[MergeEvent]:
+        """Merge equal-size groups among ``parts``, replaced in place by the groups left."""
+        events: list[MergeEvent] = []
+        inside = self._current(parts)
+        while True:
+            inside.sort(key=lambda g: (g.size, g.gid))
+            dup = [i for i in range(len(inside) - 1) if inside[i].size == inside[i + 1].size]
+            if not dup:
+                parts[:] = sorted(g.gid for g in inside)
+                return events
+            i = dup[0]
+            a, b = inside[i], inside[i + 1]
+            [merged] = self._add([a.bins | b.bins])
+            del self.groups[a.gid], self.groups[b.gid]
+            inside[i : i + 2] = [merged]
+            events.append(MergeEvent(merged.gid, a.gid, b.gid, merged.size))
+
+    def check_invariants(self, universe: frozenset[Level]) -> None:
+        """Power-of-two sizes, exact partition, historical disjointness."""
+        for g in self.groups.values():
+            if g.size & (g.size - 1):
+                raise InvariantError(f"group {g.gid} has non-power-of-2 size {g.size}")
+        bins = [g.bins for g in self.groups.values()]
+        if sum(map(len, bins)) != len(universe) or frozenset().union(*bins) != universe:
+            raise InvariantError("current estimation groups do not partition the bin set")
+        for size_class, (union, size_sum) in self.history.items():
+            if len(union) != size_sum:
+                raise InvariantError(f"historical groups of size class {size_class} overlap")
+
+
+class SetPredictionPartition:
+    """The prediction partition as groups of level frozensets, with a scan for collisions."""
+
+    def __init__(self, lam: int) -> None:
+        self.lam = lam
+        self.groups: dict[int, PredictionGroup] = {}
+        self._next_gid = 0
+
+    def add(self, bins, pred, err, parts: list[int]) -> int:
+        gid = self._next_gid
+        self._next_gid += 1
+        pred = np.array(pred, dtype=float)
+        self.groups[gid] = PredictionGroup(gid, bins, pred, round_down(pred, self.lam), err, parts)
+        return gid
+
+    def set_pred(self, gid: int, pred: np.ndarray) -> None:
+        g = self.groups[gid]
+        g.pred = np.asarray(pred, float)
+        g.level = round_down(g.pred, self.lam)
+
+    def find_collision(self, level: Level, exclude: int) -> int | None:
+        matches = [g.gid for g in self.groups.values() if g.gid != exclude and g.level == level]
+        if len(matches) > 1:
+            raise InvariantError(f"multiple groups share level {level}: {matches}")
+        return matches[0] if matches else None
+
+    def merge(self, a: int, b: int, winner_pred: np.ndarray) -> int:
+        if a == b:
+            raise ValueError("cannot merge a group with itself")
+        ga, gb = self.groups.pop(a), self.groups.pop(b)
+        err = np.full_like(ga.err, np.nan)
+        return self.add(ga.bins | gb.bins, winner_pred, err, sorted(ga.parts + gb.parts))
+
+    def check_invariants(self, universe: frozenset[Level]) -> None:
+        """Exact partition of the bin set and pairwise distinct levels."""
+        seen: set[Level] = set()
+        levels: set[Level] = set()
+        for g in self.groups.values():
+            if seen & g.bins:
+                raise InvariantError("current prediction groups overlap")
+            seen |= g.bins
+            if g.level in levels:
+                raise InvariantError(f"two prediction groups round to level {g.level}")
+            levels.add(g.level)
+        if seen != universe:
+            raise InvariantError("prediction groups do not partition the bin set")
+
+
+def set_check_refinement(pred_part: SetPredictionPartition, est_part: SetEstimationPartition):
+    """Every prediction group must be the disjoint union of its parts (set version)."""
+    used = sorted(gid for g in pred_part.groups.values() for gid in g.parts)
+    if used != sorted(est_part.groups):
+        raise InvariantError("parts are not the current estimation groups, each used once")
+    for g in pred_part.groups.values():
+        if frozenset().union(*(est_part.groups[gid].bins for gid in g.parts)) != g.bins:
+            raise InvariantError(f"the parts of prediction group {g.gid} do not tile its bins")
+
+
+def set_init_structures(bins, pools, lam: int, max_subsets: int, on_estimate=None):
+    """Singleton start of the set-based partitions, one batch query per pool."""
+    bins = sorted(bins)
+    est = SetEstimationPartition(pools, max_subsets, on_estimate)
+    pred_part = SetPredictionPartition(lam)
+    for v, pred, grp in zip(bins, canonical_rows(bins, lam), est.add_singletons(bins)):
+        err = estimated_error(grp.prob, pred, grp.label_mass)
+        pred_part.add(frozenset([v]), pred, err, [grp.gid])
+    return est, pred_part
+
+
+def set_view(est_part, pred_part):
+    """The set-based partitions an array-backed pair denotes, and their universe.
+
+    Group ``g``'s bins are the levels of the bins its gid owns, and the
+    current groups of each partition are its live gids.  A prediction group's parts are the
+    estimation gids ``host`` assigns it, ascending; a size class's union is
+    the levels its ``covered`` row marks.
+    """
+    levels = est_part.levels
+    est = SetEstimationPartition(est_part.pools, est_part.max_subsets)
+    pred = SetPredictionPartition(pred_part.lam)
+
+    def owned(owner, gid):
+        return frozenset(levels[b] for b in np.flatnonzero(owner == gid).tolist())
+
+    for gid in np.flatnonzero(est_part.live).tolist():
+        bins = owned(est_part.owner, gid)
+        est.groups[gid] = EstimationGroup(
+            gid, bins, float(est_part.prob[gid]), est_part.label_mass[gid]
+        )
+    for c in range(len(est_part.totals)):
+        union = {levels[b] for b in np.flatnonzero(est_part.covered[c]).tolist()}
+        if union or est_part.totals[c]:
+            est.history[c] = (union, int(est_part.totals[c]))
+    for gid in np.flatnonzero(pred_part.live).tolist():
+        pred.groups[gid] = PredictionGroup(
+            gid,
+            owned(pred_part.owner, gid),
+            pred_part.pred[gid],
+            pred_part.known[pred_part.level_id[gid]],
+            pred_part.err[gid],
+            pred_part.parts(gid).tolist(),
+        )
+    return est, pred, frozenset(levels)
+
+
+def set_checks(est_part, pred_part) -> None:
+    """The three set-based checks, in the loop's order, on the set view."""
+    est, pred, universe = set_view(est_part, pred_part)
+    est.check_invariants(universe)
+    pred.check_invariants(universe)
+    set_check_refinement(pred, est)
+
+
+class OneAtATimeEstimationPartition(SetEstimationPartition):
     """Estimation partition that queries each pool once per new group.
 
     ``on_estimate`` takes ``(kind, bins, answer)`` and is called once for
@@ -546,7 +780,7 @@ def init_structures_one_at_a_time(bins, pools, lam: int, max_subsets: int, on_es
     if not bins:
         raise ValueError("bin set must be nonempty")
     est = OneAtATimeEstimationPartition(pools, max_subsets, on_estimate)
-    pred_part = PredictionPartition(lam)
+    pred_part = SetPredictionPartition(lam)
     for v in bins:
         grp = est.groups[est.add_singleton(v)]
         pred = canonical_one(v, lam)

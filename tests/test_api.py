@@ -1,7 +1,8 @@
-"""No module-level function or class in ``src/lpcal`` lives only for the tests.
+"""No function, class or method in ``src/lpcal`` lives only for the tests.
 
-Every top-level ``def`` and ``class`` of a package module must be referenced
-(by name, attribute or import) from some ``src/lpcal`` module other than
+Every top-level ``def`` and ``class`` of a package module, and every public
+method or property of a package class, must be referenced (by name,
+attribute or import) from some ``src/lpcal`` module other than
 ``__init__.py``; re-exporting a name is not a use.  A helper only the tests
 call belongs in ``tests/oracles.py``.
 """
@@ -45,6 +46,27 @@ def unreferenced() -> set[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     return defined - used
+
+
+def unreferenced_members() -> set[str]:
+    """``Class.name`` of the public methods and properties no package module refers to."""
+    modules = _modules()
+    used = set().union(*(_referenced(t) for name, t in modules.items() if name != "__init__.py"))
+    return {
+        f"{cls.name}.{node.name}"
+        for tree in modules.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+
+
+def test_no_test_only_methods():
+    extra = sorted(unreferenced_members())
+    assert not extra, f"only the tests use {extra}: move them to tests/oracles.py"
 
 
 def test_no_test_only_helpers():

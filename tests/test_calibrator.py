@@ -152,7 +152,7 @@ class TestCalibrate:
         params = derive_params(math.inf, 0.2, 0.1)
         h, trace = calibrate(world, predictor, params, seed=3)
         assert trace.iterations >= 1
-        assert np.max(np.abs(h.apply(0) - np.array([0.6, 0.4]))) <= 0.2
+        assert np.max(np.abs(h.to_table()[0] - np.array([0.6, 0.4]))) <= 0.2
         assert exact_lp_error(world, h.to_table(), h.own_binning(), math.inf) <= params.beta
 
     def test_perfect_scenario_rarely_iterates(self):
@@ -185,7 +185,7 @@ class TestCalibrate:
         assert h.routing == {}
         x = 7
         v = round_down(predictor.table[x], params.lam)
-        assert np.allclose(h.apply(x), canonical(v, params.lam))
+        assert np.allclose(h.to_table()[x], canonical(v, params.lam))
 
     def test_fallback_for_unselected_bins(self):
         world, predictor = one_point_setup()
@@ -202,15 +202,18 @@ class TestCalibrate:
         predictor = Predictor(np.array([[0.62, 0.38], [0.63, 0.37]]))  # same bin at lam=5
         params = derive_params(math.inf, 0.2, 0.1)
         h, _ = calibrate(world, predictor, params, seed=1)
-        assert np.array_equal(h.apply(0), h.apply(1))
+        table = h.to_table()
+        assert np.array_equal(table[0], table[1])
 
-    def test_to_table_matches_apply(self):
+    def test_to_table_routes_each_feature_by_its_bin(self):
         world, predictor = make_scenario("random-miscalibrated", 3, 40, seed=2)
         params = derive_params(2, 0.3, 0.1)
         h, _ = calibrate(world, predictor, params, seed=2)
         table = h.to_table()
         for x in range(world.n_features):
-            assert np.array_equal(table[x], h.apply(x))
+            v = h.binning.levels[h.binning.ids[x]]
+            want = h.routing[v] if v in h.routing else canonical(v, params.lam)
+            assert np.array_equal(table[x], want)
 
     def test_deterministic_given_config_and_seed(self):
         world, predictor = make_scenario("random-miscalibrated", 3, 25, seed=12)
@@ -279,7 +282,7 @@ class TestOwnBinning:
         h = CalibratedPredictor({(0, 1): np.array([0.3, 0.7])}, bin_table(table, 2))
         assert h.to_table().tolist() == [[0.75, 0.25], [0.3, 0.7], [0.5, 0.5]]
         h.to_table()[0, 0] = 9.0  # a fresh array each call
-        assert h.apply(0).tolist() == [0.75, 0.25]
+        assert h.to_table()[0].tolist() == [0.75, 0.25]
 
 
 class TestGuards:

@@ -9,13 +9,8 @@ import lpcal.estimation
 from lpcal.calibrator import EventMonitor
 from lpcal.errors import InvariantError
 from lpcal.estimation import pool_create
-from lpcal.partitions import (
-    EstimationGroup,
-    check_refinement,
-    estimated_error,
-    init_structures,
-)
-from lpcal.simplex import enumerate_levels, round_down
+from lpcal.partitions import check_refinement, estimated_error, init_structures
+from lpcal.simplex import enumerate_levels
 from lpcal.streams import stream_rng
 from lpcal.world import bin_table, make_scenario
 from oracles import (
@@ -24,6 +19,9 @@ from oracles import (
     canonical,
     eager_pool_create,
     init_structures_one_at_a_time,
+    set_checks,
+    set_init_structures,
+    set_view,
 )
 
 
@@ -48,9 +46,33 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
     return world, f, bins, est_part, pred_part
 
 
-def parts_of(est_part, bins):
-    """Gids of the current estimation groups inside ``bins``, ascending, found by a scan."""
-    return [g.gid for g in est_part.groups.values() if g.bins <= frozenset(bins)]
+def live(part):
+    """Live gids of a partition, ascending."""
+    return np.flatnonzero(part.live).tolist()
+
+
+def parts_of(est_part, n):
+    """Gids of the current estimation groups inside bins ``0..n-1``, ascending, by a scan."""
+    return [g for g in live(est_part) if (est_part.owner == g).nonzero()[0].max() < n]
+
+
+def sizes(est_part, gids):
+    return [int(np.count_nonzero(est_part.owner == g)) for g in gids]
+
+
+def run_checks(est_part, pred_part):
+    est_part.check_invariants()
+    pred_part.check_invariants()
+    check_refinement(pred_part, est_part)
+
+
+def merge_groups(est_part, pred_part, a, b):
+    """A prediction merge keeping ``a``'s prediction, the merge pass and the new error, as the loop does."""
+    gid = pred_part.merge(a, b, pred_part.pred[a])
+    pred_part.carry(gid, est_part.merge_pass(pred_part.parts(gid)))
+    prob, label, _ = est_part.aggregate(pred_part.parts(gid))
+    pred_part.err[gid] = estimated_error(prob, pred_part.pred[gid], label)
+    return gid
 
 
 class TestEstimatedError:
@@ -67,33 +89,39 @@ class TestEstimatedError:
 class TestInit:
     def test_singletons_everywhere(self):
         _, _, bins, est_part, pred_part = build()
-        assert len(est_part.groups) == len(bins)
-        assert len(pred_part.groups) == len(bins)
-        assert all(g.size == 1 for g in est_part.groups.values())
+        n = len(bins)
+        assert live(est_part) == live(pred_part) == list(range(n))
+        # bin i is alone in group i of both partitions
+        assert est_part.owner.tolist() == pred_part.owner.tolist() == list(range(n))
+        assert est_part.levels == pred_part.levels == tuple(bins)
 
     def test_predictions_are_canonical(self):
         _, _, bins, _, pred_part = build(lam=4)
-        for g in pred_part.groups.values():
-            (v,) = g.bins
-            assert np.allclose(g.pred, canonical(v, 4))
+        for g in live(pred_part):
+            (b,) = pred_part.bins(g)
+            assert np.allclose(pred_part.pred[g], canonical(bins[b], 4))
 
     def test_each_group_owns_its_prediction(self):
         _, _, _, _, pred_part = build(lam=4)
-        # no view of a shared array, which one group's in-place write would change for others
-        assert all(g.pred.flags.owndata for g in pred_part.groups.values())
+        # a group's prediction is its own row: moving one group moves no other
+        before = pred_part.pred.copy()
+        pred_part.set_pred(0, np.array([1.0, 0.0]))
+        assert pred_part.pred[0].tolist() == [1.0, 0.0]
+        assert np.array_equal(pred_part.pred[1:], before[1:])
 
     def test_levels_distinct_at_init(self):
-        _, _, bins, est_part, pred_part = build()
-        pred_part.check_invariants(frozenset(bins))
-        est_part.check_invariants(frozenset(bins))
+        _, _, _, est_part, pred_part = build()
+        run_checks(est_part, pred_part)
+        set_checks(est_part, pred_part)
 
     def test_error_cache_matches_formula(self):
         _, _, _, est_part, pred_part = build()
-        for gid, g in pred_part.groups.items():
-            assert g.parts == [gid]
-            mg = est_part.groups[gid]
-            assert mg.bins == g.bins
-            assert np.allclose(g.err, np.abs(mg.prob * g.pred - mg.label_mass))
+        for g in live(pred_part):
+            assert pred_part.parts(g).tolist() == [g]
+            prob, label = est_part.prob[g], est_part.label_mass[g]
+            assert np.allclose(pred_part.err[g], np.abs(prob * pred_part.pred[g] - label))
+        # every other row holds -inf, so the selection can never land on it
+        assert (pred_part.err[~pred_part.live] == -np.inf).all()
 
     def test_empty_bins_rejected(self):
         with pytest.raises(ValueError):
@@ -103,86 +131,87 @@ class TestInit:
 class TestAggregate:
     def test_single_group_identity(self):
         _, _, _, est_part, _ = build()
-        g = next(iter(est_part.groups.values()))
-        p, e, n = est_part.aggregate([g.gid])
-        assert p == g.prob
-        assert np.allclose(e, g.label_mass)
+        p, e, n = est_part.aggregate([3])
+        assert p == est_part.prob[3]
+        assert np.array_equal(e, est_part.label_mass[3])
         assert n == 1
 
     def test_two_group_additivity(self):
         _, _, _, est_part, _ = build()
-        groups = list(est_part.groups.values())[:2]
-        p, e, n = est_part.aggregate([g.gid for g in groups])
-        assert p == pytest.approx(groups[0].prob + groups[1].prob)
-        assert np.allclose(e, groups[0].label_mass + groups[1].label_mass)
+        p, e, n = est_part.aggregate([0, 1])
+        assert p == pytest.approx(est_part.prob[0] + est_part.prob[1])
+        assert np.allclose(e, est_part.label_mass[0] + est_part.label_mass[1])
         assert n == 2
 
     def test_non_union_rejected(self):
-        # a part list naming no current group is a broken invariant, not a KeyError
+        # a part list naming no current group is a broken invariant, not an IndexError
         _, _, _, est_part, _ = build()
         with pytest.raises(InvariantError, match="estimation group 1000000 is not current"):
             est_part.aggregate([0, 10**6])
+        with pytest.raises(InvariantError, match="estimation group -1 is not current"):
+            est_part.aggregate([-1])
 
     def test_more_parts_than_the_bound_rejected(self):
         _, _, _, est_part, _ = build()
         with pytest.raises(InvariantError, match="exceed the bound"):
-            est_part.aggregate(list(est_part.groups)[: est_part.max_subsets + 1])
+            est_part.aggregate(live(est_part)[: est_part.max_subsets + 1])
 
 
 class TestMergePass:
     def test_two_singletons_one_merge(self):
-        _, _, bins, est_part, _ = build()
-        parts = parts_of(est_part, bins[:2])
-        events = est_part.merge_pass(parts)
+        _, _, _, est_part, _ = build()
+        events = est_part.merge_pass(parts_of(est_part, 2))
         assert len(events) == 1
         assert events[0].size == 2
-        assert parts == [events[0].new_gid] == parts_of(est_part, bins[:2])
+        assert parts_of(est_part, 2) == [events[0].new_gid]
+        assert est_part.owner[:2].tolist() == [events[0].new_gid] * 2
 
     def test_four_singletons_collapse_like_binary_counter(self):
         _, _, bins, est_part, _ = build()
         assert len(bins) >= 4
-        parts = parts_of(est_part, bins[:4])
-        events = est_part.merge_pass(parts)
+        events = est_part.merge_pass(parts_of(est_part, 4))
         assert [e.size for e in events] == [2, 2, 4]
-        assert [est_part.groups[gid].size for gid in parts] == [4]
+        assert sizes(est_part, parts_of(est_part, 4)) == [4]
 
     def test_carry_keeps_parts_ascending(self):
         # sizes 2 and 1, then one more singleton: 1+1 carries to 2, then 2+2 to 4
-        _, _, bins, est_part, _ = build()
-        parts = parts_of(est_part, bins[:3])
-        est_part.merge_pass(parts)
-        assert [est_part.groups[gid].size for gid in parts] == [1, 2]
-        assert parts == sorted(parts)
-        parts.append(parts_of(est_part, bins[3:4])[0])
-        events = est_part.merge_pass(parts)
+        _, _, bins, est_part, pred_part = build()
+        a = merge_groups(est_part, pred_part, 0, 1)
+        a = merge_groups(est_part, pred_part, a, 2)
+        parts = pred_part.parts(a).tolist()
+        assert sizes(est_part, parts) == [1, 2] and parts == sorted(parts)
+        events = est_part.merge_pass(parts + [3])
         assert [e.size for e in events] == [2, 4]
-        assert parts == [events[-1].new_gid]
+        gid = pred_part.merge(a, 3, pred_part.pred[a])
+        pred_part.carry(gid, events)
+        assert pred_part.parts(gid).tolist() == [events[-1].new_gid]
+        run_checks(est_part, pred_part)
 
     def test_distinct_sizes_noop(self):
-        _, _, bins, est_part, _ = build()
-        est_part.merge_pass(parts_of(est_part, bins[:2]))  # leaves sizes {2, 1, 1, ...}
-        one = next(g for g in est_part.groups.values() if g.size == 2)
-        parts = [one.gid]
-        assert est_part.merge_pass(parts) == []
-        assert parts == [one.gid]
+        _, _, _, est_part, _ = build()
+        [event] = est_part.merge_pass(parts_of(est_part, 2))  # leaves sizes {2, 1, 1, ...}
+        assert est_part.merge_pass([event.new_gid]) == []
+        assert est_part.merge_pass([event.new_gid, 2]) == []
 
     def test_merges_preserve_partition(self):
-        _, _, bins, est_part, _ = build()
-        est_part.merge_pass(parts_of(est_part, bins[:4]))
-        est_part.check_invariants(frozenset(bins))
+        _, _, _, est_part, _ = build()
+        est_part.merge_pass(parts_of(est_part, 4))
+        est_part.check_invariants()
 
     def test_history_ledger_rejects_same_size_overlap(self):
-        _, _, bins, est_part, _ = build()
-        with pytest.raises(InvariantError):
-            est_part.add_singletons([bins[0]])  # second singleton for the same bin
+        _, _, _, est_part, _ = build()
+        with pytest.raises(InvariantError, match="overlaps an earlier equal-size group"):
+            est_part._add(np.array([[0]]))  # second singleton for the same bin
+        with pytest.raises(InvariantError, match="overlaps an earlier equal-size group"):
+            est_part._add(np.array([[0, 1], [1, 2]]))  # a batch overlapping itself
 
     def test_target_must_be_a_union_of_groups(self):
-        _, _, bins, est_part, _ = build()
-        est_part.merge_pass(parts_of(est_part, bins[:2]))
-        groups = dict(est_part.groups)
+        _, _, _, est_part, _ = build()
+        est_part.merge_pass(parts_of(est_part, 2))
+        state = est_part.owner.copy(), est_part.live.copy()
         with pytest.raises(InvariantError, match="estimation group 1 is not current"):
-            est_part.merge_pass([1, 2])  # bins[1:3]: cuts the new size-2 group
-        assert est_part.groups == groups
+            est_part.merge_pass([1, 2])  # bins 1 and 2: cuts the new size-2 group
+        assert np.array_equal(est_part.owner, state[0]) and np.array_equal(est_part.live, state[1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,184 +233,318 @@ def test_parts_agree_with_scan_oracle(seed, picks):
     )
     for v in bins:
         oracle.add_singleton(v)
-    universe = frozenset(bins)
     for i, j in picks:
-        gids = sorted(pred_part.groups)
+        gids = live(pred_part)
         a, b = gids[i % len(gids)], gids[j % len(gids)]
-        gid = a if a == b else pred_part.merge(a, b, pred_part.groups[a].pred)
-        group = pred_part.groups[gid]
-        assert est_part.merge_pass(group.parts) == oracle.merge_pass(group.bins)
-        assert list(est_part.groups) == list(oracle.groups)
-        for g in pred_part.groups.values():
-            assert g.parts == [part.gid for part in oracle.constituents(g.bins)]
-            prob, label, n = est_part.aggregate(g.parts)
-            prob_o, label_o, n_o = oracle.aggregate(g.bins)
+        gid = a if a == b else pred_part.merge(a, b, pred_part.pred[a])
+        events = est_part.merge_pass(pred_part.parts(gid))
+        pred_part.carry(gid, events)
+        group_bins = frozenset(bins[x] for x in pred_part.bins(gid).tolist())
+        assert events == oracle.merge_pass(group_bins)
+        assert live(est_part) == list(oracle.groups)
+        for g in live(pred_part):
+            g_bins = frozenset(bins[x] for x in pred_part.bins(g).tolist())
+            parts = pred_part.parts(g)
+            assert parts.tolist() == [part.gid for part in oracle.constituents(g_bins)]
+            prob, label, n = est_part.aggregate(parts)
+            prob_o, label_o, n_o = oracle.aggregate(g_bins)
             assert (prob, n) == (prob_o, n_o)
             assert label.tobytes() == label_o.tobytes()
-        est_part.check_invariants(universe)
-        oracle.check_invariants(universe)
-        check_refinement(pred_part, est_part)
+        run_checks(est_part, pred_part)
+        oracle.check_invariants(frozenset(bins))
 
 
 class TestTamper:
-    """Corrupted bookkeeping must fail the structure checks."""
+    """Corrupted bookkeeping must fail the structure checks.
+
+    Every case corrupts a group the merges touched and one they did not, and
+    the set-based checks must reject the set view of the same state.
+    """
 
     def merged(self):
-        """Structures after two prediction merges: one group has parts of sizes 2 and 1."""
-        _, _, bins, est_part, pred_part = build(n_features=40, k=3)
-        a, b, c = list(pred_part.groups)[:3]
-        gid = pred_part.merge(a, b, pred_part.groups[a].pred)
-        est_part.merge_pass(pred_part.groups[gid].parts)
-        gid = pred_part.merge(gid, c, pred_part.groups[c].pred)
-        est_part.merge_pass(pred_part.groups[gid].parts)
-        universe = frozenset(bins)
-        est_part.check_invariants(universe)
-        check_refinement(pred_part, est_part)
-        return universe, est_part, pred_part
+        """Structures after two prediction merges: group ``touched`` has parts of sizes 2 and 1.
+
+        ``untouched`` is a singleton no merge has reached.
+        """
+        _, _, _, est_part, pred_part = build(n_features=40, k=3)
+        gid = merge_groups(est_part, pred_part, 0, 1)
+        touched = merge_groups(est_part, pred_part, gid, 2)
+        run_checks(est_part, pred_part)
+        return est_part, pred_part, touched, live(pred_part)[0]
+
+    def cases(self):
+        for which in ("touched", "untouched"):
+            est_part, pred_part, touched, untouched = self.merged()
+            yield est_part, pred_part, touched if which == "touched" else untouched
 
     @staticmethod
-    def two_part_group(pred_part):
-        return next(g for g in pred_part.groups.values() if len(g.parts) == 2)
+    def rejected(est_part, pred_part, match):
+        with pytest.raises(InvariantError, match=match):
+            run_checks(est_part, pred_part)
+        with pytest.raises(InvariantError):
+            set_checks(est_part, pred_part)
 
     @staticmethod
-    def singletons(pred_part):
-        return [g for g in pred_part.groups.values() if len(g.bins) == 1]
+    def other(pred_part, gid):
+        return next(g for g in live(pred_part) if g != gid)
 
     def test_dropped_part(self):
-        _, est_part, pred_part = self.merged()
-        self.two_part_group(pred_part).parts.pop()
-        with pytest.raises(InvariantError, match="each used once"):
-            check_refinement(pred_part, est_part)
+        for est_part, pred_part, gid in self.cases():
+            pred_part.host[pred_part.parts(gid)[-1]] = -1
+            self.rejected(est_part, pred_part, "each used once")
 
     def test_part_moved_to_another_group(self):
-        _, est_part, pred_part = self.merged()
-        g, other = self.two_part_group(pred_part), self.singletons(pred_part)[0]
-        other.parts = sorted(other.parts + [g.parts.pop()])
-        with pytest.raises(InvariantError, match="do not tile its bins"):
-            check_refinement(pred_part, est_part)
+        for est_part, pred_part, gid in self.cases():
+            pred_part.host[pred_part.parts(gid)[-1]] = self.other(pred_part, gid)
+            self.rejected(est_part, pred_part, "do not tile its bins")
 
     def test_dead_gid(self):
-        _, est_part, pred_part = self.merged()
-        self.two_part_group(pred_part).parts[0] = 10**6
-        with pytest.raises(InvariantError, match="each used once"):
-            check_refinement(pred_part, est_part)
+        # a retired estimation gid listed among a group's parts
+        for est_part, pred_part, gid in self.cases():
+            dead = int(np.flatnonzero(~est_part.live[: est_part.n_gids])[0])
+            pred_part.host[dead] = gid
+            self.rejected(est_part, pred_part, "each used once")
 
     @pytest.mark.parametrize("where", ["same group", "another group"])
     def test_duplicated_gid(self, where):
-        _, est_part, pred_part = self.merged()
-        g = self.two_part_group(pred_part)
-        into = g if where == "same group" else self.singletons(pred_part)[0]
-        into.parts = sorted(into.parts + [g.parts[0]])
-        with pytest.raises(InvariantError, match="each used once"):
-            check_refinement(pred_part, est_part)
+        # ``host`` holds one group per estimation gid, so a part cannot be listed
+        # twice: listing it again in its own group changes nothing, and listing
+        # it in another group moves it out of the group that holds its bins
+        for est_part, pred_part, gid in self.cases():
+            part, before = int(pred_part.parts(gid)[0]), pred_part.parts(gid).tolist()
+            if where == "same group":
+                pred_part.host[part] = gid
+                assert pred_part.parts(gid).tolist() == before
+                run_checks(est_part, pred_part)
+                set_checks(est_part, pred_part)
+            else:
+                pred_part.host[part] = self.other(pred_part, gid)
+                self.rejected(est_part, pred_part, "do not tile its bins")
 
     def test_part_outside_its_group(self):
-        # each gid still used once; only the tiling check sees the swap
-        _, est_part, pred_part = self.merged()
-        a, b = self.singletons(pred_part)[:2]
-        a.parts, b.parts = b.parts, a.parts
-        with pytest.raises(InvariantError, match="do not tile its bins"):
-            check_refinement(pred_part, est_part)
+        # each estimation gid still hosted once; only the tiling check sees the swap
+        for est_part, pred_part, gid in self.cases():
+            a, b = int(pred_part.parts(gid)[0]), int(pred_part.parts(self.other(pred_part, gid))[0])
+            pred_part.host[[a, b]] = pred_part.host[[b, a]]
+            self.rejected(est_part, pred_part, "do not tile its bins")
 
     @pytest.mark.parametrize("method", ["aggregate", "merge_pass"])
     def test_dead_gid_passed_to(self, method):
-        _, est_part, pred_part = self.merged()
-        parts = self.two_part_group(pred_part).parts + [10**6]
-        groups = dict(est_part.groups)
-        with pytest.raises(InvariantError, match="estimation group 1000000 is not current"):
-            getattr(est_part, method)(parts)
-        assert est_part.groups == groups
+        for est_part, pred_part, gid in self.cases():
+            parts = pred_part.parts(gid).tolist() + [10**6]
+            state = est_part.owner.copy(), est_part.live.copy()
+            with pytest.raises(InvariantError, match="estimation group 1000000 is not current"):
+                getattr(est_part, method)(parts)
+            assert np.array_equal(est_part.owner, state[0])
+            assert np.array_equal(est_part.live, state[1])
 
     def test_overlapping_current_groups(self):
-        universe, est_part, _ = self.merged()
-        g = next(iter(est_part.groups.values()))
-        est_part.groups[10**6] = EstimationGroup(10**6, g.bins, g.prob, g.label_mass)
-        with pytest.raises(InvariantError):
-            est_part.check_invariants(universe)
+        # a retired group made current again while its bins belong to its union
+        for est_part, pred_part, gid in self.cases():
+            dead = int(np.flatnonzero(~est_part.live[: est_part.n_gids])[0])
+            est_part.live[dead] = True
+            self.rejected(est_part, pred_part, "each used once")
 
     def test_overlap_with_the_right_total(self):
-        # two singletons on one bin: sizes still sum to len(universe), the union falls short
-        universe, est_part, _ = self.merged()
-        a, b = [g for g in est_part.groups.values() if g.size == 1][:2]
-        a.bins = b.bins
-        with pytest.raises(InvariantError, match="do not partition"):
-            est_part.check_invariants(universe)
+        # every owner still a live gid and the counts still sum to the bins; a part
+        # of the group takes a bin that lies in another prediction group
+        for est_part, pred_part, gid in self.cases():
+            part = int(pred_part.parts(gid)[0])
+            victim = int((pred_part.owner != gid).nonzero()[0][0])
+            est_part.owner[victim] = part
+            self.rejected(est_part, pred_part, None)
 
     def test_group_outside_the_universe(self):
-        universe, est_part, _ = self.merged()
-        g = next(g for g in est_part.groups.values() if g.size == 1)
-        g.bins = frozenset([(99, 99, 99)])
-        with pytest.raises(InvariantError, match="do not partition"):
-            est_part.check_invariants(universe)
+        for est_part, pred_part, gid in self.cases():
+            b = int(pred_part.bins(gid)[0])
+            est_part.owner[b] = 10**6
+            self.rejected(est_part, pred_part, "do not partition")
+        for est_part, pred_part, gid in self.cases():
+            pred_part.owner[int(pred_part.bins(gid)[0])] = -2  # would wrap to a real slot
+            self.rejected(est_part, pred_part, "do not partition")
 
     def test_missing_group(self):
-        universe, est_part, _ = self.merged()
-        del est_part.groups[next(iter(est_part.groups))]
-        with pytest.raises(InvariantError, match="do not partition"):
-            est_part.check_invariants(universe)
+        for est_part, pred_part, gid in self.cases():
+            est_part.live[pred_part.parts(gid)[0]] = False
+            self.rejected(est_part, pred_part, "do not partition")
+        for est_part, pred_part, gid in self.cases():
+            pred_part.live[gid] = False
+            self.rejected(est_part, pred_part, "do not partition")
 
     @pytest.mark.parametrize("size_class", [0, 1])
     def test_history_total_off_by_one(self, size_class):
-        universe, est_part, _ = self.merged()
-        union, total = est_part.history[size_class]
-        est_part.history[size_class] = (union, total + 1)
-        with pytest.raises(InvariantError):
-            est_part.check_invariants(universe)
+        est_part, pred_part, _, _ = self.merged()
+        est_part.totals[size_class] += 1
+        self.rejected(est_part, pred_part, f"size class {size_class} overlap")
 
     @pytest.mark.parametrize("size_class", [0, 1])
     def test_history_union_missing_a_bin(self, size_class):
-        universe, est_part, _ = self.merged()
-        union, _ = est_part.history[size_class]
-        union.discard(min(union))
-        with pytest.raises(InvariantError):
-            est_part.check_invariants(universe)
+        est_part, pred_part, _, _ = self.merged()
+        covered = est_part.covered[size_class]
+        covered[covered.argmax()] = False
+        self.rejected(est_part, pred_part, f"size class {size_class} overlap")
+
+    def test_two_groups_share_a_level(self):
+        for est_part, pred_part, gid in self.cases():
+            pred_part.level_id[self.other(pred_part, gid)] = pred_part.level_id[gid]
+            self.rejected(est_part, pred_part, "two prediction groups round to level")
+
+    def test_non_power_of_two_group(self):
+        # a singleton's bin given to a group of size 2 makes one of size 3
+        est_part, pred_part, touched, _ = self.merged()
+        pair = next(g for g in pred_part.parts(touched).tolist() if sizes(est_part, [g]) == [2])
+        single = next(g for g in pred_part.parts(touched).tolist() if g != pair)
+        est_part.owner[est_part.owner == single] = pair
+        est_part.live[single] = False
+        pred_part.host[single] = -1
+        self.rejected(est_part, pred_part, f"group {pair} has non-power-of-2 size 3")
+
+    def test_stale_level_index(self):
+        for _, pred_part, gid in self.cases():
+            level = pred_part.known[pred_part.level_id[gid]]
+            pred_part.at[level] = self.other(pred_part, gid)
+            with pytest.raises(InvariantError, match="does not hold it"):
+                pred_part.find_collision(level, exclude=-1)
+
+    def test_retired_row_or_unset_error(self):
+        for _, pred_part, gid in self.cases():
+            dead = int(np.flatnonzero(~pred_part.live[: pred_part.n_gids])[0])
+            pred_part.err[dead] = np.inf
+            with pytest.raises(InvariantError, match=f"retired group {dead} holds"):
+                pred_part.select()
+        for _, pred_part, gid in self.cases():
+            pred_part.err[gid, 1] = np.nan
+            with pytest.raises(InvariantError, match=f"group {gid} has unset error cache"):
+                pred_part.select()
 
 
 class TestGStructure:
     def test_no_collision_at_init(self):
         _, _, _, _, pred_part = build()
-        for gid, g in pred_part.groups.items():
-            assert pred_part.find_collision(g.level, exclude=gid) is None
+        for gid in live(pred_part):
+            level = pred_part.known[pred_part.level_id[gid]]
+            assert pred_part.find_collision(level, exclude=gid) is None
 
     def test_scripted_collision_found(self):
-        _, f, bins, _, pred_part = build(lam=4)
-        a, b = list(pred_part.groups)[:2]
-        pred_part.set_pred(a, np.array(pred_part.groups[b].pred))
-        assert pred_part.find_collision(pred_part.groups[a].level, exclude=a) == b
+        _, _, _, _, pred_part = build(lam=4)
+        level = pred_part.set_pred(0, pred_part.pred[1].copy())
+        assert pred_part.find_collision(level, exclude=0) == 1
+        # the index keeps the earlier holder until the merge
+        assert pred_part.at[level] == 1
 
     def test_exclude_filters_self(self):
         _, _, _, _, pred_part = build()
-        gid = next(iter(pred_part.groups))
-        assert pred_part.find_collision(pred_part.groups[gid].level, exclude=gid) is None
+        level = pred_part.known[pred_part.level_id[0]]
+        assert pred_part.find_collision(level, exclude=0) is None
 
     def test_merge_keeps_partition(self):
         _, _, bins, est_part, pred_part = build()
-        a, b = list(pred_part.groups)[:2]
-        winner = np.array(pred_part.groups[b].pred)
-        merged = pred_part.merge(a, b, winner)
-        assert np.allclose(pred_part.groups[merged].pred, winner)
-        union = set()
-        for g in pred_part.groups.values():
-            union |= g.bins
-        assert union == set(bins)
+        winner = pred_part.pred[1].copy()
+        merged = pred_part.merge(0, 1, winner)
+        assert np.array_equal(pred_part.pred[merged], winner)
+        assert pred_part.bins(merged).tolist() == [0, 1]
+        assert pred_part.parts(merged).tolist() == [0, 1]
+        assert not pred_part.live[[0, 1]].any() and pred_part.live[merged]
+        assert (pred_part.err[[0, 1]] == -np.inf).all() and np.isnan(pred_part.err[merged]).all()
+        assert pred_part.at[pred_part.known[pred_part.level_id[merged]]] == merged
+        pred_part.check_invariants()
 
     def test_merge_with_self_rejected(self):
         _, _, _, _, pred_part = build()
-        gid = next(iter(pred_part.groups))
         with pytest.raises(ValueError):
-            pred_part.merge(gid, gid, np.array([1.0, 0.0]))
+            pred_part.merge(0, 0, np.array([1.0, 0.0]))
 
     def test_refinement_check(self):
-        _, _, bins, est_part, pred_part = build()
+        _, _, _, est_part, pred_part = build()
         check_refinement(pred_part, est_part)
-        a, b = list(pred_part.groups)[:2]
-        pred_part.merge(a, b, np.array(pred_part.groups[a].pred))
+        pred_part.merge(0, 1, pred_part.pred[0])
         check_refinement(pred_part, est_part)  # merged G group is a union of M groups
 
     def test_routing_covers_all_bins(self):
         _, _, bins, _, pred_part = build()
+        merged = pred_part.merge(0, 1, pred_part.pred[0])
         routing = pred_part.routing()
-        assert set(routing) == set(bins)
+        assert list(routing) == bins
+        assert np.array_equal(routing[bins[1]], pred_part.pred[merged])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 3),
+    picks=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=20),
+    data=st.data(),
+)
+def test_array_checks_agree_with_set_checks(seed, picks, data):
+    """Random merge sequences through the array partitions and the set-based ones.
+
+    After every step both accept, and the set view of the arrays is the set
+    partitions' state.  Then one tamper of an array field: the array checks
+    reject it exactly when the set checks reject its set view.
+    """
+    world, f, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
+    pools = make_pools(world, bin_table(f.table, 6), seed, len(bins), 100_000)
+    est_o, pred_o = set_init_structures(bins, pools, 6, est_part.max_subsets)
+    universe = frozenset(bins)
+    for i, j in picks:
+        gids = live(pred_part)
+        a, b = gids[i % len(gids)], gids[j % len(gids)]
+        if a == b:
+            gid = gid_o = a
+        else:
+            gid = pred_part.merge(a, b, pred_part.pred[a])
+            gid_o = pred_o.merge(a, b, pred_o.groups[a].pred)
+        events = est_part.merge_pass(pred_part.parts(gid))
+        pred_part.carry(gid, events)
+        assert (gid, events) == (gid_o, est_o.merge_pass(pred_o.groups[gid_o].parts))
+        run_checks(est_part, pred_part)
+        est_o.check_invariants(universe)
+        pred_o.check_invariants(universe)
+        est_v, pred_v, _ = set_view(est_part, pred_part)
+        assert est_v.history == est_o.history
+        assert {g: (e.bins, e.prob, e.label_mass.tobytes()) for g, e in est_v.groups.items()} == {
+            g: (e.bins, e.prob, e.label_mass.tobytes()) for g, e in est_o.groups.items()
+        }
+        assert {g: (p.bins, p.level, p.parts, p.pred.tobytes()) for g, p in pred_v.groups.items()} == {
+            g: (p.bins, p.level, p.parts, p.pred.tobytes()) for g, p in pred_o.groups.items()
+        }
+
+    n_bins, n_est, n_pred = len(bins), est_part.n_gids, pred_part.n_gids
+    field = data.draw(st.sampled_from(
+        ["est owner", "est live", "host", "pred owner", "pred live", "level", "covered", "totals"]
+    ))  # fmt: skip
+    gid_value = st.integers(-3, 2 * n_bins + 2)
+    if field == "est owner":
+        est_part.owner[data.draw(st.integers(0, n_bins - 1))] = data.draw(gid_value)
+    elif field == "est live":
+        g = data.draw(st.integers(0, n_est - 1))
+        est_part.live[g] = not est_part.live[g]
+    elif field == "host":
+        pred_part.host[data.draw(st.integers(0, n_est - 1))] = data.draw(gid_value)
+    elif field == "pred owner":
+        pred_part.owner[data.draw(st.integers(0, n_bins - 1))] = data.draw(gid_value)
+    elif field == "pred live":
+        g = data.draw(st.integers(0, n_pred - 1))
+        pred_part.live[g] = not pred_part.live[g]
+    elif field == "level":
+        g = data.draw(st.sampled_from(live(pred_part)))
+        pred_part.level_id[g] = data.draw(st.integers(0, len(pred_part.known) - 1))
+    elif field == "covered":
+        c = data.draw(st.integers(0, len(est_part.totals) - 1))
+        b = data.draw(st.integers(0, n_bins - 1))
+        est_part.covered[c, b] = not est_part.covered[c, b]
+    else:
+        est_part.totals[data.draw(st.integers(0, len(est_part.totals) - 1))] += data.draw(
+            st.sampled_from([-1, 1])
+        )
+
+    def rejects(checks, *args):
+        try:
+            checks(*args)
+        except InvariantError:
+            return True
+        return False
+
+    assert rejects(run_checks, est_part, pred_part) == rejects(set_checks, est_part, pred_part)
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,22 +587,27 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
             bins, lazy, lam, classes, on_estimate=watch.observe_pool_answer
         )
         for i, j in picks:
-            targets = []
-            for part in (pred, pred_o):
-                gids = sorted(part.groups)
-                a, b = gids[i % len(gids)], gids[j % len(gids)]
-                gid = a if a == b else part.merge(a, b, part.groups[a].pred)
-                targets.append(part.groups[gid].parts)
-            assert est.merge_pass(targets[0]) == est_o.merge_pass(targets[1])
+            gids = live(pred)
+            a, b = gids[i % len(gids)], gids[j % len(gids)]
+            if a == b:
+                gid = gid_o = a
+            else:
+                gid = pred.merge(a, b, pred.pred[a])
+                gid_o = pred_o.merge(a, b, pred_o.groups[a].pred)
+            events = est.merge_pass(pred.parts(gid))
+            pred.carry(gid, events)
+            assert events == est_o.merge_pass(pred_o.groups[gid_o].parts)
 
-    assert list(est.groups) == list(est_o.groups)
-    for gid, g in est.groups.items():
+    est_v, pred_v, _ = set_view(est, pred)
+    assert list(est_v.groups) == list(est_o.groups)
+    for gid, g in est_v.groups.items():
         g_o = est_o.groups[gid]
         assert g.bins == g_o.bins and g.prob == g_o.prob
         assert g.label_mass.tobytes() == g_o.label_mass.tobytes()
-    for gid, g in pred.groups.items():
+    for gid, g in pred_v.groups.items():
         assert g.bins == pred_o.groups[gid].bins and g.parts == pred_o.groups[gid].parts
-        assert g.err.tobytes() == pred_o.groups[gid].err.tobytes()
+    for gid in pred_v.groups:  # the singletons' caches come from one vectorised pass
+        assert pred.err[gid].tobytes() == pred_o.groups[gid].err.tobytes()
     assert (watch.pool_prob_max_dev, watch.pool_label_max_dev) == (
         watch_o.pool_prob_max_dev,
         watch_o.pool_label_max_dev,
@@ -455,3 +623,20 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
                 assert pool.noise_rng.bit_generator.state == pool_o.noise_rng.bit_generator.state
             else:
                 assert pool.noise_rng is None
+
+
+def test_selection_matches_the_stacked_argmax_with_ties():
+    """The one argmax over the cache picks what an argmax over the stacked live rows picks."""
+    _, _, _, est_part, pred_part = build(n_features=40, k=3)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        gids = live(pred_part)
+        # few distinct values, so most draws tie across groups and classes
+        for g in gids:
+            pred_part.err[g] = rng.choice([0.0, 0.25, 0.5], size=3)
+        stacked = np.stack([pred_part.err[g] for g in gids])
+        row, j = divmod(int(np.argmax(stacked)), 3)
+        assert pred_part.select() == (gids[row], j, float(stacked[row, j]))
+        if len(gids) > 2:  # retire two rows to -inf
+            a, b = rng.choice(gids, size=2, replace=False).tolist()
+            pred_part.merge(a, b, pred_part.pred[a])

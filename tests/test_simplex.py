@@ -17,6 +17,7 @@ from lpcal.simplex import (
 )
 
 from oracles import (
+    project_simplex_by_cumsum,
     canonical,
     canonical_by_grid,
     canonical_one,
@@ -253,6 +254,22 @@ class TestProjection:
         contenders = rng.dirichlet(np.ones(k), size=200)
         assert np.all(dist <= np.linalg.norm(contenders - z, axis=1) + 1e-9)
         assert np.max(np.abs(project_simplex(out) - out)) <= 1e-9
+
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-3.0, 3.0, allow_nan=False),
+                st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 1e-300]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_the_cumsum_oracle(self, z):
+        # ties, signed zeros and points already on the simplex included
+        assert project_simplex(z).tobytes() == project_simplex_by_cumsum(z).tobytes()
 
 
 class TestEnumeration:
