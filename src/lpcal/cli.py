@@ -93,6 +93,37 @@ def _object(name: str, raw) -> dict:
     return raw
 
 
+# Every key a config document may hold, by the object it sits in.  A
+# scenario takes the keys of its own row: gamma and shift reach only the
+# scenario whose generator reads them.  In the dict form of sample_mode every
+# key but "mode" is read as a manual size, so the manual-size check refuses
+# any other key there, naming it and the size keys.
+_SCENARIO_KEYS = ("name", "k", "n_features")
+CONFIG_KEYS = {
+    "config": ("scenario", "p", "eps", "delta", "seed", "sample_mode", "manual_sizes", "out_dir"),
+    "sample_mode": ("mode", *MANUAL_SIZE_KEYS),
+    "scenario perfect": _SCENARIO_KEYS,
+    "scenario overconfident": (*_SCENARIO_KEYS, "gamma"),
+    "scenario shifted": (*_SCENARIO_KEYS, "shift"),
+    "scenario random-miscalibrated": _SCENARIO_KEYS,
+}
+
+
+def _known_keys(where: str, doc: dict) -> None:
+    """Refuse any key of ``doc`` that ``CONFIG_KEYS[where]`` does not list."""
+    known = CONFIG_KEYS[where]
+    unknown = sorted(set(doc) - set(known))
+    if where == "config":
+        for key in ("k", "n_features"):
+            if key in unknown:
+                raise ValueError(
+                    f"config key {key!r} belongs inside the scenario object: "
+                    f'{{"scenario": {{"name": ..., "{key}": ...}}}}'
+                )
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known keys are {list(known)}")
+
+
 def _scenario(raw) -> dict:
     """The scenario object; a bare string is its name."""
     return _object("scenario", {"name": raw} if isinstance(raw, str) else raw)
@@ -141,7 +172,7 @@ class RunConfig:
         name = scenario.get("name")
         if name not in SCENARIOS:
             raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
-        return cls(
+        cfg = cls(
             scenario=name,
             k=_integer("k", scenario.get("k", 3)),
             n_features=_integer("n_features", scenario.get("n_features", 20)),
@@ -153,6 +184,10 @@ class RunConfig:
             manual_sizes={key: _integer(f"manual size {key}", n) for key, n in manual.items()},
             scenario_kwargs=kwargs,
         )
+        # after the type checks, so each of them still names its own field
+        _known_keys("config", doc)
+        _known_keys(f"scenario {name}", scenario)
+        return cfg
 
     def echo(self) -> dict:
         """Path-free echo of the config for the report."""
@@ -465,6 +500,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.pred:
         # validated exactly like the world's own predictor
         pred_doc = json.loads(Path(args.pred).read_text(encoding="utf-8"))
+        if isinstance(pred_doc, dict) and "predictor" not in pred_doc:
+            raise ValueError(f"predictor document {args.pred} has no 'predictor' field")
         doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
     world, predictor = world_from_dict(doc)
     p_list = tuple(float(parse_p(s)) for s in args.p.split(","))

@@ -9,6 +9,7 @@ possible: every expectation is a finite sum.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -291,14 +292,42 @@ def world_to_dict(world: World, predictor: Predictor) -> dict:
     }
 
 
+def _finite_number(x) -> bool:
+    """A JSON number within float range: an int or float, never a bool, NaN or inf."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _json_floats(name: str, raw, ndim: int) -> np.ndarray:
+    """Field ``name`` as floats: a JSON array of finite numbers, or (``ndim`` 2) of equal-length ones."""
+    rows = raw if ndim == 2 and isinstance(raw, list) else [raw]
+    ok = isinstance(raw, list) and all(
+        isinstance(row, list) and all(map(_finite_number, row)) for row in rows
+    )
+    if not ok or len({len(row) for row in rows}) > 1:
+        kind = "finite numbers" if ndim == 1 else "equal-length arrays of finite numbers"
+        raise ValueError(f"{name} must be a JSON array of {kind}")
+    return np.asarray(raw, dtype=float)
+
+
 def world_from_dict(doc: dict) -> tuple[World, Predictor]:
-    """Inverse of :func:`world_to_dict`."""
-    k = int(doc["k"])
-    cond = np.asarray(doc["conditionals"], dtype=float)
+    """Inverse of :func:`world_to_dict`.
+
+    A missing field or one of the wrong JSON type is a ``ValueError`` that
+    names the field.
+    """
+    missing = [key for key in ("k", "masses", "conditionals", "predictor") if key not in doc]
+    if missing:
+        raise ValueError(f"world document has no {missing[0]!r} field")
+    k = doc["k"]
+    if not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    masses = _json_floats("masses", doc["masses"], 1)
+    cond = _json_floats("conditionals", doc["conditionals"], 2)
+    table = _json_floats("predictor", doc["predictor"], 2)
     if cond.ndim != 2 or cond.shape[1] != k:
         raise ValueError("conditionals disagree with k")
-    world = World(np.asarray(doc["masses"], dtype=float), cond)
-    predictor = Predictor(np.asarray(doc["predictor"], dtype=float))
+    world = World(masses, cond)
+    predictor = Predictor(table)
     if predictor.table.shape != cond.shape:
         raise ValueError("predictor shape does not match world")
     return world, predictor

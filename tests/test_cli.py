@@ -260,6 +260,27 @@ BAD_CONFIGS = [
     # an int past float range is refused, not an OverflowError traceback
     ({"eps": 10**400}, "eps must be a finite number, got 1000"),
     ({"scenario": {**PERFECT_12, "k": 10**400}}, "k must be an integer of at least 1, got 1000"),
+    # a key no table row lists: misspelled, misplaced, or meant for another scenario
+    (
+        {"k": 5, "n_features": 9, "delt": 0.5, "sead": 4},
+        "config key 'k' belongs inside the scenario object",
+    ),
+    ({"n_features": 9}, "config key 'n_features' belongs inside the scenario object"),
+    (
+        {"delt": 0.5, "sead": 4},
+        "unknown config keys ['delt', 'sead']; known keys are ['scenario', 'p', 'eps', 'delta', "
+        "'seed', 'sample_mode', 'manual_sizes', 'out_dir']",
+    ),
+    (
+        {"scenario": {**PERFECT_12, "gama": 0.5}},
+        "unknown scenario perfect keys ['gama']; known keys are ['name', 'k', 'n_features']",
+    ),
+    ({"scenario": {**PERFECT_12, "shift": 0.6}}, "unknown scenario perfect keys ['shift']"),
+    (
+        {"scenario": {**PERFECT_12, "name": "shifted", "gamma": 0.5}},
+        "unknown scenario shifted keys ['gamma']; known keys are ['name', 'k', 'n_features', "
+        "'shift']",
+    ),
 ]
 
 
@@ -572,6 +593,47 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+
+# World documents with one field missing or of the wrong JSON type, a --pred document, and
+# the start of the error each exits 2 with.
+BAD_WORLDS = [
+    ({"k": [2]}, None, "k must be a positive integer, got [2]"),
+    ({"k": True}, None, "k must be a positive integer, got True"),
+    ({"masses": {}}, None, "masses must be a JSON array of finite numbers"),
+    ({"masses": [0.5, "0.5"]}, None, "masses must be a JSON array of finite numbers"),
+    ({"masses": [10**400, 0.5]}, None, "masses must be a JSON array of finite numbers"),
+    ({"conditionals": [0.5, 0.5]}, None, "conditionals must be a JSON array of equal-length"),
+    ({"conditionals": [[0.5, 0.5], [1.0]]}, None, "conditionals must be a JSON array of equal"),
+    ({"predictor": "rows"}, None, "predictor must be a JSON array of equal-length arrays"),
+    ({"predictor": None}, None, "predictor must be a JSON array of equal-length arrays"),
+    ({"k": None, "masses": None}, None, "k must be a positive integer, got None"),
+    ({}, {"rows": [[0.5, 0.5]] * 2}, "predictor document {pred} has no 'predictor' field"),
+    ({}, {"predictor": [[0.5, True]] * 2}, "predictor must be a JSON array of equal-length"),
+]
+
+
+@pytest.mark.parametrize("changes, pred_doc, message", BAD_WORLDS)
+def test_eval_refuses_wrong_field_types(tmp_path, capsys, changes, pred_doc, message):
+    world = {"k": 2, "masses": [0.5, 0.5], "conditionals": [[0.5, 0.5]] * 2,
+             "predictor": [[0.5, 0.5]] * 2}  # fmt: skip
+    path, pred = tmp_path / "world.json", tmp_path / "pred.json"
+    path.write_text(json.dumps({**world, **changes}), encoding="utf-8")
+    argv = ["eval", "--world", str(path), "--lambda", "4"]
+    if pred_doc is not None:
+        pred.write_text(json.dumps(pred_doc), encoding="utf-8")
+        argv += ["--pred", str(pred)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message.format(pred=pred))
+    assert captured.out == ""
+
+
+def test_eval_names_a_missing_world_field(tmp_path, capsys):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps({"k": 2, "masses": [1.0], "predictor": [[0.5, 0.5]]}))
+    assert main(["eval", "--world", str(path), "--lambda", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: world document has no 'conditionals' field")
 
 
 class TestRunConfig:
