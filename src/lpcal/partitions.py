@@ -14,13 +14,14 @@ bins by the prediction vector they currently share, with a cached error
 estimate per class.
 
 Each partition records membership in one owner array, bin id -> gid of the
-bin's current group, and keeps its per-group data in arrays indexed by gid
-with a live mask: sizes and pooled estimates on one side; predictions,
-level ids and the ``(n_gids, k)`` error cache on the other.  A merge finds
-the bins of the two groups it joins with one comparison over the owner
-array and rewrites only their entries.  A merge-only partition of ``n``
-bins creates at most ``2n - 1`` groups (``n`` singletons and ``n - 1``
-merges), so every gid array is allocated once, ``2n`` long.
+bin's current group, so a group's bins are the entries holding its gid and
+its size is their count.  Per-group data sits in arrays indexed by gid with
+a live mask: pooled estimates on one side; predictions, interned level ids
+and the ``(n_gids, k)`` error cache on the other.  A merge finds the bins of
+the two groups it joins with one comparison over the owner array and
+rewrites only their entries.  A merge-only partition of ``n`` bins creates
+at most ``2n - 1`` groups (``n`` singletons and ``n - 1`` merges), so every
+gid array is allocated once, about ``2n`` long.
 
 Both structures only merge, never split: group counts are nonincreasing and
 a run performs at most one fewer merge than there are bins, per structure.
@@ -33,11 +34,14 @@ prediction gid it is a part of (-1 for none).  A prediction merge joins two
 counters; a merge pass carries.
 
 The three structure checks run in full after every loop iteration as a few
-numpy passes over these arrays.  Each docstring argues that it rejects
+numpy passes over these arrays (``bincount``, comparisons, power-of-two
+tests, the per-size-class history).  Each docstring argues that it rejects
 exactly the states that the set-based check it replaced rejects on the
-state's set view (a group's bins are the bins its gid owns; those checks
-live on in ``tests/oracles.py``), plus states whose caches disagree with
-the owner arrays.
+state's set view: the current groups are the live gids, a group's bins the
+levels of the bins its gid owns, its parts the estimation gids ``host``
+gives it.  Those set-based checks live on in ``tests/oracles.py`` as
+differential oracles.  The level index ``at`` is the one structure outside
+the set view; ``find_collision`` verifies each entry it returns.
 """
 
 from __future__ import annotations
@@ -231,14 +235,14 @@ class PredictionPartition:
     """Bin partition by shared prediction vector, with cached errors.
 
     ``owner[b]`` is the gid of bin ``b``'s group; ``live``, ``pred``,
-    ``err`` and ``level_id`` are indexed by gid; ``err`` holds ``-inf``
-    in the rows of gids not live.  They have one slot more
-    than the ``2n - 1`` gids a run can create, never live, which ``host``'s
-    -1 reads as not live.  A level set is interned once as an id into
-    ``known``, so ``level_id`` holds each group's level exactly and distinct
-    levels are distinct ids.  ``at`` maps a level to the live group holding
-    it, for collisions.  ``host`` maps an estimation gid to the prediction
-    gid it is a part of, -1 for none.
+    ``err`` and ``level_id`` are indexed by gid, and ``err`` holds ``-inf``
+    in the rows of gids not live.  They have one slot more than the
+    ``2n - 1`` gids a run can create, never live, which ``host``'s -1 reads
+    as not live.  A level set is interned once as an id into ``known``, so
+    ``level_id`` holds each group's level exactly and distinct levels are
+    distinct ids.  ``at`` maps a level to the live group holding it, for
+    collisions.  ``host`` maps an estimation gid to the prediction gid it is
+    a part of, -1 for none.
     """
 
     def __init__(self, levels: Sequence[Level], lam: int, preds: np.ndarray, errs: np.ndarray):
