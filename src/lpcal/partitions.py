@@ -124,7 +124,8 @@ class EstimationPartition:
             raise InvariantError(f"no pools for size class {size_class}")
         flat = sets.ravel()
         covered = self.covered[size_class]
-        if np.count_nonzero(covered[flat]) or len(np.unique(flat)) < len(flat):
+        # a bin named twice, or once and by an earlier group, counts 2 or more
+        if (np.bincount(flat, minlength=len(covered)) + covered).max() > 1:
             raise InvariantError(
                 f"size class {size_class}: new group overlaps an earlier equal-size group"
             )

@@ -534,12 +534,12 @@ class PredictionGroup:
 class SetEstimationPartition:
     """The estimation partition as groups of level frozensets, by gid.
 
-    This is the package's partition before bins became integer ids, kept
-    with its set-based ``check_invariants`` as the differential oracle of
-    the array version: the prediction groups hold the gids of their parts;
-    this partition holds the groups by gid.  ``history`` keeps, per size
-    class, the union of every group ever created in it and their total
-    size: the groups are pairwise disjoint exactly when the two agree.
+    With its set-based ``check_invariants``, the differential oracle of the
+    array-backed ``EstimationPartition``: the prediction groups hold the
+    gids of their parts; this partition holds the groups by gid.
+    ``history`` keeps, per size class, the union of every group ever
+    created in it and their total size: the groups are pairwise disjoint
+    exactly when the two agree.
     """
 
     def __init__(self, pools, max_subsets: int, on_estimate=None) -> None:
