@@ -7,6 +7,7 @@ and are shared across criteria via module-scoped fixtures.
 
 import csv
 import hashlib
+import json
 import math
 import time
 from pathlib import Path
@@ -340,3 +341,22 @@ def test_guard_run_pinned():
     assert trace.iterations == len(trace.records) == trace.t_max == 11_899
     digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
     assert digest == GUARD_TRACE_SHA256
+
+
+# Near the bin cap in auto mode: 6,643 selected bins (the cap is 48,000), one
+# singleton batch of 6,643 events per size-class-0 pool, and 678 iterations
+# with 3 prediction merges.  No other pin reaches a batch or a loop this large.
+NEAR_CAP_ARGS = ["--scenario", "random-miscalibrated", "--k", "3", "--n-features", "10000",
+                 "--p", "3/2", "--eps", "0.1", "--delta", "0.1", "--seed", "0"]
+NEAR_CAP_SHA256 = {
+    "report.json": "fe57a359183865c6ca2c75a6a88f22f234580d491f02e063cb7bc2970a72989c",
+    "trace.csv": "7e5c2ffda162b80d21e5eb8f952cee23414b1fe270586a40d6cbe069989ce00a",
+}
+
+
+def test_near_cap_run_pinned(tmp_path):
+    assert main(["run", *NEAR_CAP_ARGS, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert (report["bins"]["count"], report["iterations"]) == (6643, 678)
+    for fname, digest in NEAR_CAP_SHA256.items():
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
