@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -141,31 +141,30 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
     )
 
 
-def select_bins(masses: np.ndarray, binning: Binning, params: CalibParams) -> list[Level]:
-    """Bins whose estimated mass (row i for ``binning.levels[i]``) reaches beta/6, sorted."""
-    return sorted(binning.levels[i] for i in np.flatnonzero(masses >= params.bin_threshold))
+def select_bins(masses: np.ndarray, binning: Binning, params: CalibParams) -> np.ndarray:
+    """Positions of the bins of mass (row i for ``binning.levels[i]``) >= beta/6, by level."""
+    heavy = np.flatnonzero(masses >= params.bin_threshold).tolist()
+    return np.array(sorted(heavy, key=binning.levels.__getitem__), dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class CalibratedPredictor:
-    """Final predictor: route selected bins to their group's prediction.
+    """Final predictor: each selected bin predicts its group's prediction.
 
-    Any bin outside the selected set falls back to the bin's canonical
-    distribution.  h is constant on each bin of the base predictor, so its
+    ``preds[i]`` is the prediction of the bin at position ``selected[i]`` in
+    ``binning.levels``; every other bin predicts its canonical distribution.
+    h is constant on each bin of the base predictor, so its
     ``(n_levels, k)`` table over ``binning.levels`` is built once.
     """
 
-    routing: dict[Level, np.ndarray]
     binning: Binning  # of the base predictor
+    selected: InitVar[np.ndarray]
+    preds: InitVar[np.ndarray]
     per_level: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        levels = self.binning.levels
-        rows = {v: self.routing[v] for v in levels if v in self.routing}
-        fallback = [v for v in levels if v not in rows]
-        if fallback:
-            rows.update(zip(fallback, canonical_rows(fallback, self.binning.lam)))
-        per_level = np.array([rows[v] for v in levels], dtype=float)
+    def __post_init__(self, selected: np.ndarray, preds: np.ndarray) -> None:
+        per_level = canonical_rows(self.binning.levels, self.binning.lam)
+        per_level[selected] = preds
         per_level.flags.writeable = False
         object.__setattr__(self, "per_level", per_level)
 
@@ -246,9 +245,7 @@ class EventMonitor:
         dev = float(np.max(np.abs(masses - exact)))
         self.mass_table_max_dev = max(self.mass_table_max_dev, dev)
 
-    def observe_pool_answer(
-        self, bins: frozenset[Level], prob: float, label_mass: np.ndarray
-    ) -> None:
+    def observe_pool_answer(self, bins: np.ndarray, prob: float, label_mass: np.ndarray) -> None:
         """Compare one event's pair of pool answers with its exact statistics, computed once."""
         mass, mean_label = exact_event_stats(self.world, self.binning, bins)
         self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(prob - mass))
@@ -318,7 +315,8 @@ def calibrate(
     masses = estimate_bin_masses(mass_counts, binning)
     monitor.observe_mass_table(masses)
 
-    bins = select_bins(masses, binning, params)
+    selected = select_bins(masses, binning, params)
+    bins = [binning.levels[i] for i in selected.tolist()]
     trace = RunTrace(bins=bins, t_max=params.t_max)
     trace.bin_mass_stats = {
         "m1": m1,
@@ -335,7 +333,7 @@ def calibrate(
         # already within budget everywhere.
         trace.events = _event_summary(monitor, params, n_bins=0)
         trace.wall_time_s = time.perf_counter() - start
-        return CalibratedPredictor({}, binning), trace
+        return CalibratedPredictor(binning, selected, np.zeros((0, k))), trace
 
     if len(bins) > params.bin_cap:
         raise EstimateFailureError(
@@ -357,7 +355,7 @@ def calibrate(
         )
 
     est_part, pred_part = init_structures(
-        bins, pools, lam, max_subsets=classes, on_estimate=monitor.observe_pool_answer
+        binning, selected, pools, max_subsets=classes, on_estimate=monitor.observe_pool_answer
     )
     trace.moved_counts = np.zeros(n_bins, dtype=np.int64)
     t = 0
@@ -448,7 +446,7 @@ def calibrate(
     ]
     trace.events = _event_summary(monitor, params, n_bins=n_bins)
     trace.wall_time_s = time.perf_counter() - start
-    return CalibratedPredictor(pred_part.routing(), binning), trace
+    return CalibratedPredictor(binning, selected, pred_part.pred[pred_part.owner]), trace
 
 
 def _loop_failure(message: str, trace: RunTrace, t: int) -> EstimateFailureError:

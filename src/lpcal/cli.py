@@ -45,6 +45,7 @@ from .world import (
     Predictor,
     World,
     bin_table,
+    finite_number,
     make_scenario,
     world_from_dict,
     world_to_dict,
@@ -52,36 +53,32 @@ from .world import (
 
 
 def parse_p(raw: str | float | int) -> PNorm:
-    """Parse a norm exponent: "inf", an integer/float, or a fraction "3/2"."""
-    if isinstance(raw, str):
-        if raw.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        return Fraction(raw)
-    if raw == math.inf:
+    """Parse a norm exponent: "inf", a number within float range, or a fraction "3/2"."""
+    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinity") or raw == math.inf:
         return math.inf
-    return Fraction(str(raw))
+    try:
+        p = Fraction(raw if isinstance(raw, str) else str(raw))
+    except ZeroDivisionError:
+        raise ValueError(f"p {raw!r} has a zero denominator") from None
+    if abs(p) > sys.float_info.max:
+        raise ValueError(f"p {raw!r} lies beyond float range")
+    return p
 
 
 def p_label(p: PNorm) -> str:
     return "inf" if p == math.inf else str(p)
 
 
-def _finite(raw) -> bool:
-    """Whether ``raw`` is an int or float within float range; never a bool, NaN or inf."""
-    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    return ok and -sys.float_info.max <= raw <= sys.float_info.max
-
-
 def _integer(name: str, raw, least: int = 1) -> int:
     """An integer of at least ``least``, also written as a float (2e4); never a bool."""
-    if not (_finite(raw) and raw >= least and raw == int(raw)):
+    if not (finite_number(raw) and raw >= least and raw == int(raw)):
         raise ValueError(f"{name} must be an integer of at least {least}, got {raw!r}")
     return int(raw)
 
 
 def _number(name: str, raw) -> float:
     """A finite int or float; never a bool, a string or null.  ``derive_params`` checks the range."""
-    if not _finite(raw):
+    if not finite_number(raw):
         raise ValueError(f"{name} must be a finite number, got {raw!r}")
     return float(raw)
 
@@ -383,6 +380,8 @@ def _resolve_out_dir(args: argparse.Namespace, doc: dict) -> Path:
     out = args.out_dir or doc.get("out_dir")
     if not out:
         raise ValueError("no output directory: pass --out-dir or set out_dir in the config")
+    if not isinstance(out, str):
+        raise ValueError(f"out_dir must be a string, got {type(out).__name__}")
     return Path(out)
 
 

@@ -17,20 +17,20 @@ formula-sized pools (easily 1e8+ samples) keep O(n_levels * k) numbers.  A
 pool is drawn on its first query, from its own streams, so a pool no query
 reaches costs nothing and the bytes of a run do not depend on when its pools
 are drawn: that query draws (feature, label) counts and keeps only their
-sums per bin.  A query adds up its bins' rows, O(|event| * k), and the
-integer sums make every answer bit-for-bit the one a row mask gives.
+sums per bin.  An event is a row of positions in the binning's levels, a
+batch an ``(m, size)`` array checked by one ``bincount`` against a mask of
+the bins already asked.  A query adds up its bins' rows, O(|event| * k), and
+the integer sums make every answer bit-for-bit the one a row mask gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DisjointnessError, QueryBudgetError
-from .simplex import Level
 from .streams import stream_rng
 from .world import Binning, World, check_draws, joint_counts
 
@@ -117,48 +117,55 @@ class DisjointQueryPool:
     noise_rng: np.random.Generator | None = field(init=False, default=None)
     # (n_levels, k) sample counts per bin of ``binning``; None until the first query
     bin_counts: np.ndarray | None = field(init=False, default=None, repr=False)
-    _claimed: set[Level] = field(init=False, default_factory=set)
+    claimed: np.ndarray = field(init=False, repr=False)  # by position: bins already asked
 
     def __post_init__(self) -> None:
         self.noise_scale = 8.0 / (self.m * self.alpha)
+        self.claimed = np.zeros(len(self.binning.levels), dtype=bool)
 
-    def query(self, events: Sequence[Iterable[Level]]) -> np.ndarray:
+    def query(self, events: np.ndarray) -> np.ndarray:
         """Noised, clamped answers to a batch of new disjoint events, one row each.
 
-        Each event is a set of bins; one event is a batch of one.  The whole
-        batch is checked before anything is drawn or claimed, so a batch that
-        fails leaves the pool as it was.  Row i is what the i-th of
-        ``len(events)`` one-event batches in turn would answer: counts are
-        summed exactly in int64, and one ``random((n, value_dim))`` call
-        fills its rows in the order of n ``random(value_dim)`` calls.
+        Row i of ``events`` holds the positions in ``binning.levels`` of
+        event i's bins.  The whole batch is checked before anything is drawn
+        or claimed, so a refused batch leaves the pool as it was; it fails
+        as the first failing one of ``m`` one-event batches in turn would
+        (an empty or misshapen batch, or a position outside the binning, is
+        a ``ValueError``).  Row i is what the i-th of them would answer:
+        counts are summed exactly in int64, and one ``random((m,
+        value_dim))`` call fills its rows in the order of m
+        ``random(value_dim)`` calls.
         """
-        events = [frozenset(event) for event in events]
-        batch: set[Level] = set()
-        for i, event in enumerate(events):
-            if not event:
-                raise ValueError("event must be nonempty")
-            overlap = (event & self._claimed) | (event & batch)
-            if overlap:
-                raise DisjointnessError(
-                    f"pool {self.name}: event overlaps earlier queries on bins {sorted(overlap)}"
-                )
-            if self.queries_issued + i >= self.n_events:
-                raise QueryBudgetError(
-                    f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
-                )
-            batch |= event
+        events = np.asarray(events)
+        n_levels = len(self.claimed)
+        if events.ndim != 2 or not events.size:
+            raise ValueError(f"pool {self.name}: event must be nonempty, in an (m, size) batch")
+        if events.dtype.kind != "i" or events.min() < 0 or events.max() >= n_levels:
+            raise ValueError(f"pool {self.name}: positions must lie in [0, {n_levels})")
+        room = self.n_events - self.queries_issued
+        # a bin named twice up to the first event past the budget, or once and before, counts 2+
+        named = np.bincount(events[: room + 1].ravel(), minlength=n_levels) + self.claimed
+        if named.max() > 1:
+            overlap = sorted(self.binning.levels[i] for i in np.flatnonzero(named > 1).tolist())
+            raise DisjointnessError(
+                f"pool {self.name}: event overlaps earlier queries on bins {overlap}"
+            )
+        if len(events) > room:
+            raise QueryBudgetError(
+                f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
+            )
         if self.bin_counts is None:  # the first query draws the sample and opens the noise stream
             data_rng = stream_rng(self.master_seed, f"data:pool:{self.name}")
             counts = joint_counts(self.world, data_rng, self.m)
-            self.bin_counts = np.zeros((len(self.binning.levels), self.world.k), dtype=np.int64)
+            self.bin_counts = np.zeros((n_levels, self.world.k), dtype=np.int64)
             np.add.at(self.bin_counts, self.binning.ids, counts)
             self.noise_rng = stream_rng(self.master_seed, f"laplace:pool:{self.name}")
-        cells = np.stack([self.bin_counts[self.binning.positions(e)].sum(axis=0) for e in events])
+        cells = self.bin_counts[events].sum(axis=1)
         if self.value_dim == 1:
             cells = cells.sum(axis=1, keepdims=True)
         raw = cells / self.m
         u = self.noise_rng.random((len(events), self.value_dim))
-        self._claimed |= batch
+        self.claimed[events] = True
         self.queries_issued += len(events)
         return np.clip(raw + laplace_invcdf(u, self.noise_scale), 0.0, 1.0)
 

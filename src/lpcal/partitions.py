@@ -1,10 +1,10 @@
 """Twin merge-only partitions of the high-probability bins.
 
-A bin is an integer id: its position in the ascending list of selected
-level sets, so ids follow the lexicographic order of the levels.  Level
-tuples appear only where the partitions meet the rest of the run: the pool
-queries and the monitor hook (a new group's event), the level of a
-prediction, and ``routing``.
+A bin is an integer id: its index in ``positions``, the positions in the
+binning's levels of the selected bins, sorted by level, so ids follow the
+lexicographic order of the levels.  A new group's event reaches the pools
+and the monitor hook as the positions of its bins, a row of an ``(m, size)``
+batch.  The one level tuple the partitions hold is a prediction's level.
 
 The estimation partition splits the bins into groups whose sizes are always
 powers of two; every group ever created within one size class is pairwise
@@ -38,7 +38,7 @@ numpy passes over these arrays (``bincount``, comparisons, power-of-two
 tests, the per-size-class history).  Each docstring argues that it rejects
 exactly the states that the set-based check it replaced rejects on the
 state's set view: the current groups are the live gids, a group's bins the
-levels of the bins its gid owns, its parts the estimation gids ``host``
+positions of the bins its gid owns, its parts the estimation gids ``host``
 gives it.  Those set-based checks live on in ``tests/oracles.py`` as
 differential oracles.  The level index ``at`` is the one structure outside
 the set view; ``find_collision`` verifies each entry it returns.
@@ -48,16 +48,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import InvariantError
 from .simplex import Level, canonical_rows, round_down
 from .estimation import DisjointQueryPool
+from .world import Binning
 
-# (event bins, probability answer, (k,) label-mass answer) -> None, once per event.
-EstimateHook = Callable[[frozenset[Level], float, np.ndarray], None]
+# (positions of the event's bins, probability answer, (k,) label-mass answer) -> None, per event.
+EstimateHook = Callable[[np.ndarray, float, np.ndarray], None]
 
 
 def estimated_error(prob_sum, pred: np.ndarray, label_sum: np.ndarray) -> np.ndarray:
@@ -92,20 +93,20 @@ class EstimationPartition:
 
     def __init__(
         self,
-        levels: Sequence[Level],
+        positions: np.ndarray,
         pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
         max_subsets: int,
         on_estimate: EstimateHook | None = None,
     ) -> None:
-        self.levels = tuple(levels)  # bin id -> level set
+        self.positions = positions  # bin id -> position in the pools' binning
         self.pools = dict(pools)  # size class i -> (prob pool, label pool)
         self.max_subsets = max_subsets
         self.on_estimate = on_estimate
-        n = len(self.levels)
+        n = len(positions)
         self.owner = np.full(n, -1, dtype=np.int64)
         self.live = np.zeros(2 * n, dtype=bool)
         self.prob = np.zeros(2 * n)
-        self.label_mass = np.zeros((2 * n, len(self.levels[0])))
+        self.label_mass = np.zeros((2 * n, self.pools[0][1].value_dim))  # the label pools' k
         self.covered = np.zeros((n.bit_length(), n), dtype=bool)
         self.totals = np.zeros(n.bit_length(), dtype=np.int64)
         self.n_gids = 0
@@ -115,8 +116,9 @@ class EstimationPartition:
 
         The batch is checked against its size class's history, and against
         itself, before anything is asked.  Each of the class's two pools
-        answers the whole batch in one query, and ``on_estimate`` sees each
-        group's pair of answers once, in row order.
+        answers the whole batch, ``positions[sets]``, in one query, and
+        ``on_estimate`` sees each group's event and pair of answers once, in
+        row order.
         """
         m, size = sets.shape
         size_class = size.bit_length() - 1
@@ -131,7 +133,7 @@ class EstimationPartition:
             )
         covered[flat] = True
         self.totals[size_class] += len(flat)
-        events = [frozenset(map(self.levels.__getitem__, row)) for row in sets.tolist()]
+        events = self.positions[sets]
         prob_pool, label_pool = self.pools[size_class]
         probs = prob_pool.query(events)[:, 0].tolist()
         label_masses = label_pool.query(events)
@@ -149,7 +151,7 @@ class EstimationPartition:
 
     def add_singletons(self) -> None:
         """Give bin ``i`` the one-bin group ``i``, queried on size class 0 in one batch."""
-        self._add(np.arange(len(self.levels))[:, None])
+        self._add(np.arange(len(self.positions))[:, None])
 
     def _current(self, gids) -> tuple[np.ndarray, list[int]]:
         """``gids`` as an array and a list; a gid of no current group breaks an invariant."""
@@ -246,13 +248,12 @@ class PredictionPartition:
     a part of, -1 for none.
     """
 
-    def __init__(self, levels: Sequence[Level], lam: int, preds: np.ndarray, errs: np.ndarray):
+    def __init__(self, lam: int, preds: np.ndarray, errs: np.ndarray):
         """Bin ``i`` alone in group ``i``, predicting ``preds[i]`` with error ``errs[i]``.
 
         Its one part is estimation group ``i``.
         """
         n, k = preds.shape
-        self.levels = tuple(levels)  # bin id -> level set
         self.lam = lam
         self.owner = np.arange(n)
         self.live = np.zeros(2 * n + 1, dtype=bool)
@@ -369,10 +370,6 @@ class PredictionPartition:
             raise InvariantError(f"group {gid} has unset error cache")
         return gid, j, err
 
-    def routing(self) -> dict[Level, np.ndarray]:
-        """Bin -> current group prediction, for assembling the final predictor."""
-        return {v: self.pred[gid] for v, gid in zip(self.levels, self.owner.tolist())}
-
     def check_invariants(self) -> None:
         """Exact partition of the bin set and pairwise distinct levels.
 
@@ -430,26 +427,26 @@ def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartiti
 
 
 def init_structures(
-    bins: Iterable[Level],
+    binning: Binning,
+    selected: np.ndarray,
     pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-    lam: int,
     max_subsets: int,
     on_estimate: EstimateHook | None = None,
 ) -> tuple[EstimationPartition, PredictionPartition]:
-    """Singleton initialization of both partitions over the bins, sorted.
+    """Singleton initialization of both partitions over the selected bins.
 
-    Bin ``i`` gets the one-bin group ``i`` in each structure; the statistics
-    of all of them come from one batch query to each size-class-0 pool,
-    each bin's prediction is its canonical distribution, and its cached
-    error is the estimated gap ``|prob * pred_j - label_mass_j|``; its one
-    part is the bin's estimation singleton.
+    ``selected`` holds the bins' positions in ``binning.levels``, sorted by
+    level.  Bin ``i`` gets the one-bin group ``i`` in each structure; the
+    statistics of all of them come from one batch query to each
+    size-class-0 pool, each bin's prediction is its canonical distribution,
+    and its cached error is the estimated gap ``|prob * pred_j -
+    label_mass_j|``; its one part is the bin's estimation singleton.
     """
-    levels = sorted(bins)
-    if not levels:
+    if not len(selected):
         raise ValueError("bin set must be nonempty")
-    est = EstimationPartition(levels, pools, max_subsets, on_estimate)
+    est = EstimationPartition(selected, pools, max_subsets, on_estimate)
     est.add_singletons()
-    n = len(levels)
-    preds = canonical_rows(levels, lam)
+    n = len(selected)
+    preds = canonical_rows([binning.levels[i] for i in selected.tolist()], binning.lam)
     errs = estimated_error(est.prob[:n, None], preds, est.label_mass[:n])
-    return est, PredictionPartition(levels, lam, preds, errs)
+    return est, PredictionPartition(binning.lam, preds, errs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -88,32 +87,27 @@ class Binning:
     levels: the distinct level sets, in order of their first row.
     ids:    (n_rows,) position in ``levels`` of each row's level set.
 
-    A per-level row index is built once: the rows sorted stably by id, so
-    level ``i``'s rows are ``_order[_starts[i]:_starts[i + 1]]``, ascending.
+    A bin is named by its position in ``levels``.  A per-level row index is
+    built once: the rows sorted stably by id, so level ``i``'s rows are
+    ``_order[_starts[i]:_starts[i + 1]]``, ascending.
     """
 
     lam: int
     levels: tuple[Level, ...]
     ids: np.ndarray
-    _position: dict[Level, int] = field(init=False, repr=False, compare=False)
     _order: np.ndarray = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_position", {v: i for i, v in enumerate(self.levels)})
         order = np.argsort(self.ids, kind="stable")
         order.flags.writeable = False  # ``rows`` hands out views of it
         object.__setattr__(self, "_order", order)
         sizes = np.bincount(self.ids, minlength=len(self.levels))
         object.__setattr__(self, "_starts", np.concatenate(([0], np.cumsum(sizes))))
 
-    def positions(self, bins: Iterable[Level]) -> list[int]:
-        """Positions in ``levels`` of the realized level sets among ``bins``, each once."""
-        return [self._position[v] for v in set(bins) if v in self._position]
-
-    def rows(self, bins: Iterable[Level]) -> np.ndarray:
-        """Indices of the rows whose level set lies in ``bins``, ascending."""
-        segments = [self._order[self._starts[i] : self._starts[i + 1]] for i in self.positions(bins)]
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """Indices of the rows in the bins at the distinct ``positions``, ascending."""
+        segments = [self._order[self._starts[i] : self._starts[i + 1]] for i in positions.tolist()]
         if len(segments) == 1:
             return segments[0]  # one level's rows are already ascending
         return np.sort(np.concatenate(segments)) if segments else np.zeros(0, dtype=np.int64)
@@ -218,18 +212,19 @@ def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def exact_event_stats(
-    world: World, binning: Binning, bins: Iterable[Level]
+    world: World, binning: Binning, positions: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Exact mass and per-class label mass of a bin-set event.
 
-    Returns ``P[R(f(x)) in bins]`` and the vector ``E[y_j * 1[R(f(x)) in
-    bins]]`` summed exactly over the event's features, in ascending feature
-    order.  The label vector is unnormalized (it sums to the event mass).
+    ``positions`` names the event's bins, distinct positions in
+    ``binning.levels``.  Returns ``P[R(f(x)) in bins]`` and the vector
+    ``E[y_j * 1[R(f(x)) in bins]]`` summed exactly over the event's
+    features, in ascending feature order.  The label vector is unnormalized
+    (it sums to the event mass).
     """
-    bins = frozenset(bins)
-    if not bins:
+    if not len(positions):
         raise ValueError("bins must be nonempty")
-    rows = binning.rows(bins)  # ascending: the elements a row mask selects, in its order
+    rows = binning.rows(positions)  # ascending: the elements a row mask selects, in its order
     mass = world.mass[rows]
     return float(mass.sum()), np.asarray(mass @ world.conditional[rows], dtype=float)
 
@@ -240,8 +235,6 @@ def make_scenario(
     n_features: int,
     seed: int,
     *,
-    mass: np.ndarray | None = None,
-    conditional: np.ndarray | None = None,
     gamma: float = 0.75,
     shift: float = 0.3,
 ) -> tuple[World, Predictor]:
@@ -254,17 +247,12 @@ def make_scenario(
     random-miscalibrated:  f rows drawn uniformly from the simplex,
                            independent of the conditionals.
 
-    ``mass``/``conditional`` override the random world (single-feature worlds
-    in tests); everything random comes from the "scenario" stream of ``seed``.
+    Everything random comes from the "scenario" stream of ``seed``.
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
     rng = stream_rng(seed, "scenario")
-    if mass is None:
-        mass = rng.dirichlet(np.ones(n_features))
-    if conditional is None:
-        conditional = rng.dirichlet(np.ones(k), size=n_features)
-    world = World(np.asarray(mass, float), np.asarray(conditional, float))
+    world = World(rng.dirichlet(np.ones(n_features)), rng.dirichlet(np.ones(k), size=n_features))
     cond = world.conditional
     if name == "perfect":
         table = cond.copy()
@@ -292,7 +280,7 @@ def world_to_dict(world: World, predictor: Predictor) -> dict:
     }
 
 
-def _finite_number(x) -> bool:
+def finite_number(x) -> bool:
     """A JSON number within float range: an int or float, never a bool, NaN or inf."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
@@ -301,7 +289,7 @@ def _json_floats(name: str, raw, ndim: int) -> np.ndarray:
     """Field ``name`` as floats: a JSON array of finite numbers, or (``ndim`` 2) of equal-length ones."""
     rows = raw if ndim == 2 and isinstance(raw, list) else [raw]
     ok = isinstance(raw, list) and all(
-        isinstance(row, list) and all(map(_finite_number, row)) for row in rows
+        isinstance(row, list) and all(map(finite_number, row)) for row in rows
     )
     if not ok or len({len(row) for row in rows}) > 1:
         kind = "finite numbers" if ndim == 1 else "equal-length arrays of finite numbers"

@@ -166,19 +166,20 @@ def rows_in_by_level_scan(binning: Binning, bins) -> np.ndarray:
     return hit[binning.ids]
 
 
-def rows_in(binning: Binning, bins) -> np.ndarray:
-    """Boolean mask of the rows whose level set lies in ``bins``, by position lookup."""
+def rows_in(binning: Binning, positions) -> np.ndarray:
+    """Boolean mask of the rows in the bins at ``positions`` in ``binning.levels``."""
     hit = np.zeros(len(binning.levels), dtype=bool)
-    hit[binning.positions(bins)] = True
+    hit[list(positions)] = True
     return hit[binning.ids]
 
 
-def exact_event_stats_by_mask(world: World, binning: Binning, bins) -> tuple[float, np.ndarray]:
-    """Exact mass and per-class label mass of a bin-set event, through a row mask."""
-    bins = frozenset(bins)
-    if not bins:
+def exact_event_stats_by_mask(
+    world: World, binning: Binning, positions
+) -> tuple[float, np.ndarray]:
+    """Exact mass and per-class label mass of the bins at ``positions``, through a row mask."""
+    if not len(positions):
         raise ValueError("bins must be nonempty")
-    sel = rows_in(binning, bins)
+    sel = rows_in(binning, positions)
     mass = float(world.mass[sel].sum())
     mean_label = world.mass[sel] @ world.conditional[sel]
     return mass, np.asarray(mean_label, dtype=float)
@@ -434,10 +435,12 @@ def dp_epsilon(pool) -> float:
 class EagerQueryPool:
     """Query pool drawn when it is created, answering one event at a time.
 
-    Each query builds a row mask over every feature of ``binning`` and sums
-    the sampled counts under it.  ``data_rng`` is kept so its state can be
-    compared.  A plain class: ``perfbench/checker.py`` loads this file
-    outside ``sys.modules``, where ``dataclass`` cannot resolve its
+    An event names its bins by their positions in ``binning.levels``, as the
+    package's pool takes them; this pool translates them to levels, keeps a
+    set of the levels already asked, and sums the sampled counts under a row
+    mask found by testing every level.  ``data_rng`` is kept so its state
+    can be compared.  A plain class: ``perfbench/checker.py`` loads this
+    file outside ``sys.modules``, where ``dataclass`` cannot resolve its
     annotations.
     """
 
@@ -451,8 +454,8 @@ class EagerQueryPool:
         self.queries_issued = 0
         self._claimed: set[Level] = set()
 
-    def query(self, event: Iterable[Level]) -> np.ndarray:
-        event = frozenset(event)
+    def query(self, event: Iterable[int]) -> np.ndarray:
+        event = frozenset(self.binning.levels[i] for i in event)
         if not event:
             raise ValueError("event must be nonempty")
         overlap = event & self._claimed
@@ -464,7 +467,7 @@ class EagerQueryPool:
             raise QueryBudgetError(
                 f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
             )
-        cell = self.counts[rows_in(self.binning, event)]
+        cell = self.counts[rows_in_by_level_scan(self.binning, event)]
         if self.value_dim == 1:
             raw = np.array([cell.sum() / self.m])
         else:
@@ -502,7 +505,7 @@ def eager_pool_create(
 class PerKindMonitor(EventMonitor):
     """Event monitor fed one answer at a time, computing exact statistics for each."""
 
-    def observe_pool_answer(self, kind: str, bins: frozenset[Level], answer: np.ndarray) -> None:
+    def observe_pool_answer(self, kind: str, bins: frozenset[int], answer: np.ndarray) -> None:
         mass, mean_label = exact_event_stats_by_mask(self.world, self.binning, bins)
         if kind == "prob":
             self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(float(answer[0]) - mass))
@@ -512,9 +515,9 @@ class PerKindMonitor(EventMonitor):
 
 
 class EstimationGroup:
-    """One estimation group of the set-based partitions: a frozenset of levels."""
+    """One estimation group of the set-based partitions: a frozenset of bin positions."""
 
-    def __init__(self, gid: int, bins: frozenset[Level], prob: float, label_mass: np.ndarray):
+    def __init__(self, gid: int, bins: frozenset[int], prob: float, label_mass: np.ndarray):
         self.gid, self.bins, self.prob, self.label_mass = gid, bins, prob, label_mass
 
     @property
@@ -532,7 +535,7 @@ class PredictionGroup:
 
 
 class SetEstimationPartition:
-    """The estimation partition as groups of level frozensets, by gid.
+    """The estimation partition as groups of frozensets of bin positions, by gid.
 
     With its set-based ``check_invariants``, the differential oracle of the
     array-backed ``EstimationPartition``: the prediction groups hold the
@@ -548,10 +551,10 @@ class SetEstimationPartition:
         self.on_estimate = on_estimate
         self.groups: dict[int, EstimationGroup] = {}
         # size class -> (union of every group ever created in it, their total size)
-        self.history: dict[int, tuple[set[Level], int]] = {}
+        self.history: dict[int, tuple[set[int], int]] = {}
         self._next_gid = 0
 
-    def _record(self, size_class: int, bins: frozenset[Level]) -> None:
+    def _record(self, size_class: int, bins: frozenset[int]) -> None:
         union, total = self.history.get(size_class, (set(), 0))
         if not union.isdisjoint(bins):
             raise InvariantError(
@@ -560,15 +563,16 @@ class SetEstimationPartition:
         union |= bins
         self.history[size_class] = (union, total + len(bins))
 
-    def _add(self, sets: list[frozenset[Level]]) -> list[EstimationGroup]:
+    def _add(self, sets: list[frozenset[int]]) -> list[EstimationGroup]:
         size_class = len(sets[0]).bit_length() - 1
         if size_class not in self.pools:
             raise InvariantError(f"no pools for size class {size_class}")
         for bins in sets:
             self._record(size_class, bins)
         prob_pool, label_pool = self.pools[size_class]
-        probs = prob_pool.query(sets)[:, 0].tolist()
-        label_masses = label_pool.query(sets)
+        events = np.array([sorted(bins) for bins in sets])
+        probs = prob_pool.query(events)[:, 0].tolist()
+        label_masses = label_pool.query(events)
         groups = []
         for bins, prob, label_mass in zip(sets, probs, label_masses):
             if self.on_estimate is not None:
@@ -613,7 +617,7 @@ class SetEstimationPartition:
             inside[i : i + 2] = [merged]
             events.append(MergeEvent(merged.gid, a.gid, b.gid, merged.size))
 
-    def check_invariants(self, universe: frozenset[Level]) -> None:
+    def check_invariants(self, universe: frozenset[int]) -> None:
         """Power-of-two sizes, exact partition, historical disjointness."""
         for g in self.groups.values():
             if g.size & (g.size - 1):
@@ -627,7 +631,7 @@ class SetEstimationPartition:
 
 
 class SetPredictionPartition:
-    """The prediction partition as groups of level frozensets, with a scan for collisions."""
+    """The prediction partition as groups of frozensets of bin positions, with a scan for collisions."""
 
     def __init__(self, lam: int) -> None:
         self.lam = lam
@@ -659,9 +663,9 @@ class SetPredictionPartition:
         err = np.full_like(ga.err, np.nan)
         return self.add(ga.bins | gb.bins, winner_pred, err, sorted(ga.parts + gb.parts))
 
-    def check_invariants(self, universe: frozenset[Level]) -> None:
+    def check_invariants(self, universe: frozenset[int]) -> None:
         """Exact partition of the bin set and pairwise distinct levels."""
-        seen: set[Level] = set()
+        seen: set[int] = set()
         levels: set[Level] = set()
         for g in self.groups.values():
             if seen & g.bins:
@@ -684,31 +688,32 @@ def set_check_refinement(pred_part: SetPredictionPartition, est_part: SetEstimat
             raise InvariantError(f"the parts of prediction group {g.gid} do not tile its bins")
 
 
-def set_init_structures(bins, pools, lam: int, max_subsets: int, on_estimate=None):
-    """Singleton start of the set-based partitions, one batch query per pool."""
-    bins = sorted(bins)
+def set_init_structures(binning: Binning, selected, pools, max_subsets: int, on_estimate=None):
+    """Singleton start of the set-based partitions over ``selected``, one batch query per pool."""
     est = SetEstimationPartition(pools, max_subsets, on_estimate)
-    pred_part = SetPredictionPartition(lam)
-    for v, pred, grp in zip(bins, canonical_rows(bins, lam), est.add_singletons(bins)):
+    pred_part = SetPredictionPartition(binning.lam)
+    preds = canonical_rows([binning.levels[i] for i in selected], binning.lam)
+    for i, pred, grp in zip(selected, preds, est.add_singletons(selected)):
         err = estimated_error(grp.prob, pred, grp.label_mass)
-        pred_part.add(frozenset([v]), pred, err, [grp.gid])
+        pred_part.add(frozenset([i]), pred, err, [grp.gid])
     return est, pred_part
 
 
 def set_view(est_part, pred_part):
     """The set-based partitions an array-backed pair denotes, and their universe.
 
-    Group ``g``'s bins are the levels of the bins its gid owns, and the
-    current groups of each partition are its live gids.  A prediction group's parts are the
-    estimation gids ``host`` assigns it, ascending; a size class's union is
-    the levels its ``covered`` row marks.
+    Group ``g``'s bins are the binning positions of the bins its gid owns,
+    and the current groups of each partition are its live gids.  A
+    prediction group's parts are the estimation gids ``host`` assigns it,
+    ascending; a size class's union is the positions its ``covered`` row
+    marks.
     """
-    levels = est_part.levels
+    positions = est_part.positions.tolist()
     est = SetEstimationPartition(est_part.pools, est_part.max_subsets)
     pred = SetPredictionPartition(pred_part.lam)
 
     def owned(owner, gid):
-        return frozenset(levels[b] for b in np.flatnonzero(owner == gid).tolist())
+        return frozenset(positions[b] for b in np.flatnonzero(owner == gid).tolist())
 
     for gid in np.flatnonzero(est_part.live).tolist():
         bins = owned(est_part.owner, gid)
@@ -716,7 +721,7 @@ def set_view(est_part, pred_part):
             gid, bins, float(est_part.prob[gid]), est_part.label_mass[gid]
         )
     for c in range(len(est_part.totals)):
-        union = {levels[b] for b in np.flatnonzero(est_part.covered[c]).tolist()}
+        union = {positions[b] for b in np.flatnonzero(est_part.covered[c]).tolist()}
         if union or est_part.totals[c]:
             est.history[c] = (union, int(est_part.totals[c]))
     for gid in np.flatnonzero(pred_part.live).tolist():
@@ -728,7 +733,7 @@ def set_view(est_part, pred_part):
             pred_part.err[gid],
             pred_part.parts(gid).tolist(),
         )
-    return est, pred, frozenset(levels)
+    return est, pred, frozenset(positions)
 
 
 def set_checks(est_part, pred_part) -> None:
@@ -746,7 +751,7 @@ class OneAtATimeEstimationPartition(SetEstimationPartition):
     the probability answer and once for the label answer of each group.
     """
 
-    def _estimate(self, size_class: int, bins: frozenset[Level]) -> tuple[float, np.ndarray]:
+    def _estimate(self, size_class: int, bins: frozenset[int]) -> tuple[float, np.ndarray]:
         prob_pool, label_pool = self.pools[size_class]
         prob = float(prob_pool.query(bins)[0])
         label_mass = label_pool.query(bins)
@@ -755,7 +760,7 @@ class OneAtATimeEstimationPartition(SetEstimationPartition):
             self.on_estimate("label", bins, label_mass)
         return prob, label_mass
 
-    def _add(self, sets: list[frozenset[Level]]) -> list[EstimationGroup]:
+    def _add(self, sets: list[frozenset[int]]) -> list[EstimationGroup]:
         groups = []
         for bins in sets:
             size_class = len(bins).bit_length() - 1
@@ -769,23 +774,24 @@ class OneAtATimeEstimationPartition(SetEstimationPartition):
             groups.append(g)
         return groups
 
-    def add_singleton(self, v: Level) -> int:
-        """Create the initial one-bin group for ``v``, queried on size class 0."""
-        return self._add([frozenset([v])])[0].gid
+    def add_singleton(self, i: int) -> int:
+        """Create the initial one-bin group for the bin at position ``i``, queried on size class 0."""
+        return self._add([frozenset([i])])[0].gid
 
 
-def init_structures_one_at_a_time(bins, pools, lam: int, max_subsets: int, on_estimate=None):
-    """``init_structures`` with one query pair per singleton, in bin order."""
-    bins = sorted(bins)
-    if not bins:
+def init_structures_one_at_a_time(
+    binning: Binning, selected, pools, max_subsets: int, on_estimate=None
+):
+    """``init_structures`` with one query pair per singleton, in the order of ``selected``."""
+    if not len(selected):
         raise ValueError("bin set must be nonempty")
     est = OneAtATimeEstimationPartition(pools, max_subsets, on_estimate)
-    pred_part = SetPredictionPartition(lam)
-    for v in bins:
-        grp = est.groups[est.add_singleton(v)]
-        pred = canonical_one(v, lam)
+    pred_part = SetPredictionPartition(binning.lam)
+    for i in selected:
+        grp = est.groups[est.add_singleton(i)]
+        pred = canonical_one(binning.levels[i], binning.lam)
         err = estimated_error(grp.prob, pred, grp.label_mass)
-        pred_part.add(frozenset([v]), pred, err, [grp.gid])
+        pred_part.add(frozenset([i]), pred, err, [grp.gid])
     return est, pred_part
 
 
@@ -799,7 +805,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
     are shared with the part-list version it is compared against.
     """
 
-    def _record(self, size_class: int, bins: frozenset[Level]) -> None:
+    def _record(self, size_class: int, bins: frozenset[int]) -> None:
         ledger = self.history.setdefault(size_class, [])
         for earlier in ledger:
             if earlier & bins:
@@ -808,7 +814,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
                 )
         ledger.append(bins)
 
-    def _new_group(self, size_class: int, bins: frozenset[Level]) -> EstimationGroup:
+    def _new_group(self, size_class: int, bins: frozenset[int]) -> EstimationGroup:
         self._record(size_class, bins)
         prob, label_mass = self._estimate(size_class, bins)
         g = EstimationGroup(self._next_gid, bins, prob, label_mass)
@@ -816,20 +822,20 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
         self.groups[g.gid] = g
         return g
 
-    def add_singleton(self, v: Level) -> int:
-        return self._new_group(0, frozenset([v])).gid
+    def add_singleton(self, i: int) -> int:
+        return self._new_group(0, frozenset([i])).gid
 
-    def constituents(self, bins: frozenset[Level]) -> list[EstimationGroup]:
+    def constituents(self, bins: frozenset[int]) -> list[EstimationGroup]:
         """Current groups inside ``bins`` (they must tile it), in gid order."""
         parts = [g for g in self.groups.values() if g.bins <= bins]
         if sum(g.size for g in parts) != len(bins):
             raise InvariantError("bin set is not a union of current estimation groups")
         return parts
 
-    def aggregate(self, bins: frozenset[Level]) -> tuple[float, np.ndarray, int]:
+    def aggregate(self, bins: frozenset[int]) -> tuple[float, np.ndarray, int]:
         return super().aggregate([g.gid for g in self.constituents(bins)])
 
-    def merge_pass(self, target: frozenset[Level]) -> list[MergeEvent]:
+    def merge_pass(self, target: frozenset[int]) -> list[MergeEvent]:
         events: list[MergeEvent] = []
         while True:
             inside = sorted(
@@ -849,8 +855,8 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
             del self.groups[b.gid]
             events.append(MergeEvent(g.gid, a.gid, b.gid, len(merged)))
 
-    def check_invariants(self, universe: frozenset[Level]) -> None:
-        seen: set[Level] = set()
+    def check_invariants(self, universe: frozenset[int]) -> None:
+        seen: set[int] = set()
         total = 0
         for g in self.groups.values():
             if g.size & (g.size - 1):

@@ -242,9 +242,9 @@ def test_criterion_9_mechanism_structure(suite_inf, suite_p2):
     world, f = make_scenario("perfect", 2, 5, seed=1)
     binning = bin_table(f.table, 4)
     pool = pool_create(world, binning, 0, "overlap-check", 4, 1, 0.1, 0.1, m=100)
-    pool.query([[binning.levels[0]]])
+    pool.query([[0]])
     with pytest.raises(DisjointnessError):
-        pool.query([[binning.levels[0]]])
+        pool.query([[0]])
     print(
         f"ACCEPTANCE 9 PASS: noise scale 8/(m*alpha) and m = ceil(32 ln(4nd/delta)/alpha^2) "
         f"on all {checked} configured pools; overlapping query rejected"

@@ -20,7 +20,7 @@ from lpcal.cli import RunConfig, run_config
 from lpcal.errors import EstimateFailureError
 from lpcal.estimation import estimate_bin_masses
 from lpcal.evaluator import exact_lp_error, exact_sq_error
-from lpcal.simplex import enumerate_levels, round_down
+from lpcal.simplex import canonical_rows, enumerate_levels, round_down
 from lpcal.world import Binning, Predictor, World, bin_table, make_scenario
 
 from oracles import bin_mass_dict, canonical, mass_table_max_dev_by_dict, select_bins_by_dict
@@ -91,17 +91,23 @@ class TestSelectBins:
 
     def test_all_mass_on_one_bin(self):
         masses, binning = mass_array({(4, 0): 1.0})
-        assert select_bins(masses, binning, self.params()) == [(4, 0)]
+        assert select_bins(masses, binning, self.params()).tolist() == [0]
 
     def test_threshold_boundary_included(self):
         p = self.params()
-        masses, binning = mass_array({(4, 0): p.bin_threshold, (0, 4): p.bin_threshold / 2})
-        assert select_bins(masses, binning, p) == [(4, 0)]
+        masses, binning = mass_array({(0, 4): p.bin_threshold / 2, (4, 0): p.bin_threshold})
+        assert select_bins(masses, binning, p).tolist() == [1]
 
     def test_uniform_small_masses_select_nothing(self):
         p = self.params()
         masses, binning = mass_array({v: 0.01 for v in enumerate_levels(4, 2)})
-        assert select_bins(masses, binning, p) == []
+        selected = select_bins(masses, binning, p)
+        assert selected.tolist() == [] and selected.dtype == np.int64
+
+    def test_positions_sorted_by_level(self):
+        # levels in first-row order (3,1), (0,4), (2,2): by level, positions 1, 2, 0
+        masses, binning = mass_array({(3, 1): 0.4, (0, 4): 0.3, (2, 2): 0.3})
+        assert select_bins(masses, binning, self.params()).tolist() == [1, 2, 0]
 
 
 @st.composite
@@ -134,7 +140,7 @@ class TestBinMassArray:
         assert {v: m for v, m in zip(binning.levels, masses.tolist()) if m} == table
         params = derive_params(math.inf, eps, 0.1)
         want = select_bins_by_dict(table, params.bin_threshold)
-        assert select_bins(masses, binning, params) == want
+        assert [binning.levels[i] for i in select_bins(masses, binning, params)] == want
         monitor = EventMonitor(world, binning)
         monitor.observe_mass_table(masses)
         assert monitor.mass_table_max_dev == mass_table_max_dev_by_dict(world, binning, table)
@@ -168,8 +174,9 @@ class TestCalibrate:
         params = derive_params(math.inf, 0.25, 0.1)
         world, predictor = make_scenario("perfect", 3, 30, seed=0)
         h, trace = calibrate(world, predictor, params, seed=0)
-        assert trace.iterations == 0
-        for v, pred in h.routing.items():
+        assert trace.iterations == 0 and trace.n_bins > 0
+        for v in trace.bins:
+            pred = h.per_level[h.binning.levels.index(v)]
             assert np.allclose(pred, canonical(v, params.lam))
 
     def test_empty_bin_set_short_circuits(self):
@@ -182,17 +189,22 @@ class TestCalibrate:
         h, trace = calibrate(world, predictor, params, seed=0)
         assert trace.n_bins == 0
         assert trace.iterations == 0
-        assert h.routing == {}
+        assert h.per_level.tolist() == canonical_rows(h.binning.levels, params.lam).tolist()
         x = 7
         v = round_down(predictor.table[x], params.lam)
         assert np.allclose(h.to_table()[x], canonical(v, params.lam))
 
     def test_fallback_for_unselected_bins(self):
-        world, predictor = one_point_setup()
+        # the second feature has mass 0, so its bin is never selected and
+        # predicts its canonical distribution while the first bin moves
+        world = World(np.array([1.0, 0.0]), np.array([[0.6, 0.4], [0.6, 0.4]]))
+        predictor = Predictor(np.array([[0.9, 0.1], [0.1, 0.9]]))
         params = derive_params(math.inf, 0.2, 0.1)
-        h, _ = calibrate(world, predictor, params, seed=3)
-        # (0, lam) is never the predictor's bin, so it routes via canonical
-        assert (0, params.lam) not in h.routing
+        h, trace = calibrate(world, predictor, params, seed=3)
+        v = round_down(predictor.table[1], params.lam)
+        assert trace.bins == [round_down(predictor.table[0], params.lam)]
+        assert trace.iterations >= 1
+        assert h.to_table()[1].tolist() == canonical(v, params.lam).tolist()
 
     def test_features_sharing_a_bin_share_output(self):
         world = World(
@@ -205,14 +217,29 @@ class TestCalibrate:
         table = h.to_table()
         assert np.array_equal(table[0], table[1])
 
-    def test_to_table_routes_each_feature_by_its_bin(self):
+    def test_to_table_routes_each_feature_by_its_bin(self, monkeypatch):
+        # a selected bin predicts its final prediction group's prediction,
+        # read from the run's own structures; any other bin its canonical one
+        made = []
+        real = lpcal.calibrator.init_structures
+
+        def keep(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(lpcal.calibrator, "init_structures", keep)
         world, predictor = make_scenario("random-miscalibrated", 3, 40, seed=2)
         params = derive_params(2, 0.3, 0.1)
-        h, _ = calibrate(world, predictor, params, seed=2)
+        h, trace = calibrate(world, predictor, params, seed=2)
+        [(_, pred_part)] = made
+        assert trace.iterations >= 1
         table = h.to_table()
         for x in range(world.n_features):
             v = h.binning.levels[h.binning.ids[x]]
-            want = h.routing[v] if v in h.routing else canonical(v, params.lam)
+            if v in trace.bins:
+                want = pred_part.pred[pred_part.owner[trace.bins.index(v)]]
+            else:
+                want = canonical(v, params.lam)
             assert np.array_equal(table[x], want)
 
     def test_deterministic_given_config_and_seed(self):
@@ -254,8 +281,9 @@ def calibrated_predictors(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     binning = bin_table(rng.dirichlet(np.ones(k), size=draw(st.integers(1, 80))), lam)
     targets = rng.dirichlet(np.ones(k), size=draw(st.integers(1, 3)))
-    routed = draw(st.sets(st.sampled_from(binning.levels)))
-    return CalibratedPredictor({v: targets[rng.integers(len(targets))] for v in routed}, binning)
+    routed = draw(st.lists(st.integers(0, len(binning.levels) - 1), unique=True))
+    preds = targets[rng.integers(len(targets), size=len(routed))]
+    return CalibratedPredictor(binning, np.array(routed, dtype=np.int64), preds)
 
 
 class TestOwnBinning:
@@ -263,9 +291,9 @@ class TestOwnBinning:
         # f's levels (1,0), (0,1), (1,1); h sends the last two to one level
         table = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.95, 0.05]])
         f_binning = bin_table(table, 2)
-        routing = {(1, 0): np.array([0.2, 0.8]), (0, 1): np.array([0.6, 0.4]),
-                   (1, 1): np.array([0.6, 0.4])}  # fmt: skip
-        h_binning = CalibratedPredictor(routing, f_binning).own_binning()
+        assert f_binning.levels == ((1, 0), (0, 1), (1, 1))
+        preds = np.array([[0.2, 0.8], [0.6, 0.4], [0.6, 0.4]])
+        h_binning = CalibratedPredictor(f_binning, np.array([0, 1, 2]), preds).own_binning()
         assert h_binning.levels == ((0, 1), (1, 0))
         assert h_binning.ids.tolist() == [0, 1, 1, 0]
 
@@ -279,7 +307,7 @@ class TestOwnBinning:
 
     def test_table_rows_are_routed_or_canonical(self):
         table = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-        h = CalibratedPredictor({(0, 1): np.array([0.3, 0.7])}, bin_table(table, 2))
+        h = CalibratedPredictor(bin_table(table, 2), np.array([1]), np.array([[0.3, 0.7]]))
         assert h.to_table().tolist() == [[0.75, 0.25], [0.3, 0.7], [0.5, 0.5]]
         h.to_table()[0, 0] = 9.0  # a fresh array each call
         assert h.to_table()[0].tolist() == [0.75, 0.25]

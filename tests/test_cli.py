@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpcal.cli
 from lpcal.cli import RunConfig, main, parse_p, run_config
@@ -35,6 +41,22 @@ class TestParseP:
     def test_numbers_and_fractions(self):
         assert parse_p("2") == 2
         assert parse_p(2.5) == parse_p("5/2")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("1/0", "p '1/0' has a zero denominator"),
+            ("1e400", "p '1e400' lies beyond float range"),
+            (10**400, "p 1000"),
+        ],
+        ids=["zero-denominator", "huge-exponent", "huge-int"],
+    )
+    def test_refused_with_value_error(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_p(raw)
+
+    def test_largest_float_accepted(self):
+        assert parse_p("1e308") == 10**308
 
 
 SCENARIO_40F = {"name": "random-miscalibrated", "k": 3, "n_features": 40}
@@ -281,6 +303,9 @@ BAD_CONFIGS = [
         "unknown scenario shifted keys ['gamma']; known keys are ['name', 'k', 'n_features', "
         "'shift']",
     ),
+    # a p that is no number: a zero denominator, or past float range
+    ({"p": "1/0"}, "p '1/0' has a zero denominator"),
+    ({"p": "1e400"}, "p '1e400' lies beyond float range"),
 ]
 
 
@@ -297,7 +322,9 @@ class TestConfigRefused:
     def test_sweep_exits_2_before_any_cell(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "sweep"
-        args = ["sweep", "--config", str(cfg), "--p", "inf,2", "--out-dir", str(out)]
+        # a grid of two cells; a --p grid would stand in for the config's p
+        grid = ["--eps", "0.25,0.3"] if "p" in overrides else ["--p", "inf,2"]
+        args = ["sweep", "--config", str(cfg), *grid, "--out-dir", str(out)]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
@@ -352,6 +379,25 @@ def test_wrong_json_shape_exits_2(tmp_path, capsys, argv, doc, message):
     assert main([a.format(doc=path, out=out) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: " + message.format(doc=path))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["1/0", "1e400"])
+@pytest.mark.parametrize("command", ["run", "sweep", "eval"])
+def test_p_flag_that_is_no_number_exits_2(tmp_path, capsys, command, p):
+    world = tmp_path / "world.json"
+    main(["scenario", "--name", "perfect", "--k", "2", "--n-features", "4", "--out", str(world)])
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--config", str(cfg), "--p", p, "--out-dir", str(out)],
+        "sweep": ["sweep", "--config", str(cfg), "--p", f"inf,{p}", "--out-dir", str(out)],
+        "eval": ["eval", "--world", str(world), "--lambda", "4", "--p", f"2,{p}", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: p '{p}' ")
+    assert captured.out == "" and not out.exists()
 
 
 def test_scenario_name_string_takes_size_flags(tmp_path):
@@ -702,3 +748,132 @@ class TestRunConfig:
         (tmp_path / "echo.json").write_text(json.dumps(echo), encoding="utf-8")
         assert main(["run", "--config", str(tmp_path / "echo.json"), "--out-dir", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+# Config fuzzing.  Each entry of a generated document is valid, missing or of
+# a wrong JSON type; a wrong value is one no config may hold, so a document
+# runs exactly when every entry is valid or missing with a default.
+NOT_NUMBERS = [None, True, False, "0.3", "x", [], [1], {"a": 1}]
+WRONG = {
+    "scenario": [None, True, 5, [], "nonesuch", {"k": 2}],
+    "name": [None, True, 5, [], "nonesuch", ""],
+    "k": [*NOT_NUMBERS, 0, -1, 1.5],
+    "n_features": [*NOT_NUMBERS, 0, -2, 2.5],
+    "p": [None, True, [], {}, "x", "", "1/0", "3/0", "-2/0", "1e400", "-1e999", "7e308"],
+    "eps": NOT_NUMBERS,
+    "delta": NOT_NUMBERS,
+    "seed": [*NOT_NUMBERS, -1, 1.5],
+    "sample_mode": [None, True, 5, [], "x", "manual", {"mode": "manual"}, {"bin_mass": 100}],
+    "manual_sizes": [None, True, 5, [], "x", {"bin_mass": 100}, {"size": 100}],
+    "gamma": NOT_NUMBERS,
+    "shift": NOT_NUMBERS,
+    "out_dir": [None, True, 5, [], {"a": 1}, ""],
+}
+WRONG_SCENARIO_KEYS = ["gamma", "shift", "kk", "seed"]
+# Valid p spellings and the label the report echoes for each.
+VALID_P = [("inf", "inf"), ("Infinity", "inf"), ("2", "2"), (2, "2"), (3, "3"), (1.5, "3/2"),
+           ("3/2", "3/2")]  # fmt: skip
+
+
+@st.composite
+def config_docs(draw):
+    """A config document, how its output directory is given, and the echo it must produce.
+
+    The echo is None when some entry is wrong, missing without a default, or
+    an unknown key: the document must then be refused.
+    """
+    state = {"ok": True}
+
+    def entry(key, valid, default=None, wrong=1):
+        """The value of ``key``: valid, ``wrong`` times in 12 wrong, or (``MISSING``) absent."""
+        kind = draw(st.sampled_from(["valid"] * (11 - wrong) + ["missing"] + ["wrong"] * wrong))
+        if kind == "wrong":
+            state["ok"] = False
+            return draw(st.sampled_from(WRONG[key]))
+        if kind == "missing":
+            state["ok"] &= default is not None
+            return MISSING
+        return draw(valid)
+
+    name = entry("name", st.sampled_from(["perfect", "overconfident", "shifted",
+                                          "random-miscalibrated"]))  # fmt: skip
+    scenario = {"name": name, "k": entry("k", st.integers(1, 3), 3),
+                "n_features": entry("n_features", st.integers(1, 8), 20)}  # fmt: skip
+    own = {"overconfident": "gamma", "shifted": "shift"}.get(name) if isinstance(name, str) else None
+    if own:
+        scenario[own] = entry(own, st.floats(0.0, 1.0), 0.0)
+    p = entry("p", st.sampled_from(VALID_P), ("inf", "inf"), wrong=4)
+    doc = {
+        "scenario": scenario,
+        "p": p[0] if isinstance(p, tuple) else p,
+        "eps": entry("eps", st.floats(0.2, 0.5)),
+        "delta": entry("delta", st.floats(0.05, 0.5), 0.1),
+        "seed": entry("seed", st.integers(0, 5), 0),
+        "sample_mode": entry("sample_mode", st.sampled_from(["auto", {"mode": "auto"}]), "auto"),
+        "manual_sizes": entry("manual_sizes", st.just({}), {}),
+    }
+    if draw(st.integers(0, 5)) == 0:  # a key of another scenario, or of no scenario
+        scenario[draw(st.sampled_from([key for key in WRONG_SCENARIO_KEYS if key != own]))] = 0.5
+        state["ok"] = False
+    if draw(st.integers(0, 5)) == 0:
+        doc[draw(st.sampled_from(["k", "delt", "gamma", "mode"]))] = 1
+        state["ok"] = False
+    if draw(st.integers(0, 9)) == 0:
+        doc["scenario"] = draw(st.sampled_from(WRONG["scenario"]))
+        state["ok"] = False
+    where = draw(st.sampled_from(["flag"] * 4 + ["doc", "wrong", "none"]))
+    if where == "wrong":
+        doc["out_dir"] = draw(st.sampled_from(WRONG["out_dir"]))
+    state["ok"] &= where in ("flag", "doc")
+    doc = strip_missing(doc)
+    if not state["ok"]:
+        return doc, where, None
+    scen = doc["scenario"]
+    echo = {
+        "scenario": {"name": name, "k": scen.get("k", 3), "n_features": scen.get("n_features", 20)},
+        "p": p[1] if isinstance(p, tuple) else "inf",
+        "eps": doc["eps"],
+        "delta": doc.get("delta", 0.1),
+        "seed": doc.get("seed", 0),
+        "sample_mode": "auto",
+    }
+    if own in scen:
+        echo["scenario"][own] = scen[own]
+    return doc, where, echo
+
+
+MISSING = object()
+
+
+def strip_missing(doc):
+    """``doc`` without the entries drawn as missing, at any depth."""
+    if isinstance(doc, dict):
+        return {key: strip_missing(val) for key, val in doc.items() if val is not MISSING}
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_docs(), st.sampled_from(["run", "sweep"]))
+def test_config_fuzz_runs_or_exits_2_before_any_work(case, command):
+    """A document runs and echoes its config, or exits 2 with ``error:`` and writes nothing."""
+    doc, where, echo = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        if where == "doc":
+            doc = {**doc, "out_dir": str(out)}
+        (tmp / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--config", str(tmp / "cfg.json")]
+        if where == "flag":
+            argv += ["--out-dir", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if echo is None:
+            assert code == 2 and err.getvalue().startswith("error: ")
+            assert not out.exists()
+            return
+        assert code == 0, err.getvalue()
+        reports = sorted(out.glob("**/report.json"))
+        assert len(reports) == 1
+        assert json.loads(reports[0].read_text(encoding="utf-8"))["config"] == echo

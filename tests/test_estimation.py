@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpcal.estimation
 from lpcal.errors import DisjointnessError, QueryBudgetError
@@ -12,7 +14,7 @@ from lpcal.estimation import (
     pool_create,
     pool_sample_size,
 )
-from lpcal.simplex import enumerate_levels, level_count
+from lpcal.simplex import canonical_rows, enumerate_levels, level_count
 from lpcal.streams import stream_rng
 from lpcal.world import (
     Predictor,
@@ -25,7 +27,7 @@ from lpcal.world import (
     make_scenario,
 )
 
-from oracles import bin_mass_sample_size, bin_masses_by_samples, dp_epsilon
+from oracles import bin_mass_sample_size, bin_masses_by_samples, dp_epsilon, eager_pool_create
 
 
 class TestBinMassSampleSize:
@@ -171,7 +173,7 @@ class TestDisjointQueryPool:
             TestDisjointQueryPool.pool(w, binning, name=name, m=5000) for name in (name_a, name_b)
         ]
         for pool in pools:
-            pool.query([[binning.levels[0]]])
+            pool.query([[0]])
         assert len(binning.levels) > 1
         return pools
 
@@ -187,7 +189,7 @@ class TestDisjointQueryPool:
         w, f = make_scenario("random-miscalibrated", 3, 30, seed=2)
         binning = bin_table(f.table, 4)
         pool = self.pool(w, binning, name="label:0", value_dim=3, m=10_000)
-        pool.query([[binning.levels[0]]])
+        pool.query([[0]])
         counts = joint_counts(w, stream_rng(0, "data:pool:label:0"), 10_000)
         assert pool.bin_counts.sum() == 10_000
         for i in range(len(binning.levels)):
@@ -196,40 +198,43 @@ class TestDisjointQueryPool:
 
     def test_disjointness_ledger_rejects_overlap(self):
         w, f = make_scenario("perfect", 2, 5, seed=1)
-        lam = 4
-        p = self.pool(w, bin_table(f.table, lam), m=100)
-        levels = f.levels(lam)
-        p.query([[levels[0]]])
+        p = self.pool(w, bin_table(f.table, 4), m=100)
+        p.query([[0]])
         with pytest.raises(DisjointnessError):
-            p.query([[levels[0], (0, 0)]])
+            p.query([[1, 0]])
+        with pytest.raises(DisjointnessError):
+            p.query([[1, 1]])  # an event naming one bin twice
 
     def test_budget_enforced(self):
         w, f = make_scenario("perfect", 2, 5, seed=1)
         p = self.pool(w, bin_table(f.table, 4), m=100, n_events=1)
-        p.query([[(4, 0)]])
+        p.query([[0]])
         with pytest.raises(QueryBudgetError):
-            p.query([[(0, 4)]])
+            p.query([[1]])
 
     def test_zero_mass_event_answers_track_noise(self):
-        # 1000 disjoint events that no sample can hit: answers are clamped
-        # noise, so their average magnitude stays within a few noise scales
-        w = World(np.array([1.0]), np.array([[0.6, 0.3, 0.1]]))
-        f = Predictor(np.array([[0.6, 0.3, 0.1]]))
+        # 1000 disjoint events that no sample can hit, the bins of features of
+        # zero mass: answers are clamped noise, so their average magnitude
+        # stays within a few noise scales
         lam = 50
-        hit = f.levels(lam)[0]
-        empty = [v for v in enumerate_levels(lam, 3) if v != hit][:1000]
-        p = self.pool(w, bin_table(f.table, lam), n_events=1000, m=50, alpha=0.2)
-        answers = [float(p.query([[v]])[0, 0]) for v in empty]
+        hit = (0.6, 0.3, 0.1)
+        empty = canonical_rows([v for v in enumerate_levels(lam, 3) if v != (30, 15, 5)], lam)
+        table = np.vstack([hit, empty[:1000]])
+        w = World(np.append(1.0, np.zeros(1000)), np.tile(hit, (1001, 1)))
+        binning = bin_table(table, lam)
+        assert len(binning.levels) == 1001
+        p = self.pool(w, binning, n_events=1000, m=50, alpha=0.2)
+        answers = p.query(np.arange(1, 1001)[:, None])[:, 0]
         assert np.mean(np.abs(answers)) <= 3 * p.noise_scale
 
     def test_full_support_probability_within_alpha(self):
         alpha, delta = 0.1, 0.1
         w, f = make_scenario("random-miscalibrated", 2, 6, seed=5)
-        lam = 3
-        event = set(f.levels(lam))
+        binning = bin_table(f.table, 3)
+        event = np.arange(len(binning.levels))
         failures = 0
         for seed in range(100):
-            p = pool_create(w, bin_table(f.table, lam), seed, "full", 1, 1, alpha, delta)
+            p = pool_create(w, binning, seed, "full", 1, 1, alpha, delta)
             ans = float(p.query([event])[0, 0])
             failures += abs(ans - 1.0) > alpha
         assert failures <= 10  # nominal failure budget is delta = 10 runs
@@ -237,9 +242,8 @@ class TestDisjointQueryPool:
     def test_label_answers_match_exact_stats(self):
         alpha, delta = 0.1, 0.1
         w, f = make_scenario("random-miscalibrated", 3, 6, seed=6)
-        lam = 3
-        event = [f.levels(lam)[0]]
-        binning = bin_table(f.table, lam)
+        event = np.array([0])
+        binning = bin_table(f.table, 3)
         _, exact_mean = exact_event_stats(w, binning, event)
         failures = 0
         for seed in range(100):
@@ -250,9 +254,8 @@ class TestDisjointQueryPool:
 
     def test_answers_clamped_to_unit_interval(self):
         w, f = make_scenario("random-miscalibrated", 2, 6, seed=5)
-        lam = 3
-        p = self.pool(w, bin_table(f.table, lam), m=3, alpha=0.5, n_events=10, value_dim=2)
-        seen = [p.query([[v]])[0] for v in list(set(f.levels(lam)))[:2]]  # huge noise
+        p = self.pool(w, bin_table(f.table, 3), m=3, alpha=0.5, n_events=10, value_dim=2)
+        seen = [p.query([[i]])[0] for i in range(2)]  # huge noise
         for ans in seen:
             assert np.all(ans >= 0.0) and np.all(ans <= 1.0)
 
@@ -294,30 +297,114 @@ class TestPoolDrawnOnFirstQuery:
         w, f = make_scenario("random-miscalibrated", 3, 30, seed=2)
         binning = bin_table(f.table, 4)
         pool = pool_create(w, binning, 0, "label:0", 4, 3, 0.1, 0.1, m=10_000)
-        pool.query([[binning.levels[0]]])
+        pool.query([[0]])
         return pool, binning
 
     @pytest.mark.parametrize(
         "picks, error, message",
         [
-            ([[1], [2, 0]], DisjointnessError, "overlaps earlier queries"),
-            ([[1], [2, 1]], DisjointnessError, "overlaps earlier queries"),
+            ([[1, 2], [3, 0]], DisjointnessError, "overlaps earlier queries"),
+            ([[1, 2], [3, 1]], DisjointnessError, "overlaps earlier queries"),
             ([[1], [2], [3], [4]], QueryBudgetError, "budget of 4 disjoint events exhausted"),
-            ([[1], []], ValueError, "event must be nonempty"),
+            ([[], []], ValueError, "event must be nonempty"),
+            # the first event past the budget fails before a later overlap does
+            ([[1], [2], [3], [4], [1]], QueryBudgetError, "budget of 4 disjoint events exhausted"),
+            # an event both past the budget and overlapping fails on the overlap
+            ([[1, 5], [2, 6], [3, 7], [4, 1]], DisjointnessError, "overlaps earlier queries"),
         ],
     )
     def test_failing_batch_leaves_pool_unchanged(self, picks, error, message):
-        pool, binning = self.queried_pool()
-        claimed, state = set(pool._claimed), pool.noise_rng.bit_generator.state
-        events = [[binning.levels[i] for i in pick] for pick in picks]
+        pool, _ = self.queried_pool()
+        claimed, state = pool.claimed.copy(), pool.noise_rng.bit_generator.state
         with pytest.raises(error, match=message):
-            pool.query(events)
-        assert pool._claimed == claimed and pool.queries_issued == 1
+            pool.query(picks)
+        assert np.array_equal(pool.claimed, claimed) and pool.queries_issued == 1
         assert pool.noise_rng.bit_generator.state == state
 
     def test_overlap_message_names_the_shared_bins(self):
         pool, binning = self.queried_pool()
-        a, b = binning.levels[1], binning.levels[2]
+        a = binning.levels[1]
         with pytest.raises(DisjointnessError) as info:
-            pool.query([[a], [b, a]])
+            pool.query([[1, 2], [3, 1]])
         assert str(info.value) == f"pool label:0: event overlaps earlier queries on bins {[a]}"
+
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            (np.zeros((0, 1), dtype=np.int64), "event must be nonempty"),
+            (np.array([1, 2]), "event must be nonempty"),
+            (np.array([[[1], [2]]]), "event must be nonempty"),
+            ([[(1, 0, 3)]], "event must be nonempty"),  # a level tuple is no position
+            ([[13]], r"positions must lie in \[0, 13\)"),
+            ([[-1]], r"positions must lie in \[0, 13\)"),
+            ([[1.0]], r"positions must lie in \[0, 13\)"),
+        ],
+        ids=["no-event", "1-d", "3-d", "level", "past-end", "negative", "float"],
+    )
+    def test_misshapen_batch_refused(self, events, message):
+        pool, binning = self.queried_pool()
+        assert len(binning.levels) == 13
+        claimed, state = pool.claimed.copy(), pool.noise_rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            pool.query(events)
+        assert np.array_equal(pool.claimed, claimed) and pool.queries_issued == 1
+        assert pool.noise_rng.bit_generator.state == state
+
+
+@st.composite
+def query_sequences(draw):
+    """A pool's binning and a run of batches: disjoint, overlapping, over budget or empty."""
+    n_levels = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # one feature per level, some of zero mass
+    lam = 12
+    levels = enumerate_levels(lam, k)
+    table = canonical_rows([levels[i] for i in rng.choice(len(levels), n_levels, replace=False)], lam)
+    mass = rng.dirichlet(np.ones(n_levels)) * (rng.random(n_levels) < 0.7)
+    mass[rng.integers(n_levels)] += 1.0
+    world = World(mass / mass.sum(), rng.dirichlet(np.ones(k), size=n_levels))
+    batches = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(0, 4))
+        size = draw(st.sampled_from([0] + [1, 2, 3][:n_levels] * 3))  # now and then empty
+        batches.append([draw(st.lists(st.integers(0, n_levels - 1), min_size=size, max_size=size,
+                                      unique=True)) for _ in range(m)])  # fmt: skip
+    return world, bin_table(table, lam), batches, draw(st.integers(1, 6)), draw(st.sampled_from([1, k]))
+
+
+@given(query_sequences(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_array_pool_agrees_with_the_set_ledger_oracle(case, seed):
+    """Every batch through the array pool and, one event at a time, through the oracle.
+
+    The oracle translates positions to levels and keeps a set of them.  A
+    batch it fails partway is rolled back, so both pools see the same
+    history; the array pool must fail it with the same error class and
+    leave its mask, count and noise stream as they were.
+    """
+    world, binning, batches, n_events, dim = case
+    pool = pool_create(world, binning, seed, "q", n_events, dim, 0.1, 0.1, m=1000)
+    oracle = eager_pool_create(world, binning, seed, "q", n_events, dim, 0.1, 0.1, m=1000)
+    for batch in batches:
+        before = (pool.claimed.copy(), pool.queries_issued)
+        noise = pool.noise_rng.bit_generator.state if pool.noise_rng else None
+        saved = (set(oracle._claimed), oracle.queries_issued, oracle.noise_rng.bit_generator.state)
+        try:
+            want = np.stack([oracle.query(event) for event in batch]) if batch else None
+            failure = None if batch else ValueError  # the array pool refuses an empty batch
+        except (ValueError, DisjointnessError, QueryBudgetError) as exc:
+            want, failure = None, type(exc)
+            oracle._claimed, oracle.queries_issued = saved[0], saved[1]
+            oracle.noise_rng.bit_generator.state = saved[2]
+        if failure is None:
+            got = pool.query(batch)
+            assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(failure):
+                pool.query(batch)
+            assert np.array_equal(pool.claimed, before[0]) and pool.queries_issued == before[1]
+            assert (pool.noise_rng.bit_generator.state if pool.noise_rng else None) == noise
+        claimed_levels = {binning.levels[i] for i in np.flatnonzero(pool.claimed).tolist()}
+        assert claimed_levels == oracle._claimed
+        assert pool.queries_issued == oracle.queries_issued

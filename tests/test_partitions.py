@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpcal.estimation
-from lpcal.calibrator import EventMonitor
+from lpcal.calibrator import CalibratedPredictor, EventMonitor
 from lpcal.errors import InvariantError
 from lpcal.estimation import pool_create
 from lpcal.partitions import check_refinement, estimated_error, init_structures
-from lpcal.simplex import enumerate_levels
+from lpcal.simplex import canonical_rows, enumerate_levels
 from lpcal.streams import stream_rng
-from lpcal.world import bin_table, make_scenario
+from lpcal.world import World, bin_table, make_scenario
 from oracles import (
     PerKindMonitor,
     ScanEstimationPartition,
@@ -36,14 +36,23 @@ def make_pools(world, binning, seed, n_bins, m, create=pool_create):
     }
 
 
+def by_level(binning, positions):
+    """``positions`` sorted by their levels, as ``select_bins`` returns them."""
+    return np.array(sorted(positions, key=binning.levels.__getitem__), dtype=np.int64)
+
+
 def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
-    """World + singleton structures over every realized bin, low-noise pools."""
+    """World, binning + singleton structures over every realized bin, low-noise pools.
+
+    Also returns the bins' positions in the binning, sorted by level.
+    """
     world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
-    bins = sorted(set(f.levels(lam)))
-    classes = len(bins).bit_length()
-    pools = make_pools(world, bin_table(f.table, lam), seed, len(bins), m)
-    est_part, pred_part = init_structures(bins, pools, lam, max_subsets=classes)
-    return world, f, bins, est_part, pred_part
+    binning = bin_table(f.table, lam)
+    selected = by_level(binning, range(len(binning.levels)))
+    classes = len(selected).bit_length()
+    pools = make_pools(world, binning, seed, len(selected), m)
+    est_part, pred_part = init_structures(binning, selected, pools, max_subsets=classes)
+    return world, binning, selected, est_part, pred_part
 
 
 def live(part):
@@ -93,13 +102,13 @@ class TestInit:
         assert live(est_part) == live(pred_part) == list(range(n))
         # bin i is alone in group i of both partitions
         assert est_part.owner.tolist() == pred_part.owner.tolist() == list(range(n))
-        assert est_part.levels == pred_part.levels == tuple(bins)
+        assert est_part.positions is bins
 
     def test_predictions_are_canonical(self):
-        _, _, bins, _, pred_part = build(lam=4)
+        _, binning, bins, _, pred_part = build(lam=4)
         for g in live(pred_part):
             (b,) = pred_part.bins(g)
-            assert np.allclose(pred_part.pred[g], canonical(bins[b], 4))
+            assert np.allclose(pred_part.pred[g], canonical(binning.levels[bins[b]], 4))
 
     def test_each_group_owns_its_prediction(self):
         _, _, _, _, pred_part = build(lam=4)
@@ -124,8 +133,9 @@ class TestInit:
         assert (pred_part.err[~pred_part.live] == -np.inf).all()
 
     def test_empty_bins_rejected(self):
+        binning = bin_table(np.array([[0.5, 0.5]]), 2)
         with pytest.raises(ValueError):
-            init_structures([], {}, None, max_subsets=1)
+            init_structures(binning, np.zeros(0, dtype=np.int64), {}, max_subsets=1)
 
 
 class TestAggregate:
@@ -226,24 +236,24 @@ def test_parts_agree_with_scan_oracle(seed, picks):
     inside its bins.  A pick of two equal groups calls ``merge_pass`` on an
     unchanged group.
     """
-    world, f, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
+    world, binning, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
     oracle = ScanEstimationPartition(
-        make_pools(world, bin_table(f.table, 6), seed, len(bins), 100_000, create=eager_pool_create),
+        make_pools(world, binning, seed, len(bins), 100_000, create=eager_pool_create),
         est_part.max_subsets,
     )
-    for v in bins:
-        oracle.add_singleton(v)
+    for i in bins.tolist():
+        oracle.add_singleton(i)
     for i, j in picks:
         gids = live(pred_part)
         a, b = gids[i % len(gids)], gids[j % len(gids)]
         gid = a if a == b else pred_part.merge(a, b, pred_part.pred[a])
         events = est_part.merge_pass(pred_part.parts(gid))
         pred_part.carry(gid, events)
-        group_bins = frozenset(bins[x] for x in pred_part.bins(gid).tolist())
+        group_bins = frozenset(bins[pred_part.bins(gid)].tolist())
         assert events == oracle.merge_pass(group_bins)
         assert live(est_part) == list(oracle.groups)
         for g in live(pred_part):
-            g_bins = frozenset(bins[x] for x in pred_part.bins(g).tolist())
+            g_bins = frozenset(bins[pred_part.bins(g)].tolist())
             parts = pred_part.parts(g)
             assert parts.tolist() == [part.gid for part in oracle.constituents(g_bins)]
             prob, label, n = est_part.aggregate(parts)
@@ -251,7 +261,7 @@ def test_parts_agree_with_scan_oracle(seed, picks):
             assert (prob, n) == (prob_o, n_o)
             assert label.tobytes() == label_o.tobytes()
         run_checks(est_part, pred_part)
-        oracle.check_invariants(frozenset(bins))
+        oracle.check_invariants(frozenset(bins.tolist()))
 
 
 class TestTamper:
@@ -461,11 +471,14 @@ class TestGStructure:
         check_refinement(pred_part, est_part)  # merged G group is a union of M groups
 
     def test_routing_covers_all_bins(self):
-        _, _, bins, _, pred_part = build()
+        # the final predictor gives each selected bin its group's prediction
+        _, binning, bins, _, pred_part = build()
         merged = pred_part.merge(0, 1, pred_part.pred[0])
-        routing = pred_part.routing()
-        assert list(routing) == bins
-        assert np.array_equal(routing[bins[1]], pred_part.pred[merged])
+        h = CalibratedPredictor(binning, bins, pred_part.pred[pred_part.owner])
+        assert h.per_level[bins[0]].tolist() == h.per_level[bins[1]].tolist()
+        assert np.array_equal(h.per_level[bins[1]], pred_part.pred[merged])
+        for b in range(2, len(bins)):
+            assert np.array_equal(h.per_level[bins[b]], pred_part.pred[b])
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,10 +494,10 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
     partitions' state.  Then one tamper of an array field: the array checks
     reject it exactly when the set checks reject its set view.
     """
-    world, f, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
-    pools = make_pools(world, bin_table(f.table, 6), seed, len(bins), 100_000)
-    est_o, pred_o = set_init_structures(bins, pools, 6, est_part.max_subsets)
-    universe = frozenset(bins)
+    world, binning, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
+    pools = make_pools(world, binning, seed, len(bins), 100_000)
+    est_o, pred_o = set_init_structures(binning, bins.tolist(), pools, est_part.max_subsets)
+    universe = frozenset(bins.tolist())
     for i, j in picks:
         gids = live(pred_part)
         a, b = gids[i % len(gids)], gids[j % len(gids)]
@@ -559,20 +572,23 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
 def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam, m, data):
     """Lazy pools with batched queries against eager pools asked one event at a time.
 
-    The bin sets mix realized bins with bins no feature rounds to; the
-    prediction merges that follow query the larger size classes too.
+    The bin sets mix bins that carry mass with bins of zero mass: up to 8
+    more features of zero mass, each on a level of its own.  The prediction
+    merges that follow query the larger size classes too.
     """
     world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
-    binning = bin_table(f.table, lam)
-    candidates = sorted(set(binning.levels) | set(enumerate_levels(lam, k)[:8]))
-    bins = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    extra = canonical_rows(enumerate_levels(lam, k)[:8], lam)
+    world = World(np.append(world.mass, np.zeros(len(extra))), np.vstack([world.conditional, extra]))
+    binning = bin_table(np.vstack([f.table, extra]), lam)
+    picked = st.lists(st.integers(0, len(binning.levels) - 1), min_size=1, unique=True)
+    bins = by_level(binning, data.draw(picked))
     picks = data.draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8))
     classes = len(bins).bit_length()
 
     eager = make_pools(world, binning, seed, len(bins), m, create=eager_pool_create)
     watch_o = PerKindMonitor(world, binning)
     est_o, pred_o = init_structures_one_at_a_time(
-        bins, eager, lam, classes, on_estimate=watch_o.observe_pool_answer
+        binning, bins.tolist(), eager, classes, on_estimate=watch_o.observe_pool_answer
     )
     opened = {}
 
@@ -584,7 +600,7 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
         lazy = make_pools(world, binning, seed, len(bins), m)
         watch = EventMonitor(world, binning)
         est, pred = init_structures(
-            bins, lazy, lam, classes, on_estimate=watch.observe_pool_answer
+            binning, bins, lazy, classes, on_estimate=watch.observe_pool_answer
         )
         for i, j in picks:
             gids = live(pred)

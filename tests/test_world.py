@@ -13,7 +13,7 @@ import lpcal.partitions
 import lpcal.world
 from lpcal.cli import RunConfig, run_config
 from lpcal.evaluator import exact_lp_error
-from lpcal.simplex import PROB_ATOL, SNAP, enumerate_levels, round_down
+from lpcal.simplex import PROB_ATOL, SNAP, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import (
     Predictor,
@@ -126,9 +126,10 @@ class TestBinning:
     def test_rows(self):
         table = np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]])
         binning = bin_table(table, 2)
-        assert binning.rows([(1, 0)]).tolist() == [0, 2]
-        assert binning.rows([(1, 0), (0, 1)]).tolist() == [0, 1, 2]
-        assert binning.rows([(0, 2)]).tolist() == []
+        assert binning.levels == ((1, 0), (0, 1))
+        assert binning.rows(np.array([0])).tolist() == [0, 2]
+        assert binning.rows(np.array([1, 0])).tolist() == [0, 1, 2]
+        assert binning.rows(np.array([1])).tolist() == [1]
 
 
 @st.composite
@@ -159,14 +160,14 @@ def tables_to_bin(draw):
 
 @st.composite
 def binnings_and_bins(draw):
-    """A binning of random simplex rows and a bin list with unrealized levels and repeats."""
+    """A binning of random simplex rows and distinct positions of some of its bins."""
     k = draw(st.integers(1, 4))
     lam = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     binning = bin_table(rng.dirichlet(np.ones(k), size=draw(st.integers(0, 60))), lam)
-    candidates = enumerate_levels(lam, k) + [(lam + 1,) * k, (0,) * (k + 1)]
-    bins = draw(st.lists(st.sampled_from(candidates), max_size=12))
-    return binning, bins + bins[:2]
+    positions = st.integers(0, max(len(binning.levels) - 1, 0))
+    bins = draw(st.lists(positions, unique=True, max_size=min(12, len(binning.levels))))
+    return binning, np.array(bins, dtype=np.int64)
 
 
 class TestVectorisedBinning:
@@ -201,25 +202,25 @@ class TestVectorisedBinning:
         with pytest.raises(ValueError, match="lam"):
             bin_table(np.array([[0.5, 0.5]]), lam)
 
-    @given(binnings_and_bins(), st.booleans())
+    @given(binnings_and_bins())
     @settings(max_examples=200, deadline=None)
-    def test_rows_match_level_scan(self, case, as_generator):
+    def test_rows_match_level_scan(self, case):
         binning, bins = case
-        want = rows_in_by_level_scan(binning, bins)
+        want = rows_in_by_level_scan(binning, [binning.levels[i] for i in bins.tolist()])
         assert np.array_equal(rows_in(binning, bins), want)  # the row-mask oracle
-        got = binning.rows(v for v in bins) if as_generator else binning.rows(bins)
+        got = binning.rows(bins)
         assert got.dtype.kind == "i"
         assert np.array_equal(got, np.flatnonzero(want))
 
     def test_rows_empty(self):
-        binning = bin_table(np.array([[0.9, 0.1], [0.2, 0.8]]), 2)
-        assert binning.rows([]).tolist() == []
-        assert bin_table(np.zeros((0, 2)), 2).rows([(1, 0)]).tolist() == []
+        none = np.zeros(0, dtype=np.int64)
+        assert bin_table(np.array([[0.9, 0.1], [0.2, 0.8]]), 2).rows(none).tolist() == []
+        assert bin_table(np.zeros((0, 2)), 2).rows(none).tolist() == []
 
     def test_rows_index_is_read_only(self):
         binning = bin_table(np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]]), 2)
         with pytest.raises(ValueError):
-            binning.rows([(1, 0)])[0] = 1
+            binning.rows(np.array([0]))[0] = 1
 
     def test_run_passes_each_table_to_bin_table_once(self, monkeypatch):
         # f's 5,000 rows once, then h's table of one row per f level (297)
@@ -408,16 +409,18 @@ class TestScenarios:
             assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_overconfident_one_point_error(self):
-        # conditional (0.6, 0.4) pushed to (0.9, 0.1): the whole unit of mass
-        # sits in bin (1,0) and class 0 carries |0.9 - 0.6| of it
-        w, f = make_scenario(
-            "overconfident", 2, 1, seed=0,
-            mass=np.array([1.0]), conditional=np.array([[0.6, 0.4]]),
-        )
-        assert np.allclose(f.table, [[0.9, 0.1]])
+        # the conditional pushed toward its argmax vertex by gamma = 0.75: the
+        # whole unit of mass sits in one bin and each class j carries
+        # |f_j - c_j| = 0.75 |vertex_j - c_j| of it
+        w, f = make_scenario("overconfident", 2, 1, seed=0)
+        c = w.conditional[0]
+        vertex = np.eye(2)[np.argmax(c)]
+        assert w.mass.tolist() == [1.0]
+        assert np.allclose(f.table[0], c + 0.75 * (vertex - c))
         v = round_down(f.table[0], 2)
-        assert v == (1, 0)
-        assert exact_bin_class_error(w, f, 2, v, 0) == pytest.approx(0.3)
+        for j in range(2):
+            want = 0.75 * abs(vertex[j] - c[j])
+            assert exact_bin_class_error(w, f, 2, v, j) == pytest.approx(want)
 
     def test_shifted_rows_are_distributions(self):
         _, f = make_scenario("shifted", 4, 25, seed=11)
@@ -442,15 +445,18 @@ class TestScenarios:
 
 @st.composite
 def worlds_and_events(draw):
-    """A random world, its predictor's binning and a nonempty event, with unrealized levels."""
+    """A random world with features of zero mass, its predictor's binning and a nonempty event."""
     k = draw(st.integers(1, 4))
     lam = draw(st.integers(1, 6))
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    world = World(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(k), size=n))
+    mass = rng.dirichlet(np.ones(n)) * (rng.random(n) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    mass[rng.integers(n)] += 1.0
+    world = World(mass / mass.sum(), rng.dirichlet(np.ones(k), size=n))
     binning = bin_table(rng.dirichlet(np.ones(k), size=n), lam)
-    candidates = list(binning.levels) + enumerate_levels(lam, k) + [(lam + 1,) * k]
-    return world, binning, draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=12))
+    positions = st.integers(0, len(binning.levels) - 1)
+    event = draw(st.lists(positions, min_size=1, max_size=12, unique=True))
+    return world, binning, np.array(event, dtype=np.int64)
 
 
 class TestExactEventStats:
@@ -465,31 +471,32 @@ class TestExactEventStats:
 
     def test_total_probability(self):
         w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
-        mass, mean = exact_event_stats(w, bin_table(f.table, 3), enumerate_levels(3, 3))
+        binning = bin_table(f.table, 3)
+        mass, mean = exact_event_stats(w, binning, np.arange(len(binning.levels)))
         assert mass == pytest.approx(1.0)
         assert mean.sum() == pytest.approx(1.0)
 
-    def test_unrealized_event_is_empty(self):
-        w = one_point_world()
-        f = Predictor(np.array([[0.9, 0.1]]))  # rounds to (1,0) at lam=2
-        mass, mean = exact_event_stats(w, bin_table(f.table, 2), [(0, 2)])
+    def test_zero_mass_event_is_empty(self):
+        w = World(np.array([1.0, 0.0]), np.array([[0.6, 0.4], [0.6, 0.4]]))
+        f = Predictor(np.array([[0.9, 0.1], [0.1, 0.9]]))  # bins (1,0) and (0,1) at lam=2
+        mass, mean = exact_event_stats(w, bin_table(f.table, 2), np.array([1]))
         assert mass == 0.0
         assert np.all(mean == 0.0)
 
     def test_one_point_event(self):
         w = one_point_world()
         f = Predictor(np.array([[0.9, 0.1]]))
-        mass, mean = exact_event_stats(w, bin_table(f.table, 2), [(1, 0)])
+        mass, mean = exact_event_stats(w, bin_table(f.table, 2), np.array([0]))
         assert mass == pytest.approx(1.0)
         assert np.allclose(mean, [0.6, 0.4])
 
     def test_empirical_frequencies_converge(self):
         w, f = make_scenario("random-miscalibrated", 3, 12, seed=8)
         s = draw(w, stream_rng(8, "data"), 100_000)
-        levels = f.levels(4)
-        for v in set(levels):
-            hit = np.fromiter((levels[x] == v for x in s.features), dtype=bool)
-            exact_mass, exact_mean = exact_event_stats(w, bin_table(f.table, 4), [v])
+        binning = bin_table(f.table, 4)
+        for i in range(len(binning.levels)):
+            hit = binning.ids[s.features] == i
+            exact_mass, exact_mean = exact_event_stats(w, binning, np.array([i]))
             assert abs(hit.mean() - exact_mass) <= 0.01
             for j in range(3):
                 emp = np.mean(hit & (s.labels == j))
