@@ -98,24 +98,31 @@ class CalibParams:
         return self.delta / (3.0 * self.size_classes(n_bins))
 
 
-def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
-    """Validate (p, eps, delta) and derive every run parameter.
+def check_ranges(p: PNorm, eps: float, delta: float) -> None:
+    """Refuse eps or delta outside (0,1), and a p that neither exceeds 1 nor is ``math.inf``.
 
-    p must exceed 1 (at p = 1 the budget exponent p/(p-1) diverges) or be
-    ``math.inf``, and lam = ceil(1/beta) must not exceed 2**53.  Rational p
-    is kept exact so the exponents carry no float drift for common values
-    like 2, 3, or infinity.
+    At p = 1 the budget exponent p/(p-1) diverges.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
+    if p != math.inf and Fraction(p) <= 1:
+        raise ValueError(f"p must exceed 1 (or be inf), got {Fraction(p)}")
+
+
+def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
+    """Validate (p, eps, delta) and derive every run parameter.
+
+    Besides :func:`check_ranges`, lam = ceil(1/beta) must not exceed 2**53.
+    Rational p is kept exact so the exponents carry no float drift for
+    common values like 2, 3, or infinity.
+    """
+    check_ranges(p, eps, delta)
     if p == math.inf:
         beta = float(eps)
     else:
         p = Fraction(p)
-        if p <= 1:
-            raise ValueError(f"p must exceed 1 (or be inf), got {p}")
         e_eps = p / (p - 1)
         e_two = 1 / (p - 1)
         beta = float(eps) ** float(e_eps) / 2.0 ** float(e_two)
@@ -210,20 +217,6 @@ class IterationRecord:
 
 
 @dataclass
-class PoolStats:
-    name: str
-    kind: str  # "prob" or "label"
-    size_class: int
-    m: int
-    n_events: int
-    value_dim: int
-    alpha: float
-    delta: float
-    noise_scale: float
-    queries_issued: int
-
-
-@dataclass
 class EventMonitor:
     """Tracks worst-case deviation of every estimate from its exact value.
 
@@ -261,7 +254,7 @@ class RunTrace:
     records: list[IterationRecord] = field(default_factory=list)
     iterations: int = 0
     bin_mass_stats: dict = field(default_factory=dict)
-    pool_stats: list[PoolStats] = field(default_factory=list)
+    pool_stats: list[dict] = field(default_factory=list)  # one report entry per pool
     # discarded-prediction merges per bin, aligned with ``bins``
     moved_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     moved_bound: float = 0.0  # per-bin cap on discarded-prediction merges
@@ -285,22 +278,17 @@ def calibrate(
     params: CalibParams,
     seed: int,
     *,
-    sample_mode: str = "auto",
     manual_sizes: dict | None = None,
 ) -> tuple[CalibratedPredictor, RunTrace]:
     """Run the full calibration loop against a synthetic world.
 
-    ``sample_mode="auto"`` sizes every sample pool by the accuracy formulas;
-    ``"manual"`` takes sizes from ``manual_sizes`` (keys "bin_mass",
-    "pool_prob", "pool_label") and only monitors the accuracy events instead
-    of promising them.  All randomness derives from ``seed`` through named
-    streams, so a (config, seed) pair fully determines the trace.
+    Every sample is sized by the accuracy formulas, except those named in
+    ``manual_sizes`` (keys "bin_mass", "pool_prob", "pool_label"); a run
+    given sizes only monitors the accuracy events instead of promising them.
+    All randomness derives from ``seed`` through named streams, so a
+    (config, seed) pair fully determines the trace.
     """
-    if sample_mode not in ("auto", "manual"):
-        raise ValueError(f"unknown sample_mode {sample_mode!r}")
-    if sample_mode == "manual" and not manual_sizes:
-        raise ValueError("manual sample_mode requires manual_sizes")
-    sizes = manual_sizes if sample_mode == "manual" else {}
+    sizes = manual_sizes or {}
     lam, k = params.lam, world.k
     start = time.perf_counter()
 
@@ -429,18 +417,18 @@ def calibrate(
 
     trace.iterations = t
     trace.pool_stats = [
-        PoolStats(
-            name=pool.name,
-            kind=kind,
-            size_class=i,
-            m=pool.m,
-            n_events=pool.n_events,
-            value_dim=pool.value_dim,
-            alpha=pool.alpha,
-            delta=delta_pool,
-            noise_scale=pool.noise_scale,
-            queries_issued=pool.queries_issued,
-        )
+        {
+            "name": pool.name,
+            "kind": kind,
+            "size_class": i,
+            "m": pool.m,
+            "n_events": pool.n_events,
+            "value_dim": pool.value_dim,
+            "alpha": pool.alpha,
+            "delta": delta_pool,
+            "noise_scale": pool.noise_scale,
+            "queries_issued": pool.queries_issued,
+        }
         for i, pair in sorted(pools.items())
         for kind, pool in zip(("prob", "label"), pair)
     ]

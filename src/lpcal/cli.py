@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .calibrator import (
     PNorm,
     RunTrace,
     calibrate,
+    check_ranges,
     derive_params,
 )
 from .errors import EstimateFailureError
@@ -77,7 +78,7 @@ def _integer(name: str, raw, least: int = 1) -> int:
 
 
 def _number(name: str, raw) -> float:
-    """A finite int or float; never a bool, a string or null.  ``derive_params`` checks the range."""
+    """A finite int or float; never a bool, a string or null.  ``check_ranges`` checks the range."""
     if not finite_number(raw):
         raise ValueError(f"{name} must be a finite number, got {raw!r}")
     return float(raw)
@@ -137,9 +138,13 @@ class RunConfig:
     eps: float
     delta: float
     seed: int
-    sample_mode: str = "auto"
     manual_sizes: dict = field(default_factory=dict)
     scenario_kwargs: dict = field(default_factory=dict)
+
+    @property
+    def sample_mode(self) -> str:
+        """The echoed mode: "manual" when sizes are given, else "auto" (formula sizes)."""
+        return "manual" if self.manual_sizes else "auto"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -177,11 +182,11 @@ class RunConfig:
             eps=_number("eps", doc.get("eps")),
             delta=_number("delta", doc.get("delta", 0.1)),
             seed=_integer("seed", doc.get("seed", 0), least=0),
-            sample_mode=sample_mode,
             manual_sizes={key: _integer(f"manual size {key}", n) for key, n in manual.items()},
             scenario_kwargs=kwargs,
         )
         # after the type checks, so each of them still names its own field
+        check_ranges(cfg.p, cfg.eps, cfg.delta)
         _known_keys("config", doc)
         _known_keys(f"scenario {name}", scenario)
         return cfg
@@ -202,22 +207,16 @@ class RunConfig:
         return doc
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+def _numpy_value(obj):
+    """``json.dumps``'s hook: a numpy scalar or array as Python values, anything else refused."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_json(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; every key of ``doc`` is a ``str``."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_numpy_value) + "\n"
 
 
 def level_str(v: Level) -> str:
@@ -295,7 +294,7 @@ def build_report(
             "pool_delta": params.pool_delta(n_bins) if n_bins else None,
         },
         "bin_mass_table": trace.bin_mass_stats,
-        "pools": [asdict(s) for s in trace.pool_stats],
+        "pools": trace.pool_stats,
         "iterations": trace.iterations,
         "pred_moves": {"max": trace.max_moved, "bound": trace.moved_bound},
         "events": trace.events,
@@ -359,14 +358,7 @@ def run_config(cfg: RunConfig) -> tuple[dict, RunTrace, CalibratedPredictor]:
     world, predictor = make_scenario(
         cfg.scenario, cfg.k, cfg.n_features, cfg.seed, **cfg.scenario_kwargs
     )
-    calibrated, trace = calibrate(
-        world,
-        predictor,
-        params,
-        cfg.seed,
-        sample_mode=cfg.sample_mode,
-        manual_sizes=cfg.manual_sizes or None,
-    )
+    calibrated, trace = calibrate(world, predictor, params, cfg.seed, manual_sizes=cfg.manual_sizes)
     report = build_report(world, predictor, calibrated, params, trace, cfg.echo())
     return report, trace, calibrated
 
@@ -522,7 +514,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    world, predictor = make_scenario(args.name, args.k, args.n_features, args.seed)
+    k, n_features = _integer("k", args.k), _integer("n_features", args.n_features)
+    world, predictor = make_scenario(args.name, k, n_features, _integer("seed", args.seed, least=0))
     _write(Path(args.out), dumps_json(world_to_dict(world, predictor)))
     print(f"scenario {args.name}: k={args.k}, {args.n_features} features -> {args.out}")
     return 0

@@ -874,3 +874,23 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
                         raise InvariantError(
                             f"historical groups of size class {size_class} overlap"
                         )
+
+
+def jsonable(obj):
+    """The document ``lpcal.cli.dumps_json`` writes, as plain Python values, by one full walk.
+
+    Keys become ``str``, tuples lists, and numpy scalars and arrays Python
+    numbers and lists; anything else is left for ``json.dumps`` to accept or
+    refuse.
+    """
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj

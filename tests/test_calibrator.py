@@ -344,7 +344,6 @@ class TestGuards:
                 predictor,
                 params,
                 seed=0,
-                sample_mode="manual",
                 manual_sizes={"bin_mass": 200, "pool_prob": 1, "pool_label": 1},
             )
         assert failure.value.trace.iterations == len(failure.value.trace.records) == 0
@@ -358,24 +357,11 @@ class TestGuards:
                 predictor,
                 params,
                 seed=3,
-                sample_mode="manual",
                 manual_sizes={"bin_mass": 200, "pool_prob": 1, "pool_label": 1},
             )
         trace = failure.value.trace
         assert trace.iterations == len(trace.records) == params.t_max
         assert [r.t for r in trace.records] == list(range(params.t_max))
-
-    def test_manual_mode_requires_sizes(self):
-        world, predictor = one_point_setup()
-        params = derive_params(math.inf, 0.2, 0.1)
-        with pytest.raises(ValueError):
-            calibrate(world, predictor, params, seed=0, sample_mode="manual")
-
-    def test_unknown_mode_rejected(self):
-        world, predictor = one_point_setup()
-        params = derive_params(math.inf, 0.2, 0.1)
-        with pytest.raises(ValueError):
-            calibrate(world, predictor, params, seed=0, sample_mode="bootstrap")
 
 
 class TestAccuracyPreservation:
@@ -432,8 +418,8 @@ class TestPoolDraws:
         draws = counting(monkeypatch, lpcal.estimation, "joint_counts")
         trace = self.run("random-miscalibrated", 3, 40, seed=1)
         assert any(r.est_merges for r in trace.records)
-        queried = {s.name for s in trace.pool_stats if s.queries_issued > 0}
-        assert {"prob:1", "label:1"} <= queried < {s.name for s in trace.pool_stats}
+        queried = {s["name"] for s in trace.pool_stats if s["queries_issued"] > 0}
+        assert {"prob:1", "label:1"} <= queried < {s["name"] for s in trace.pool_stats}
         drawn = [name.removeprefix("data:pool:") for _, name in streams if name.startswith("data:")]
         assert sorted(drawn) == sorted(queried)
         assert len(draws) == len(queried)

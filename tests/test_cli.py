@@ -4,19 +4,22 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lpcal.cli
-from lpcal.cli import RunConfig, main, parse_p, run_config
+from lpcal.cli import RunConfig, dumps_json, main, parse_p, run_config
 from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
 from lpcal.evaluator import exact_report
 from lpcal.simplex import level_count
 from lpcal.world import bin_table, world_from_dict
+from oracles import jsonable
 
 
 def write_config(path, **overrides):
@@ -306,6 +309,10 @@ BAD_CONFIGS = [
     # a p that is no number: a zero denominator, or past float range
     ({"p": "1/0"}, "p '1/0' has a zero denominator"),
     ({"p": "1e400"}, "p '1e400' lies beyond float range"),
+    # a number of the right type but out of range, refused as `run` refuses it
+    ({"eps": 1.5}, "eps must lie in (0,1), got 1.5"),
+    ({"delta": 0.0}, "delta must lie in (0,1), got 0.0"),
+    ({"p": "1"}, "p must exceed 1 (or be inf), got 1"),
 ]
 
 
@@ -432,27 +439,20 @@ class TestSweepCommand:
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6  # header + 2 p-values x 3 seeds
 
-    def test_invalid_cell_isolated(self, tmp_path):
+    def test_out_of_range_grid_value_exits_2_before_any_cell(self, tmp_path, capsys):
+        # a grid flag's value out of range is a config error, as in `run`, not a failed cell
         cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})
         out = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep",
-                "--config",
-                str(cfg),
-                "--eps",
-                "0.25,0",  # second eps is invalid
-                "--seeds",
-                "0:3",
-                "--out-dir",
-                str(out),
-            ]
-        )
-        assert code == 1
-        lines = (out / "summary.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 6
-        assert sum("error" in line for line in lines) == 3
-        assert sum(",ok," in line for line in lines) == 3
+        for grid, message in [
+            (["--eps", "0.25,0"], "eps must lie in (0,1), got 0.0"),
+            (["--eps", "0.3,1.5"], "eps must lie in (0,1), got 1.5"),
+            (["--p", "inf,1"], "p must exceed 1 (or be inf), got 1"),
+            (["--delta", "0"], "delta must lie in (0,1), got 0.0"),
+        ]:
+            args = ["sweep", "--config", str(cfg), *grid, "--seeds", "0:3", "--out-dir", str(out)]
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+            assert not out.exists()
 
     def test_counts_past_int64_fail_their_cell(self, tmp_path):
         cfg = write_config(
@@ -569,6 +569,20 @@ class TestOtherCommands:
         world, predictor = world_from_dict(json.loads(out.read_text()))
         assert world.k == 3
         assert predictor.table.shape == (9, 3)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--k", "0", "k must be an integer of at least 1, got 0"),
+            ("--n-features", "0", "n_features must be an integer of at least 1, got 0"),
+            ("--seed", "-1", "seed must be an integer of at least 0, got -1"),
+        ],
+    )
+    def test_scenario_names_a_bad_integer(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "world.json"
+        assert main(["scenario", "--name", "perfect", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_levels_listing(self, capsys):
         assert main(["levels", "--lambda", "2", "--k", "2"]) == 0
@@ -877,3 +891,44 @@ def test_config_fuzz_runs_or_exits_2_before_any_work(case, command):
         reports = sorted(out.glob("**/report.json"))
         assert len(reports) == 1
         assert json.loads(reports[0].read_text(encoding="utf-8"))["config"] == echo
+
+
+# Leaves of the documents dumps_json writes: Python and numpy numbers (inf and
+# nan among the floats), strings, and 1-d and 2-d numpy arrays.
+NUMPY_DTYPES = [np.int64, np.int32, np.bool_, np.float64, np.float32]
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(width=64),
+    st.text(max_size=4),
+    st.sampled_from(NUMPY_DTYPES).flatmap(lambda dtype: hnp.from_dtype(np.dtype(dtype))),
+    st.sampled_from(NUMPY_DTYPES).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3))
+    ),
+)
+JSON_DOCS = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_DOCS)
+def test_dumps_json_writes_the_walked_document(doc):
+    assert dumps_json(doc) == json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{"p": Fraction(3, 2)}, {"a": [1, {"b": (Fraction(1, 3),)}]}])
+def test_dumps_json_refuses_what_json_cannot_write(doc):
+    with pytest.raises(TypeError):
+        json.dumps(jsonable(doc), sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps_json(doc)
