@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -158,22 +158,14 @@ def select_bins(masses: np.ndarray, binning: Binning, params: CalibParams) -> np
 class CalibratedPredictor:
     """Final predictor: each selected bin predicts its group's prediction.
 
-    ``preds[i]`` is the prediction of the bin at position ``selected[i]`` in
-    ``binning.levels``; every other bin predicts its canonical distribution.
-    h is constant on each bin of the base predictor, so its
-    ``(n_levels, k)`` table over ``binning.levels`` is built once.
+    h is constant on each bin of the base predictor, so it is its
+    ``(n_levels, k)`` table ``per_level`` over ``binning.levels``: a
+    selected bin's row holds its final group's prediction, every other row
+    its level's canonical distribution.
     """
 
     binning: Binning  # of the base predictor
-    selected: InitVar[np.ndarray]
-    preds: InitVar[np.ndarray]
-    per_level: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, selected: np.ndarray, preds: np.ndarray) -> None:
-        per_level = canonical_rows(self.binning.levels, self.binning.lam)
-        per_level[selected] = preds
-        per_level.flags.writeable = False
-        object.__setattr__(self, "per_level", per_level)
+    per_level: np.ndarray = field(repr=False, compare=False)
 
     def to_table(self) -> np.ndarray:
         """Predictions for every feature, for exact evaluation."""
@@ -200,13 +192,13 @@ class CalibratedPredictor:
         return Binning(self.binning.lam, small.levels, small.ids[self.binning.ids])
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One loop iteration, sufficient to replay and audit the run."""
 
     t: int
     gid: int
-    bins: tuple[Level, ...]
+    bins: tuple[int, ...]  # the group's bins, as indices into ``RunTrace.bins``
     class_j: int
     est_err: float
     target_j: float  # updated coordinate before reprojection
@@ -293,6 +285,7 @@ def calibrate(
     start = time.perf_counter()
 
     binning = bin_table(predictor.table, lam)
+    per_level = canonical_rows(binning.levels, lam)  # h's table, the selected rows set at the end
     monitor = EventMonitor(world, binning)
 
     # Stage 0: bin-mass table and high-probability bin selection.
@@ -321,7 +314,8 @@ def calibrate(
         # already within budget everywhere.
         trace.events = _event_summary(monitor, params, n_bins=0)
         trace.wall_time_s = time.perf_counter() - start
-        return CalibratedPredictor(binning, selected, np.zeros((0, k))), trace
+        per_level.flags.writeable = False
+        return CalibratedPredictor(binning, per_level), trace
 
     if len(bins) > params.bin_cap:
         raise EstimateFailureError(
@@ -343,7 +337,7 @@ def calibrate(
         )
 
     est_part, pred_part = init_structures(
-        binning, selected, pools, max_subsets=classes, on_estimate=monitor.observe_pool_answer
+        lam, selected, per_level[selected], pools, monitor.observe_pool_answer
     )
     trace.moved_counts = np.zeros(n_bins, dtype=np.int64)
     t = 0
@@ -365,7 +359,7 @@ def calibrate(
                 t,
             )
 
-        sel_bins = tuple(map(bins.__getitem__, pred_part.bins(sel_gid).tolist()))
+        sel_bins = tuple(pred_part.bins(sel_gid).tolist())
         parts = pred_part.parts(sel_gid)
         prob_sum, label_sum, _ = est_part.aggregate(parts)
         if prob_sum <= 0.0:
@@ -434,7 +428,9 @@ def calibrate(
     ]
     trace.events = _event_summary(monitor, params, n_bins=n_bins)
     trace.wall_time_s = time.perf_counter() - start
-    return CalibratedPredictor(binning, selected, pred_part.pred[pred_part.owner]), trace
+    per_level[selected] = pred_part.pred[pred_part.owner]
+    per_level.flags.writeable = False
+    return CalibratedPredictor(binning, per_level), trace
 
 
 def _loop_failure(message: str, trace: RunTrace, t: int) -> EstimateFailureError:

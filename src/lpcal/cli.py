@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -223,10 +224,6 @@ def level_str(v: Level) -> str:
     return "-".join(str(n) for n in v)
 
 
-def bins_str(bins) -> str:
-    return ";".join(level_str(v) for v in bins)
-
-
 SLOP = 1e-12  # absolute slack for float-exact bound checks
 
 
@@ -331,6 +328,7 @@ TRACE_COLUMNS = (
 
 def trace_to_csv(trace: RunTrace) -> str:
     """Deterministic CSV of the per-iteration records."""
+    names = [level_str(v) for v in trace.bins]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
@@ -339,7 +337,7 @@ def trace_to_csv(trace: RunTrace) -> str:
             [
                 r.t,
                 r.gid,
-                bins_str(r.bins),
+                ";".join([names[i] for i in r.bins]),
                 r.class_j,
                 repr(r.est_err),
                 repr(r.target_j),
@@ -374,6 +372,9 @@ def _resolve_out_dir(args: argparse.Namespace, doc: dict) -> Path:
         raise ValueError("no output directory: pass --out-dir or set out_dir in the config")
     if not isinstance(out, str):
         raise ValueError(f"out_dir must be a string, got {type(out).__name__}")
+    for path in (Path(out), *Path(out).parents):
+        if path.exists() and not path.is_dir():
+            raise ValueError(f"output directory {out}: {path} exists and is not a directory")
     return Path(out)
 
 
@@ -419,6 +420,10 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _grid_values(cfg: RunConfig) -> str:
+    return f"(p={p_label(cfg.p)}, eps={cfg.eps!r}, seed={cfg.seed})"
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config_doc(args)
     out_dir = _resolve_out_dir(args, base)
@@ -433,18 +438,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else [parse_p(base.get("p", "inf"))]
     )
     seeds = _parse_seeds(args.seeds) if args.seeds else [base.get("seed", 0)]
-    # a config error ends the sweep (exit 2) before any cell runs, as it ends `run`
-    cells = [
-        RunConfig.from_dict({**base, "p": p_label(p), "eps": eps, "seed": seed})
-        for p in p_grid
-        for eps in eps_grid
-        for seed in seeds
-    ]
+    # a config error, or two cells writing one directory, ends the sweep (exit 2)
+    # before any cell runs, as a config error ends `run`
+    cells: dict[str, RunConfig] = {}
+    for p, eps, seed in itertools.product(p_grid, eps_grid, seeds):
+        cfg = RunConfig.from_dict({**base, "p": p_label(p), "eps": eps, "seed": seed})
+        cell = f"p{p_label(cfg.p).replace('/', 'over')}-eps{cfg.eps:g}-seed{cfg.seed}"
+        if cell in cells:
+            raise ValueError(
+                f"sweep cells {_grid_values(cells[cell])} and {_grid_values(cfg)} "
+                f"share the output directory {out_dir / cell}"
+            )
+        cells[cell] = cfg
     rows: list[list] = []
     failures = 0
-    for cfg in cells:
+    for cell, cfg in cells.items():
         p, eps, seed = cfg.p, cfg.eps, cfg.seed
-        cell = f"p{p_label(p).replace('/', 'over')}-eps{eps:g}-seed{seed}"
         try:
             report, trace, _ = run_config(cfg)
         except (EstimateFailureError, ValueError, MemoryError, ArithmeticError) as exc:
@@ -615,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

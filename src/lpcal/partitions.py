@@ -53,9 +53,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import InvariantError
-from .simplex import Level, canonical_rows, round_down
+from .simplex import Level, round_down
 from .estimation import DisjointQueryPool
-from .world import Binning
 
 # (positions of the event's bins, probability answer, (k,) label-mass answer) -> None, per event.
 EstimateHook = Callable[[np.ndarray, float, np.ndarray], None]
@@ -95,20 +94,19 @@ class EstimationPartition:
         self,
         positions: np.ndarray,
         pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-        max_subsets: int,
-        on_estimate: EstimateHook | None = None,
+        on_estimate: EstimateHook,
     ) -> None:
         self.positions = positions  # bin id -> position in the pools' binning
         self.pools = dict(pools)  # size class i -> (prob pool, label pool)
-        self.max_subsets = max_subsets
         self.on_estimate = on_estimate
         n = len(positions)
+        self.max_subsets = n.bit_length()  # floor(log2 n) + 1, the size classes
         self.owner = np.full(n, -1, dtype=np.int64)
         self.live = np.zeros(2 * n, dtype=bool)
         self.prob = np.zeros(2 * n)
         self.label_mass = np.zeros((2 * n, self.pools[0][1].value_dim))  # the label pools' k
-        self.covered = np.zeros((n.bit_length(), n), dtype=bool)
-        self.totals = np.zeros(n.bit_length(), dtype=np.int64)
+        self.covered = np.zeros((self.max_subsets, n), dtype=bool)
+        self.totals = np.zeros(self.max_subsets, dtype=np.int64)
         self.n_gids = 0
 
     def _add(self, sets: np.ndarray) -> range:
@@ -137,9 +135,8 @@ class EstimationPartition:
         prob_pool, label_pool = self.pools[size_class]
         probs = prob_pool.query(events)[:, 0].tolist()
         label_masses = label_pool.query(events)
-        if self.on_estimate is not None:
-            for event, prob, label_mass in zip(events, probs, label_masses):
-                self.on_estimate(event, prob, label_mass)
+        for event, prob, label_mass in zip(events, probs, label_masses):
+            self.on_estimate(event, prob, label_mass)
         gids = range(self.n_gids, self.n_gids + m)
         self.n_gids += m
         new = slice(gids.start, gids.stop)
@@ -427,26 +424,25 @@ def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartiti
 
 
 def init_structures(
-    binning: Binning,
+    lam: int,
     selected: np.ndarray,
+    preds: np.ndarray,
     pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
-    max_subsets: int,
-    on_estimate: EstimateHook | None = None,
+    on_estimate: EstimateHook,
 ) -> tuple[EstimationPartition, PredictionPartition]:
     """Singleton initialization of both partitions over the selected bins.
 
-    ``selected`` holds the bins' positions in ``binning.levels``, sorted by
+    ``selected`` holds the bins' positions in the pools' binning, sorted by
     level.  Bin ``i`` gets the one-bin group ``i`` in each structure; the
     statistics of all of them come from one batch query to each
-    size-class-0 pool, each bin's prediction is its canonical distribution,
+    size-class-0 pool, it predicts ``preds[i]``, its level's canonical row,
     and its cached error is the estimated gap ``|prob * pred_j -
     label_mass_j|``; its one part is the bin's estimation singleton.
     """
     if not len(selected):
         raise ValueError("bin set must be nonempty")
-    est = EstimationPartition(selected, pools, max_subsets, on_estimate)
+    est = EstimationPartition(selected, pools, on_estimate)
     est.add_singletons()
     n = len(selected)
-    preds = canonical_rows([binning.levels[i] for i in selected.tolist()], binning.lam)
     errs = estimated_error(est.prob[:n, None], preds, est.label_mass[:n])
-    return est, PredictionPartition(binning.lam, preds, errs)
+    return est, PredictionPartition(lam, preds, errs)

@@ -37,25 +37,25 @@ SNAP = 1e-9
 
 PROB_ATOL = 1e-9
 
-DEFAULT_ENUM_CAP = 5_000_000
+ENUM_CAP = 5_000_000
 
 
-def check_prob_rows(table: np.ndarray, *, atol: float = PROB_ATOL) -> None:
+def check_prob_rows(table: np.ndarray) -> None:
     """Raise ValueError unless every row of the 2-d ``table`` is a probability vector.
 
     A row passes when it is nonempty and finite, every coordinate lies in
-    ``[-atol, 1 + atol]`` and its sum is within ``atol`` of 1.  The checks
-    run as one pass over the whole array; the error names the first bad row
-    and, of the three checks in that order, the first it fails.
+    ``[-PROB_ATOL, 1 + PROB_ATOL]`` and its sum is within ``PROB_ATOL`` of
+    1.  The checks run as one pass over the whole array; the error names the
+    first bad row and, of the three checks in that order, the first it fails.
     """
     t = np.asarray(table, dtype=float)
     if t.shape[0] and t.shape[1] == 0:
         raise ValueError("probability rows must be nonempty")
     finite = np.isfinite(t).all(axis=1)
-    inside = ((t >= -atol) & (t <= 1.0 + atol)).all(axis=1)
+    inside = ((t >= -PROB_ATOL) & (t <= 1.0 + PROB_ATOL)).all(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf in a row already marked non-finite
         sums = t.sum(axis=1)
-    bad = ~(finite & inside & (np.abs(sums - 1.0) <= atol))
+    bad = ~(finite & inside & (np.abs(sums - 1.0) <= PROB_ATOL))
     if not bad.any():
         return
     i = int(np.argmax(bad))
@@ -151,19 +151,17 @@ def level_count(lam: int, k: int) -> int:
     return sum(math.comb(s + k - 1, k - 1) for s in range(lo, lam + 1))
 
 
-def enumerate_levels(lam: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> list[Level]:
+def enumerate_levels(lam: int, k: int) -> list[Level]:
     """All reachable level sets, in lexicographic order on numerators.
 
     Refuses (EnumerationCapError) when the ``C(lam+k, k)`` bound exceeds
-    ``cap``, a sign the parameters are infeasible for explicit enumeration.
+    ``ENUM_CAP``, a sign the parameters are infeasible for explicit enumeration.
     """
     if lam < 1 or k < 1:
         raise ValueError("lam and k must be positive integers")
     bound = math.comb(lam + k, k)
-    if bound > cap:
-        raise EnumerationCapError(
-            f"C({lam + k},{k}) = {bound} exceeds enumeration cap {cap}"
-        )
+    if bound > ENUM_CAP:
+        raise EnumerationCapError(f"C({lam + k},{k}) = {bound} exceeds enumeration cap {ENUM_CAP}")
     out: list[Level] = []
     prefix = [0] * k
 

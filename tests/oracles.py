@@ -14,7 +14,7 @@ import numpy as np
 
 from typing import Iterable
 
-from lpcal.calibrator import EventMonitor
+from lpcal.calibrator import CalibratedPredictor, EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
 from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
 from lpcal.evaluator import ErrorReport, _lp_norm, exact_report
@@ -697,6 +697,15 @@ def set_init_structures(binning: Binning, selected, pools, max_subsets: int, on_
         err = estimated_error(grp.prob, pred, grp.label_mass)
         pred_part.add(frozenset([i]), pred, err, [grp.gid])
     return est, pred_part
+
+
+def routed_predictor(binning: Binning, selected, preds) -> CalibratedPredictor:
+    """h over ``binning`` as ``calibrate`` builds it: the bin at position
+    ``selected[i]`` predicts ``preds[i]``, every other bin its canonical row."""
+    per_level = canonical_rows(binning.levels, binning.lam)
+    per_level[selected] = preds
+    per_level.flags.writeable = False
+    return CalibratedPredictor(binning, per_level)
 
 
 def set_view(est_part, pred_part):

@@ -10,7 +10,6 @@ import lpcal.calibrator
 import lpcal.estimation
 from lpcal.calibrator import (
     CalibParams,
-    CalibratedPredictor,
     EventMonitor,
     calibrate,
     derive_params,
@@ -23,7 +22,13 @@ from lpcal.evaluator import exact_lp_error, exact_sq_error
 from lpcal.simplex import canonical_rows, enumerate_levels, round_down
 from lpcal.world import Binning, Predictor, World, bin_table, make_scenario
 
-from oracles import bin_mass_dict, canonical, mass_table_max_dev_by_dict, select_bins_by_dict
+from oracles import (
+    bin_mass_dict,
+    canonical,
+    mass_table_max_dev_by_dict,
+    routed_predictor,
+    select_bins_by_dict,
+)
 
 
 class TestDeriveParams:
@@ -283,7 +288,7 @@ def calibrated_predictors(draw):
     targets = rng.dirichlet(np.ones(k), size=draw(st.integers(1, 3)))
     routed = draw(st.lists(st.integers(0, len(binning.levels) - 1), unique=True))
     preds = targets[rng.integers(len(targets), size=len(routed))]
-    return CalibratedPredictor(binning, np.array(routed, dtype=np.int64), preds)
+    return routed_predictor(binning, np.array(routed, dtype=np.int64), preds)
 
 
 class TestOwnBinning:
@@ -293,7 +298,7 @@ class TestOwnBinning:
         f_binning = bin_table(table, 2)
         assert f_binning.levels == ((1, 0), (0, 1), (1, 1))
         preds = np.array([[0.2, 0.8], [0.6, 0.4], [0.6, 0.4]])
-        h_binning = CalibratedPredictor(f_binning, np.array([0, 1, 2]), preds).own_binning()
+        h_binning = routed_predictor(f_binning, np.array([0, 1, 2]), preds).own_binning()
         assert h_binning.levels == ((0, 1), (1, 0))
         assert h_binning.ids.tolist() == [0, 1, 1, 0]
 
@@ -307,7 +312,7 @@ class TestOwnBinning:
 
     def test_table_rows_are_routed_or_canonical(self):
         table = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-        h = CalibratedPredictor(bin_table(table, 2), np.array([1]), np.array([[0.3, 0.7]]))
+        h = routed_predictor(bin_table(table, 2), np.array([1]), np.array([[0.3, 0.7]]))
         assert h.to_table().tolist() == [[0.75, 0.25], [0.3, 0.7], [0.5, 0.5]]
         h.to_table()[0, 0] = 9.0  # a fresh array each call
         assert h.to_table()[0].tolist() == [0.75, 0.25]

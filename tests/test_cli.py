@@ -407,6 +407,41 @@ def test_p_flag_that_is_no_number_exits_2(tmp_path, capsys, command, p):
     assert captured.out == "" and not out.exists()
 
 
+# A config or output path that names a directory where a file belongs, or a
+# file where a directory belongs, and the start of the error it gives.
+PATH_MISTAKES = [
+    (["run", "--config", "{dir}", "--out-dir", "{out}"], "Is a directory"),
+    (["sweep", "--config", "{dir}", "--out-dir", "{out}"], "Is a directory"),
+    (["run", "--config", "{cfg}", "--out-dir", "{file}"], "output directory {file}: {file} exists"),
+    (["sweep", "--config", "{cfg}", "--out-dir", "{file}"], "output directory {file}: {file} exists"),
+    (["run", "--config", "{cfg}", "--out-dir", "{file}/sub"], "directory {file}/sub: {file} exists"),
+    (["eval", "--world", "{dir}", "--lambda", "4"], "Is a directory"),
+    (["eval", "--world", "{world}", "--lambda", "4", "--out", "{dir}"], "Is a directory"),
+    (["scenario", "--name", "perfect", "--out", "{dir}"], "Is a directory"),
+]
+
+
+@pytest.mark.parametrize("argv, message", PATH_MISTAKES)
+def test_path_of_the_wrong_kind_exits_2_before_any_run(tmp_path, capsys, monkeypatch, argv, message):
+    paths = {
+        "dir": tmp_path / "dir",
+        "cfg": write_config(tmp_path / "cfg.json"),
+        "file": tmp_path / "file",
+        "world": tmp_path / "world.json",
+        "out": tmp_path / "out",
+    }
+    paths["dir"].mkdir()
+    paths["file"].write_text("keep", encoding="utf-8")
+    main(["scenario", "--name", "perfect", "--k", "2", "--n-features", "4", "--out", str(paths["world"])])
+    monkeypatch.setattr(lpcal.cli, "run_config", None)  # a calibration that runs fails the test
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(**paths) in err
+    assert paths["file"].read_text(encoding="utf-8") == "keep"
+    assert not paths["out"].exists() and not any(paths["dir"].iterdir())
+
+
 def test_scenario_name_string_takes_size_flags(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", scenario="perfect")
     out = tmp_path / "out"
@@ -535,6 +570,28 @@ class TestSweepCommand:
         assert "2**53" in rows[0][3]
         assert rows[1][:4] == ["inf", "0.3", "0", "ok"]
         assert not (out / f"p{p.replace('/', 'over')}-eps0.3-seed0").exists()
+
+    @pytest.mark.parametrize(
+        "grid, directory, first, second",
+        [
+            (["--p", "2,2.0"], "p2-eps0.25-seed0", "p=2, eps=0.25", "p=2, eps=0.25"),
+            (["--p", "3/2,1.5"], "p3over2-eps0.25-seed0", "p=3/2, eps=0.25", "p=3/2, eps=0.25"),
+            (["--seeds", "0,0"], "pinf-eps0.25-seed0", "p=inf, eps=0.25", "p=inf, eps=0.25"),
+            (["--eps", "0.3,0.3000001"], "pinf-eps0.3-seed0", "p=inf, eps=0.3", "p=inf, eps=0.3000001"),
+        ],
+    )
+    def test_cells_sharing_a_directory_exit_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, grid, directory, first, second
+    ):
+        monkeypatch.setattr(lpcal.cli, "run_config", None)  # a cell that runs fails the test
+        cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--seeds", "0", *grid, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep cells ({first}, seed=0) and ({second}, seed=0) "
+            f"share the output directory {out / directory}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["5:2", "3:3"])
     def test_empty_seed_range_rejected(self, tmp_path, capsys, seeds):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpcal.estimation
-from lpcal.calibrator import CalibratedPredictor, EventMonitor
+from lpcal.calibrator import EventMonitor
 from lpcal.errors import InvariantError
 from lpcal.estimation import pool_create
 from lpcal.partitions import check_refinement, estimated_error, init_structures
@@ -19,6 +19,7 @@ from oracles import (
     canonical,
     eager_pool_create,
     init_structures_one_at_a_time,
+    routed_predictor,
     set_checks,
     set_init_structures,
     set_view,
@@ -49,9 +50,9 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
     world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
     binning = bin_table(f.table, lam)
     selected = by_level(binning, range(len(binning.levels)))
-    classes = len(selected).bit_length()
     pools = make_pools(world, binning, seed, len(selected), m)
-    est_part, pred_part = init_structures(binning, selected, pools, max_subsets=classes)
+    preds = canonical_rows(binning.levels, lam)[selected]
+    est_part, pred_part = init_structures(lam, selected, preds, pools, lambda *_: None)
     return world, binning, selected, est_part, pred_part
 
 
@@ -133,9 +134,8 @@ class TestInit:
         assert (pred_part.err[~pred_part.live] == -np.inf).all()
 
     def test_empty_bins_rejected(self):
-        binning = bin_table(np.array([[0.5, 0.5]]), 2)
         with pytest.raises(ValueError):
-            init_structures(binning, np.zeros(0, dtype=np.int64), {}, max_subsets=1)
+            init_structures(2, np.zeros(0, dtype=np.int64), np.zeros((0, 2)), {}, lambda *_: None)
 
 
 class TestAggregate:
@@ -474,7 +474,7 @@ class TestGStructure:
         # the final predictor gives each selected bin its group's prediction
         _, binning, bins, _, pred_part = build()
         merged = pred_part.merge(0, 1, pred_part.pred[0])
-        h = CalibratedPredictor(binning, bins, pred_part.pred[pred_part.owner])
+        h = routed_predictor(binning, bins, pred_part.pred[pred_part.owner])
         assert h.per_level[bins[0]].tolist() == h.per_level[bins[1]].tolist()
         assert np.array_equal(h.per_level[bins[1]], pred_part.pred[merged])
         for b in range(2, len(bins)):
@@ -599,9 +599,8 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
     with patch.object(lpcal.estimation, "stream_rng", recording_stream_rng):
         lazy = make_pools(world, binning, seed, len(bins), m)
         watch = EventMonitor(world, binning)
-        est, pred = init_structures(
-            binning, bins, lazy, classes, on_estimate=watch.observe_pool_answer
-        )
+        preds = canonical_rows(binning.levels, lam)[bins]
+        est, pred = init_structures(lam, bins, preds, lazy, watch.observe_pool_answer)
         for i, j in picks:
             gids = live(pred)
             a, b = gids[i % len(gids)], gids[j % len(gids)]

@@ -313,4 +313,4 @@ class TestEnumeration:
 
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
-            enumerate_levels(60, 30, cap=1000)
+            enumerate_levels(60, 30)
