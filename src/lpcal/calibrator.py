@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import EstimateFailureError
 from .estimation import bin_mass_terms, estimate_bin_masses, pool_create
 from .partitions import (
-    MergeEvent,
     check_refinement,
     estimated_error,
     init_structures,
@@ -192,22 +192,6 @@ class CalibratedPredictor:
         return Binning(self.binning.lam, small.levels, small.ids[self.binning.ids])
 
 
-@dataclass(slots=True)
-class IterationRecord:
-    """One loop iteration, sufficient to replay and audit the run."""
-
-    t: int
-    gid: int
-    bins: tuple[int, ...]  # the group's bins, as indices into ``RunTrace.bins``
-    class_j: int
-    est_err: float
-    target_j: float  # updated coordinate before reprojection
-    partner_gid: int  # -1 when no collision
-    moved_gid: int  # the side whose prediction was discarded; -1 if none
-    merged_gid: int  # id of the union group; -1 if none
-    est_merges: tuple[MergeEvent, ...]
-
-
 @dataclass
 class EventMonitor:
     """Tracks worst-case deviation of every estimate from its exact value.
@@ -238,13 +222,32 @@ class EventMonitor:
         self.pool_label_max_dev = max(self.pool_label_max_dev, dev)
 
 
+def _column(typecode: str):
+    return field(default_factory=lambda: array(typecode))
+
+
 @dataclass
 class RunTrace:
-    """Per-iteration records plus the run-level summary."""
+    """The run-level summary, and one column per ``trace.csv`` field.
+
+    Row t of every per-iteration column is loop iteration t, so t itself is
+    not stored.  Row t's group bins are ``bin_ids[bin_ends[t-1]:bin_ends[t]]``
+    (from 0 at t = 0), as indices into ``bins``.  The columns are
+    ``array.array`` buffers, so the trace holds no Python object per
+    iteration.
+    """
 
     bins: list[Level]
-    records: list[IterationRecord] = field(default_factory=list)
-    iterations: int = 0
+    gid: array = _column("q")
+    bin_ids: array = _column("q")  # every row's group bins, one flat run
+    bin_ends: array = _column("q")  # end offset of each row's bins in ``bin_ids``
+    class_j: array = _column("q")
+    est_err: array = _column("d")
+    target_j: array = _column("d")  # updated coordinate before reprojection
+    partner_gid: array = _column("q")  # -1 when no collision
+    moved_gid: array = _column("q")  # the side whose prediction was discarded; -1 if none
+    merged_gid: array = _column("q")  # id of the union group; -1 if none
+    est_merges: array = _column("q")  # merges made by the row's merge pass
     bin_mass_stats: dict = field(default_factory=dict)
     pool_stats: list[dict] = field(default_factory=list)  # one report entry per pool
     # discarded-prediction merges per bin, aligned with ``bins``
@@ -254,6 +257,10 @@ class RunTrace:
     t_max: int = 0
     final_max_err: float = 0.0  # largest cached error estimate at loop exit
     wall_time_s: float = 0.0  # diagnostic only; never serialized
+
+    @property
+    def iterations(self) -> int:
+        return len(self.gid)
 
     @property
     def n_bins(self) -> int:
@@ -340,7 +347,6 @@ def calibrate(
         lam, selected, per_level[selected], pools, monitor.observe_pool_answer
     )
     trace.moved_counts = np.zeros(n_bins, dtype=np.int64)
-    t = 0
     while True:
         # the initial state and the state after every iteration
         est_part.check_invariants()
@@ -351,23 +357,21 @@ def calibrate(
         if sel_err <= params.error_threshold:
             trace.final_max_err = sel_err
             break
-        if t >= params.t_max:
-            raise _loop_failure(
+        if trace.iterations >= params.t_max:
+            raise EstimateFailureError(
                 f"error {sel_err:.6g} still above {params.error_threshold:.6g} "
                 f"after t_max={params.t_max} iterations; accuracy events violated",
                 trace,
-                t,
             )
 
-        sel_bins = tuple(pred_part.bins(sel_gid).tolist())
+        sel_bins = pred_part.bins(sel_gid).tolist()
         parts = pred_part.parts(sel_gid)
         prob_sum, label_sum, _ = est_part.aggregate(parts)
         if prob_sum <= 0.0:
-            raise _loop_failure(
+            raise EstimateFailureError(
                 "aggregated group probability is nonpositive; the pooled "
                 "probability estimates cannot all be accurate",
                 trace,
-                t,
             )
         target = pred_part.pred[sel_gid].copy()
         target[sel_j] = min(float(label_sum[sel_j]) / prob_sum, 1.0)
@@ -387,29 +391,23 @@ def calibrate(
             cur = merged_gid = pred_part.merge(sel_gid, partner_gid, pred_part.pred[kept_gid])
             parts = pred_part.parts(cur)
 
-        est_merges = tuple(est_part.merge_pass(parts))
+        est_merges = est_part.merge_pass(parts)
         if merged_gid != -1 or est_merges:
             pred_part.carry(cur, est_merges)
             prob_sum, label_sum, _ = est_part.aggregate(pred_part.parts(cur))
         # else the parts and so their sums are the ones aggregated above
         pred_part.err[cur] = estimated_error(prob_sum, pred_part.pred[cur], label_sum)
-        trace.records.append(
-            IterationRecord(
-                t=t,
-                gid=sel_gid,
-                bins=sel_bins,
-                class_j=sel_j,
-                est_err=sel_err,
-                target_j=float(target[sel_j]),
-                partner_gid=-1 if partner_gid is None else partner_gid,
-                moved_gid=moved_gid,
-                merged_gid=merged_gid,
-                est_merges=est_merges,
-            )
-        )
-        t += 1
+        trace.gid.append(sel_gid)
+        trace.bin_ids.extend(sel_bins)
+        trace.bin_ends.append(len(trace.bin_ids))
+        trace.class_j.append(sel_j)
+        trace.est_err.append(sel_err)
+        trace.target_j.append(target[sel_j])
+        trace.partner_gid.append(-1 if partner_gid is None else partner_gid)
+        trace.moved_gid.append(moved_gid)
+        trace.merged_gid.append(merged_gid)
+        trace.est_merges.append(len(est_merges))
 
-    trace.iterations = t
     trace.pool_stats = [
         {
             "name": pool.name,
@@ -431,14 +429,6 @@ def calibrate(
     per_level[selected] = pred_part.pred[pred_part.owner]
     per_level.flags.writeable = False
     return CalibratedPredictor(binning, per_level), trace
-
-
-def _loop_failure(message: str, trace: RunTrace, t: int) -> EstimateFailureError:
-    """A loop guard's failure, carrying the trace of the ``t`` iterations run before it."""
-    trace.iterations = t
-    exc = EstimateFailureError(message)
-    exc.trace = trace
-    return exc
 
 
 def _event_summary(monitor: EventMonitor, params: CalibParams, n_bins: int) -> dict:

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -327,26 +329,29 @@ TRACE_COLUMNS = (
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    """Deterministic CSV of the per-iteration records."""
+    """Deterministic CSV of the per-iteration columns, one row per iteration."""
     names = [level_str(v) for v in trace.bins]
+    ids = trace.bin_ids
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
-    for r in trace.records:
-        writer.writerow(
-            [
-                r.t,
-                r.gid,
-                ";".join([names[i] for i in r.bins]),
-                r.class_j,
-                repr(r.est_err),
-                repr(r.target_j),
-                r.partner_gid,
-                r.moved_gid,
-                r.merged_gid,
-                len(r.est_merges),
-            ]
+    writer.writerows(
+        [t, gid, ";".join([names[i] for i in ids[lo:hi]]), j, repr(err), repr(target), *rest]
+        for t, (gid, lo, hi, j, err, target, *rest) in enumerate(
+            zip(
+                trace.gid,
+                itertools.chain([0], trace.bin_ends),
+                trace.bin_ends,
+                trace.class_j,
+                trace.est_err,
+                trace.target_j,
+                trace.partner_gid,
+                trace.moved_gid,
+                trace.merged_gid,
+                trace.est_merges,
+            )
         )
+    )
     return buf.getvalue()
 
 
@@ -366,16 +371,25 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _out_path(out: str, is_dir: bool) -> Path:
+    """``out`` as a path, refused before any work if writing there must fail."""
+    path = Path(out)
+    if not is_dir and path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    kind = "directory" if is_dir else "file"
+    for parent in (path, *path.parents) if is_dir else path.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ValueError(f"output {kind} {out}: {parent} exists and is not a directory")
+    return path
+
+
 def _resolve_out_dir(args: argparse.Namespace, doc: dict) -> Path:
     out = args.out_dir or doc.get("out_dir")
     if not out:
         raise ValueError("no output directory: pass --out-dir or set out_dir in the config")
     if not isinstance(out, str):
         raise ValueError(f"out_dir must be a string, got {type(out).__name__}")
-    for path in (Path(out), *Path(out).parents):
-        if path.exists() and not path.is_dir():
-            raise ValueError(f"output directory {out}: {path} exists and is not a directory")
-    return Path(out)
+    return _out_path(out, is_dir=True)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -496,6 +510,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    p_list = tuple(float(parse_p(s)) for s in args.p.split(","))
+    if min(p_list) < 1:
+        raise ValueError(f"every p must be at least 1, got --p {args.p}")
+    out_path = args.out and _out_path(args.out, is_dir=False)
     doc = _object(f"world {args.world}", json.loads(Path(args.world).read_text(encoding="utf-8")))
     if args.pred:
         # validated exactly like the world's own predictor
@@ -504,7 +522,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"predictor document {args.pred} has no 'predictor' field")
         doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
     world, predictor = world_from_dict(doc)
-    p_list = tuple(float(parse_p(s)) for s in args.p.split(","))
     rep = exact_report(world, predictor.table, bin_table(predictor.table, args.lam), p_list)
     out = {
         "lambda": args.lam,
@@ -515,17 +532,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ],
     }
     text = dumps_json(out)
-    if args.out:
-        _write(Path(args.out), text)
+    if out_path:
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    out = _out_path(args.out, is_dir=False)
     k, n_features = _integer("k", args.k), _integer("n_features", args.n_features)
     world, predictor = make_scenario(args.name, k, n_features, _integer("seed", args.seed, least=0))
-    _write(Path(args.out), dumps_json(world_to_dict(world, predictor)))
+    _write(out, dumps_json(world_to_dict(world, predictor)))
     print(f"scenario {args.name}: k={args.k}, {args.n_features} features -> {args.out}")
     return 0
 

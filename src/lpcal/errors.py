@@ -32,7 +32,9 @@ class EstimateFailureError(RuntimeError):
     ``None`` for a failure before the loop.
     """
 
-    trace = None
+    def __init__(self, message: str, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class InvariantError(RuntimeError):

@@ -7,8 +7,11 @@ genuinely different routes to the same answer.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -903,3 +906,32 @@ def jsonable(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
+
+
+def check_trace_columns(trace, csv_text: str) -> dict:
+    """Check that each column has one entry per row of ``csv_text``, ``bin_ids`` one per group bin.
+
+    ``csv_text`` is ``trace_to_csv(trace)``; the group bins are counted from
+    its ``bins`` field, and ``t`` must count the rows up from 0.  Returns the
+    columns: every ``array.array`` attribute of ``trace``, by name.
+    """
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert [int(row["t"]) for row in rows] == list(range(trace.iterations))
+    columns = {name: col for name, col in vars(trace).items() if isinstance(col, array)}
+    assert len(columns["bin_ids"]) == sum(len(row["bins"].split(";")) for row in rows)
+    for name, col in columns.items():
+        assert name == "bin_ids" or len(col) == len(rows), name
+    return columns
+
+
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

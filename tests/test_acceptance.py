@@ -22,6 +22,7 @@ from lpcal.simplex import enumerate_levels, level_count, project_simplex
 from lpcal.world import bin_table, make_scenario
 
 from oracles import (
+    check_trace_columns,
     compositions,
     levels_by_greedy_certificate,
     levels_by_witness_enumeration,
@@ -204,8 +205,8 @@ def test_criterion_7_structure_invariants(suite_inf, suite_p2):
                 continue
             n += 1
             trace = r["trace"]
-            g_merges = sum(rec.merged_gid != -1 for rec in trace.records)
-            est_merges = sum(len(rec.est_merges) for rec in trace.records)
+            g_merges = sum(gid != -1 for gid in trace.merged_gid)
+            est_merges = sum(trace.est_merges)
             assert g_merges <= trace.n_bins - 1
             assert est_merges <= trace.n_bins - 1
     assert n > 0
@@ -316,7 +317,7 @@ def test_wide_run_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
 
 
-# A manual-size run that trips its iteration cap: 11,899 records, the longest
+# A manual-size run that trips its iteration cap: 11,899 rows, the longest
 # trace any test pins.  The failure carries the trace built up to the guard,
 # so these bytes pin every iteration of a long loop run, not just its outcome.
 GUARD_DOC = {
@@ -338,9 +339,15 @@ def test_guard_run_pinned():
         run_config(RunConfig.from_dict(GUARD_DOC))
     assert str(failure.value) == GUARD_MESSAGE
     trace = failure.value.trace
-    assert trace.iterations == len(trace.records) == trace.t_max == 11_899
-    digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
-    assert digest == GUARD_TRACE_SHA256
+    assert trace.iterations == trace.t_max == 11_899
+    text = trace_to_csv(trace)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GUARD_TRACE_SHA256
+    # The trace keeps no Python object per iteration: all it holds that grows
+    # with the loop is its array columns, at most 96 bytes an iteration.
+    columns = check_trace_columns(trace, text)
+    grown = {name for name, v in vars(trace).items() if hasattr(v, "__len__") and len(v) >= 11_899}
+    assert grown <= set(columns)
+    assert sum(col.itemsize * len(col) for col in columns.values()) <= 96 * trace.iterations
 
 
 # Near the bin cap in auto mode: 6,643 selected bins (the cap is 48,000), one

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from lpcal.cli import RunConfig, run_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -84,3 +86,28 @@ def test_checker_loads_the_oracles():
     checker = _load("perfbench_checker", ROOT / "perfbench" / "checker.py")
     oracles = checker._load_oracles(ROOT)
     assert callable(oracles.lp_error_literal) and callable(oracles.sq_error_by_expectation)
+
+
+def test_hooks_read_a_real_run():
+    """``_on_calibrate`` and ``_on_merge_pass`` read what ``calibrate`` and ``merge_pass`` return.
+
+    ``perfbench/run.py --trace 1`` runs these hooks on every traced call, so a
+    change to ``RunTrace`` or to ``merge_pass``'s result would break it there.
+    """
+    cfg = RunConfig.from_dict(
+        {
+            "scenario": {"name": "random-miscalibrated", "k": 3, "n_features": 40},
+            "p": "2",
+            "eps": 0.3,
+            "seed": 1,
+        }
+    )
+    tr = tracer.Tracer()
+    with tr.patched():
+        _, trace, _ = run_config(cfg)
+    assert tr.calls["partitions.merge_pass"] == trace.iterations > 0
+    assert tr.counts["merges"] == sum(trace.est_merges) > 0
+    assert tr.counts["iterations"] == trace.iterations
+    assert tr.counts["t_max"] == trace.t_max
+    assert tr.counts["bins"] == trace.n_bins
+    assert tr.counts["bin_mass_samples"] == trace.bin_mass_stats["m"]

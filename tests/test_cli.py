@@ -19,7 +19,7 @@ from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
 from lpcal.evaluator import exact_report
 from lpcal.simplex import level_count
 from lpcal.world import bin_table, world_from_dict
-from oracles import jsonable
+from oracles import counting, jsonable
 
 
 def write_config(path, **overrides):
@@ -407,6 +407,18 @@ def test_p_flag_that_is_no_number_exits_2(tmp_path, capsys, command, p):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("p", ["0.5", "2,0", "inf,-3"])
+def test_eval_refuses_p_below_1_before_reading_the_world(tmp_path, capsys, monkeypatch, p):
+    world = tmp_path / "world.json"
+    main(["scenario", "--name", "perfect", "--k", "2", "--n-features", "4", "--out", str(world)])
+    reads = counting(monkeypatch, lpcal.cli, "world_from_dict")
+    capsys.readouterr()
+    assert main(["eval", "--world", str(world), "--lambda", "4", "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: every p must be at least 1, got --p {p}\n"
+    assert captured.out == "" and reads == []
+
+
 # A config or output path that names a directory where a file belongs, or a
 # file where a directory belongs, and the start of the error it gives.
 PATH_MISTAKES = [
@@ -418,6 +430,8 @@ PATH_MISTAKES = [
     (["eval", "--world", "{dir}", "--lambda", "4"], "Is a directory"),
     (["eval", "--world", "{world}", "--lambda", "4", "--out", "{dir}"], "Is a directory"),
     (["scenario", "--name", "perfect", "--out", "{dir}"], "Is a directory"),
+    (["eval", "--world", "{world}", "--lambda", "4", "--out", "{file}/x"], "file {file}/x: {file} exists"),
+    (["scenario", "--name", "perfect", "--out", "{file}/x"], "file {file}/x: {file} exists"),
 ]
 
 
@@ -434,8 +448,11 @@ def test_path_of_the_wrong_kind_exits_2_before_any_run(tmp_path, capsys, monkeyp
     paths["file"].write_text("keep", encoding="utf-8")
     main(["scenario", "--name", "perfect", "--k", "2", "--n-features", "4", "--out", str(paths["world"])])
     monkeypatch.setattr(lpcal.cli, "run_config", None)  # a calibration that runs fails the test
+    reads = counting(monkeypatch, lpcal.cli, "world_from_dict")
+    makes = counting(monkeypatch, lpcal.cli, "make_scenario")
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 2
+    assert reads == makes == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(**paths) in err
     assert paths["file"].read_text(encoding="utf-8") == "keep"
