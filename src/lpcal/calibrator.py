@@ -74,6 +74,7 @@ class CalibParams:
     error_threshold: float  # beta/2: loop keeps running above this
     bin_threshold: float  # beta/6: minimum estimated mass to select a bin
     mass_accuracy: float  # beta/12: accuracy target of the bin-mass table
+    moved_bound: float  # log2(36/beta): per-bin cap on discarded-prediction merges
     t_max: int  # iteration cap from the squared-error descent argument
 
     @property
@@ -84,18 +85,6 @@ class CalibParams:
     def bin_cap(self) -> int:
         """Most bins that can pass selection when the mass table is accurate."""
         return _ceil_tol(12.0 / self.beta)
-
-    def size_classes(self, n_bins: int) -> int:
-        """Number of power-of-2 size classes: floor(log2 n) + 1."""
-        if n_bins < 1:
-            raise ValueError("n_bins must be positive")
-        return n_bins.bit_length()
-
-    def pool_accuracy(self, n_bins: int) -> float:
-        return self.beta / (36.0 * self.size_classes(n_bins))
-
-    def pool_delta(self, n_bins: int) -> float:
-        return self.delta / (3.0 * self.size_classes(n_bins))
 
 
 def check_ranges(p: PNorm, eps: float, delta: float) -> None:
@@ -134,7 +123,8 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
             f"p={p}, eps={eps}: lam = {1.0 / beta:.3g} exceeds 2**53, "
             "beyond which the rounding grid is not exact in floats"
         )
-    t_max = _ceil_tol((9.0 + (36.0 / lam) * math.log2(36.0 / beta)) / beta**2)
+    moved_bound = math.log2(36.0 / beta)
+    t_max = _ceil_tol((9.0 + (36.0 / lam) * moved_bound) / beta**2)
     return CalibParams(
         p=p,
         eps=float(eps),
@@ -144,6 +134,7 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
         error_threshold=beta / 2.0,
         bin_threshold=beta / 6.0,
         mass_accuracy=beta / 12.0,
+        moved_bound=moved_bound,
         t_max=t_max,
     )
 
@@ -252,7 +243,10 @@ class RunTrace:
     pool_stats: list[dict] = field(default_factory=list)  # one report entry per pool
     # discarded-prediction merges per bin, aligned with ``bins``
     moved_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    moved_bound: float = 0.0  # per-bin cap on discarded-prediction merges
+    # the pools' terms over floor(log2 n_bins) + 1 size classes; 0, None, None with no bins
+    size_classes: int = 0
+    pool_accuracy: float | None = None  # beta / (36 * size_classes)
+    pool_delta: float | None = None  # delta / (3 * size_classes)
     events: dict = field(default_factory=dict)
     t_max: int = 0
     final_max_err: float = 0.0  # largest cached error estimate at loop exit
@@ -314,12 +308,11 @@ def calibrate(
         "delta": params.mass_delta,
         "n_levels": n_levels,
     }
-    trace.moved_bound = math.log2(36.0 / params.beta)
 
     if not bins:
         # Nothing carries enough mass to correct; the fallback rounding is
         # already within budget everywhere.
-        trace.events = _event_summary(monitor, params, n_bins=0)
+        trace.events = _event_summary(monitor, params, trace.pool_accuracy)
         trace.wall_time_s = time.perf_counter() - start
         per_level.flags.writeable = False
         return CalibratedPredictor(binning, per_level), trace
@@ -331,9 +324,9 @@ def calibrate(
         )
 
     n_bins = len(bins)
-    classes = params.size_classes(n_bins)
-    alpha_pool = params.pool_accuracy(n_bins)
-    delta_pool = params.pool_delta(n_bins)
+    classes = trace.size_classes = n_bins.bit_length()
+    alpha_pool = trace.pool_accuracy = params.beta / (36.0 * classes)
+    delta_pool = trace.pool_delta = params.delta / (3.0 * classes)
 
     m_prob, m_label = sizes.get("pool_prob"), sizes.get("pool_label")
     pools = {}
@@ -366,7 +359,7 @@ def calibrate(
 
         sel_bins = pred_part.bins(sel_gid).tolist()
         parts = pred_part.parts(sel_gid)
-        prob_sum, label_sum, _ = est_part.aggregate(parts)
+        prob_sum, label_sum = est_part.aggregate(parts)
         if prob_sum <= 0.0:
             raise EstimateFailureError(
                 "aggregated group probability is nonpositive; the pooled "
@@ -382,7 +375,7 @@ def calibrate(
         cur = sel_gid
         if partner_gid is not None:
             # the side with no more aggregated mass gives up its prediction
-            prob_sum_partner, _, _ = est_part.aggregate(pred_part.parts(partner_gid))
+            prob_sum_partner, _ = est_part.aggregate(pred_part.parts(partner_gid))
             if prob_sum <= prob_sum_partner:
                 moved_gid, kept_gid = sel_gid, partner_gid
             else:
@@ -394,7 +387,7 @@ def calibrate(
         est_merges = est_part.merge_pass(parts)
         if merged_gid != -1 or est_merges:
             pred_part.carry(cur, est_merges)
-            prob_sum, label_sum, _ = est_part.aggregate(pred_part.parts(cur))
+            prob_sum, label_sum = est_part.aggregate(pred_part.parts(cur))
         # else the parts and so their sums are the ones aggregated above
         pred_part.err[cur] = estimated_error(prob_sum, pred_part.pred[cur], label_sum)
         trace.gid.append(sel_gid)
@@ -424,15 +417,15 @@ def calibrate(
         for i, pair in sorted(pools.items())
         for kind, pool in zip(("prob", "label"), pair)
     ]
-    trace.events = _event_summary(monitor, params, n_bins=n_bins)
+    trace.events = _event_summary(monitor, params, alpha_pool)
     trace.wall_time_s = time.perf_counter() - start
     per_level[selected] = pred_part.pred[pred_part.owner]
     per_level.flags.writeable = False
     return CalibratedPredictor(binning, per_level), trace
 
 
-def _event_summary(monitor: EventMonitor, params: CalibParams, n_bins: int) -> dict:
-    alpha_pool = params.pool_accuracy(n_bins) if n_bins else None
+def _event_summary(monitor: EventMonitor, params: CalibParams, alpha_pool: float | None) -> dict:
+    """The accuracy events against their thresholds; ``alpha_pool`` is None when no pool exists."""
     out = {
         "monitored": True,
         "mass_table_max_dev": monitor.mass_table_max_dev,
@@ -443,8 +436,8 @@ def _event_summary(monitor: EventMonitor, params: CalibParams, n_bins: int) -> d
         "pool_threshold": alpha_pool,
     }
     # with no bins selected no pool is ever queried, so both events hold
-    out["pool_prob_held"] = not n_bins or monitor.pool_prob_max_dev <= alpha_pool
-    out["pool_label_held"] = not n_bins or monitor.pool_label_max_dev <= alpha_pool
+    out["pool_prob_held"] = alpha_pool is None or monitor.pool_prob_max_dev <= alpha_pool
+    out["pool_label_held"] = alpha_pool is None or monitor.pool_label_max_dev <= alpha_pool
     out["all_held"] = (
         out["mass_table_held"] and out["pool_prob_held"] and out["pool_label_held"]
     )

@@ -49,6 +49,7 @@ from .world import (
     Predictor,
     World,
     bin_table,
+    check_lam,
     finite_number,
     make_scenario,
     world_from_dict,
@@ -96,13 +97,10 @@ def _object(name: str, raw) -> dict:
 
 # Every key a config document may hold, by the object it sits in.  A
 # scenario takes the keys of its own row: gamma and shift reach only the
-# scenario whose generator reads them.  In the dict form of sample_mode every
-# key but "mode" is read as a manual size, so the manual-size check refuses
-# any other key there, naming it and the size keys.
+# scenario whose generator reads them.
 _SCENARIO_KEYS = ("name", "k", "n_features")
 CONFIG_KEYS = {
     "config": ("scenario", "p", "eps", "delta", "seed", "sample_mode", "manual_sizes", "out_dir"),
-    "sample_mode": ("mode", *MANUAL_SIZE_KEYS),
     "scenario perfect": _SCENARIO_KEYS,
     "scenario overconfident": (*_SCENARIO_KEYS, "gamma"),
     "scenario shifted": (*_SCENARIO_KEYS, "shift"),
@@ -157,23 +155,12 @@ class RunConfig:
         kwargs = {key: scenario[key] for key in known if key in scenario}
         for key, val in kwargs.items():
             _number(key, val)
-        sample_mode = doc.get("sample_mode", "auto")
-        # sizes as echoed in a report, or inline in the dict form of sample_mode
-        manual = dict(_object("manual_sizes", doc.get("manual_sizes", {})))
-        if isinstance(sample_mode, dict):
-            manual.update((k, v) for k, v in sample_mode.items() if k != "mode")
-            sample_mode = sample_mode.get("mode", "auto")
+        manual = _object("manual_sizes", doc.get("manual_sizes", {}))
         unknown = sorted(set(manual) - set(MANUAL_SIZE_KEYS))
         if unknown:
             raise ValueError(
                 f"manual size keys {unknown} unknown; expected {list(MANUAL_SIZE_KEYS)}"
             )
-        if sample_mode not in ("auto", "manual"):
-            raise ValueError(f"unknown sample_mode {sample_mode!r}")
-        if sample_mode == "manual" and not manual:
-            raise ValueError("manual sample_mode requires manual_sizes")
-        if sample_mode == "auto" and manual:
-            raise ValueError(f"manual sizes {sorted(manual)} given in auto sample_mode")
         name = scenario.get("name")
         if name not in SCENARIOS:
             raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
@@ -188,6 +175,12 @@ class RunConfig:
             manual_sizes={key: _integer(f"manual size {key}", n) for key, n in manual.items()},
             scenario_kwargs=kwargs,
         )
+        # an optional echo of the mode the sizes imply, as every report carries it
+        if doc.get("sample_mode", cfg.sample_mode) != cfg.sample_mode:
+            raise ValueError(
+                f"sample_mode {doc['sample_mode']!r} disagrees with manual_sizes, which make it "
+                f"{cfg.sample_mode!r}; leave sample_mode out, or set sizes only in manual_sizes"
+            )
         # after the type checks, so each of them still names its own field
         check_ranges(cfg.p, cfg.eps, cfg.delta)
         _known_keys("config", doc)
@@ -249,20 +242,19 @@ def build_report(
     max_bin_err_h = rep_h.max_bin_class_error
     err_p_f = rep_f.aggregates[p_eval]
     err_p_h = rep_h.aggregates[p_eval]
-    sq_budget = (4.0 / lam) * (1.0 + math.log2(36.0 / beta))
+    sq_budget = (4.0 / lam) * (1.0 + params.moved_bound)
     sq_diff = rep_h.sq_error - rep_f.sq_error
     if p == math.inf:
         aggregate_ok = err_p_h <= beta + SLOP
     else:
         aggregate_ok = err_p_h ** float(p) <= 2.0 * beta ** (float(p) - 1.0) + SLOP
 
-    n_bins = trace.n_bins
     checks = {
         "per_bin_le_beta": bool(max_bin_err_h <= beta + SLOP),
         "aggregate_lp": bool(aggregate_ok),
         "err_le_eps": bool(err_p_h <= params.eps + SLOP),
         "sq_budget": bool(sq_diff <= sq_budget + SLOP),
-        "pred_moves_bound": bool(trace.max_moved <= trace.moved_bound + SLOP),
+        "pred_moves_bound": bool(trace.max_moved <= params.moved_bound + SLOP),
         "iterations_le_t_max": bool(trace.iterations <= params.t_max),
         "events_held": bool(trace.events.get("all_held", False)),
     }
@@ -285,17 +277,17 @@ def build_report(
             "t_max": params.t_max,
         },
         "bins": {
-            "count": n_bins,
+            "count": trace.n_bins,
             "cap": params.bin_cap,
             "selected": [level_str(v) for v in trace.bins],
-            "size_classes": params.size_classes(n_bins) if n_bins else 0,
-            "pool_accuracy": params.pool_accuracy(n_bins) if n_bins else None,
-            "pool_delta": params.pool_delta(n_bins) if n_bins else None,
+            "size_classes": trace.size_classes,
+            "pool_accuracy": trace.pool_accuracy,
+            "pool_delta": trace.pool_delta,
         },
         "bin_mass_table": trace.bin_mass_stats,
         "pools": trace.pool_stats,
         "iterations": trace.iterations,
-        "pred_moves": {"max": trace.max_moved, "bound": trace.moved_bound},
+        "pred_moves": {"max": trace.max_moved, "bound": params.moved_bound},
         "events": trace.events,
         "errors": {
             "f": agg_block(rep_f),
@@ -441,22 +433,15 @@ def _grid_values(cfg: RunConfig) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config_doc(args)
     out_dir = _resolve_out_dir(args, base)
-    eps_grid = (
-        [float(e) for e in args.eps_grid.split(",")]
-        if args.eps_grid
-        else [_number("eps", base.get("eps"))]
-    )
-    p_grid = (
-        [parse_p(s) for s in args.p_grid.split(",")]
-        if args.p_grid
-        else [parse_p(base.get("p", "inf"))]
-    )
+    # raw grid values, each parsed and checked once by RunConfig.from_dict
+    p_grid = args.p_grid.split(",") if args.p_grid else [base.get("p", "inf")]
+    eps_grid = [float(e) for e in args.eps_grid.split(",")] if args.eps_grid else [base.get("eps")]
     seeds = _parse_seeds(args.seeds) if args.seeds else [base.get("seed", 0)]
     # a config error, or two cells writing one directory, ends the sweep (exit 2)
     # before any cell runs, as a config error ends `run`
     cells: dict[str, RunConfig] = {}
     for p, eps, seed in itertools.product(p_grid, eps_grid, seeds):
-        cfg = RunConfig.from_dict({**base, "p": p_label(p), "eps": eps, "seed": seed})
+        cfg = RunConfig.from_dict({**base, "p": p, "eps": eps, "seed": seed})
         cell = f"p{p_label(cfg.p).replace('/', 'over')}-eps{cfg.eps:g}-seed{cfg.seed}"
         if cell in cells:
             raise ValueError(
@@ -476,6 +461,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             failures += 1
             error = str(exc) or type(exc).__name__
             rows.append([p_label(p), eps, seed, f"error: {error}"] + [""] * 12)
+            for name in ("report.json", "trace.csv"):
+                (out_dir / cell / name).unlink(missing_ok=True)  # left by an earlier sweep
             continue
         _write(out_dir / cell / "report.json", dumps_json(report))
         _write(out_dir / cell / "trace.csv", trace_to_csv(trace))
@@ -513,6 +500,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     p_list = tuple(float(parse_p(s)) for s in args.p.split(","))
     if min(p_list) < 1:
         raise ValueError(f"every p must be at least 1, got --p {args.p}")
+    check_lam(args.lam)
     out_path = args.out and _out_path(args.out, is_dir=False)
     doc = _object(f"world {args.world}", json.loads(Path(args.world).read_text(encoding="utf-8")))
     if args.pred:

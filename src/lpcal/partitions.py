@@ -159,7 +159,7 @@ class EstimationPartition:
                 raise InvariantError(f"estimation group {gid} is not current")
         return gids, listed
 
-    def aggregate(self, parts) -> tuple[float, np.ndarray, int]:
+    def aggregate(self, parts) -> tuple[float, np.ndarray]:
         """Sum stored estimates over ``parts``, a prediction group's parts, in their order.
 
         The probabilities are added one by one from zero and the label rows
@@ -171,7 +171,7 @@ class EstimationPartition:
         if len(listed) > self.max_subsets:
             raise InvariantError(f"{len(listed)} parts exceed the bound {self.max_subsets}")
         prob_sum = float(sum(self.prob[parts].tolist()))
-        return prob_sum, np.add.reduce(self.label_mass[parts], axis=0), len(listed)
+        return prob_sum, np.add.reduce(self.label_mass[parts], axis=0)
 
     def merge_pass(self, parts) -> list[MergeEvent]:
         """Merge equal-size groups among ``parts`` until all sizes differ.

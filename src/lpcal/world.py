@@ -117,6 +117,12 @@ class Binning:
 MAX_LAM = 2**53
 
 
+def check_lam(lam: int) -> None:
+    """Refuse a grid resolution outside [1, 2**53], past which the grid is not exact in floats."""
+    if not 1 <= lam <= MAX_LAM:
+        raise ValueError(f"lam must be an integer in [1, 2**53], got {lam}")
+
+
 def bin_table(table: np.ndarray, lam: int) -> Binning:
     """Round every row of ``table`` once, in one array pass.
 
@@ -127,8 +133,7 @@ def bin_table(table: np.ndarray, lam: int) -> Binning:
     [1, 2**53] and for coordinates that are not finite or lie outside
     [-1, 2], whose numerators an int64 need not hold.
     """
-    if not 1 <= lam <= MAX_LAM:
-        raise ValueError(f"lam must be an integer in [1, 2**53], got {lam}")
+    check_lam(lam)
     t = np.asarray(table, dtype=float)
     if not ((t >= -1.0) & (t <= 2.0)).all():  # false on NaN and inf too
         raise ValueError("coordinates to bin must be finite and lie in [-1, 2]")

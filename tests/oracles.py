@@ -595,13 +595,13 @@ class SetEstimationPartition:
         except KeyError as exc:
             raise InvariantError(f"estimation group {exc.args[0]} is not current") from None
 
-    def aggregate(self, parts: list[int]) -> tuple[float, np.ndarray, int]:
+    def aggregate(self, parts: list[int]) -> tuple[float, np.ndarray]:
         groups = self._current(parts)
         if len(groups) > self.max_subsets:
             raise InvariantError(f"{len(groups)} parts exceed the bound {self.max_subsets}")
         prob_sum = float(sum(g.prob for g in groups))
         label_sum = np.sum([g.label_mass for g in groups], axis=0)
-        return prob_sum, np.asarray(label_sum, float), len(groups)
+        return prob_sum, np.asarray(label_sum, float)
 
     def merge_pass(self, parts: list[int]) -> list[MergeEvent]:
         """Merge equal-size groups among ``parts``, replaced in place by the groups left."""
@@ -844,7 +844,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
             raise InvariantError("bin set is not a union of current estimation groups")
         return parts
 
-    def aggregate(self, bins: frozenset[int]) -> tuple[float, np.ndarray, int]:
+    def aggregate(self, bins: frozenset[int]) -> tuple[float, np.ndarray]:
         return super().aggregate([g.gid for g in self.constituents(bins)])
 
     def merge_pass(self, target: frozenset[int]) -> list[MergeEvent]:

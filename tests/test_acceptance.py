@@ -326,7 +326,8 @@ GUARD_DOC = {
     "eps": 0.3,
     "delta": 0.1,
     "seed": 0,
-    "sample_mode": {"mode": "manual", "bin_mass": 2e6, "pool_prob": 3e6, "pool_label": 3e6},
+    "sample_mode": "manual",
+    "manual_sizes": {"bin_mass": 2e6, "pool_prob": 3e6, "pool_label": 3e6},
 }
 GUARD_MESSAGE = (
     "error 0.0426779 still above 0.0225 after t_max=11899 iterations; accuracy events violated"

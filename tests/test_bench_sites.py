@@ -6,7 +6,8 @@ moves one of those names would otherwise only show up as a crash of
 ``perfbench/run.py --trace 1``.  A module-level name its owner imports but
 never calls is patched to no effect, so its metrics read 0 without a crash.
 Likewise the checker must be able to load ``tests/oracles.py`` the way it
-does, or every benchmark run fails.
+does, or every benchmark run fails, and every config the benchmark's workloads
+write must still pass the config schema.
 """
 
 import ast
@@ -24,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _load(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks its module up there
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in perfbench/
     try:
         spec.loader.exec_module(module)
@@ -33,6 +35,7 @@ def _load(name, path):
 
 
 tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
 @pytest.mark.parametrize("metric,owner,attr", tracer.TIMED + tracer.COUNTED)
@@ -111,3 +114,14 @@ def test_hooks_read_a_real_run():
     assert tr.counts["t_max"] == trace.t_max
     assert tr.counts["bins"] == trace.n_bins
     assert tr.counts["bin_mass_samples"] == trace.bin_mass_stats["m"]
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_configs_pass_the_schema(tmp_path, name, seed):
+    """Each cell of a workload is a config ``RunConfig.from_dict`` accepts, in auto mode."""
+    inputs = workloads.build_inputs(name, seed, tmp_path)
+    assert inputs.config.exists() and inputs.cells
+    for _, doc in inputs.cells:
+        assert doc["sample_mode"] == "auto"
+        assert RunConfig.from_dict(doc).echo()["sample_mode"] == "auto"

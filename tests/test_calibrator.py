@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 import lpcal.calibrator
 import lpcal.estimation
 from lpcal.calibrator import (
-    CalibParams,
     EventMonitor,
     calibrate,
     derive_params,
@@ -78,13 +78,10 @@ class TestDeriveParams:
             with pytest.raises(ValueError):
                 derive_params(2, 0.2, bad)
 
-    def test_bin_cap_and_size_classes(self):
+    def test_bin_cap_and_moved_bound(self):
         p = derive_params(math.inf, 0.25, 0.1)
         assert p.bin_cap == 48
-        assert p.size_classes(1) == 1
-        assert p.size_classes(8) == 4
-        assert p.pool_accuracy(8) == pytest.approx(0.25 / (36 * 4))
-        assert p.pool_delta(8) == pytest.approx(0.1 / 12)
+        assert p.moved_bound == math.log2(36 / 0.25)
 
 
 def mass_array(masses: dict) -> tuple[np.ndarray, Binning]:
@@ -196,10 +193,32 @@ class TestCalibrate:
         h, trace = calibrate(world, predictor, params, seed=0)
         assert trace.n_bins == 0
         assert trace.iterations == 0
+        # no pool exists: no size class, no pool terms, and both pool events hold
+        assert (trace.size_classes, trace.pool_accuracy, trace.pool_delta) == (0, None, None)
+        assert trace.pool_stats == []
+        assert trace.events["pool_threshold"] is None
+        assert trace.events["pool_prob_held"] and trace.events["pool_label_held"]
         assert h.per_level.tolist() == canonical_rows(h.binning.levels, params.lam).tolist()
         x = 7
         v = round_down(predictor.table[x], params.lam)
         assert np.allclose(h.to_table()[x], canonical(v, params.lam))
+
+    @pytest.mark.parametrize("seed, n_bins, classes", [(1, 29, 5), (2, 36, 6)])
+    def test_pool_terms_recorded(self, seed, n_bins, classes):
+        # floor(log2 n_bins) + 1 size classes, each with a probability and a label pool
+        world, predictor = make_scenario("random-miscalibrated", 3, 40, seed=seed)
+        params = derive_params(2, 0.3, 0.1)
+        _, trace = calibrate(world, predictor, params, seed)
+        assert (trace.n_bins, trace.size_classes) == (n_bins, classes)
+        assert trace.pool_accuracy == pytest.approx(0.045 / (36 * classes))
+        assert trace.pool_delta == pytest.approx(0.1 / (3 * classes))
+        assert [(s["kind"], s["size_class"]) for s in trace.pool_stats] == [
+            (kind, i) for i in range(classes) for kind in ("prob", "label")
+        ]
+        assert {(s["alpha"], s["delta"]) for s in trace.pool_stats} == {
+            (trace.pool_accuracy, trace.pool_delta)
+        }
+        assert trace.events["pool_threshold"] == trace.pool_accuracy
 
     def test_fallback_for_unselected_bins(self):
         # the second feature has mass 0, so its bin is never selected and
@@ -316,18 +335,7 @@ class TestOwnBinning:
 class TestGuards:
     def test_t_max_zero_raises_when_work_remains(self):
         world, predictor = one_point_setup()
-        base = derive_params(math.inf, 0.2, 0.1)
-        params = CalibParams(
-            p=base.p,
-            eps=base.eps,
-            delta=base.delta,
-            beta=base.beta,
-            lam=base.lam,
-            error_threshold=base.error_threshold,
-            bin_threshold=base.bin_threshold,
-            mass_accuracy=base.mass_accuracy,
-            t_max=0,
-        )
+        params = dataclasses.replace(derive_params(math.inf, 0.2, 0.1), t_max=0)
         with pytest.raises(EstimateFailureError, match="t_max") as failure:
             calibrate(world, predictor, params, seed=3)
         # the guard carries the run's trace, here of no iteration

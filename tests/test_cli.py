@@ -23,6 +23,7 @@ from oracles import counting, jsonable
 
 
 def write_config(path, **overrides):
+    """A config document with ``overrides``; a key overridden with ``MISSING`` is left out."""
     doc = {
         "scenario": {"name": "perfect", "k": 3, "n_features": 12},
         "p": "inf",
@@ -32,8 +33,18 @@ def write_config(path, **overrides):
         "sample_mode": "auto",
     }
     doc.update(overrides)
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(strip_missing(doc)), encoding="utf-8")
     return path
+
+
+MISSING = object()
+
+
+def strip_missing(doc):
+    """``doc`` without the entries set to ``MISSING``, at any depth."""
+    if isinstance(doc, dict):
+        return {key: strip_missing(val) for key, val in doc.items() if val is not MISSING}
+    return doc
 
 
 class TestParseP:
@@ -117,7 +128,8 @@ class TestRunCommand:
             scenario={"name": "random-miscalibrated", "k": 2, "n_features": 6},
             eps=0.3,
             seed=0,
-            sample_mode={"mode": "manual", "bin_mass": 200, "pool_prob": 1, "pool_label": 1},
+            sample_mode="manual",
+            manual_sizes={"bin_mass": 200, "pool_prob": 1, "pool_label": 1},
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
@@ -184,20 +196,18 @@ class TestRunCommand:
         assert not out.exists()
 
 
-def manual(inline: bool, bin_mass, pool_prob, pool_label) -> dict:
-    """Manual sizes inline in ``sample_mode``, or as a top-level ``manual_sizes``."""
+def manual(implied: bool, bin_mass, pool_prob, pool_label) -> dict:
+    """Manual sizes in ``manual_sizes``, with ``sample_mode`` left out (implied) or "manual"."""
     sizes = {"bin_mass": bin_mass, "pool_prob": pool_prob, "pool_label": pool_label}
-    if inline:
-        return {"sample_mode": {"mode": "manual", **sizes}}
-    return {"sample_mode": "manual", "manual_sizes": sizes}
+    return {"sample_mode": MISSING if implied else "manual", "manual_sizes": sizes}
 
 
 # JSON numbers such as 2e4 load as floats.
-FLOAT_SIZES = [manual(inline, 2e4, 2e6, 2e6) for inline in (True, False)]
+FLOAT_SIZES = [manual(implied, 2e4, 2e6, 2e6) for implied in (True, False)]
 INT_SIZES = manual(False, 20_000, 2_000_000, 2_000_000)
 # json.dumps writes inf and nan as Infinity and NaN, which json.loads reads back.
 BAD_SIZES = [
-    manual(inline, *sizes)
+    manual(implied, *sizes)
     for sizes in [
         (2e4, 2e6 + 0.5, 2e6),
         (0, 2e6, 2e6),
@@ -206,11 +216,11 @@ BAD_SIZES = [
         (2e4, math.nan, 2e6),
         (2e4, 2e6, "2e6"),
     ]
-    for inline in (True, False)
+    for implied in (True, False)
 ]
-# A misspelt size key, inline and top-level.
+# A misspelt size key, with sample_mode implied and given.
 BAD_SIZES += [
-    {"sample_mode": {"mode": "manual", "bin_mas": 2e4, "pool_prob": 2e6, "pool_label": 2e6}},
+    {"sample_mode": MISSING, "manual_sizes": {"bin_mas": 2e4, "pool_prob": 2e6, "pool_label": 2e6}},
     {"sample_mode": "manual", "manual_sizes": {"bin_mas": 2e4, "pool_prob": 2e6, "pool_label": 2e6}},
 ]
 SIZED_SCENARIO = {"name": "random-miscalibrated", "k": 3, "n_features": 20}
@@ -255,14 +265,23 @@ class TestManualSizes:
 PERFECT_12 = {"name": "perfect", "k": 3, "n_features": 12}
 # Config documents RunConfig.from_dict refuses, so that no run or sweep cell starts.
 BAD_CONFIGS = [
-    ({"sample_mode": "bootstrap"}, "unknown sample_mode 'bootstrap'"),
-    ({"sample_mode": "manual"}, "manual sample_mode requires manual_sizes"),
-    ({"sample_mode": {"mode": "manual"}}, "manual sample_mode requires manual_sizes"),
-    ({"scenario": {**PERFECT_12, "name": "nonesuch"}}, "unknown scenario 'nonesuch'"),
-    ({"manual_sizes": {"bin_mass": 200}}, "manual sizes ['bin_mass'] given in auto sample_mode"),
+    # sample_mode is optional, but when given it must be the mode manual_sizes make
     (
-        {"sample_mode": {"mode": "auto", "bin_mass": 200}},
-        "manual sizes ['bin_mass'] given in auto sample_mode",
+        {"sample_mode": "bootstrap"},
+        "sample_mode 'bootstrap' disagrees with manual_sizes, which make it 'auto'",
+    ),
+    ({"sample_mode": "manual"}, "sample_mode 'manual' disagrees with manual_sizes, which make it 'auto'"),
+    ({"sample_mode": {"mode": "manual"}}, "sample_mode {'mode': 'manual'} disagrees with manual_sizes"),
+    ({"scenario": {**PERFECT_12, "name": "nonesuch"}}, "unknown scenario 'nonesuch'"),
+    (
+        {"manual_sizes": {"bin_mass": 200}},
+        "sample_mode 'auto' disagrees with manual_sizes, which make it 'manual'",
+    ),
+    # the dict form with inline sizes: sizes are read from manual_sizes only
+    (
+        {"sample_mode": {"mode": "manual", "bin_mass": 200, "pool_prob": 10, "pool_label": 10}},
+        "sample_mode {'mode': 'manual', 'bin_mass': 200, 'pool_prob': 10, 'pool_label': 10} "
+        "disagrees with manual_sizes, which make it 'auto'",
     ),
     # integer fields are never truncated or read from a bool
     ({"scenario": {**PERFECT_12, "k": 3.7}}, "k must be an integer of at least 1, got 3.7"),
@@ -313,6 +332,11 @@ BAD_CONFIGS = [
     ({"eps": 1.5}, "eps must lie in (0,1), got 1.5"),
     ({"delta": 0.0}, "delta must lie in (0,1), got 0.0"),
     ({"p": "1"}, "p must exceed 1 (or be inf), got 1"),
+    # the dict form of sample_mode beside the sizes it names
+    (
+        {"sample_mode": {"mode": "manual"}, "manual_sizes": {"bin_mass": 200}},
+        "sample_mode {'mode': 'manual'} disagrees with manual_sizes, which make it 'manual'",
+    ),
 ]
 
 
@@ -419,6 +443,23 @@ def test_eval_refuses_p_below_1_before_reading_the_world(tmp_path, capsys, monke
     assert captured.out == "" and reads == []
 
 
+@pytest.mark.parametrize("lam", ["0", str(2**53 + 1)])
+@pytest.mark.parametrize("world_exists", [True, False])
+def test_eval_refuses_lambda_out_of_range_before_reading_the_world(
+    tmp_path, capsys, monkeypatch, lam, world_exists
+):
+    # with no world file at all, the error still names the lambda, not the file
+    world = tmp_path / "world.json"
+    if world_exists:
+        main(["scenario", "--name", "perfect", "--k", "2", "--n-features", "4", "--out", str(world)])
+    reads = counting(monkeypatch, lpcal.cli, "world_from_dict")
+    capsys.readouterr()
+    assert main(["eval", "--world", str(world), "--lambda", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: lam must be an integer in [1, 2**53], got {lam}\n"
+    assert captured.out == "" and reads == []
+
+
 # A config or output path that names a directory where a file belongs, or a
 # file where a directory belongs, and the start of the error it gives.
 PATH_MISTAKES = [
@@ -519,6 +560,23 @@ class TestSweepCommand:
         assert rows[0].startswith("11/10,0.3,0,error: 660341700890908750004 draws exceed the int64")
         assert rows[1].startswith("inf,0.3,0,ok,")
         assert not (out / "p11over10-eps0.3-seed0").exists()
+
+    def test_failed_cell_removes_stale_outputs(self, tmp_path):
+        # a cell that fails leaves neither an earlier sweep's report nor its trace
+        doc = {"scenario": SCENARIO_40F, "p": "2", "eps": 0.3, "seed": 1}
+        ok = write_config(tmp_path / "ok.json", **doc)
+        failing = write_config(tmp_path / "fail.json", **doc, **manual(True, 2e4, 1, 1))
+        stale, fresh, cell = tmp_path / "sweep", tmp_path / "fresh", "p2-eps0.3-seed1"
+        assert main(["sweep", "--config", str(ok), "--out-dir", str(stale)]) == 0
+        assert (stale / cell / "report.json").exists() and (stale / cell / "trace.csv").exists()
+        for out in (stale, fresh):
+            assert main(["sweep", "--config", str(failing), "--out-dir", str(out)]) == 1
+            rows = list(csv.reader((out / "summary.csv").open()))[1:]
+            assert [row[:3] for row in rows] == [["2", "0.3", "1"]]
+            assert rows[0][3].startswith("error: aggregated group probability is nonpositive")
+            assert not (out / cell / "report.json").exists()
+            assert not (out / cell / "trace.csv").exists()
+        assert [path.name for path in fresh.iterdir()] == ["summary.csv"]  # no cell directory
 
     def test_pool_past_int64_fails_its_cell(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", scenario=SCENARIO_40F, eps=0.3, **POOL_PAST_INT64)
@@ -776,11 +834,12 @@ class TestRunConfig:
             {
                 "scenario": {"name": "perfect", "k": 2, "n_features": 4},
                 "eps": 0.2,
-                "sample_mode": {"mode": "manual", "bin_mass": 100, "pool_prob": 10, "pool_label": 10},
+                "manual_sizes": {"bin_mass": 100, "pool_prob": 10, "pool_label": 10},
             }
         )
         assert cfg.sample_mode == "manual"
         assert cfg.manual_sizes == {"bin_mass": 100, "pool_prob": 10, "pool_label": 10}
+        assert RunConfig.from_dict(cfg.echo()) == cfg  # the echo names the mode
 
     def test_echo_is_path_free(self):
         cfg = RunConfig.from_dict(
@@ -807,8 +866,8 @@ class TestRunConfig:
                 "p": "3/2",
                 "eps": 0.3,
                 "seed": 1,
-                "sample_mode": {"mode": "manual", "bin_mass": 100, "pool_prob": 10},
-                "manual_sizes": {"pool_label": 10},
+                "sample_mode": "manual",
+                "manual_sizes": {"bin_mass": 100, "pool_prob": 10, "pool_label": 10},
             },
             {
                 "scenario": {"name": "overconfident", "k": 3, "n_features": 8, "gamma": 0.5},
@@ -827,8 +886,7 @@ class TestRunConfig:
             tmp_path / "cfg.json",
             scenario={"name": "shifted", "k": 3, "n_features": 30},
             seed=1,
-            sample_mode={"mode": "manual", "bin_mass": 20_000, "pool_prob": 200_000},
-            manual_sizes={"pool_label": 200_000},
+            **manual(True, 20_000, 200_000, 200_000),
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(cfg), "--out-dir", str(out1)]) == 0
@@ -851,8 +909,9 @@ WRONG = {
     "eps": NOT_NUMBERS,
     "delta": NOT_NUMBERS,
     "seed": [*NOT_NUMBERS, -1, 1.5],
-    "sample_mode": [None, True, 5, [], "x", "manual", {"mode": "manual"}, {"bin_mass": 100}],
-    "manual_sizes": [None, True, 5, [], "x", {"bin_mass": 100}, {"size": 100}],
+    "sample_mode": [None, True, 5, [], "x", "manual", {"mode": "auto"}, {"mode": "manual"},
+                    {"bin_mass": 100}],
+    "manual_sizes": [None, True, 5, [], "x", {"bin_mass": 0}, {"size": 100}],
     "gamma": NOT_NUMBERS,
     "shift": NOT_NUMBERS,
     "out_dir": [None, True, 5, [], {"a": 1}, ""],
@@ -897,7 +956,7 @@ def config_docs(draw):
         "eps": entry("eps", st.floats(0.2, 0.5)),
         "delta": entry("delta", st.floats(0.05, 0.5), 0.1),
         "seed": entry("seed", st.integers(0, 5), 0),
-        "sample_mode": entry("sample_mode", st.sampled_from(["auto", {"mode": "auto"}]), "auto"),
+        "sample_mode": entry("sample_mode", st.just("auto"), "auto"),
         "manual_sizes": entry("manual_sizes", st.just({}), {}),
     }
     if draw(st.integers(0, 5)) == 0:  # a key of another scenario, or of no scenario
@@ -928,16 +987,6 @@ def config_docs(draw):
     if own in scen:
         echo["scenario"][own] = scen[own]
     return doc, where, echo
-
-
-MISSING = object()
-
-
-def strip_missing(doc):
-    """``doc`` without the entries drawn as missing, at any depth."""
-    if isinstance(doc, dict):
-        return {key: strip_missing(val) for key, val in doc.items() if val is not MISSING}
-    return doc
 
 
 @settings(max_examples=80, deadline=None)

@@ -80,7 +80,7 @@ def merge_groups(est_part, pred_part, a, b):
     """A prediction merge keeping ``a``'s prediction, the merge pass and the new error, as the loop does."""
     gid = pred_part.merge(a, b, pred_part.pred[a])
     pred_part.carry(gid, est_part.merge_pass(pred_part.parts(gid)))
-    prob, label, _ = est_part.aggregate(pred_part.parts(gid))
+    prob, label = est_part.aggregate(pred_part.parts(gid))
     pred_part.err[gid] = estimated_error(prob, pred_part.pred[gid], label)
     return gid
 
@@ -141,17 +141,15 @@ class TestInit:
 class TestAggregate:
     def test_single_group_identity(self):
         _, _, _, est_part, _ = build()
-        p, e, n = est_part.aggregate([3])
+        p, e = est_part.aggregate([3])
         assert p == est_part.prob[3]
         assert np.array_equal(e, est_part.label_mass[3])
-        assert n == 1
 
     def test_two_group_additivity(self):
         _, _, _, est_part, _ = build()
-        p, e, n = est_part.aggregate([0, 1])
+        p, e = est_part.aggregate([0, 1])
         assert p == pytest.approx(est_part.prob[0] + est_part.prob[1])
         assert np.allclose(e, est_part.label_mass[0] + est_part.label_mass[1])
-        assert n == 2
 
     def test_non_union_rejected(self):
         # a part list naming no current group is a broken invariant, not an IndexError
@@ -256,9 +254,9 @@ def test_parts_agree_with_scan_oracle(seed, picks):
             g_bins = frozenset(bins[pred_part.bins(g)].tolist())
             parts = pred_part.parts(g)
             assert parts.tolist() == [part.gid for part in oracle.constituents(g_bins)]
-            prob, label, n = est_part.aggregate(parts)
-            prob_o, label_o, n_o = oracle.aggregate(g_bins)
-            assert (prob, n) == (prob_o, n_o)
+            prob, label = est_part.aggregate(parts)
+            prob_o, label_o = oracle.aggregate(g_bins)
+            assert (prob, len(parts)) == (prob_o, len(oracle.constituents(g_bins)))
             assert label.tobytes() == label_o.tobytes()
         run_checks(est_part, pred_part)
         oracle.check_invariants(frozenset(bins.tolist()))
