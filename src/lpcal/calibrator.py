@@ -329,12 +329,13 @@ def calibrate(
     delta_pool = trace.pool_delta = params.delta / (3.0 * classes)
 
     m_prob, m_label = sizes.get("pool_prob"), sizes.get("pool_label")
-    pools = {}
-    for i in range(classes):
-        pools[i] = tuple(
+    pools = [  # size class i -> (prob pool, label pool)
+        tuple(
             pool_create(world, binning, seed, f"{kind}:{i}", n_bins, dim, alpha_pool, delta_pool, m)
             for kind, dim, m in (("prob", 1, m_prob), ("label", k, m_label))
         )
+        for i in range(classes)
+    ]
 
     est_part, pred_part = init_structures(
         lam, selected, per_level[selected], pools, monitor.observe_pool_answer
@@ -414,7 +415,7 @@ def calibrate(
             "noise_scale": pool.noise_scale,
             "queries_issued": pool.queries_issued,
         }
-        for i, pair in sorted(pools.items())
+        for i, pair in enumerate(pools)
         for kind, pool in zip(("prob", "label"), pair)
     ]
     trace.events = _event_summary(monitor, params, alpha_pool)

@@ -65,6 +65,8 @@ def parse_p(raw: str | float | int) -> PNorm:
         p = Fraction(raw if isinstance(raw, str) else str(raw))
     except ZeroDivisionError:
         raise ValueError(f"p {raw!r} has a zero denominator") from None
+    except ValueError:  # a typo, or a JSON true, null or list
+        raise ValueError(f"p {raw!r} is not a number, a fraction such as 3/2, or inf") from None
     if abs(p) > sys.float_info.max:
         raise ValueError(f"p {raw!r} lies beyond float range")
     return p
@@ -321,27 +323,30 @@ TRACE_COLUMNS = (
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    """Deterministic CSV of the per-iteration columns, one row per iteration."""
+    """Deterministic CSV of the per-iteration columns, one row per iteration.
+
+    ``csv`` writes a float as its ``repr``, the shortest text that reads back equal.
+    """
     names = [level_str(v) for v in trace.bins]
-    ids = trace.bin_ids
+    bins = (
+        ";".join([names[i] for i in trace.bin_ids[lo:hi]])
+        for lo, hi in zip(itertools.chain([0], trace.bin_ends), trace.bin_ends)
+    )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_COLUMNS)
     writer.writerows(
-        [t, gid, ";".join([names[i] for i in ids[lo:hi]]), j, repr(err), repr(target), *rest]
-        for t, (gid, lo, hi, j, err, target, *rest) in enumerate(
-            zip(
-                trace.gid,
-                itertools.chain([0], trace.bin_ends),
-                trace.bin_ends,
-                trace.class_j,
-                trace.est_err,
-                trace.target_j,
-                trace.partner_gid,
-                trace.moved_gid,
-                trace.merged_gid,
-                trace.est_merges,
-            )
+        zip(
+            itertools.count(),
+            trace.gid,
+            bins,
+            trace.class_j,
+            trace.est_err,
+            trace.target_j,
+            trace.partner_gid,
+            trace.moved_gid,
+            trace.merged_gid,
+            trace.est_merges,
         )
     )
     return buf.getvalue()
@@ -406,23 +411,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# The keys of the report's ``checks`` that a summary.csv row shows, in column order.
+SUMMARY_CHECKS = (
+    "events_held", "per_bin_le_beta", "aggregate_lp", "err_le_eps", "sq_budget", "pred_moves_bound"
+)
 SUMMARY_COLUMNS = (
-    "p",
-    "eps",
-    "seed",
-    "status",
-    "n_bins",
-    "iterations",
-    "err_p_f",
-    "err_p_h",
-    "sq_f",
-    "sq_h",
-    "events_held",
-    "per_bin_le_beta",
-    "aggregate_lp",
-    "err_le_eps",
-    "sq_budget",
-    "pred_moves_bound",
+    ("p", "eps", "seed", "status", "n_bins", "iterations", "err_p_f", "err_p_h", "sq_f", "sq_h")
+    + SUMMARY_CHECKS
 )
 
 
@@ -435,7 +430,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _resolve_out_dir(args, base)
     # raw grid values, each parsed and checked once by RunConfig.from_dict
     p_grid = args.p_grid.split(",") if args.p_grid else [base.get("p", "inf")]
-    eps_grid = [float(e) for e in args.eps_grid.split(",")] if args.eps_grid else [base.get("eps")]
+    eps_grid = _split("--eps", args.eps_grid, float) if args.eps_grid else [base.get("eps")]
     seeds = _parse_seeds(args.seeds) if args.seeds else [base.get("seed", 0)]
     # a config error, or two cells writing one directory, ends the sweep (exit 2)
     # before any cell runs, as a config error ends `run`
@@ -452,41 +447,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[list] = []
     failures = 0
     for cell, cfg in cells.items():
-        p, eps, seed = cfg.p, cfg.eps, cfg.seed
+        row = [p_label(cfg.p), cfg.eps, cfg.seed]
         try:
             report, trace, _ = run_config(cfg)
         except (EstimateFailureError, ValueError, MemoryError, ArithmeticError) as exc:
             # a cell may fail its guards, need too many draws, or run out of memory or
             # float range while the next one fits; bugs such as InvariantError end the sweep
             failures += 1
-            error = str(exc) or type(exc).__name__
-            rows.append([p_label(p), eps, seed, f"error: {error}"] + [""] * 12)
+            row.append(f"error: {str(exc) or type(exc).__name__}")
+            rows.append(row + [""] * (len(SUMMARY_COLUMNS) - len(row)))
             for name in ("report.json", "trace.csv"):
                 (out_dir / cell / name).unlink(missing_ok=True)  # left by an earlier sweep
             continue
         _write(out_dir / cell / "report.json", dumps_json(report))
         _write(out_dir / cell / "trace.csv", trace_to_csv(trace))
-        checks = report["checks"]
-        rows.append(
-            [
-                p_label(p),
-                eps,
-                seed,
-                "ok",
-                report["bins"]["count"],
-                report["iterations"],
-                repr(report["errors"]["run_p"]["f"]),
-                repr(report["errors"]["run_p"]["h"]),
-                repr(report["sq_error"]["f"]),
-                repr(report["sq_error"]["h"]),
-                checks["events_held"],
-                checks["per_bin_le_beta"],
-                checks["aggregate_lp"],
-                checks["err_le_eps"],
-                checks["sq_budget"],
-                checks["pred_moves_bound"],
-            ]
-        )
+        run_p, sq = report["errors"]["run_p"], report["sq_error"]
+        row += ["ok", report["bins"]["count"], report["iterations"]]
+        row += [repr(x) for x in (run_p["f"], run_p["h"], sq["f"], sq["h"])]
+        rows.append(row + [report["checks"][name] for name in SUMMARY_CHECKS])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SUMMARY_COLUMNS)
@@ -562,18 +540,25 @@ def _load_config_doc(args: argparse.Namespace) -> dict:
     return doc
 
 
+def _split(flag: str, raw: str, parse, sep: str = ",") -> list:
+    """A flag's list items, each read by ``parse``; a bad item is refused by flag and item."""
+    items = []
+    for item in raw.split(sep):
+        try:
+            items.append(parse(item))
+        except ValueError:
+            raise ValueError(f"{flag} {raw!r}: cannot read {item!r} as {parse.__name__}") from None
+    return items
+
+
 def _parse_seeds(raw: str) -> list[int]:
     """Seed list "0,1,5" or half-open range "0:100"."""
-    if ":" in raw:
-        bounds = raw.split(":")
-        if len(bounds) != 2:
-            raise ValueError(f"seed range {raw!r} must be lo:hi")
-        seeds = list(range(int(bounds[0]), int(bounds[1])))
-    else:
-        seeds = [int(s) for s in raw.split(",")]
-    if not seeds:
-        raise ValueError(f"seed range {raw!r} is empty")
-    return seeds
+    if ":" not in raw:
+        return _split("--seeds", raw, int)
+    bounds = _split("--seeds", raw, int, sep=":")
+    if len(bounds) != 2 or not range(*bounds):
+        raise ValueError(f"seed range {raw!r} must be lo:hi with lo < hi")
+    return list(range(*bounds))
 
 
 def _add_config_flags(sub: argparse.ArgumentParser, grid: bool = False) -> None:

@@ -40,6 +40,19 @@ def _check_unit(name: str, x: float) -> None:
         raise ValueError(f"{name} must lie in (0,1), got {x}")
 
 
+def _log(num: int | float, *den: float) -> float:
+    """ln(num / product of ``den``), from that float quotient wherever it is finite.
+
+    Past float range (a level count above 1e308, a delta near the smallest
+    float) it sums the terms' logs; ``math.log`` takes an int of any size.
+    """
+    try:
+        quotient = num / math.prod(den)
+    except (OverflowError, ZeroDivisionError):  # an int past float range; den underflows to 0
+        quotient = math.inf
+    return math.log(quotient) if quotient < math.inf else math.log(num) - sum(map(math.log, den))
+
+
 def bin_mass_terms(alpha: float, delta: float, n_levels: int) -> tuple[int, int]:
     """The two sample-size regimes for uniform bin-mass accuracy.
 
@@ -49,12 +62,12 @@ def bin_mass_terms(alpha: float, delta: float, n_levels: int) -> tuple[int, int]
         m1 = ceil( ln(4/(alpha*delta)) / (2*alpha^2) )
         m2 = ceil( 4*ln(2*n_levels/delta) / (3*alpha) )
     """
-    _check_unit("alpha", alpha)
-    _check_unit("delta", delta)
+    _check_unit("bin-mass alpha", alpha)
+    _check_unit("bin-mass delta", delta)
     if n_levels < 1:
         raise ValueError("n_levels must be positive")
-    m1 = math.ceil(math.log(4.0 / (alpha * delta)) / (2.0 * alpha**2))
-    m2 = math.ceil(4.0 * math.log(2.0 * n_levels / delta) / (3.0 * alpha))
+    m1 = math.ceil(_log(4.0, alpha, delta) / (2.0 * alpha**2))
+    m2 = math.ceil(4.0 * _log(2 * n_levels, delta) / (3.0 * alpha))
     return m1, m2
 
 
@@ -72,11 +85,11 @@ def estimate_bin_masses(counts: np.ndarray, binning: Binning) -> np.ndarray:
 
 def pool_sample_size(n_events: int, value_dim: int, alpha: float, delta: float) -> int:
     """m = ceil(32 * ln(4 * n * d / delta) / alpha^2) for one query pool."""
-    _check_unit("alpha", alpha)
-    _check_unit("delta", delta)
+    _check_unit("pool alpha", alpha)
+    _check_unit("pool delta", delta)
     if n_events < 1 or value_dim < 1:
         raise ValueError("n_events and value_dim must be positive")
-    return math.ceil(32.0 * math.log(4.0 * n_events * value_dim / delta) / alpha**2)
+    return math.ceil(32.0 * _log(4.0 * n_events * value_dim, delta) / alpha**2)
 
 
 def laplace_invcdf(u: np.ndarray, scale: float) -> np.ndarray:

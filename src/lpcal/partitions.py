@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -85,28 +85,28 @@ class EstimationPartition:
     ``owner[b]`` is the gid of bin ``b``'s group, so a group's size is the
     count of its gid in ``owner``; ``live``, ``prob`` and ``label_mass``
     are indexed by gid, and a group's estimates are fixed when it is
-    created.  The history keeps, per size class ``c``, ``covered[c]``, the
-    bins of every group ever created in the class, and ``totals[c]``, their
-    total size: the groups are pairwise disjoint exactly when the two agree.
+    created from the pools of its size class.  The history keeps, per size
+    class ``c``, ``covered[c]``, the bins of every group ever created in the
+    class, and ``totals[c]``, their total size: the groups are pairwise
+    disjoint exactly when the two agree.
     """
 
     def __init__(
         self,
         positions: np.ndarray,
-        pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
+        pools: Sequence[tuple[DisjointQueryPool, DisjointQueryPool]],
         on_estimate: EstimateHook,
     ) -> None:
         self.positions = positions  # bin id -> position in the pools' binning
-        self.pools = dict(pools)  # size class i -> (prob pool, label pool)
+        self.pools = pools  # size class c -> (prob pool, label pool), floor(log2 n) + 1 of them
         self.on_estimate = on_estimate
         n = len(positions)
-        self.max_subsets = n.bit_length()  # floor(log2 n) + 1, the size classes
         self.owner = np.full(n, -1, dtype=np.int64)
         self.live = np.zeros(2 * n, dtype=bool)
         self.prob = np.zeros(2 * n)
-        self.label_mass = np.zeros((2 * n, self.pools[0][1].value_dim))  # the label pools' k
-        self.covered = np.zeros((self.max_subsets, n), dtype=bool)
-        self.totals = np.zeros(self.max_subsets, dtype=np.int64)
+        self.label_mass = np.zeros((2 * n, pools[0][1].value_dim))  # the label pools' k
+        self.covered = np.zeros((len(pools), n), dtype=bool)
+        self.totals = np.zeros(len(pools), dtype=np.int64)
         self.n_gids = 0
 
     def _add(self, sets: np.ndarray) -> range:
@@ -119,8 +119,8 @@ class EstimationPartition:
         row order.
         """
         m, size = sets.shape
-        size_class = size.bit_length() - 1
-        if size_class not in self.pools:
+        size_class = size.bit_length() - 1  # -1 for an empty batch
+        if not 0 <= size_class < len(self.pools):
             raise InvariantError(f"no pools for size class {size_class}")
         flat = sets.ravel()
         covered = self.covered[size_class]
@@ -165,11 +165,11 @@ class EstimationPartition:
         The probabilities are added one by one from zero and the label rows
         row by row, as a sum over a list of groups adds them.  Also enforces
         the structural bound: a prediction group never decomposes into more
-        than ``floor(log2 n_bins) + 1`` pieces.
+        pieces than there are size classes.
         """
         parts, listed = self._current(parts)
-        if len(listed) > self.max_subsets:
-            raise InvariantError(f"{len(listed)} parts exceed the bound {self.max_subsets}")
+        if len(listed) > len(self.pools):
+            raise InvariantError(f"{len(listed)} parts exceed the bound {len(self.pools)}")
         prob_sum = float(sum(self.prob[parts].tolist()))
         return prob_sum, np.add.reduce(self.label_mass[parts], axis=0)
 
@@ -427,7 +427,7 @@ def init_structures(
     lam: int,
     selected: np.ndarray,
     preds: np.ndarray,
-    pools: Mapping[int, tuple[DisjointQueryPool, DisjointQueryPool]],
+    pools: Sequence[tuple[DisjointQueryPool, DisjointQueryPool]],
     on_estimate: EstimateHook,
 ) -> tuple[EstimationPartition, PredictionPartition]:
     """Singleton initialization of both partitions over the selected bins.

@@ -548,9 +548,8 @@ class SetEstimationPartition:
     exactly when the two agree.
     """
 
-    def __init__(self, pools, max_subsets: int, on_estimate=None) -> None:
-        self.pools = dict(pools)  # size class i -> (prob pool, label pool)
-        self.max_subsets = max_subsets
+    def __init__(self, pools, on_estimate=None) -> None:
+        self.pools = pools  # size class c -> (prob pool, label pool); their count bounds the parts
         self.on_estimate = on_estimate
         self.groups: dict[int, EstimationGroup] = {}
         # size class -> (union of every group ever created in it, their total size)
@@ -568,7 +567,7 @@ class SetEstimationPartition:
 
     def _add(self, sets: list[frozenset[int]]) -> list[EstimationGroup]:
         size_class = len(sets[0]).bit_length() - 1
-        if size_class not in self.pools:
+        if not 0 <= size_class < len(self.pools):
             raise InvariantError(f"no pools for size class {size_class}")
         for bins in sets:
             self._record(size_class, bins)
@@ -597,8 +596,8 @@ class SetEstimationPartition:
 
     def aggregate(self, parts: list[int]) -> tuple[float, np.ndarray]:
         groups = self._current(parts)
-        if len(groups) > self.max_subsets:
-            raise InvariantError(f"{len(groups)} parts exceed the bound {self.max_subsets}")
+        if len(groups) > len(self.pools):
+            raise InvariantError(f"{len(groups)} parts exceed the bound {len(self.pools)}")
         prob_sum = float(sum(g.prob for g in groups))
         label_sum = np.sum([g.label_mass for g in groups], axis=0)
         return prob_sum, np.asarray(label_sum, float)
@@ -691,9 +690,9 @@ def set_check_refinement(pred_part: SetPredictionPartition, est_part: SetEstimat
             raise InvariantError(f"the parts of prediction group {g.gid} do not tile its bins")
 
 
-def set_init_structures(binning: Binning, selected, pools, max_subsets: int, on_estimate=None):
+def set_init_structures(binning: Binning, selected, pools, on_estimate=None):
     """Singleton start of the set-based partitions over ``selected``, one batch query per pool."""
-    est = SetEstimationPartition(pools, max_subsets, on_estimate)
+    est = SetEstimationPartition(pools, on_estimate)
     pred_part = SetPredictionPartition(binning.lam)
     preds = canonical_rows([binning.levels[i] for i in selected], binning.lam)
     for i, pred, grp in zip(selected, preds, est.add_singletons(selected)):
@@ -721,7 +720,7 @@ def set_view(est_part, pred_part):
     marks.
     """
     positions = est_part.positions.tolist()
-    est = SetEstimationPartition(est_part.pools, est_part.max_subsets)
+    est = SetEstimationPartition(est_part.pools)
     pred = SetPredictionPartition(pred_part.lam)
 
     def owned(owner, gid):
@@ -776,7 +775,7 @@ class OneAtATimeEstimationPartition(SetEstimationPartition):
         groups = []
         for bins in sets:
             size_class = len(bins).bit_length() - 1
-            if size_class not in self.pools:
+            if not 0 <= size_class < len(self.pools):
                 raise InvariantError(f"no pools for size class {size_class}")
             self._record(size_class, bins)
             prob, label_mass = self._estimate(size_class, bins)
@@ -791,13 +790,11 @@ class OneAtATimeEstimationPartition(SetEstimationPartition):
         return self._add([frozenset([i])])[0].gid
 
 
-def init_structures_one_at_a_time(
-    binning: Binning, selected, pools, max_subsets: int, on_estimate=None
-):
+def init_structures_one_at_a_time(binning: Binning, selected, pools, on_estimate=None):
     """``init_structures`` with one query pair per singleton, in the order of ``selected``."""
     if not len(selected):
         raise ValueError("bin set must be nonempty")
-    est = OneAtATimeEstimationPartition(pools, max_subsets, on_estimate)
+    est = OneAtATimeEstimationPartition(pools, on_estimate)
     pred_part = SetPredictionPartition(binning.lam)
     for i in selected:
         grp = est.groups[est.add_singleton(i)]
@@ -860,7 +857,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
             a, b = pair
             merged = a.bins | b.bins
             size_class = len(merged).bit_length() - 1
-            if size_class not in self.pools:
+            if not 0 <= size_class < len(self.pools):
                 raise InvariantError(f"no pools for size class {size_class}")
             g = self._new_group(size_class, merged)
             del self.groups[a.gid]

@@ -11,13 +11,16 @@ write must still pass the config schema.
 """
 
 import ast
+import csv
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from lpcal.cli import RunConfig, run_config
+import lpcal.cli
+from lpcal.cli import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,29 +94,48 @@ def test_checker_loads_the_oracles():
     assert callable(oracles.lp_error_literal) and callable(oracles.sq_error_by_expectation)
 
 
-def test_hooks_read_a_real_run():
-    """``_on_calibrate`` and ``_on_merge_pass`` read what ``calibrate`` and ``merge_pass`` return.
+def test_hooks_read_a_real_run(tmp_path):
+    """Every hook reads what its function returns or is given, on one ``lpcal run``.
 
     ``perfbench/run.py --trace 1`` runs these hooks on every traced call, so a
-    change to ``RunTrace`` or to ``merge_pass``'s result would break it there.
+    change to ``RunTrace``, to ``merge_pass``'s result, to the pools
+    ``calibrate`` creates or to the text ``_write`` is given would break it
+    there.  The counts are checked against the files the run writes.
     """
-    cfg = RunConfig.from_dict(
-        {
-            "scenario": {"name": "random-miscalibrated", "k": 3, "n_features": 40},
-            "p": "2",
-            "eps": 0.3,
-            "seed": 1,
-        }
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "scenario": {"name": "random-miscalibrated", "k": 3, "n_features": 40},
+                "p": "2",
+                "eps": 0.3,
+                "seed": 1,
+            }
+        ),
+        encoding="utf-8",
     )
+    out = tmp_path / "out"
     tr = tracer.Tracer()
     with tr.patched():
-        _, trace, _ = run_config(cfg)
-    assert tr.calls["partitions.merge_pass"] == trace.iterations > 0
-    assert tr.counts["merges"] == sum(trace.est_merges) > 0
-    assert tr.counts["iterations"] == trace.iterations
-    assert tr.counts["t_max"] == trace.t_max
-    assert tr.counts["bins"] == trace.n_bins
-    assert tr.counts["bin_mass_samples"] == trace.bin_mass_stats["m"]
+        assert lpcal.cli.main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    with (out / "trace.csv").open(newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    iterations, pools = report["iterations"], report["pools"]
+    assert tr.calls["partitions.merge_pass"] == iterations == len(rows) > 0
+    assert tr.counts["merges"] == sum(int(row["est_merges"]) for row in rows) > 0
+    assert tr.counts["iterations"] == iterations
+    assert tr.counts["t_max"] == report["params"]["t_max"]
+    assert tr.counts["bins"] == report["bins"]["count"]
+    assert tr.counts["bin_mass_samples"] == report["bin_mass_table"]["m"]
+    # a prob and a label pool per size class, in the order the report lists them
+    assert len(tr.pools) == 2 * report["bins"]["size_classes"] > 0
+    assert [pool.name for pool in tr.pools] == [pool["name"] for pool in pools]
+    assert tr.counts["n_events"] == sum(pool["n_events"] for pool in pools)
+    queries = sum(pool["queries_issued"] for pool in pools)
+    assert tr.metrics()["estimation.queries_per_budget"] == queries / tr.counts["n_events"]
+    written = sum(len((out / name).read_bytes()) for name in ("report.json", "trace.csv"))
+    assert tr.counts["output_bytes"] == written > 0
 
 
 @pytest.mark.parametrize("seed", [0, 2])

@@ -62,8 +62,12 @@ class TestParseP:
             ("1/0", "p '1/0' has a zero denominator"),
             ("1e400", "p '1e400' lies beyond float range"),
             (10**400, "p 1000"),
+            ("abc", "p 'abc' is not a number, a fraction such as 3/2, or inf"),
+            ("", "p '' is not a number"),
+            (True, "p True is not a number"),
+            (None, "p None is not a number"),
         ],
-        ids=["zero-denominator", "huge-exponent", "huge-int"],
+        ids=["zero-denominator", "huge-exponent", "huge-int", "typo", "empty", "bool", "null"],
     )
     def test_refused_with_value_error(self, raw, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -82,6 +86,17 @@ GRIDS_PAST_FLOATS = [
 ]
 # A probability pool of 1e19 draws, above the int64 limit of one multinomial.
 POOL_PAST_INT64 = {"sample_mode": "manual", "manual_sizes": {**MANUAL_SIZES, "pool_prob": 1e19}}
+# Configs whose size formulas overflow a float: about 1.3e362 levels, and deltas
+# near the smallest float.  A run finishes or exits 2 naming the term; a sweep
+# cell is ok or failed by the same message.
+SIZES_PAST_FLOATS = [
+    ({"scenario": {"name": "perfect", "k": 400, "n_features": 10}, "eps": 0.001}, None),
+    ({"scenario": SCENARIO_40F, "p": "2", "eps": 0.3, "delta": 1e-320}, None),
+    (
+        {"scenario": SCENARIO_40F, "p": "2", "eps": 0.3, "delta": 5e-324},
+        "bin-mass delta must lie in (0,1), got 0.0",
+    ),
+]
 
 
 class TestRunCommand:
@@ -337,6 +352,10 @@ BAD_CONFIGS = [
         {"sample_mode": {"mode": "manual"}, "manual_sizes": {"bin_mass": 200}},
         "sample_mode {'mode': 'manual'} disagrees with manual_sizes, which make it 'manual'",
     ),
+    # a p that is no number at all: a typo, a JSON bool or null
+    ({"p": "abc"}, "p 'abc' is not a number, a fraction such as 3/2, or inf"),
+    ({"p": True}, "p True is not a number, a fraction such as 3/2, or inf"),
+    ({"p": None}, "p None is not a number, a fraction such as 3/2, or inf"),
 ]
 
 
@@ -412,7 +431,7 @@ def test_wrong_json_shape_exits_2(tmp_path, capsys, argv, doc, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("p", ["1/0", "1e400"])
+@pytest.mark.parametrize("p", ["1/0", "1e400", "abc", ""])
 @pytest.mark.parametrize("command", ["run", "sweep", "eval"])
 def test_p_flag_that_is_no_number_exits_2(tmp_path, capsys, command, p):
     world = tmp_path / "world.json"
@@ -532,6 +551,45 @@ class TestSweepCommand:
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6  # header + 2 p-values x 3 seeds
 
+    def test_summary_rows_read_their_reports(self, tmp_path):
+        # Small manual sizes: seed 0 trips a guard or a nonpositive mass, seed 1
+        # at p=inf runs with its pool events broken and its other checks met.
+        # Every row is as wide as the header, and an ok row holds its report's values.
+        scenario = {"name": "perfect", "k": 2, "n_features": 8}
+        cfg = write_config(tmp_path / "cfg.json", scenario=scenario, **manual(True, 2000, 5000, 5000))
+        out = tmp_path / "sweep"
+        grid = ["--p", "inf,2", "--eps", "0.25,0.3", "--seeds", "0:2"]
+        assert main(["sweep", "--config", str(cfg), *grid, "--out-dir", str(out)]) == 1
+        header, *rows = csv.reader((out / "summary.csv").open())
+        assert header == (
+            "p,eps,seed,status,n_bins,iterations,err_p_f,err_p_h,sq_f,sq_h,events_held,"
+            "per_bin_le_beta,aggregate_lp,err_le_eps,sq_budget,pred_moves_bound"
+        ).split(",")
+        checks = header[-6:]
+        assert [len(row) for row in rows] == [len(header)] * 8
+        ok = [row for row in rows if row[3] == "ok"]
+        assert [row[:3] for row in ok] == [["inf", "0.25", "1"], ["inf", "0.3", "1"]]
+        for row in rows:
+            if row[3] != "ok":
+                assert row[3].startswith("error: ") and row[4:] == [""] * 12
+        for row in ok:
+            col = dict(zip(header, row))
+            assert [col[name] for name in checks] == ["False"] + ["True"] * 5
+            cell = f"p{col['p']}-eps{float(col['eps']):g}-seed{col['seed']}"
+            report = json.loads((out / cell / "report.json").read_text())
+            run_p, sq = report["errors"]["run_p"], report["sq_error"]
+            assert [col["n_bins"], col["iterations"]] == [
+                str(report["bins"]["count"]),
+                str(report["iterations"]),
+            ]
+            assert [col[name] for name in ("err_p_f", "err_p_h", "sq_f", "sq_h")] == [
+                repr(run_p["f"]),
+                repr(run_p["h"]),
+                repr(sq["f"]),
+                repr(sq["h"]),
+            ]
+            assert [col[name] for name in checks] == [str(report["checks"][c]) for c in checks]
+
     def test_out_of_range_grid_value_exits_2_before_any_cell(self, tmp_path, capsys):
         # a grid flag's value out of range is a config error, as in `run`, not a failed cell
         cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})
@@ -546,6 +604,45 @@ class TestSweepCommand:
             assert main(args) == 2
             assert capsys.readouterr().err.startswith(f"error: {message}")
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--eps", "0.3,abc"], "--eps '0.3,abc': cannot read 'abc' as float"),
+            (["--eps", "0.3,"], "--eps '0.3,': cannot read '' as float"),
+            (["--seeds", "0:x"], "--seeds '0:x': cannot read 'x' as int"),
+            (["--seeds", "0,"], "--seeds '0,': cannot read '' as int"),
+            (["--seeds", "1.5"], "--seeds '1.5': cannot read '1.5' as int"),
+            (["--p", "2,"], "p '' is not a number, a fraction such as 3/2, or inf"),
+            (["--p", "2,abc"], "p 'abc' is not a number, a fraction such as 3/2, or inf"),
+        ],
+    )
+    def test_grid_typo_names_its_flag_and_exits_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, grid, message
+    ):
+        monkeypatch.setattr(lpcal.cli, "run_config", None)  # a cell that runs fails the test
+        cfg = write_config(tmp_path / "cfg.json", scenario={"name": "perfect", "k": 2, "n_features": 8})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), *grid, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message", SIZES_PAST_FLOATS, ids=["levels-1e362", "delta-1e-320", "delta-5e-324"]
+    )
+    def test_sizes_past_float_range_run_or_name_their_term(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path / "cfg.json", seed=0, **doc)
+        out, sweep = tmp_path / "out", tmp_path / "sweep"
+        rc = main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        if message is None:
+            assert rc == 0 and capsys.readouterr().err == ""
+            assert json.loads((out / "report.json").read_text())["status"] == "ok"
+        else:
+            assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(sweep)]) == int(bool(message))
+        [row] = list(csv.reader((sweep / "summary.csv").open()))[1:]
+        assert row[3] == ("ok" if message is None else f"error: {message}")
 
     def test_counts_past_int64_fail_their_cell(self, tmp_path):
         cfg = write_config(

@@ -136,6 +136,47 @@ class TestPoolSampleSize:
         )
 
 
+class TestSizesPastFloatRange:
+    """The size formulas where their float quotients overflow: finite sizes, same sizes in range."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(1e-12, 1, exclude_min=True, exclude_max=True),
+        delta=st.floats(1e-200, 1, exclude_max=True),
+        n=st.integers(1, 2**80),
+        k=st.integers(1, 2**10),
+    )
+    def test_in_range_sizes_are_the_float_formulas(self, alpha, delta, n, k):
+        m1 = math.ceil(math.log(4.0 / (alpha * delta)) / (2.0 * alpha**2))
+        m2 = math.ceil(4.0 * math.log(2.0 * n / delta) / (3.0 * alpha))
+        assert bin_mass_terms(alpha, delta, n) == (m1, m2)
+        m = math.ceil(32.0 * math.log(4.0 * n * k / delta) / alpha**2)
+        assert pool_sample_size(n, k, alpha, delta) == m
+
+    def test_level_count_past_float_range(self):
+        # about 1.3e362 levels: 2.0 * n_levels has no float, but ln(2 * n_levels / 0.1) is about 837
+        n_levels = level_count(1000, 400)
+        assert n_levels > 10**362
+        _, m2 = bin_mass_terms(0.1, 0.1, n_levels)
+        log = math.log(2 * n_levels) - math.log(0.1)
+        assert m2 == math.ceil(4.0 * log / (3.0 * 0.1))
+
+    def test_delta_near_the_smallest_float(self):
+        # 4 / (alpha * delta) and 4 * n * k / delta overflow; their logs are about 740 and 749
+        m1, m2 = bin_mass_terms(0.1, 1e-320, 5)
+        assert m1 == math.ceil((math.log(4.0) - math.log(0.1) - math.log(1e-320)) / (2.0 * 0.1**2))
+        assert m2 == math.ceil(4.0 * (math.log(10) - math.log(1e-320)) / (3.0 * 0.1))
+        assert pool_sample_size(10, 3, 0.05, 5e-324) == math.ceil(
+            32.0 * (math.log(120.0) - math.log(5e-324)) / 0.05**2
+        )
+
+    def test_underflowed_delta_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^bin-mass delta must lie in \(0,1\), got 0.0"):
+            bin_mass_terms(0.1, 5e-324 / 3, 5)
+        with pytest.raises(ValueError, match=r"^pool delta must lie in \(0,1\), got 0.0"):
+            pool_sample_size(10, 3, 0.05, 0.0)
+
+
 class TestLaplaceInverseCdf:
     def test_median_and_symmetry(self):
         assert laplace_invcdf(np.array([0.5]), 2.0)[0] == 0.0

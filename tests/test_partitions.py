@@ -27,14 +27,14 @@ from oracles import (
 
 
 def make_pools(world, binning, seed, n_bins, m, create=pool_create):
-    """Fresh pools for every size class; equal arguments give equal answers."""
-    return {
-        i: (
+    """Fresh pools listed by size class; equal arguments give equal answers."""
+    return [
+        (
             create(world, binning, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
             create(world, binning, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
         )
         for i in range(n_bins.bit_length())
-    }
+    ]
 
 
 def by_level(binning, positions):
@@ -135,7 +135,7 @@ class TestInit:
 
     def test_empty_bins_rejected(self):
         with pytest.raises(ValueError):
-            init_structures(2, np.zeros(0, dtype=np.int64), np.zeros((0, 2)), {}, lambda *_: None)
+            init_structures(2, np.zeros(0, dtype=np.int64), np.zeros((0, 2)), [], lambda *_: None)
 
 
 class TestAggregate:
@@ -162,7 +162,7 @@ class TestAggregate:
     def test_more_parts_than_the_bound_rejected(self):
         _, _, _, est_part, _ = build()
         with pytest.raises(InvariantError, match="exceed the bound"):
-            est_part.aggregate(live(est_part)[: est_part.max_subsets + 1])
+            est_part.aggregate(live(est_part)[: len(est_part.pools) + 1])
 
 
 class TestMergePass:
@@ -213,6 +213,17 @@ class TestMergePass:
         with pytest.raises(InvariantError, match="overlaps an earlier equal-size group"):
             est_part._add(np.array([[0, 1], [1, 2]]))  # a batch overlapping itself
 
+    def test_batch_outside_the_size_classes_rejected(self):
+        # the pools list one pair per size class; an empty batch would be class -1
+        _, _, bins, est_part, _ = build()
+        classes = len(est_part.pools)
+        assert classes == len(bins).bit_length()
+        with pytest.raises(InvariantError, match="no pools for size class -1"):
+            est_part._add(np.zeros((1, 0), dtype=np.int64))
+        with pytest.raises(InvariantError, match=f"no pools for size class {classes}"):
+            est_part._add(np.zeros((1, 2**classes), dtype=np.int64))
+        assert est_part.n_gids == len(bins) and est_part.totals.sum() == len(bins)
+
     def test_target_must_be_a_union_of_groups(self):
         _, _, _, est_part, _ = build()
         est_part.merge_pass(parts_of(est_part, 2))
@@ -236,8 +247,7 @@ def test_parts_agree_with_scan_oracle(seed, picks):
     """
     world, binning, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
     oracle = ScanEstimationPartition(
-        make_pools(world, binning, seed, len(bins), 100_000, create=eager_pool_create),
-        est_part.max_subsets,
+        make_pools(world, binning, seed, len(bins), 100_000, create=eager_pool_create)
     )
     for i in bins.tolist():
         oracle.add_singleton(i)
@@ -494,7 +504,7 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
     """
     world, binning, bins, est_part, pred_part = build(n_features=40, k=3, seed=seed, m=100_000)
     pools = make_pools(world, binning, seed, len(bins), 100_000)
-    est_o, pred_o = set_init_structures(binning, bins.tolist(), pools, est_part.max_subsets)
+    est_o, pred_o = set_init_structures(binning, bins.tolist(), pools)
     universe = frozenset(bins.tolist())
     for i, j in picks:
         gids = live(pred_part)
@@ -581,12 +591,11 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
     picked = st.lists(st.integers(0, len(binning.levels) - 1), min_size=1, unique=True)
     bins = by_level(binning, data.draw(picked))
     picks = data.draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8))
-    classes = len(bins).bit_length()
 
     eager = make_pools(world, binning, seed, len(bins), m, create=eager_pool_create)
     watch_o = PerKindMonitor(world, binning)
     est_o, pred_o = init_structures_one_at_a_time(
-        binning, bins.tolist(), eager, classes, on_estimate=watch_o.observe_pool_answer
+        binning, bins.tolist(), eager, on_estimate=watch_o.observe_pool_answer
     )
     opened = {}
 
@@ -625,7 +634,7 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
         watch_o.pool_prob_max_dev,
         watch_o.pool_label_max_dev,
     )
-    for pair, pair_o in zip(lazy.values(), eager.values()):
+    for pair, pair_o in zip(lazy, eager):
         for pool, pool_o in zip(pair, pair_o):
             assert pool.queries_issued == pool_o.queries_issued
             drawn = pool.queries_issued > 0
