@@ -368,3 +368,26 @@ def test_near_cap_run_pinned(tmp_path):
     assert (report["bins"]["count"], report["iterations"]) == (6643, 678)
     for fname, digest in NEAR_CAP_SHA256.items():
         assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+# `lpcal eval` on a shifted world: 60 features, 14 realized bins at lambda 4,
+# listed in level order, which differs from their first-row order.  The
+# --pred case reads the random-miscalibrated predictor of the same world,
+# 15 bins.  These digests pin eval's per-bin list and aggregates byte for byte.
+EVAL_WORLD_ARGS = ["--k", "3", "--n-features", "60", "--seed", "3"]
+EVAL_ARGS = ["--lambda", "4", "--p", "inf,2,1"]
+EVAL_SHA256 = {
+    "own": "79ff0c8f806b0f3243c894fba2cb2bf4ae4ae8f17a6b4be56228b3e14802b8ff",
+    "pred": "b2da0736e839e9ca4aa4482521e3c7aa233e344bc8eeaac1e98fba90cf756d3b",
+}
+
+
+def test_eval_pinned(tmp_path):
+    world, pred = tmp_path / "world.json", tmp_path / "pred.json"
+    assert main(["scenario", "--name", "shifted", *EVAL_WORLD_ARGS, "--out", str(world)]) == 0
+    assert main(["scenario", "--name", "random-miscalibrated", *EVAL_WORLD_ARGS,
+                 "--out", str(pred)]) == 0  # fmt: skip
+    for case, extra in (("own", []), ("pred", ["--pred", str(pred)])):
+        out = tmp_path / f"{case}.json"
+        assert main(["eval", "--world", str(world), *extra, *EVAL_ARGS, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EVAL_SHA256[case], case
