@@ -241,7 +241,7 @@ def build_report(
     rep_f = exact_report(world, predictor.table, calibrated.binning, p_list)
     rep_h = exact_report(world, calibrated.to_table(), calibrated.own_binning(), p_list)
 
-    max_bin_err_h = rep_h.max_bin_class_error
+    max_bin_err_h = rep_h.aggregates[math.inf]
     err_p_f = rep_f.aggregates[p_eval]
     err_p_h = rep_h.aggregates[p_eval]
     sq_budget = (4.0 / lam) * (1.0 + params.moved_bound)
@@ -488,13 +488,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"predictor document {args.pred} has no 'predictor' field")
         doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
     world, predictor = world_from_dict(doc)
-    rep = exact_report(world, predictor.table, bin_table(predictor.table, args.lam), p_list)
+    binning = bin_table(predictor.table, args.lam)
+    rep = exact_report(world, predictor.table, binning, p_list)
     out = {
         "lambda": args.lam,
         "aggregates": {("inf" if math.isinf(q) else f"{q:g}"): rep.aggregates[q] for q in p_list},
         "sq_error": rep.sq_error,
         "per_bin": [
-            {"level": level_str(v), "errors": rep.per_bin[v]} for v in sorted(rep.per_bin)
+            {"level": level_str(binning.levels[i]), "errors": rep.errors[i]}
+            for i in sorted(range(len(rep.errors)), key=binning.levels.__getitem__)
         ],
     }
     text = dumps_json(out)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Level, round_down  # round_down unused; perfbench/tracer.py patches it
+from .simplex import round_down  # unused; perfbench/tracer.py patches it
 from .world import Binning, World
 
 PList = tuple[float, ...]
@@ -73,10 +73,9 @@ def exact_sq_error(world: World, table: np.ndarray) -> float:
 class ErrorReport:
     """Exact error summary of one predictor."""
 
-    per_bin: dict[Level, np.ndarray]
+    errors: np.ndarray  # (n_levels, k), row i for its binning's levels[i]
     aggregates: dict[float, float]  # p -> Err_p
     sq_error: float
-    max_bin_class_error: float
 
 
 def exact_report(
@@ -87,10 +86,8 @@ def exact_report(
 ) -> ErrorReport:
     """Exact report of ``table``, binned by its own ``binning``."""
     errors = _abs_errors(world, table, binning)
-    flat = errors.ravel()  # the entries of ``per_bin`` in its order, so every norm sums them alike
     return ErrorReport(
-        per_bin=dict(zip(binning.levels, errors)),
-        aggregates={p: _lp_norm(flat, p) for p in p_list},
+        errors=errors,
+        aggregates={p: _lp_norm(errors.ravel(), p) for p in p_list},
         sq_error=exact_sq_error(world, table),
-        max_bin_class_error=_lp_norm(flat, math.inf),
     )

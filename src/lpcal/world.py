@@ -9,8 +9,9 @@ possible: every expectation is a finite sum.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,27 +88,26 @@ class Binning:
     levels: the distinct level sets, in order of their first row.
     ids:    (n_rows,) position in ``levels`` of each row's level set.
 
-    A bin is named by its position in ``levels``.  A per-level row index is
-    built once: the rows sorted stably by id, so level ``i``'s rows are
-    ``_order[_starts[i]:_starts[i + 1]]``, ascending.
+    A bin is named by its position in ``levels``.  ``rows`` reads a per-level
+    row index built on its first call: the rows sorted stably by id, so level
+    ``i``'s rows are ``order[starts[i]:starts[i + 1]]``, ascending.
     """
 
     lam: int
     levels: tuple[Level, ...]
     ids: np.ndarray
-    _order: np.ndarray = field(init=False, repr=False, compare=False)
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @functools.cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(self.ids, kind="stable")
         order.flags.writeable = False  # ``rows`` hands out views of it
-        object.__setattr__(self, "_order", order)
         sizes = np.bincount(self.ids, minlength=len(self.levels))
-        object.__setattr__(self, "_starts", np.concatenate(([0], np.cumsum(sizes))))
+        return order, np.concatenate(([0], np.cumsum(sizes)))
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
         """Indices of the rows in the bins at the distinct ``positions``, ascending."""
-        segments = [self._order[self._starts[i] : self._starts[i + 1]] for i in positions.tolist()]
+        order, starts = self._index
+        segments = [order[starts[i] : starts[i + 1]] for i in positions.tolist()]
         if len(segments) == 1:
             return segments[0]  # one level's rows are already ascending
         return np.sort(np.concatenate(segments)) if segments else np.zeros(0, dtype=np.int64)

@@ -12,6 +12,7 @@ import io
 import itertools
 import math
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from typing import Iterable
 from lpcal.calibrator import CalibratedPredictor, EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
 from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
-from lpcal.evaluator import ErrorReport, _lp_norm, exact_report
+from lpcal.evaluator import _lp_norm, exact_report
 from lpcal.partitions import MergeEvent, estimated_error
 from lpcal.simplex import PROB_ATOL, Level, canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
@@ -347,7 +348,16 @@ def exact_error_table(
     feature appear; all other bins contribute exactly zero.
     """
     table = pred.table if isinstance(pred, Predictor) else np.asarray(pred, float)
-    return exact_report(world, table, binning).per_bin
+    return dict(zip(binning.levels, exact_report(world, table, binning).errors))
+
+
+@dataclass(frozen=True)
+class EmpiricalReport:
+    """Sampled error summary; ``per_bin`` holds the sampled bins only, by level set."""
+
+    per_bin: dict[Level, np.ndarray]
+    aggregates: dict[float, float]  # p -> Err_p
+    sq_error: float
 
 
 def empirical_report(
@@ -356,7 +366,7 @@ def empirical_report(
     lam: int,
     p_list: tuple[float, ...] = (1.0, 2.0, math.inf),
     weights: np.ndarray | None = None,
-) -> ErrorReport:
+) -> EmpiricalReport:
     """Sampled analogue of ``exact_report``.
 
     Per-sample weights default to 1/n; passing the exact joint weights of an
@@ -386,11 +396,8 @@ def empirical_report(
         sq += w * float(np.sum((table[x] - onehot[y]) ** 2))
     errors = {v: np.abs(g) for v, g in signed.items()}
     flat = np.concatenate(list(errors.values()))  # every norm sums the entries in one order
-    return ErrorReport(
-        per_bin=errors,
-        aggregates={p: _lp_norm(flat, p) for p in p_list},
-        sq_error=sq,
-        max_bin_class_error=_lp_norm(flat, math.inf),
+    return EmpiricalReport(
+        per_bin=errors, aggregates={p: _lp_norm(flat, p) for p in p_list}, sq_error=sq
     )
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lpcal.calibrator
 import lpcal.cli
 from lpcal.cli import RunConfig, dumps_json, main, parse_p, run_config
 from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
@@ -526,6 +527,46 @@ def test_scenario_name_string_takes_size_flags(tmp_path):
     assert main(args) == 0
     echo = json.loads((out / "report.json").read_text())["config"]["scenario"]
     assert echo == {"name": "perfect", "k": 2, "n_features": 5}
+
+
+def made_by(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call's result."""
+    made = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return made
+
+
+def holds_row_index(binning):
+    """Whether ``binning`` holds anything beyond its three fields: its row index."""
+    return bool(set(vars(binning)) - {"lam", "levels", "ids"})
+
+
+def test_only_the_monitored_binning_builds_a_row_index(tmp_path, monkeypatch, capsys):
+    # The monitor reads the rows of f's binning; h's two binnings and eval's
+    # binning are read only through their ids, so they never build the index.
+    made = made_by(monkeypatch, lpcal.calibrator, "bin_table")
+    evaluated = counting(monkeypatch, lpcal.cli, "exact_report")
+    cfg = RunConfig.from_dict({"scenario": SCENARIO_40F, "p": "2", "eps": 0.3, "seed": 0})
+    report, trace, calibrated = run_config(cfg)
+    assert trace.iterations > 0 and report["events"]["all_held"]
+    f_binning, small = made
+    f_evaluated, composed = (args[2] for args in evaluated)
+    assert f_binning is calibrated.binning is f_evaluated
+    assert holds_row_index(f_binning)
+    assert not holds_row_index(small) and not holds_row_index(composed)
+
+    world = tmp_path / "world.json"
+    assert main(["scenario", "--name", "shifted", "--out", str(world)]) == 0
+    eval_made = made_by(monkeypatch, lpcal.cli, "bin_table")
+    assert main(["eval", "--world", str(world), "--lambda", "4"]) == 0
+    capsys.readouterr()
+    assert len(eval_made) == 1 and not holds_row_index(eval_made[0])
 
 
 class TestSweepCommand:

@@ -30,9 +30,8 @@ def one_point(cond=(0.6, 0.4), pred=(0.9, 0.1)):
 class TestBinClassError:
     def test_perfect_predictor_zero_everywhere(self):
         w, f = make_scenario("perfect", 3, 10, seed=1)
-        table = exact_report(w, f.table, bin_table(f.table, 4)).per_bin
-        for errs in table.values():
-            assert np.allclose(errs, 0.0, atol=1e-12)
+        errors = exact_report(w, f.table, bin_table(f.table, 4)).errors
+        assert np.allclose(errors, 0.0, atol=1e-12)
 
     def test_one_point_hand_value(self):
         w, pred = one_point()
@@ -110,19 +109,19 @@ class TestReportAggregates:
         binning = bin_table(table, lam)
         rep = exact_report(world, table, binning, self.P_LIST)
         want = error_table_by_rows(world, table, lam)
-        assert list(rep.per_bin) == list(want)
-        assert all(np.array_equal(rep.per_bin[v], want[v]) for v in want)
+        # one row per level set of the binning, in its order
+        assert list(binning.levels) == list(want)
+        assert rep.errors.shape == (len(want), table.shape[1])
+        assert all(np.array_equal(row, want[v]) for row, v in zip(rep.errors, want))
         for p in self.P_LIST:
             assert rep.aggregates[p] == lp_aggregate(want, p)
             assert exact_lp_error(world, table, binning, p) == lp_aggregate(want, p)
-        assert rep.max_bin_class_error == lp_aggregate(want, math.inf)
 
     @given(worlds_and_tables(), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_empirical_largest_error(self, case, seed):
         world, table, lam = case
         rep = empirical_report(draw(world, stream_rng(seed, "data"), 200), table, lam)
-        assert rep.max_bin_class_error == lp_aggregate(rep.per_bin, math.inf)
         for p in (1.0, 2.0, math.inf):
             assert rep.aggregates[p] == lp_aggregate(rep.per_bin, p)
 
@@ -201,8 +200,7 @@ class TestReportShape:
     def test_entries_nonnegative(self):
         w, f = make_scenario("shifted", 3, 12, seed=5)
         rep = exact_report(w, f.table, bin_table(f.table, 4))
-        for errs in rep.per_bin.values():
-            assert np.all(errs >= 0.0)
+        assert np.all(rep.errors >= 0.0)
 
     def test_projection_feeds_evaluator(self):
         # projected rows make a valid predictor for evaluation
