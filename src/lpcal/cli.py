@@ -49,6 +49,7 @@ from .world import (
     Predictor,
     World,
     bin_table,
+    check_gamma,
     check_lam,
     finite_number,
     make_scenario,
@@ -58,9 +59,14 @@ from .world import (
 
 
 def parse_p(raw: str | float | int) -> PNorm:
-    """Parse a norm exponent: "inf", a number within float range, or a fraction "3/2"."""
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinity") or raw == math.inf:
+    """Parse a norm exponent: "inf", a number within float range, or a fraction "3/2".
+
+    Only the strings "inf" and "infinity" mean p = inf, never a JSON ``Infinity`` or ``1e400``.
+    """
+    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinity"):
         return math.inf
+    if isinstance(raw, float) and math.isinf(raw):
+        raise ValueError(f'p {raw!r} lies beyond float range; only the string "inf" means p = inf')
     try:
         p = Fraction(raw if isinstance(raw, str) else str(raw))
     except ZeroDivisionError:
@@ -187,6 +193,8 @@ class RunConfig:
         check_ranges(cfg.p, cfg.eps, cfg.delta)
         _known_keys("config", doc)
         _known_keys(f"scenario {name}", scenario)
+        if "gamma" in kwargs:
+            check_gamma(kwargs["gamma"])
         return cfg
 
     def echo(self) -> dict:

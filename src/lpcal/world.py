@@ -234,6 +234,12 @@ def exact_event_stats(
     return float(mass.sum()), np.asarray(mass @ world.conditional[rows], dtype=float)
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a ``gamma`` outside [0, 1], which moves ``overconfident`` rows off the simplex."""
+    if not 0.0 <= gamma <= 1.0:  # false on NaN too
+        raise ValueError(f"gamma must lie in [0,1], got {gamma!r}")
+
+
 def make_scenario(
     name: str,
     k: int,
@@ -247,7 +253,7 @@ def make_scenario(
 
     perfect:               f(x) = conditional(x).
     overconfident:         f moves conditional toward its argmax vertex by
-                           factor ``gamma``.
+                           factor ``gamma``, in [0, 1].
     shifted:               f adds ``shift`` to class 0 and reprojects.
     random-miscalibrated:  f rows drawn uniformly from the simplex,
                            independent of the conditionals.
@@ -256,6 +262,7 @@ def make_scenario(
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
+    check_gamma(gamma)
     rng = stream_rng(seed, "scenario")
     world = World(rng.dirichlet(np.ones(n_features)), rng.dirichlet(np.ones(k), size=n_features))
     cond = world.conditional

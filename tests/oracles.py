@@ -12,11 +12,10 @@ import io
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from lpcal.calibrator import CalibratedPredictor, EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
@@ -351,8 +350,7 @@ def exact_error_table(
     return dict(zip(binning.levels, exact_report(world, table, binning).errors))
 
 
-@dataclass(frozen=True)
-class EmpiricalReport:
+class EmpiricalReport(NamedTuple):  # not a dataclass: perfbench's checker loads this module
     """Sampled error summary; ``per_bin`` holds the sampled bins only, by level set."""
 
     per_bin: dict[Level, np.ndarray]

@@ -1,10 +1,11 @@
-"""No function, class or method in ``src/lpcal`` lives only for the tests.
+"""No function, class, method or dataclass field in ``src/lpcal`` lives only for the tests.
 
 Every top-level ``def`` and ``class`` of a package module, and every public
 method or property of a package class, must be referenced (by name,
 attribute or import) from some ``src/lpcal`` module other than
-``__init__.py``; re-exporting a name is not a use.  A helper only the tests
-call belongs in ``tests/oracles.py``.
+``__init__.py``; re-exporting a name is not a use.  Every field of a package
+dataclass must be read as an attribute by such a module; setting it is not
+a use.  A helper only the tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -15,6 +16,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lpcal"
 # Public names kept without a caller in the package, each with its reason.
 ALLOWED = {
     "exact_lp_error": "the README's 'Library use' example calls it",
+}
+
+# Dataclass fields kept without a reader in the package, each with its reason.
+ALLOWED_FIELDS = {
+    "RunTrace.final_max_err": "test_loop_exit_soundness checks the loop's exit condition on it",
 }
 
 
@@ -62,6 +68,45 @@ def unreferenced_members() -> set[str]:
         and not node.name.startswith("_")
         and node.name not in used
     }
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields() -> set[str]:
+    """``Class.name`` of the dataclass fields no package module but ``__init__.py`` reads."""
+    modules = _modules()
+    read = {
+        node.attr
+        for name, tree in modules.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{cls.name}.{node.target.id}"
+        for tree in modules.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    }
+
+
+def test_no_test_only_fields():
+    extra = sorted(unread_fields() - set(ALLOWED_FIELDS))
+    assert not extra, f"no package module reads the fields {extra}: drop them"
+
+
+def test_field_allowlist_is_current():
+    assert set(ALLOWED_FIELDS) <= unread_fields()
 
 
 def test_no_test_only_methods():

@@ -23,6 +23,10 @@ from lpcal.world import bin_table, world_from_dict
 from oracles import counting, jsonable
 
 
+class JSONText(str):
+    """A config value written as raw JSON text: ``JSONText("1e400")`` is the number 1e400."""
+
+
 def write_config(path, **overrides):
     """A config document with ``overrides``; a key overridden with ``MISSING`` is left out."""
     doc = {
@@ -34,7 +38,11 @@ def write_config(path, **overrides):
         "sample_mode": "auto",
     }
     doc.update(overrides)
-    path.write_text(json.dumps(strip_missing(doc)), encoding="utf-8")
+    text = json.dumps(strip_missing(doc))
+    for val in overrides.values():
+        if isinstance(val, JSONText):
+            text = text.replace(json.dumps(val), val)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -67,8 +75,11 @@ class TestParseP:
             ("", "p '' is not a number"),
             (True, "p True is not a number"),
             (None, "p None is not a number"),
+            (math.inf, 'p inf lies beyond float range; only the string "inf" means p = inf'),
+            (-math.inf, "p -inf lies beyond float range"),
         ],
-        ids=["zero-denominator", "huge-exponent", "huge-int", "typo", "empty", "bool", "null"],
+        ids=["zero-denominator", "huge-exponent", "huge-int", "typo", "empty", "bool", "null",
+             "inf-number", "minus-inf-number"],  # fmt: skip
     )
     def test_refused_with_value_error(self, raw, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -357,6 +368,18 @@ BAD_CONFIGS = [
     ({"p": "abc"}, "p 'abc' is not a number, a fraction such as 3/2, or inf"),
     ({"p": True}, "p True is not a number, a fraction such as 3/2, or inf"),
     ({"p": None}, "p None is not a number, a fraction such as 3/2, or inf"),
+    # an infinite JSON number: only the string "inf" means p = inf
+    ({"p": JSONText("Infinity")}, 'p inf lies beyond float range; only the string "inf" means'),
+    ({"p": JSONText("1e400")}, 'p inf lies beyond float range; only the string "inf" means'),
+    # a gamma that would move overconfident rows off the simplex
+    (
+        {"scenario": {**PERFECT_12, "name": "overconfident", "gamma": 1.5}},
+        "gamma must lie in [0,1], got 1.5",
+    ),
+    (
+        {"scenario": {"name": "overconfident", "k": 5, "n_features": 50, "gamma": -0.5}},
+        "gamma must lie in [0,1], got -0.5",
+    ),
 ]
 
 
@@ -1043,14 +1066,14 @@ WRONG = {
     "name": [None, True, 5, [], "nonesuch", ""],
     "k": [*NOT_NUMBERS, 0, -1, 1.5],
     "n_features": [*NOT_NUMBERS, 0, -2, 2.5],
-    "p": [None, True, [], {}, "x", "", "1/0", "3/0", "-2/0", "1e400", "-1e999", "7e308"],
+    "p": [None, True, [], {}, "x", "", "1/0", "3/0", "-2/0", "1e400", "-1e999", "7e308", math.inf],
     "eps": NOT_NUMBERS,
     "delta": NOT_NUMBERS,
     "seed": [*NOT_NUMBERS, -1, 1.5],
     "sample_mode": [None, True, 5, [], "x", "manual", {"mode": "auto"}, {"mode": "manual"},
                     {"bin_mass": 100}],
     "manual_sizes": [None, True, 5, [], "x", {"bin_mass": 0}, {"size": 100}],
-    "gamma": NOT_NUMBERS,
+    "gamma": [*NOT_NUMBERS, -0.5, 1.5],
     "shift": NOT_NUMBERS,
     "out_dir": [None, True, 5, [], {"a": 1}, ""],
 }

@@ -31,6 +31,7 @@ from lpcal.world import (
 from oracles import (
     FEATURE_CHUNK,
     bin_table_by_round_down,
+    counting,
     exact_bin_class_error,
     exact_event_stats_by_mask,
     feature_counts_by_choice,
@@ -435,6 +436,20 @@ class TestScenarios:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_scenario("nope", 3, 5, seed=0)
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.5, math.nan])
+    def test_gamma_outside_the_unit_interval_refused_before_any_draw(self, monkeypatch, gamma):
+        streams = counting(monkeypatch, lpcal.world, "stream_rng")
+        with pytest.raises(ValueError, match=r"^gamma must lie in \[0,1\], got"):
+            make_scenario("overconfident", 5, 50, seed=0, gamma=gamma)
+        assert streams == []
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_gamma_at_the_ends_gives_distributions(self, gamma):
+        w, f = make_scenario("overconfident", 5, 50, seed=0, gamma=gamma)
+        assert np.all(f.table >= 0)
+        if gamma == 0.0:
+            assert np.array_equal(f.table, w.conditional)
 
     def test_reproducible(self):
         w1, f1 = make_scenario("random-miscalibrated", 3, 20, seed=4)
