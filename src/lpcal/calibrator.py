@@ -33,7 +33,7 @@ from .partitions import (
     init_structures,
 )
 # round_down and draw go unused here; perfbench/tracer.py patches both names.
-from .simplex import Level, canonical_rows, level_count, project_simplex, round_down
+from .simplex import canonical_rows, level_count, project_simplex, round_down
 from .streams import stream_rng
 from .world import (
     MAX_LAM,
@@ -141,8 +141,8 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
 
 def select_bins(masses: np.ndarray, binning: Binning, params: CalibParams) -> np.ndarray:
     """Positions of the bins of mass (row i for ``binning.levels[i]``) >= beta/6, by level."""
-    heavy = np.flatnonzero(masses >= params.bin_threshold).tolist()
-    return np.array(sorted(heavy, key=binning.levels.__getitem__), dtype=np.int64)
+    heavy = np.flatnonzero(masses >= params.bin_threshold)
+    return heavy[np.lexsort(binning.levels[heavy].T[::-1])]  # lexsort's last key is the primary one
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,12 @@ class RunTrace:
 
     Row t of every per-iteration column is loop iteration t, so t itself is
     not stored.  Row t's group bins are ``bin_ids[bin_ends[t-1]:bin_ends[t]]``
-    (from 0 at t = 0), as indices into ``bins``.  The columns are
-    ``array.array`` buffers, so the trace holds no Python object per
-    iteration.
+    (from 0 at t = 0), as indices into ``bins``, the selected bins' levels
+    (``binning.levels[selected]``).  The columns are ``array.array`` buffers,
+    so the trace holds no Python object per iteration.
     """
 
-    bins: list[Level]
+    bins: np.ndarray
     gid: array = _column("q")
     bin_ids: array = _column("q")  # every row's group bins, one flat run
     bin_ends: array = _column("q")  # end offset of each row's bins in ``bin_ids``
@@ -298,8 +298,7 @@ def calibrate(
     monitor.observe_mass_table(masses)
 
     selected = select_bins(masses, binning, params)
-    bins = [binning.levels[i] for i in selected.tolist()]
-    trace = RunTrace(bins=bins, t_max=params.t_max)
+    trace = RunTrace(bins=binning.levels[selected], t_max=params.t_max)
     trace.bin_mass_stats = {
         "m1": m1,
         "m2": m2,
@@ -309,7 +308,8 @@ def calibrate(
         "n_levels": n_levels,
     }
 
-    if not bins:
+    n_bins = len(selected)
+    if not n_bins:
         # Nothing carries enough mass to correct; the fallback rounding is
         # already within budget everywhere.
         trace.events = _event_summary(monitor, params, trace.pool_accuracy)
@@ -317,13 +317,12 @@ def calibrate(
         per_level.flags.writeable = False
         return CalibratedPredictor(binning, per_level), trace
 
-    if len(bins) > params.bin_cap:
+    if n_bins > params.bin_cap:
         raise EstimateFailureError(
-            f"{len(bins)} bins passed selection, above the cap {params.bin_cap}; "
+            f"{n_bins} bins passed selection, above the cap {params.bin_cap}; "
             "the bin-mass table cannot be uniformly accurate"
         )
 
-    n_bins = len(bins)
     classes = trace.size_classes = n_bins.bit_length()
     alpha_pool = trace.pool_accuracy = params.beta / (36.0 * classes)
     delta_pool = trace.pool_delta = params.delta / (3.0 * classes)

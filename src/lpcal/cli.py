@@ -43,7 +43,7 @@ from .calibrator import (
 )
 from .errors import EstimateFailureError
 from .evaluator import exact_report
-from .simplex import Level, enumerate_levels, level_count
+from .simplex import enumerate_levels, level_count
 from .world import (
     SCENARIOS,
     Predictor,
@@ -225,7 +225,7 @@ def dumps_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=_numpy_value) + "\n"
 
 
-def level_str(v: Level) -> str:
+def level_str(v: list[int]) -> str:
     return "-".join(str(n) for n in v)
 
 
@@ -289,7 +289,7 @@ def build_report(
         "bins": {
             "count": trace.n_bins,
             "cap": params.bin_cap,
-            "selected": [level_str(v) for v in trace.bins],
+            "selected": [level_str(v) for v in trace.bins.tolist()],
             "size_classes": trace.size_classes,
             "pool_accuracy": trace.pool_accuracy,
             "pool_delta": trace.pool_delta,
@@ -335,7 +335,7 @@ def trace_to_csv(trace: RunTrace) -> str:
 
     ``csv`` writes a float as its ``repr``, the shortest text that reads back equal.
     """
-    names = [level_str(v) for v in trace.bins]
+    names = [level_str(v) for v in trace.bins.tolist()]
     bins = (
         ";".join([names[i] for i in trace.bin_ids[lo:hi]])
         for lo, hi in zip(itertools.chain([0], trace.bin_ends), trace.bin_ends)
@@ -503,8 +503,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "aggregates": {("inf" if math.isinf(q) else f"{q:g}"): rep.aggregates[q] for q in p_list},
         "sq_error": rep.sq_error,
         "per_bin": [
-            {"level": level_str(binning.levels[i]), "errors": rep.errors[i]}
-            for i in sorted(range(len(rep.errors)), key=binning.levels.__getitem__)
+            {"level": level_str(binning.levels[i].tolist()), "errors": rep.errors[i]}
+            for i in np.lexsort(binning.levels.T[::-1]).tolist()  # by level, as tuples sort
         ],
     }
     text = dumps_json(out)

@@ -159,7 +159,7 @@ class DisjointQueryPool:
         # a bin named twice up to the first event past the budget, or once and before, counts 2+
         named = np.bincount(events[: room + 1].ravel(), minlength=n_levels) + self.claimed
         if named.max() > 1:
-            overlap = sorted(self.binning.levels[i] for i in np.flatnonzero(named > 1).tolist())
+            overlap = sorted(map(tuple, self.binning.levels[named > 1].tolist()))
             raise DisjointnessError(
                 f"pool {self.name}: event overlaps earlier queries on bins {overlap}"
             )

@@ -76,7 +76,6 @@ class MergeEvent:
     new_gid: int
     left_gid: int
     right_gid: int
-    size: int  # cardinality of the merged group
 
 
 class EstimationPartition:
@@ -196,7 +195,7 @@ class EstimationPartition:
             self.live[[a, b]] = False
             inside[dup : dup + 2] = [(2 * size, merged)]
             inside.sort()
-            events.append(MergeEvent(merged, a, b, 2 * size))
+            events.append(MergeEvent(merged, a, b))
 
     def check_invariants(self) -> None:
         """Exact partition, power-of-two sizes, historical disjointness.

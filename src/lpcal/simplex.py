@@ -1,10 +1,9 @@
 """Geometry of the discretized probability simplex.
 
 A *level set* is the cell of the coordinatewise floor-rounding of the simplex
-at granularity ``1/lam``.  We represent a level set by its tuple of integer
-numerators over the common denominator ``lam``, which makes bins exact (and
-hashable) dictionary keys: ``(n_1, ..., n_k)`` stands for the grid vector
-``(n_1/lam, ..., n_k/lam)``.
+at granularity ``1/lam``, named by its integer numerators over the common
+denominator ``lam``: ``(n_1, ..., n_k)`` stands for the grid vector
+``(n_1/lam, ..., n_k/lam)``.  A table of level sets is an ``(n, k)`` int64 array.
 
 Not every grid vector is reachable by rounding a distribution down.  The
 reachable family is sparse: a grid vector is reachable iff
@@ -80,8 +79,8 @@ def round_down(u: Sequence[float] | np.ndarray, lam: int) -> Level:
     return tuple(min(int(math.floor(x * lam + SNAP)), lam) for x in u)
 
 
-def canonical_rows(levels: Sequence[Level], lam: int) -> np.ndarray:
-    """``(len(levels), k)`` canonical distributions of level sets of one length ``k``.
+def canonical_rows(levels: np.ndarray | Sequence[Level], lam: int) -> np.ndarray:
+    """``(n, k)`` canonical distributions of the ``n`` level sets, the rows of ``levels``.
 
     The canonical distribution of a level set ``v`` spreads the rounding
     deficit ``d = 1 - sum(v)`` equally over all coordinates:
@@ -100,16 +99,16 @@ def canonical_rows(levels: Sequence[Level], lam: int) -> np.ndarray:
     ``lam - sum(v)`` is an integer of at most 2**53, so each converts to
     float exactly, and the divisions and the sum are the same correctly
     rounded operations for one row as for many.  Raises
-    ``MembershipError`` naming the first level set that is not a member.
+    ``MembershipError`` naming the first non-member, as a tuple.
     """
-    num = np.array(levels, dtype=np.int64)
+    num = np.asarray(levels, dtype=np.int64)
     if num.ndim != 2 or not len(num):
         raise ValueError("levels must be a nonempty sequence of level sets of one length")
     k = num.shape[1]
     s = num.sum(axis=1)
     member = ((num >= 0) & (num <= lam)).all(axis=1) & (s <= lam) & (s + k > lam)
     if not member.all():
-        v = levels[int(np.argmin(member))]
+        v = tuple(num[np.argmin(member)].tolist())
         raise MembershipError(f"{v} is not a level set for lam={lam}")
     return num / lam + ((lam - s) / lam / k)[:, None]
 

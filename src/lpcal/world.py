@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # round_down goes unused here; perfbench/tracer.py patches the name.
-from .simplex import SNAP, Level, check_prob_rows, project_simplex, round_down
+from .simplex import SNAP, check_prob_rows, project_simplex, round_down
 from .streams import stream_rng
 
 SCENARIOS = ("perfect", "overconfident", "shifted", "random-miscalibrated")
@@ -75,17 +75,17 @@ class Predictor:
             raise ValueError("table must be 2-d")
         check_prob_rows(self.table)
 
-    def levels(self, lam: int) -> list[Level]:
-        """Rounded level set of each row."""
+    def levels(self, lam: int) -> np.ndarray:
+        """``(n_rows, k)`` level set of each row; kept only for ``perfbench/tracer.py`` to patch."""
         binning = bin_table(self.table, lam)
-        return [binning.levels[i] for i in binning.ids]
+        return binning.levels[binning.ids]
 
 
 @dataclass(frozen=True)
 class Binning:
     """The rounded bin of every row of one table at granularity ``lam``.
 
-    levels: the distinct level sets, in order of their first row.
+    levels: (n_levels, k) read-only int64 distinct level sets, by first row.
     ids:    (n_rows,) position in ``levels`` of each row's level set.
 
     A bin is named by its position in ``levels``.  ``rows`` reads a per-level
@@ -94,7 +94,7 @@ class Binning:
     """
 
     lam: int
-    levels: tuple[Level, ...]
+    levels: np.ndarray
     ids: np.ndarray
 
     @functools.cached_property
@@ -128,23 +128,26 @@ def bin_table(table: np.ndarray, lam: int) -> Binning:
 
     Each coordinate goes through ``round_down``'s float operations in its
     order (``x * lam + SNAP``, floor, minimum with ``lam``), so every
-    numerator equals ``round_down``'s.  Levels are tuples of Python ints in
-    order of their first row.  Raises ``ValueError`` for ``lam`` outside
-    [1, 2**53] and for coordinates that are not finite or lie outside
-    [-1, 2], whose numerators an int64 need not hold.
+    numerator equals ``round_down``'s.  One stable ``lexsort`` of the rows
+    groups equal ones; levels are numbered in order of their first row.  Raises
+    ``ValueError`` for ``lam`` outside [1, 2**53] and for coordinates that are
+    not finite or lie outside [-1, 2], whose numerators an int64 need not hold.
     """
     check_lam(lam)
     t = np.asarray(table, dtype=float)
     if not ((t >= -1.0) & (t <= 2.0)).all():  # false on NaN and inf too
         raise ValueError("coordinates to bin must be finite and lie in [-1, 2]")
     num = np.minimum(np.floor(t * lam + SNAP), lam).astype(np.int64)
-    index: dict[Level, int] = {}
-    ids = np.fromiter(
-        (index.setdefault(v, len(index)) for v in map(tuple, num.tolist())),
-        dtype=np.int64,
-        count=len(num),
-    )
-    return Binning(lam, tuple(index), ids)
+    order = np.lexsort(num.T)
+    run = num[order]
+    starts = np.ones(len(num), dtype=bool)  # where a run of equal rows begins
+    starts[1:] = (run[1:] != run[:-1]).any(axis=1)
+    by_first = np.argsort(order[starts])  # the runs in the order of their first rows
+    ids = np.empty(len(num), dtype=np.int64)
+    ids[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+    levels = run[starts][by_first]
+    levels.flags.writeable = False
+    return Binning(lam, levels, ids)
 
 
 @dataclass(frozen=True)

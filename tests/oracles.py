@@ -152,20 +152,31 @@ def feature_counts_by_choice(world: World, rng: np.random.Generator, n: int) -> 
 
 
 def bin_table_by_round_down(table: np.ndarray, lam: int) -> Binning:
-    """Binning by scalar ``round_down`` on each row in turn, levels in first-row order."""
+    """Binning by scalar ``round_down`` on each row in turn, levels in first-row order.
+
+    The interned tuples become the ``(n_levels, k)`` level array at the end.
+    """
     index: dict[Level, int] = {}
     ids = np.fromiter(
         (index.setdefault(round_down(row, lam), len(index)) for row in table),
         dtype=np.int64,
         count=len(table),
     )
-    return Binning(lam, tuple(index), ids)
+    levels = np.array(list(index), dtype=np.int64).reshape(len(index), np.shape(table)[1])
+    levels.flags.writeable = False
+    return Binning(lam, levels, ids)
+
+
+def level_tuples(levels: np.ndarray) -> tuple[Level, ...]:
+    """The rows of an ``(n, k)`` level array, such as ``Binning.levels``, as tuples."""
+    return tuple(map(tuple, levels.tolist()))
 
 
 def rows_in_by_level_scan(binning: Binning, bins) -> np.ndarray:
     """Row mask by testing every realized level for membership in ``frozenset(bins)``."""
     bins = frozenset(bins)
-    hit = np.fromiter((v in bins for v in binning.levels), dtype=bool, count=len(binning.levels))
+    levels = level_tuples(binning.levels)
+    hit = np.fromiter((v in bins for v in levels), dtype=bool, count=len(levels))
     return hit[binning.ids]
 
 
@@ -347,7 +358,7 @@ def exact_error_table(
     feature appear; all other bins contribute exactly zero.
     """
     table = pred.table if isinstance(pred, Predictor) else np.asarray(pred, float)
-    return dict(zip(binning.levels, exact_report(world, table, binning).errors))
+    return dict(zip(level_tuples(binning.levels), exact_report(world, table, binning).errors))
 
 
 class EmpiricalReport(NamedTuple):  # not a dataclass: perfbench's checker loads this module
@@ -382,10 +393,11 @@ def empirical_report(
             raise ValueError("weights must parallel the samples")
     binning = bin_table(table, lam)
     onehot = np.eye(k)
+    levels = level_tuples(binning.levels)
     signed: dict[Level, np.ndarray] = {}
     sq = 0.0
     for x, y, w in zip(samples.features, samples.labels, weights):
-        v = binning.levels[binning.ids[x]]
+        v = levels[binning.ids[x]]
         gap = w * (table[x] - onehot[y])
         if v in signed:
             signed[v] = signed[v] + gap
@@ -408,7 +420,8 @@ def bin_mass_dict(counts: np.ndarray, binning: Binning) -> dict[Level, float]:
     if n == 0:
         raise ValueError("samples must be nonempty")
     freq = np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
-    return {binning.levels[i]: float(freq[i]) for i in np.flatnonzero(freq)}
+    levels = level_tuples(binning.levels)
+    return {levels[i]: float(freq[i]) for i in np.flatnonzero(freq)}
 
 
 def select_bins_by_dict(masses: dict[Level, float], bin_threshold: float) -> list[Level]:
@@ -419,7 +432,7 @@ def select_bins_by_dict(masses: dict[Level, float], bin_threshold: float) -> lis
 def mass_table_max_dev_by_dict(world: World, binning: Binning, masses: dict[Level, float]) -> float:
     """Largest gap between a mass dict and the exact bin masses, over the union of their bins."""
     exact = np.bincount(binning.ids, weights=world.mass)
-    exact_mass = dict(zip(binning.levels, exact.tolist()))
+    exact_mass = dict(zip(level_tuples(binning.levels), exact.tolist()))
     worst = 0.0
     for v in set(masses) | set(exact_mass):
         worst = max(worst, abs(masses.get(v, 0.0) - exact_mass.get(v, 0.0)))
@@ -456,6 +469,7 @@ class EagerQueryPool:
         self.name, self.m, self.n_events = name, m, n_events
         self.value_dim, self.alpha = value_dim, alpha
         self.binning = binning
+        self.levels = level_tuples(binning.levels)
         self.counts = counts  # (n_features, k) sample counts
         self.data_rng, self.noise_rng = data_rng, noise_rng
         self.noise_scale = 8.0 / (m * alpha)
@@ -463,7 +477,7 @@ class EagerQueryPool:
         self._claimed: set[Level] = set()
 
     def query(self, event: Iterable[int]) -> np.ndarray:
-        event = frozenset(self.binning.levels[i] for i in event)
+        event = frozenset(self.levels[i] for i in event)
         if not event:
             raise ValueError("event must be nonempty")
         overlap = event & self._claimed
@@ -622,7 +636,7 @@ class SetEstimationPartition:
             [merged] = self._add([a.bins | b.bins])
             del self.groups[a.gid], self.groups[b.gid]
             inside[i : i + 2] = [merged]
-            events.append(MergeEvent(merged.gid, a.gid, b.gid, merged.size))
+            events.append(MergeEvent(merged.gid, a.gid, b.gid))
 
     def check_invariants(self, universe: frozenset[int]) -> None:
         """Power-of-two sizes, exact partition, historical disjointness."""
@@ -699,7 +713,7 @@ def set_init_structures(binning: Binning, selected, pools, on_estimate=None):
     """Singleton start of the set-based partitions over ``selected``, one batch query per pool."""
     est = SetEstimationPartition(pools, on_estimate)
     pred_part = SetPredictionPartition(binning.lam)
-    preds = canonical_rows([binning.levels[i] for i in selected], binning.lam)
+    preds = canonical_rows(binning.levels[list(selected)], binning.lam)
     for i, pred, grp in zip(selected, preds, est.add_singletons(selected)):
         err = estimated_error(grp.prob, pred, grp.label_mass)
         pred_part.add(frozenset([i]), pred, err, [grp.gid])
@@ -801,9 +815,10 @@ def init_structures_one_at_a_time(binning: Binning, selected, pools, on_estimate
         raise ValueError("bin set must be nonempty")
     est = OneAtATimeEstimationPartition(pools, on_estimate)
     pred_part = SetPredictionPartition(binning.lam)
+    levels = level_tuples(binning.levels)
     for i in selected:
         grp = est.groups[est.add_singleton(i)]
-        pred = canonical_one(binning.levels[i], binning.lam)
+        pred = canonical_one(levels[i], binning.lam)
         err = estimated_error(grp.prob, pred, grp.label_mass)
         pred_part.add(frozenset([i]), pred, err, [grp.gid])
     return est, pred_part
@@ -867,7 +882,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
             g = self._new_group(size_class, merged)
             del self.groups[a.gid]
             del self.groups[b.gid]
-            events.append(MergeEvent(g.gid, a.gid, b.gid, len(merged)))
+            events.append(MergeEvent(g.gid, a.gid, b.gid))
 
     def check_invariants(self, universe: frozenset[int]) -> None:
         seen: set[int] = set()

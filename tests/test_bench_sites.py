@@ -87,8 +87,14 @@ def test_allowed_stale_site_is_still_stale(owner, attr):
     assert attr not in _loaded_names(owner), f"{owner} uses {attr!r}: drop it from ALLOWED_STALE"
 
 
-def test_checker_loads_the_oracles():
-    """``perfbench/checker.py`` executes ``tests/oracles.py`` outside ``sys.modules``."""
+def test_checker_loads_the_oracles(monkeypatch):
+    """``perfbench/checker.py`` executes ``tests/oracles.py`` outside ``sys.modules``.
+
+    Another test module may have imported ``oracles`` already, which would let
+    a dataclass there resolve its module; the entry is dropped while the
+    checker loads, and put back afterwards.
+    """
+    monkeypatch.delitem(sys.modules, "oracles", raising=False)
     checker = _load("perfbench_checker", ROOT / "perfbench" / "checker.py")
     oracles = checker._load_oracles(ROOT)
     assert callable(oracles.lp_error_literal) and callable(oracles.sq_error_by_expectation)

@@ -27,6 +27,7 @@ from oracles import (
     canonical,
     check_trace_columns,
     counting,
+    level_tuples,
     mass_table_max_dev_by_dict,
     routed_predictor,
     select_bins_by_dict,
@@ -86,7 +87,8 @@ class TestDeriveParams:
 
 def mass_array(masses: dict) -> tuple[np.ndarray, Binning]:
     """The bin-mass array of ``masses`` and a binning with one row per bin, in dict order."""
-    return np.array(list(masses.values())), Binning(4, tuple(masses), np.arange(len(masses)))
+    levels = np.array(list(masses), dtype=np.int64)
+    return np.array(list(masses.values())), Binning(4, levels, np.arange(len(masses)))
 
 
 class TestSelectBins:
@@ -141,10 +143,11 @@ class TestBinMassArray:
         table = bin_mass_dict(counts, binning)
         assert masses.shape == (len(binning.levels),)
         assert len(binning.levels) == 1 or 0.0 in masses  # a realized bin no sample reached
-        assert {v: m for v, m in zip(binning.levels, masses.tolist()) if m} == table
+        levels = level_tuples(binning.levels)
+        assert {v: m for v, m in zip(levels, masses.tolist()) if m} == table
         params = derive_params(math.inf, eps, 0.1)
         want = select_bins_by_dict(table, params.bin_threshold)
-        assert [binning.levels[i] for i in select_bins(masses, binning, params)] == want
+        assert [levels[i] for i in select_bins(masses, binning, params)] == want
         monitor = EventMonitor(world, binning)
         monitor.observe_mass_table(masses)
         assert monitor.mass_table_max_dev == mass_table_max_dev_by_dict(world, binning, table)
@@ -179,8 +182,8 @@ class TestCalibrate:
         world, predictor = make_scenario("perfect", 3, 30, seed=0)
         h, trace = calibrate(world, predictor, params, seed=0)
         assert trace.iterations == 0 and trace.n_bins > 0
-        for v in trace.bins:
-            pred = h.per_level[h.binning.levels.index(v)]
+        for v in level_tuples(trace.bins):
+            pred = h.per_level[level_tuples(h.binning.levels).index(v)]
             assert np.allclose(pred, canonical(v, params.lam))
 
     def test_empty_bin_set_short_circuits(self):
@@ -228,7 +231,7 @@ class TestCalibrate:
         params = derive_params(math.inf, 0.2, 0.1)
         h, trace = calibrate(world, predictor, params, seed=3)
         v = round_down(predictor.table[1], params.lam)
-        assert trace.bins == [round_down(predictor.table[0], params.lam)]
+        assert level_tuples(trace.bins) == (round_down(predictor.table[0], params.lam),)
         assert trace.iterations >= 1
         assert h.to_table()[1].tolist() == canonical(v, params.lam).tolist()
 
@@ -260,10 +263,11 @@ class TestCalibrate:
         [(_, pred_part)] = made
         assert trace.iterations >= 1
         table = h.to_table()
+        levels, bins = level_tuples(h.binning.levels), level_tuples(trace.bins)
         for x in range(world.n_features):
-            v = h.binning.levels[h.binning.ids[x]]
-            if v in trace.bins:
-                want = pred_part.pred[pred_part.owner[trace.bins.index(v)]]
+            v = levels[h.binning.ids[x]]
+            if v in bins:
+                want = pred_part.pred[pred_part.owner[bins.index(v)]]
             else:
                 want = canonical(v, params.lam)
             assert np.array_equal(table[x], want)
@@ -310,10 +314,10 @@ class TestOwnBinning:
         # f's levels (1,0), (0,1), (1,1); h sends the last two to one level
         table = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.95, 0.05]])
         f_binning = bin_table(table, 2)
-        assert f_binning.levels == ((1, 0), (0, 1), (1, 1))
+        assert level_tuples(f_binning.levels) == ((1, 0), (0, 1), (1, 1))
         preds = np.array([[0.2, 0.8], [0.6, 0.4], [0.6, 0.4]])
         h_binning = routed_predictor(f_binning, np.array([0, 1, 2]), preds).own_binning()
-        assert h_binning.levels == ((0, 1), (1, 0))
+        assert level_tuples(h_binning.levels) == ((0, 1), (1, 0))
         assert h_binning.ids.tolist() == [0, 1, 1, 0]
 
     @given(calibrated_predictors())
@@ -321,7 +325,7 @@ class TestOwnBinning:
     def test_equals_binning_the_table(self, h):
         got, want = h.own_binning(), bin_table(h.to_table(), h.binning.lam)
         assert got.lam == want.lam
-        assert got.levels == want.levels
+        assert level_tuples(got.levels) == level_tuples(want.levels)
         assert np.array_equal(got.ids, want.ids)
 
     def test_table_rows_are_routed_or_canonical(self):

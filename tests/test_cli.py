@@ -222,6 +222,25 @@ class TestRunCommand:
         assert "2**53" in err
         assert not out.exists()
 
+    def test_row_floored_off_the_level_sets_refused(self, tmp_path, capsys):
+        # lam = 5e15: a float row's two coordinates can floor down together to a
+        # grid vector that is no level set; the error names it as a tuple
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            scenario={"name": "random-miscalibrated", "k": 2, "n_features": 200},
+            p="inf",
+            eps=2e-16,
+            seed=0,
+            **manual(False, 1_000, 1_000, 1_000),
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: (2542035260257813, 2457964739742188) is not a level set "
+            "for lam=5000000000000000\n"
+        )
+        assert not out.exists()
+
 
 def manual(implied: bool, bin_mass, pool_prob, pool_label) -> dict:
     """Manual sizes in ``manual_sizes``, with ``sample_mode`` left out (implied) or "manual"."""

@@ -27,7 +27,13 @@ from lpcal.world import (
     make_scenario,
 )
 
-from oracles import bin_mass_sample_size, bin_masses_by_samples, dp_epsilon, eager_pool_create
+from oracles import (
+    bin_mass_sample_size,
+    bin_masses_by_samples,
+    dp_epsilon,
+    eager_pool_create,
+    level_tuples,
+)
 
 
 class TestBinMassSampleSize:
@@ -62,7 +68,7 @@ def estimate(w, f, lam, seed, n):
 
 def nonzero(masses, binning):
     """The bins with a nonzero estimated mass, as a dict."""
-    return {v: m for v, m in zip(binning.levels, masses.tolist()) if m}
+    return {v: m for v, m in zip(level_tuples(binning.levels), masses.tolist()) if m}
 
 
 class TestEstimateBinMasses:
@@ -70,7 +76,7 @@ class TestEstimateBinMasses:
         w = World(np.array([1.0]), np.array([[0.6, 0.4]]))
         f = Predictor(np.array([[0.9, 0.1]]))
         masses, binning = estimate(w, f, 2, seed=0, n=100)
-        assert binning.levels == ((1, 0),)
+        assert level_tuples(binning.levels) == ((1, 0),)
         assert masses.tolist() == [1.0]
 
     def test_unobserved_bin_has_zero_mass(self):
@@ -78,7 +84,7 @@ class TestEstimateBinMasses:
         w = World(np.array([1.0, 0.0]), np.array([[0.6, 0.4], [0.6, 0.4]]))
         f = Predictor(np.array([[0.9, 0.1], [0.1, 0.9]]))
         masses, binning = estimate(w, f, 2, seed=0, n=100)
-        assert binning.levels == ((1, 0), (0, 1))
+        assert level_tuples(binning.levels) == ((1, 0), (0, 1))
         assert masses.tolist() == [1.0, 0.0]
 
     def test_observed_masses_sum_to_at_most_one(self):
@@ -111,13 +117,15 @@ class TestEstimateBinMasses:
         lam = 4
         m = bin_mass_sample_size(alpha1, delta1, level_count(lam, 3))
         exact = {}
-        for x, lvl in enumerate(f.levels(lam)):
+        for x, lvl in enumerate(level_tuples(f.levels(lam))):
             exact[lvl] = exact.get(lvl, 0.0) + w.mass[x]
         binning = bin_table(f.table, lam)
         failures = 0
         for seed in range(100):
             counts = feature_counts(w, stream_rng(seed, "data:a1"), m)
-            masses = dict(zip(binning.levels, estimate_bin_masses(counts, binning).tolist()))
+            masses = dict(
+                zip(level_tuples(binning.levels), estimate_bin_masses(counts, binning).tolist())
+            )
             dev = max(
                 abs(masses.get(v, 0.0) - exact.get(v, 0.0)) for v in set(masses) | set(exact)
             )
@@ -364,7 +372,7 @@ class TestPoolDrawnOnFirstQuery:
 
     def test_overlap_message_names_the_shared_bins(self):
         pool, binning = self.queried_pool()
-        a = binning.levels[1]
+        a = level_tuples(binning.levels)[1]
         with pytest.raises(DisjointnessError) as info:
             pool.query([[1, 2], [3, 1]])
         assert str(info.value) == f"pool label:0: event overlaps earlier queries on bins {[a]}"
@@ -446,6 +454,6 @@ def test_array_pool_agrees_with_the_set_ledger_oracle(case, seed):
                 pool.query(batch)
             assert np.array_equal(pool.claimed, before[0]) and pool.queries_issued == before[1]
             assert (pool.noise_rng.bit_generator.state if pool.noise_rng else None) == noise
-        claimed_levels = {binning.levels[i] for i in np.flatnonzero(pool.claimed).tolist()}
+        claimed_levels = set(level_tuples(binning.levels[pool.claimed]))
         assert claimed_levels == oracle._claimed
         assert pool.queries_issued == oracle.queries_issued

@@ -19,6 +19,7 @@ from oracles import (
     canonical,
     eager_pool_create,
     init_structures_one_at_a_time,
+    level_tuples,
     routed_predictor,
     set_checks,
     set_init_structures,
@@ -39,21 +40,29 @@ def make_pools(world, binning, seed, n_bins, m, create=pool_create):
 
 def by_level(binning, positions):
     """``positions`` sorted by their levels, as ``select_bins`` returns them."""
-    return np.array(sorted(positions, key=binning.levels.__getitem__), dtype=np.int64)
+    levels = level_tuples(binning.levels)
+    return np.array(sorted(positions, key=levels.__getitem__), dtype=np.int64)
 
 
-def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000):
+def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000, on_estimate=lambda *_: None):
     """World, binning + singleton structures over every realized bin, low-noise pools.
 
     Also returns the bins' positions in the binning, sorted by level.
+    ``on_estimate`` sees every event the pools answer.
     """
     world, f = make_scenario("random-miscalibrated", k, n_features, seed=seed)
     binning = bin_table(f.table, lam)
     selected = by_level(binning, range(len(binning.levels)))
     pools = make_pools(world, binning, seed, len(selected), m)
     preds = canonical_rows(binning.levels, lam)[selected]
-    est_part, pred_part = init_structures(lam, selected, preds, pools, lambda *_: None)
+    est_part, pred_part = init_structures(lam, selected, preds, pools, on_estimate)
     return world, binning, selected, est_part, pred_part
+
+
+def asking_sizes():
+    """A ``build`` hook that records each answered event's size, and the list it fills."""
+    asked = []
+    return (lambda event, *_: asked.append(len(event))), asked
 
 
 def live(part):
@@ -167,29 +176,33 @@ class TestAggregate:
 
 class TestMergePass:
     def test_two_singletons_one_merge(self):
-        _, _, _, est_part, _ = build()
+        hook, asked = asking_sizes()
+        _, _, bins, est_part, _ = build(on_estimate=hook)
         events = est_part.merge_pass(parts_of(est_part, 2))
         assert len(events) == 1
-        assert events[0].size == 2
+        assert asked[len(bins) :] == [2]
         assert parts_of(est_part, 2) == [events[0].new_gid]
         assert est_part.owner[:2].tolist() == [events[0].new_gid] * 2
 
     def test_four_singletons_collapse_like_binary_counter(self):
-        _, _, bins, est_part, _ = build()
+        hook, asked = asking_sizes()
+        _, _, bins, est_part, _ = build(on_estimate=hook)
         assert len(bins) >= 4
         events = est_part.merge_pass(parts_of(est_part, 4))
-        assert [e.size for e in events] == [2, 2, 4]
+        assert len(events) == 3 and asked[len(bins) :] == [2, 2, 4]
         assert sizes(est_part, parts_of(est_part, 4)) == [4]
 
     def test_carry_keeps_parts_ascending(self):
         # sizes 2 and 1, then one more singleton: 1+1 carries to 2, then 2+2 to 4
-        _, _, bins, est_part, pred_part = build()
+        hook, asked = asking_sizes()
+        _, _, bins, est_part, pred_part = build(on_estimate=hook)
         a = merge_groups(est_part, pred_part, 0, 1)
         a = merge_groups(est_part, pred_part, a, 2)
         parts = pred_part.parts(a).tolist()
         assert sizes(est_part, parts) == [1, 2] and parts == sorted(parts)
+        del asked[:]
         events = est_part.merge_pass(parts + [3])
-        assert [e.size for e in events] == [2, 4]
+        assert len(events) == 2 and asked == [2, 4]
         gid = pred_part.merge(a, 3, pred_part.pred[a])
         pred_part.carry(gid, events)
         assert pred_part.parts(gid).tolist() == [events[-1].new_gid]
