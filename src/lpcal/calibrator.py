@@ -337,7 +337,7 @@ def calibrate(
     ]
 
     est_part, pred_part = init_structures(
-        lam, selected, per_level[selected], pools, monitor.observe_pool_answer
+        binning, selected, per_level[selected], pools, monitor.observe_pool_answer
     )
     trace.moved_counts = np.zeros(n_bins, dtype=np.int64)
     while True:
@@ -368,9 +368,9 @@ def calibrate(
             )
         target = pred_part.pred[sel_gid].copy()
         target[sel_j] = min(float(label_sum[sel_j]) / prob_sum, 1.0)
-        level = pred_part.set_pred(sel_gid, project_simplex(target))
+        pred_part.set_pred(sel_gid, project_simplex(target))
 
-        partner_gid = pred_part.find_collision(level, exclude=sel_gid)
+        partner_gid = pred_part.find_collision(sel_gid)
         moved_gid, merged_gid = -1, -1
         cur = sel_gid
         if partner_gid is not None:
@@ -381,7 +381,7 @@ def calibrate(
             else:
                 moved_gid, kept_gid = partner_gid, sel_gid
             trace.moved_counts[pred_part.owner == moved_gid] += 1
-            cur = merged_gid = pred_part.merge(sel_gid, partner_gid, pred_part.pred[kept_gid])
+            cur = merged_gid = pred_part.merge(sel_gid, partner_gid, kept_gid)
             parts = pred_part.parts(cur)
 
         est_merges = est_part.merge_pass(parts)

@@ -4,7 +4,7 @@ A bin is an integer id: its index in ``positions``, the positions in the
 binning's levels of the selected bins, sorted by level, so ids follow the
 lexicographic order of the levels.  A new group's event reaches the pools
 and the monitor hook as the positions of its bins, a row of an ``(m, size)``
-batch.  The one level tuple the partitions hold is a prediction's level.
+batch.  A prediction group starts at its bin's level; only ``set_pred`` rounds.
 
 The estimation partition splits the bins into groups whose sizes are always
 powers of two; every group ever created within one size class is pairwise
@@ -55,6 +55,7 @@ import numpy as np
 from .errors import InvariantError
 from .simplex import Level, round_down
 from .estimation import DisjointQueryPool
+from .world import Binning
 
 # (positions of the event's bins, probability answer, (k,) label-mass answer) -> None, per event.
 EstimateHook = Callable[[np.ndarray, float, np.ndarray], None]
@@ -239,15 +240,15 @@ class PredictionPartition:
     ``2n - 1`` gids a run can create, never live, which ``host``'s -1 reads
     as not live.  A level set is interned once as an id into ``known``, so
     ``level_id`` holds each group's level exactly and distinct levels are
-    distinct ids.  ``at`` maps a level to the live group holding it, for
+    distinct ids.  ``at`` maps a level id to the live group holding it, for
     collisions.  ``host`` maps an estimation gid to the prediction gid it is
     a part of, -1 for none.
     """
 
-    def __init__(self, lam: int, preds: np.ndarray, errs: np.ndarray):
-        """Bin ``i`` alone in group ``i``, predicting ``preds[i]`` with error ``errs[i]``.
+    def __init__(self, lam: int, levels: np.ndarray, preds: np.ndarray, errs: np.ndarray):
+        """Bin ``i`` alone in group ``i`` at level id ``i``, ``levels[i]`` (rows distinct).
 
-        Its one part is estimation group ``i``.
+        It predicts ``preds[i]`` with error ``errs[i]``; its one part is estimation group ``i``.
         """
         n, k = preds.shape
         self.lam = lam
@@ -259,29 +260,18 @@ class PredictionPartition:
         self.err = np.full((2 * n + 1, k), -np.inf)
         self.err[:n] = errs
         self.level_id = np.full(2 * n + 1, -1, dtype=np.int64)
+        self.level_id[:n] = np.arange(n)
         self.host = np.full(2 * n, -1, dtype=np.int64)  # as long as the estimation gids
         self.host[:n] = np.arange(n)
-        self.known: list[Level] = []
-        self._ids: dict[Level, int] = {}
-        self.at: dict[Level, int] = {}
-        for gid in range(n):
-            self._set_level(gid)
+        self.known: list[Level] = list(map(tuple, levels.tolist()))
+        self._ids: dict[Level, int] = dict(zip(self.known, range(n)))
+        self.at: dict[int, int] = dict(zip(range(n), range(n)))
         self.n_gids = n
 
-    def _set_level(self, gid: int) -> Level:
-        """Round group ``gid``'s prediction, intern the level and index it if free."""
-        level = round_down(self.pred[gid].tolist(), self.lam)
-        i = self._ids.setdefault(level, len(self.known))
-        if i == len(self.known):
-            self.known.append(level)
-        self.level_id[gid] = i
-        self.at.setdefault(level, gid)
-        return level
-
     def _unindex(self, gid: int) -> None:
-        level = self.known[self.level_id[gid]]
-        if self.at.get(level) == gid:
-            del self.at[level]
+        i = int(self.level_id[gid])
+        if self.at.get(i) == gid:
+            del self.at[i]
 
     def bins(self, gid: int) -> np.ndarray:
         """Ids of group ``gid``'s bins, ascending."""
@@ -291,37 +281,43 @@ class PredictionPartition:
         """Gids of the estimation groups tiling group ``gid``, ascending."""
         return (self.host == gid).nonzero()[0]
 
-    def set_pred(self, gid: int, pred: np.ndarray) -> Level:
-        """Give group ``gid`` the prediction ``pred``; returns its new level."""
+    def set_pred(self, gid: int, pred: np.ndarray) -> None:
+        """Give group ``gid`` the prediction ``pred`` and, by the one rounding, its level."""
         self._unindex(gid)
         self.pred[gid] = pred
-        return self._set_level(gid)
+        level = round_down(self.pred[gid].tolist(), self.lam)
+        i = self._ids.setdefault(level, len(self.known))
+        if i == len(self.known):
+            self.known.append(level)
+        self.level_id[gid] = i
+        self.at.setdefault(i, gid)
 
-    def find_collision(self, level: Level, exclude: int) -> int | None:
-        """The other group whose prediction rounds to ``level``, if any.
+    def find_collision(self, gid: int) -> int | None:
+        """The other group at group ``gid``'s level, if any.
 
         ``at`` holds one live holder of every level a live group holds, and
         the last full check found the levels of the live groups distinct.
-        Only ``exclude`` has moved since, so at most one other group holds
-        ``level``, and ``at`` names it unless ``exclude`` holds the entry
-        alone.  A stale entry breaks an invariant.
+        Only ``gid`` has moved since, so at most one other group holds its
+        level, and ``at`` names it unless ``gid`` holds the entry alone.  A
+        stale entry breaks an invariant.
         """
-        gid = self.at.get(level)
-        if gid is None or gid == exclude:
+        g = self.at.get(int(self.level_id[gid]), gid)
+        if g == gid:
             return None
-        if not self.live[gid] or self.known[self.level_id[gid]] != level:
-            raise InvariantError(f"level {level} is indexed to group {gid}, which does not hold it")
-        return gid
+        if not self.live[g] or self.level_id[g] != self.level_id[gid]:
+            level = self.known[self.level_id[gid]]
+            raise InvariantError(f"level {level} is indexed to group {g}, which does not hold it")
+        return g
 
-    def merge(self, a: int, b: int, winner_pred: np.ndarray) -> int:
-        """Replace groups ``a`` and ``b`` by their union with the winning pred.
+    def merge(self, a: int, b: int, kept: int) -> int:
+        """Replace groups ``a`` and ``b`` by their union, copying ``kept``'s pred and level id.
 
-        The union's parts are both groups' parts.  The caller picks the
-        winner (larger aggregated probability mass), runs the merge pass on
-        the parts and recomputes the cached errors afterwards.
+        The union's parts are both groups' parts.  The caller picks ``kept``
+        of the two (larger aggregated probability mass), runs the merge pass
+        on the parts and recomputes the cached errors afterwards.
         """
-        if a == b:
-            raise ValueError("cannot merge a group with itself")
+        if a == b or kept not in (a, b):
+            raise ValueError(f"cannot merge groups {a} and {b} keeping {kept}")
         gid = self.n_gids
         self.n_gids += 1
         for old in (a, b):
@@ -332,8 +328,9 @@ class PredictionPartition:
         self.err[[a, b]] = -np.inf
         self.live[gid] = True
         self.err[gid] = np.nan  # set once the merge pass is done
-        self.pred[gid] = winner_pred
-        self._set_level(gid)
+        self.pred[gid] = self.pred[kept]
+        self.level_id[gid] = i = int(self.level_id[kept])
+        self.at.setdefault(i, gid)
         return gid
 
     def carry(self, gid: int, events: Iterable[MergeEvent]) -> None:
@@ -423,7 +420,7 @@ def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartiti
 
 
 def init_structures(
-    lam: int,
+    binning: Binning,
     selected: np.ndarray,
     preds: np.ndarray,
     pools: Sequence[tuple[DisjointQueryPool, DisjointQueryPool]],
@@ -431,12 +428,13 @@ def init_structures(
 ) -> tuple[EstimationPartition, PredictionPartition]:
     """Singleton initialization of both partitions over the selected bins.
 
-    ``selected`` holds the bins' positions in the pools' binning, sorted by
-    level.  Bin ``i`` gets the one-bin group ``i`` in each structure; the
-    statistics of all of them come from one batch query to each
-    size-class-0 pool, it predicts ``preds[i]``, its level's canonical row,
-    and its cached error is the estimated gap ``|prob * pred_j -
-    label_mass_j|``; its one part is the bin's estimation singleton.
+    ``selected`` holds the bins' positions in ``binning``, the pools'
+    binning, sorted by level.  Bin ``i`` gets the one-bin group ``i`` in
+    each structure; the statistics of all of them come from one batch query
+    to each size-class-0 pool, it starts at ``binning.levels[selected[i]]``,
+    predicts ``preds[i]``, that level's canonical row, and its cached error
+    is the estimated gap ``|prob * pred_j - label_mass_j|``; its one part is
+    the bin's estimation singleton.
     """
     if not len(selected):
         raise ValueError("bin set must be nonempty")
@@ -444,4 +442,4 @@ def init_structures(
     est.add_singletons()
     n = len(selected)
     errs = estimated_error(est.prob[:n, None], preds, est.label_mass[:n])
-    return est, PredictionPartition(lam, preds, errs)
+    return est, PredictionPartition(binning.lam, binning.levels[selected], preds, errs)

@@ -89,9 +89,9 @@ def canonical_rows(levels: np.ndarray | Sequence[Level], lam: int) -> np.ndarray
     (any witness must absorb the whole deficit, so some coordinate moves by
     at least ``d/k``), and in exact arithmetic it rounds back to ``v``
     because ``d/k < 1/lam`` for every member.  The float rows need not at
-    large ``lam``: binned by ``bin_table``, every row of 3,900 random
-    members (k = 2, 3, 5) rounded back at each lam up to 2**51, but 88 did
-    not at 2**52 and 962 at 2**53.
+    large ``lam`` (of 3,900 random members, k = 2, 3, 5, none failed up to
+    2**51, 88 did at 2**52 and 962 at 2**53), so no row is rounded back: a
+    prediction group starts at its bin's level at every accepted ``lam``.
 
     Row i is ``v / lam + ((lam - sum(v)) / lam) / k`` for ``v = levels[i]``,
     after the membership test of the module docstring (every numerator in

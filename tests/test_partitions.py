@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpcal.estimation
+import lpcal.partitions
 from lpcal.calibrator import EventMonitor
 from lpcal.errors import InvariantError
 from lpcal.estimation import pool_create
 from lpcal.partitions import check_refinement, estimated_error, init_structures
-from lpcal.simplex import canonical_rows, enumerate_levels
+from lpcal.simplex import canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
-from lpcal.world import World, bin_table, make_scenario
+from lpcal.world import Binning, World, bin_table, make_scenario
 from oracles import (
     PerKindMonitor,
     ScanEstimationPartition,
@@ -55,7 +56,7 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000, on_estimate=lambda *_:
     selected = by_level(binning, range(len(binning.levels)))
     pools = make_pools(world, binning, seed, len(selected), m)
     preds = canonical_rows(binning.levels, lam)[selected]
-    est_part, pred_part = init_structures(lam, selected, preds, pools, on_estimate)
+    est_part, pred_part = init_structures(binning, selected, preds, pools, on_estimate)
     return world, binning, selected, est_part, pred_part
 
 
@@ -87,7 +88,7 @@ def run_checks(est_part, pred_part):
 
 def merge_groups(est_part, pred_part, a, b):
     """A prediction merge keeping ``a``'s prediction, the merge pass and the new error, as the loop does."""
-    gid = pred_part.merge(a, b, pred_part.pred[a])
+    gid = pred_part.merge(a, b, a)
     pred_part.carry(gid, est_part.merge_pass(pred_part.parts(gid)))
     prob, label = est_part.aggregate(pred_part.parts(gid))
     pred_part.err[gid] = estimated_error(prob, pred_part.pred[gid], label)
@@ -143,8 +144,26 @@ class TestInit:
         assert (pred_part.err[~pred_part.live] == -np.inf).all()
 
     def test_empty_bins_rejected(self):
+        binning, none = bin_table(np.array([[0.5, 0.5]]), 2), np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError):
-            init_structures(2, np.zeros(0, dtype=np.int64), np.zeros((0, 2)), [], lambda *_: None)
+            init_structures(binning, none, np.zeros((0, 2)), [], lambda *_: None)
+
+    def test_groups_start_at_their_bins_levels_above_2_to_51(self):
+        # at lam = 5e15 the canonical row of the second level floors to the first,
+        # so groups that rounded their predictions at the start would share a level
+        lam = 5 * 10**15
+        levels = np.array(
+            [[2015564932235645, 2984435067764354], [2015564932235646, 2984435067764354]]
+        )
+        preds = canonical_rows(levels, lam)
+        assert round_down(preds[1], lam) == tuple(levels[0].tolist())
+        binning = Binning(lam, levels, np.arange(2))
+        pools = make_pools(World(np.array([0.5, 0.5]), preds), binning, 0, 2, 1000)
+        est_part, pred_part = init_structures(binning, np.arange(2), preds, pools, lambda *_: None)
+        run_checks(est_part, pred_part)
+        assert [pred_part.find_collision(g) for g in (0, 1)] == [None, None]
+        assert pred_part.level_id[0] != pred_part.level_id[1]
+        assert tuple(pred_part.known[i] for i in pred_part.level_id[:2]) == level_tuples(levels)
 
 
 class TestAggregate:
@@ -203,7 +222,7 @@ class TestMergePass:
         del asked[:]
         events = est_part.merge_pass(parts + [3])
         assert len(events) == 2 and asked == [2, 4]
-        gid = pred_part.merge(a, 3, pred_part.pred[a])
+        gid = pred_part.merge(a, 3, a)
         pred_part.carry(gid, events)
         assert pred_part.parts(gid).tolist() == [events[-1].new_gid]
         run_checks(est_part, pred_part)
@@ -267,7 +286,7 @@ def test_parts_agree_with_scan_oracle(seed, picks):
     for i, j in picks:
         gids = live(pred_part)
         a, b = gids[i % len(gids)], gids[j % len(gids)]
-        gid = a if a == b else pred_part.merge(a, b, pred_part.pred[a])
+        gid = a if a == b else pred_part.merge(a, b, a)
         events = est_part.merge_pass(pred_part.parts(gid))
         pred_part.carry(gid, events)
         group_bins = frozenset(bins[pred_part.bins(gid)].tolist())
@@ -432,10 +451,9 @@ class TestTamper:
 
     def test_stale_level_index(self):
         for _, pred_part, gid in self.cases():
-            level = pred_part.known[pred_part.level_id[gid]]
-            pred_part.at[level] = self.other(pred_part, gid)
+            pred_part.at[int(pred_part.level_id[gid])] = self.other(pred_part, gid)
             with pytest.raises(InvariantError, match="does not hold it"):
-                pred_part.find_collision(level, exclude=-1)
+                pred_part.find_collision(gid)
 
     def test_retired_row_or_unset_error(self):
         for _, pred_part, gid in self.cases():
@@ -453,48 +471,58 @@ class TestGStructure:
     def test_no_collision_at_init(self):
         _, _, _, _, pred_part = build()
         for gid in live(pred_part):
-            level = pred_part.known[pred_part.level_id[gid]]
-            assert pred_part.find_collision(level, exclude=gid) is None
+            assert pred_part.find_collision(gid) is None
 
     def test_scripted_collision_found(self):
         _, _, _, _, pred_part = build(lam=4)
-        level = pred_part.set_pred(0, pred_part.pred[1].copy())
-        assert pred_part.find_collision(level, exclude=0) == 1
+        assert pred_part.set_pred(0, pred_part.pred[1].copy()) is None
+        assert pred_part.level_id[0] == pred_part.level_id[1]
+        assert pred_part.find_collision(0) == 1
         # the index keeps the earlier holder until the merge
-        assert pred_part.at[level] == 1
+        assert pred_part.at[int(pred_part.level_id[0])] == 1
 
     def test_exclude_filters_self(self):
+        # a group holding its own index entry is not its own collision,
+        # also after it is set to the prediction it already has
         _, _, _, _, pred_part = build()
-        level = pred_part.known[pred_part.level_id[0]]
-        assert pred_part.find_collision(level, exclude=0) is None
+        assert pred_part.at[int(pred_part.level_id[0])] == 0
+        assert pred_part.find_collision(0) is None
+        pred_part.set_pred(0, pred_part.pred[0].copy())
+        assert pred_part.find_collision(0) is None
 
-    def test_merge_keeps_partition(self):
+    def test_merge_keeps_partition(self, monkeypatch):
         _, _, bins, est_part, pred_part = build()
+        rounded = []
+        monkeypatch.setattr(lpcal.partitions, "round_down", lambda *args: rounded.append(args))
         winner = pred_part.pred[1].copy()
-        merged = pred_part.merge(0, 1, winner)
+        merged = pred_part.merge(0, 1, 1)
+        assert rounded == []  # the union copies the kept group's level
         assert np.array_equal(pred_part.pred[merged], winner)
+        assert pred_part.level_id[merged] == pred_part.level_id[1]
         assert pred_part.bins(merged).tolist() == [0, 1]
         assert pred_part.parts(merged).tolist() == [0, 1]
         assert not pred_part.live[[0, 1]].any() and pred_part.live[merged]
         assert (pred_part.err[[0, 1]] == -np.inf).all() and np.isnan(pred_part.err[merged]).all()
-        assert pred_part.at[pred_part.known[pred_part.level_id[merged]]] == merged
+        assert pred_part.at[int(pred_part.level_id[merged])] == merged
         pred_part.check_invariants()
 
     def test_merge_with_self_rejected(self):
         _, _, _, _, pred_part = build()
         with pytest.raises(ValueError):
-            pred_part.merge(0, 0, np.array([1.0, 0.0]))
+            pred_part.merge(0, 0, 0)
+        with pytest.raises(ValueError, match="keeping 2"):
+            pred_part.merge(0, 1, 2)  # the kept group must be one of the two
 
     def test_refinement_check(self):
         _, _, _, est_part, pred_part = build()
         check_refinement(pred_part, est_part)
-        pred_part.merge(0, 1, pred_part.pred[0])
+        pred_part.merge(0, 1, 0)
         check_refinement(pred_part, est_part)  # merged G group is a union of M groups
 
     def test_routing_covers_all_bins(self):
         # the final predictor gives each selected bin its group's prediction
         _, binning, bins, _, pred_part = build()
-        merged = pred_part.merge(0, 1, pred_part.pred[0])
+        merged = pred_part.merge(0, 1, 0)
         h = routed_predictor(binning, bins, pred_part.pred[pred_part.owner])
         assert h.per_level[bins[0]].tolist() == h.per_level[bins[1]].tolist()
         assert np.array_equal(h.per_level[bins[1]], pred_part.pred[merged])
@@ -525,7 +553,7 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
         if a == b:
             gid = gid_o = a
         else:
-            gid = pred_part.merge(a, b, pred_part.pred[a])
+            gid = pred_part.merge(a, b, a)
             gid_o = pred_o.merge(a, b, pred_o.groups[a].pred)
         events = est_part.merge_pass(pred_part.parts(gid))
         pred_part.carry(gid, events)
@@ -620,14 +648,14 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
         lazy = make_pools(world, binning, seed, len(bins), m)
         watch = EventMonitor(world, binning)
         preds = canonical_rows(binning.levels, lam)[bins]
-        est, pred = init_structures(lam, bins, preds, lazy, watch.observe_pool_answer)
+        est, pred = init_structures(binning, bins, preds, lazy, watch.observe_pool_answer)
         for i, j in picks:
             gids = live(pred)
             a, b = gids[i % len(gids)], gids[j % len(gids)]
             if a == b:
                 gid = gid_o = a
             else:
-                gid = pred.merge(a, b, pred.pred[a])
+                gid = pred.merge(a, b, a)
                 gid_o = pred_o.merge(a, b, pred_o.groups[a].pred)
             events = est.merge_pass(pred.parts(gid))
             pred.carry(gid, events)
@@ -674,4 +702,4 @@ def test_selection_matches_the_stacked_argmax_with_ties():
         assert pred_part.select() == (gids[row], j, float(stacked[row, j]))
         if len(gids) > 2:  # retire two rows to -inf
             a, b = rng.choice(gids, size=2, replace=False).tolist()
-            pred_part.merge(a, b, pred_part.pred[a])
+            pred_part.merge(a, b, a)

@@ -240,7 +240,8 @@ class TestVectorisedBinning:
         assert rows == [5000, 297]
 
     def test_run_rounds_no_row_by_row(self, monkeypatch):
-        # wide, shallow run: 67 bins, so only the partitions' per-group roundings remain
+        # only a moved prediction is rounded, once per loop iteration: none on the
+        # wide run's 67 bins and 0 iterations, 50 on a deep run (40 features, p=3/2)
         calls = [0]
 
         def counted(u, lam):
@@ -249,8 +250,20 @@ class TestVectorisedBinning:
 
         for module in (lpcal.world, lpcal.partitions, lpcal.calibrator, lpcal.evaluator):
             monkeypatch.setattr(module, "round_down", counted)
-        run_config(self.WIDE)
-        assert 0 < calls[0] < 500
+        _, trace, _ = run_config(self.WIDE)
+        assert calls[0] == trace.iterations == 0
+        deep = RunConfig.from_dict(
+            {
+                "scenario": {"name": "random-miscalibrated", "k": 3, "n_features": 40},
+                "p": "3/2",
+                "eps": 0.3,
+                "delta": 0.1,
+                "seed": 0,
+                "sample_mode": "auto",
+            }
+        )
+        _, trace, _ = run_config(deep)
+        assert calls[0] == trace.iterations == 50
 
 
 def chi2_sf(x: float, df: int) -> float:
