@@ -249,7 +249,6 @@ class RunTrace:
     pool_delta: float | None = None  # delta / (3 * size_classes)
     events: dict = field(default_factory=dict)
     t_max: int = 0
-    final_max_err: float = 0.0  # largest cached error estimate at loop exit
     wall_time_s: float = 0.0  # diagnostic only; never serialized
 
     @property
@@ -348,7 +347,6 @@ def calibrate(
 
         sel_gid, sel_j, sel_err = pred_part.select()
         if sel_err <= params.error_threshold:
-            trace.final_max_err = sel_err
             break
         if trace.iterations >= params.t_max:
             raise EstimateFailureError(
@@ -358,8 +356,7 @@ def calibrate(
             )
 
         sel_bins = pred_part.bins(sel_gid).tolist()
-        parts = pred_part.parts(sel_gid)
-        prob_sum, label_sum = est_part.aggregate(parts)
+        prob_sum, label_sum = est_part.aggregate(pred_part.parts(sel_gid))
         if prob_sum <= 0.0:
             raise EstimateFailureError(
                 "aggregated group probability is nonpositive; the pooled "
@@ -371,7 +368,7 @@ def calibrate(
         pred_part.set_pred(sel_gid, project_simplex(target))
 
         partner_gid = pred_part.find_collision(sel_gid)
-        moved_gid, merged_gid = -1, -1
+        moved_gid, merged_gid, est_merges = -1, -1, []
         cur = sel_gid
         if partner_gid is not None:
             # the side with no more aggregated mass gives up its prediction
@@ -382,13 +379,12 @@ def calibrate(
                 moved_gid, kept_gid = partner_gid, sel_gid
             trace.moved_counts[pred_part.owner == moved_gid] += 1
             cur = merged_gid = pred_part.merge(sel_gid, partner_gid, kept_gid)
-            parts = pred_part.parts(cur)
-
-        est_merges = est_part.merge_pass(parts)
-        if merged_gid != -1 or est_merges:
+            # Only a merge can give two parts one size: a group's parts have distinct
+            # power-of-two sizes from the singleton start and after every merge pass,
+            # and set_pred leaves them alone.
+            est_merges = est_part.merge_pass(pred_part.parts(cur))
             pred_part.carry(cur, est_merges)
             prob_sum, label_sum = est_part.aggregate(pred_part.parts(cur))
-        # else the parts and so their sums are the ones aggregated above
         pred_part.err[cur] = estimated_error(prob_sum, pred_part.pred[cur], label_sum)
         trace.gid.append(sel_gid)
         trace.bin_ids.extend(sel_bins)

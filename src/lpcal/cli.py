@@ -43,7 +43,7 @@ from .calibrator import (
 )
 from .errors import EstimateFailureError
 from .evaluator import exact_report
-from .simplex import enumerate_levels, level_count
+from .simplex import check_members, enumerate_levels, level_count
 from .world import (
     SCENARIOS,
     Predictor,
@@ -497,6 +497,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         doc["predictor"] = pred_doc["predictor"] if isinstance(pred_doc, dict) else pred_doc
     world, predictor = world_from_dict(doc)
     binning = bin_table(predictor.table, args.lam)
+    check_members(binning.levels, args.lam)
     rep = exact_report(world, predictor.table, binning, p_list)
     out = {
         "lambda": args.lam,

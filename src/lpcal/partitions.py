@@ -40,8 +40,7 @@ exactly the states that the set-based check it replaced rejects on the
 state's set view: the current groups are the live gids, a group's bins the
 positions of the bins its gid owns, its parts the estimation gids ``host``
 gives it.  Those set-based checks live on in ``tests/oracles.py`` as
-differential oracles.  The level index ``at`` is the one structure outside
-the set view; ``find_collision`` verifies each entry it returns.
+differential oracles.
 """
 
 from __future__ import annotations
@@ -240,8 +239,7 @@ class PredictionPartition:
     ``2n - 1`` gids a run can create, never live, which ``host``'s -1 reads
     as not live.  A level set is interned once as an id into ``known``, so
     ``level_id`` holds each group's level exactly and distinct levels are
-    distinct ids.  ``at`` maps a level id to the live group holding it, for
-    collisions.  ``host`` maps an estimation gid to the prediction gid it is
+    distinct ids.  ``host`` maps an estimation gid to the prediction gid it is
     a part of, -1 for none.
     """
 
@@ -265,13 +263,7 @@ class PredictionPartition:
         self.host[:n] = np.arange(n)
         self.known: list[Level] = list(map(tuple, levels.tolist()))
         self._ids: dict[Level, int] = dict(zip(self.known, range(n)))
-        self.at: dict[int, int] = dict(zip(range(n), range(n)))
         self.n_gids = n
-
-    def _unindex(self, gid: int) -> None:
-        i = int(self.level_id[gid])
-        if self.at.get(i) == gid:
-            del self.at[i]
 
     def bins(self, gid: int) -> np.ndarray:
         """Ids of group ``gid``'s bins, ascending."""
@@ -283,31 +275,25 @@ class PredictionPartition:
 
     def set_pred(self, gid: int, pred: np.ndarray) -> None:
         """Give group ``gid`` the prediction ``pred`` and, by the one rounding, its level."""
-        self._unindex(gid)
         self.pred[gid] = pred
         level = round_down(self.pred[gid].tolist(), self.lam)
         i = self._ids.setdefault(level, len(self.known))
         if i == len(self.known):
             self.known.append(level)
         self.level_id[gid] = i
-        self.at.setdefault(i, gid)
 
     def find_collision(self, gid: int) -> int | None:
-        """The other group at group ``gid``'s level, if any.
+        """The other live group at group ``gid``'s level, if any.
 
-        ``at`` holds one live holder of every level a live group holds, and
-        the last full check found the levels of the live groups distinct.
-        Only ``gid`` has moved since, so at most one other group holds its
-        level, and ``at`` names it unless ``gid`` holds the entry alone.  A
-        stale entry breaks an invariant.
+        The last full check found the level ids of the live groups distinct,
+        and only ``gid`` has moved since, so at most one other group holds
+        its level; two or more break an invariant.
         """
-        g = self.at.get(int(self.level_id[gid]), gid)
-        if g == gid:
-            return None
-        if not self.live[g] or self.level_id[g] != self.level_id[gid]:
-            level = self.known[self.level_id[gid]]
-            raise InvariantError(f"level {level} is indexed to group {g}, which does not hold it")
-        return g
+        i = self.level_id[gid]
+        matches = [g for g in (self.live & (self.level_id == i)).nonzero()[0].tolist() if g != gid]
+        if len(matches) > 1:
+            raise InvariantError(f"multiple groups share level {self.known[i]}: {matches}")
+        return matches[0] if matches else None
 
     def merge(self, a: int, b: int, kept: int) -> int:
         """Replace groups ``a`` and ``b`` by their union, copying ``kept``'s pred and level id.
@@ -320,8 +306,6 @@ class PredictionPartition:
             raise ValueError(f"cannot merge groups {a} and {b} keeping {kept}")
         gid = self.n_gids
         self.n_gids += 1
-        for old in (a, b):
-            self._unindex(old)
         self.owner[(self.owner == a) | (self.owner == b)] = gid
         self.host[(self.host == a) | (self.host == b)] = gid
         self.live[[a, b]] = False
@@ -329,8 +313,7 @@ class PredictionPartition:
         self.live[gid] = True
         self.err[gid] = np.nan  # set once the merge pass is done
         self.pred[gid] = self.pred[kept]
-        self.level_id[gid] = i = int(self.level_id[kept])
-        self.at.setdefault(i, gid)
+        self.level_id[gid] = self.level_id[kept]
         return gid
 
     def carry(self, gid: int, events: Iterable[MergeEvent]) -> None:

@@ -79,6 +79,20 @@ def round_down(u: Sequence[float] | np.ndarray, lam: int) -> Level:
     return tuple(min(int(math.floor(x * lam + SNAP)), lam) for x in u)
 
 
+def check_members(num: np.ndarray, lam: int) -> None:
+    """Raise ``MembershipError`` naming, as a tuple, the first row of ``num`` that is no level set.
+
+    ``num`` is an ``(n, k)`` integer array.  A row is a member when every
+    numerator lies in {0, ..., lam} and the membership test of the module
+    docstring holds, in exact integer arithmetic.
+    """
+    s = num.sum(axis=1)
+    member = ((num >= 0) & (num <= lam)).all(axis=1) & (s <= lam) & (s + num.shape[1] > lam)
+    if not member.all():
+        v = tuple(num[np.argmin(member)].tolist())
+        raise MembershipError(f"{v} is not a level set for lam={lam}")
+
+
 def canonical_rows(levels: np.ndarray | Sequence[Level], lam: int) -> np.ndarray:
     """``(n, k)`` canonical distributions of the ``n`` level sets, the rows of ``levels``.
 
@@ -94,8 +108,7 @@ def canonical_rows(levels: np.ndarray | Sequence[Level], lam: int) -> np.ndarray
     prediction group starts at its bin's level at every accepted ``lam``.
 
     Row i is ``v / lam + ((lam - sum(v)) / lam) / k`` for ``v = levels[i]``,
-    after the membership test of the module docstring (every numerator in
-    {0, ..., lam}, exact integer arithmetic).  Every numerator, ``lam`` and
+    after ``check_members``.  Every numerator, ``lam`` and
     ``lam - sum(v)`` is an integer of at most 2**53, so each converts to
     float exactly, and the divisions and the sum are the same correctly
     rounded operations for one row as for many.  Raises
@@ -104,13 +117,8 @@ def canonical_rows(levels: np.ndarray | Sequence[Level], lam: int) -> np.ndarray
     num = np.asarray(levels, dtype=np.int64)
     if num.ndim != 2 or not len(num):
         raise ValueError("levels must be a nonempty sequence of level sets of one length")
-    k = num.shape[1]
-    s = num.sum(axis=1)
-    member = ((num >= 0) & (num <= lam)).all(axis=1) & (s <= lam) & (s + k > lam)
-    if not member.all():
-        v = tuple(num[np.argmin(member)].tolist())
-        raise MembershipError(f"{v} is not a level set for lam={lam}")
-    return num / lam + ((lam - s) / lam / k)[:, None]
+    check_members(num, lam)
+    return num / lam + ((lam - num.sum(axis=1)) / lam / num.shape[1])[:, None]
 
 
 def project_simplex(z: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ a use.  A helper only the tests call belongs in ``tests/oracles.py``.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpcal"
 
 # Public names kept without a caller in the package, each with its reason.
@@ -19,9 +21,7 @@ ALLOWED = {
 }
 
 # Dataclass fields kept without a reader in the package, each with its reason.
-ALLOWED_FIELDS = {
-    "RunTrace.final_max_err": "test_loop_exit_soundness checks the loop's exit condition on it",
-}
+ALLOWED_FIELDS: dict[str, str] = {}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -79,6 +79,18 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def dataclass_fields(modules: dict[str, ast.Module]) -> set[str]:
+    """``Class.name`` of every field of a package dataclass."""
+    return {
+        f"{cls.name}.{node.target.id}"
+        for tree in modules.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
 def unread_fields() -> set[str]:
     """``Class.name`` of the dataclass fields no package module but ``__init__.py`` reads."""
     modules = _modules()
@@ -89,20 +101,19 @@ def unread_fields() -> set[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return {
-        f"{cls.name}.{node.target.id}"
-        for tree in modules.values()
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-        for node in cls.body
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-        and node.target.id not in read
-    }
+    return {f for f in dataclass_fields(modules) if f.split(".")[1] not in read}
 
 
 def test_no_test_only_fields():
     extra = sorted(unread_fields() - set(ALLOWED_FIELDS))
     assert not extra, f"no package module reads the fields {extra}: drop them"
+
+
+def test_no_field_shares_an_ndarray_attribute_name():
+    # unread_fields matches attribute names only, so a field named like an array
+    # attribute (``size``, ``shape``) would pass as read wherever an array's is
+    clashes = sorted(f for f in dataclass_fields(_modules()) if f.split(".")[1] in dir(np.ndarray))
+    assert not clashes, f"the fields {clashes} share a name with an np.ndarray attribute"
 
 
 def test_field_allowlist_is_current():

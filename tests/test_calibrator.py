@@ -19,6 +19,7 @@ from lpcal.cli import RunConfig, run_config, trace_to_csv
 from lpcal.errors import EstimateFailureError
 from lpcal.estimation import estimate_bin_masses
 from lpcal.evaluator import exact_lp_error, exact_sq_error
+from lpcal.partitions import PredictionPartition
 from lpcal.simplex import canonical_rows, enumerate_levels, round_down
 from lpcal.world import Binning, Predictor, World, bin_table, make_scenario
 
@@ -287,13 +288,22 @@ class TestCalibrate:
         _, trace = calibrate(world, predictor, params, seed=2)
         assert trace.iterations <= params.t_max
 
-    def test_loop_exit_soundness(self):
+    def test_loop_exit_soundness(self, monkeypatch):
         # at termination no cached error estimate exceeds beta/2
+        picked = []
+        select = PredictionPartition.select
+
+        def recording(part):
+            picked.append(select(part))
+            return picked[-1]
+
+        monkeypatch.setattr(PredictionPartition, "select", recording)
         world, predictor = make_scenario("random-miscalibrated", 3, 40, seed=2)
         params = derive_params(2, 0.3, 0.1)
         _, trace = calibrate(world, predictor, params, seed=2)
         assert trace.iterations >= 1
-        assert trace.final_max_err <= params.error_threshold
+        assert len(picked) == trace.iterations + 1
+        assert picked[-1][2] <= params.error_threshold
 
 
 @st.composite

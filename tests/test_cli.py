@@ -946,6 +946,20 @@ class TestOtherCommands:
         assert docs[0] == docs[1]
         assert sorted(docs[0]["aggregates"]) == ["1.5", "2", "inf"]
 
+    def test_eval_refuses_a_row_floored_off_the_level_sets(self, tmp_path, capsys):
+        # lam = 1e13: a float row's two coordinates can floor down together to a
+        # grid vector that is no level set, as in `lpcal run`'s refusal
+        out = tmp_path / "world.json"
+        main(["scenario", "--name", "random-miscalibrated", "--k", "2", "--n-features", "200",
+              "--seed", "0", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["eval", "--world", str(out), "--lambda", "10000000000000", "--p", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: (3465291944259, 6534708055739) is not a level set for lam=10000000000000\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "rows",
         [

@@ -1,3 +1,4 @@
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -449,10 +450,12 @@ class TestTamper:
         pred_part.host[single] = -1
         self.rejected(est_part, pred_part, f"group {pair} has non-power-of-2 size 3")
 
-    def test_stale_level_index(self):
+    def test_level_held_by_two_other_groups(self):
         for _, pred_part, gid in self.cases():
-            pred_part.at[int(pred_part.level_id[gid])] = self.other(pred_part, gid)
-            with pytest.raises(InvariantError, match="does not hold it"):
+            i = pred_part.level_id[gid]
+            pred_part.level_id[[g for g in live(pred_part) if g != gid][:2]] = i
+            level = pred_part.known[i]
+            with pytest.raises(InvariantError, match=re.escape(f"share level {level}")):
                 pred_part.find_collision(gid)
 
     def test_retired_row_or_unset_error(self):
@@ -478,17 +481,17 @@ class TestGStructure:
         assert pred_part.set_pred(0, pred_part.pred[1].copy()) is None
         assert pred_part.level_id[0] == pred_part.level_id[1]
         assert pred_part.find_collision(0) == 1
-        # the index keeps the earlier holder until the merge
-        assert pred_part.at[int(pred_part.level_id[0])] == 1
+        assert pred_part.find_collision(1) == 0
 
     def test_exclude_filters_self(self):
-        # a group holding its own index entry is not its own collision,
-        # also after it is set to the prediction it already has
+        # a group at its own level is not its own collision, also after it is
+        # set to the prediction it already has, though another group moved there finds it
         _, _, _, _, pred_part = build()
-        assert pred_part.at[int(pred_part.level_id[0])] == 0
         assert pred_part.find_collision(0) is None
         pred_part.set_pred(0, pred_part.pred[0].copy())
         assert pred_part.find_collision(0) is None
+        pred_part.set_pred(1, pred_part.pred[0].copy())
+        assert pred_part.find_collision(1) == 0
 
     def test_merge_keeps_partition(self, monkeypatch):
         _, _, bins, est_part, pred_part = build()
@@ -503,7 +506,7 @@ class TestGStructure:
         assert pred_part.parts(merged).tolist() == [0, 1]
         assert not pred_part.live[[0, 1]].any() and pred_part.live[merged]
         assert (pred_part.err[[0, 1]] == -np.inf).all() and np.isnan(pred_part.err[merged]).all()
-        assert pred_part.at[int(pred_part.level_id[merged])] == merged
+        assert pred_part.find_collision(merged) is None  # retired group 1 keeps the level id
         pred_part.check_invariants()
 
     def test_merge_with_self_rejected(self):
