@@ -90,14 +90,15 @@ class CalibParams:
 def check_ranges(p: PNorm, eps: float, delta: float) -> None:
     """Refuse eps or delta outside (0,1), and a p that neither exceeds 1 nor is ``math.inf``.
 
-    At p = 1 the budget exponent p/(p-1) diverges.
+    At p = 1 the budget exponent p/(p-1) diverges.  A NaN p does not exceed 1.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0,1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    if p != math.inf and Fraction(p) <= 1:
-        raise ValueError(f"p must exceed 1 (or be inf), got {Fraction(p)}")
+    if p != math.inf and not p > 1:
+        shown = p if isinstance(p, float) and not math.isfinite(p) else Fraction(p)
+        raise ValueError(f"p must exceed 1 (or be inf), got {shown}")
 
 
 def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
@@ -355,8 +356,8 @@ def calibrate(
                 trace,
             )
 
-        sel_bins = pred_part.bins(sel_gid).tolist()
-        prob_sum, label_sum = est_part.aggregate(pred_part.parts(sel_gid))
+        sel_bins = pred_part.bins(sel_gid)
+        prob_sum, label_sum = est_part.aggregate(est_part.parts(sel_bins))
         if prob_sum <= 0.0:
             raise EstimateFailureError(
                 "aggregated group probability is nonpositive; the pooled "
@@ -372,7 +373,7 @@ def calibrate(
         cur = sel_gid
         if partner_gid is not None:
             # the side with no more aggregated mass gives up its prediction
-            prob_sum_partner, _ = est_part.aggregate(pred_part.parts(partner_gid))
+            prob_sum_partner, _ = est_part.aggregate(est_part.parts(pred_part.bins(partner_gid)))
             if prob_sum <= prob_sum_partner:
                 moved_gid, kept_gid = sel_gid, partner_gid
             else:
@@ -382,12 +383,12 @@ def calibrate(
             # Only a merge can give two parts one size: a group's parts have distinct
             # power-of-two sizes from the singleton start and after every merge pass,
             # and set_pred leaves them alone.
-            est_merges = est_part.merge_pass(pred_part.parts(cur))
-            pred_part.carry(cur, est_merges)
-            prob_sum, label_sum = est_part.aggregate(pred_part.parts(cur))
+            merged_bins = pred_part.bins(cur)
+            est_merges = est_part.merge_pass(est_part.parts(merged_bins))
+            prob_sum, label_sum = est_part.aggregate(est_part.parts(merged_bins))
         pred_part.err[cur] = estimated_error(prob_sum, pred_part.pred[cur], label_sum)
         trace.gid.append(sel_gid)
-        trace.bin_ids.extend(sel_bins)
+        trace.bin_ids.extend(sel_bins.tolist())
         trace.bin_ends.append(len(trace.bin_ids))
         trace.class_j.append(sel_j)
         trace.est_err.append(sel_err)

@@ -26,28 +26,27 @@ gid array is allocated once, about ``2n`` long.
 Both structures only merge, never split: group counts are nonincreasing and
 a run performs at most one fewer merge than there are bins, per structure.
 Every prediction group is at all times a disjoint union of current
-estimation groups, its ``parts``: a binary counter whose digits have
+estimation groups, its parts: the estimation groups owning its bins, read
+off the two owner arrays.  They form a binary counter whose digits have
 distinct power-of-two sizes (equal sizes would already have merged), so its
 statistics aggregate over at most ``floor(log2 n_bins) + 1`` stored
-estimates.  The parts are recorded as ``host``, estimation gid -> the
-prediction gid it is a part of (-1 for none).  A prediction merge joins two
-counters; a merge pass carries.
+estimates.  A prediction merge joins two counters; a merge pass carries.
 
 The three structure checks run in full after every loop iteration as a few
 numpy passes over these arrays (``bincount``, comparisons, power-of-two
 tests, the per-size-class history).  Each docstring argues that it rejects
 exactly the states that the set-based check it replaced rejects on the
-state's set view: the current groups are the live gids, a group's bins the
-positions of the bins its gid owns, its parts the estimation gids ``host``
-gives it.  Those set-based checks live on in ``tests/oracles.py`` as
+state's set view, the three taken together where one alone does not: the
+current groups are the live gids, a group's bins the positions of the bins
+its gid owns, a prediction group's parts the estimation gids owning its
+bins.  Those set-based checks live on in ``tests/oracles.py`` as
 differential oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,15 +66,6 @@ def estimated_error(prob_sum, pred: np.ndarray, label_sum: np.ndarray) -> np.nda
     group and the estimated label mass: ``|prob_sum * pred_j - label_sum_j|``.
     """
     return np.abs(prob_sum * np.asarray(pred, float) - np.asarray(label_sum, float))
-
-
-@dataclass(frozen=True)
-class MergeEvent:
-    """One estimation merge: two equal-size groups replaced by their union."""
-
-    new_gid: int
-    left_gid: int
-    right_gid: int
 
 
 class EstimationPartition:
@@ -158,6 +148,10 @@ class EstimationPartition:
                 raise InvariantError(f"estimation group {gid} is not current")
         return gids, listed
 
+    def parts(self, bins) -> list[int]:
+        """Gids of the groups owning ``bins``, a prediction group's bins, ascending."""
+        return sorted(set(self.owner[bins].tolist()))
+
     def aggregate(self, parts) -> tuple[float, np.ndarray]:
         """Sum stored estimates over ``parts``, a prediction group's parts, in their order.
 
@@ -172,30 +166,29 @@ class EstimationPartition:
         prob_sum = float(sum(self.prob[parts].tolist()))
         return prob_sum, np.add.reduce(self.label_mass[parts], axis=0)
 
-    def merge_pass(self, parts) -> list[MergeEvent]:
+    def merge_pass(self, parts) -> list[int]:
         """Merge equal-size groups among ``parts`` until all sizes differ.
 
         Binary-counter behaviour: repeatedly merges the two smallest-id
         groups of the smallest duplicated size.  Each merged group gets fresh
-        estimates from its own size class's pools.  The events name every
-        merge in order; ``PredictionPartition.carry`` applies them to the
-        parts.
+        estimates from its own size class's pools.  Returns the gids of the
+        merged groups in the order they were created.
         """
         parts, listed = self._current(parts)
         sizes = np.bincount(self.owner, minlength=len(self.live))[parts].tolist()
         inside = sorted(zip(sizes, listed))
-        events: list[MergeEvent] = []
+        created: list[int] = []
         while True:
             dup = next((i for i in range(len(inside) - 1) if inside[i][0] == inside[i + 1][0]), None)
             if dup is None:
-                return events
+                return created
             (size, a), (_, b) = inside[dup], inside[dup + 1]
             ids = ((self.owner == a) | (self.owner == b)).nonzero()[0]
             [merged] = self._add(ids[None, :])
             self.live[[a, b]] = False
             inside[dup : dup + 2] = [(2 * size, merged)]
             inside.sort()
-            events.append(MergeEvent(merged, a, b))
+            created.append(merged)
 
     def check_invariants(self) -> None:
         """Exact partition, power-of-two sizes, historical disjointness.
@@ -207,19 +200,22 @@ class EstimationPartition:
         to the number of bins, union equal to the bin set) fail exactly
         when some bin's owner is out of range or not live: a gid below 0
         stops ``bincount``, one past the gids makes its counts longer, and
-        a gid not live has a nonzero count.  A gid that owns no bin counts
-        0, which passes ``s & (s - 1) == 0`` as an empty group passes the
-        set check's power-of-two test, so that test can run over all counts.
-        ``covered[c]`` is the set view of size class ``c``'s union, so
-        comparing its counts with ``totals`` is the set check's
-        ``len(union) == total``.
+        a gid not live has a nonzero count.  The same test also refuses a
+        live gid that owns no bin.  The set check passes that empty group,
+        but no prediction group has it among its parts, so the set
+        refinement check refuses it, and the three checks together still
+        reject what the three set checks reject.  Once the test passes,
+        only gids not live count 0, which passes ``s & (s - 1) == 0``, so
+        the power-of-two test can run over all counts.  ``covered[c]`` is
+        the set view of size class ``c``'s union, so comparing its counts
+        with ``totals`` is the set check's ``len(union) == total``.
         """
         live = self.live
         try:
             counts = np.bincount(self.owner, minlength=len(live))
         except ValueError:
             counts = None
-        if counts is None or len(counts) != len(live) or np.count_nonzero(counts[~live]):
+        if counts is None or len(counts) != len(live) or np.count_nonzero((counts > 0) != live):
             raise InvariantError("current estimation groups do not partition the bin set")
         odd = counts & (counts - 1)
         if np.count_nonzero(odd):
@@ -236,17 +232,18 @@ class PredictionPartition:
     ``owner[b]`` is the gid of bin ``b``'s group; ``live``, ``pred``,
     ``err`` and ``level_id`` are indexed by gid, and ``err`` holds ``-inf``
     in the rows of gids not live.  They have one slot more than the
-    ``2n - 1`` gids a run can create, never live, which ``host``'s -1 reads
-    as not live.  A level set is interned once as an id into ``known``, so
-    ``level_id`` holds each group's level exactly and distinct levels are
-    distinct ids.  ``host`` maps an estimation gid to the prediction gid it is
-    a part of, -1 for none.
+    ``2n - 1`` gids a run can create, never live, which an owner of -1
+    reads as not live.  A level set is interned once as an id into
+    ``known``, so ``level_id`` holds each group's level exactly and
+    distinct levels are distinct ids.  A group's parts are not stored:
+    ``EstimationPartition.parts`` reads them off the estimation owner array
+    at the group's bins.
     """
 
     def __init__(self, lam: int, levels: np.ndarray, preds: np.ndarray, errs: np.ndarray):
         """Bin ``i`` alone in group ``i`` at level id ``i``, ``levels[i]`` (rows distinct).
 
-        It predicts ``preds[i]`` with error ``errs[i]``; its one part is estimation group ``i``.
+        It predicts ``preds[i]`` with error ``errs[i]``.
         """
         n, k = preds.shape
         self.lam = lam
@@ -259,8 +256,6 @@ class PredictionPartition:
         self.err[:n] = errs
         self.level_id = np.full(2 * n + 1, -1, dtype=np.int64)
         self.level_id[:n] = np.arange(n)
-        self.host = np.full(2 * n, -1, dtype=np.int64)  # as long as the estimation gids
-        self.host[:n] = np.arange(n)
         self.known: list[Level] = list(map(tuple, levels.tolist()))
         self._ids: dict[Level, int] = dict(zip(self.known, range(n)))
         self.n_gids = n
@@ -268,10 +263,6 @@ class PredictionPartition:
     def bins(self, gid: int) -> np.ndarray:
         """Ids of group ``gid``'s bins, ascending."""
         return (self.owner == gid).nonzero()[0]
-
-    def parts(self, gid: int) -> np.ndarray:
-        """Gids of the estimation groups tiling group ``gid``, ascending."""
-        return (self.host == gid).nonzero()[0]
 
     def set_pred(self, gid: int, pred: np.ndarray) -> None:
         """Give group ``gid`` the prediction ``pred`` and, by the one rounding, its level."""
@@ -298,16 +289,16 @@ class PredictionPartition:
     def merge(self, a: int, b: int, kept: int) -> int:
         """Replace groups ``a`` and ``b`` by their union, copying ``kept``'s pred and level id.
 
-        The union's parts are both groups' parts.  The caller picks ``kept``
-        of the two (larger aggregated probability mass), runs the merge pass
-        on the parts and recomputes the cached errors afterwards.
+        The union's bins, and so its parts, are both groups'.  The caller
+        picks ``kept`` of the two (larger aggregated probability mass), runs
+        the merge pass on the parts and recomputes the cached errors
+        afterwards.
         """
         if a == b or kept not in (a, b):
             raise ValueError(f"cannot merge groups {a} and {b} keeping {kept}")
         gid = self.n_gids
         self.n_gids += 1
         self.owner[(self.owner == a) | (self.owner == b)] = gid
-        self.host[(self.host == a) | (self.host == b)] = gid
         self.live[[a, b]] = False
         self.err[[a, b]] = -np.inf
         self.live[gid] = True
@@ -315,12 +306,6 @@ class PredictionPartition:
         self.pred[gid] = self.pred[kept]
         self.level_id[gid] = self.level_id[kept]
         return gid
-
-    def carry(self, gid: int, events: Iterable[MergeEvent]) -> None:
-        """Apply a merge pass over group ``gid``'s parts: each union replaces its two parts."""
-        for event in events:
-            self.host[[event.left_gid, event.right_gid]] = -1
-            self.host[event.new_gid] = gid
 
     def select(self) -> tuple[int, int, float]:
         """The live (gid, class) pair with the largest cached error, and that error.
@@ -373,30 +358,21 @@ class PredictionPartition:
 def check_refinement(pred_part: PredictionPartition, est_part: EstimationPartition) -> None:
     """Every prediction group must be the disjoint union of its parts.
 
-    The parts of all live prediction groups must be the current estimation
-    groups, each used once.  ``host`` gives every estimation gid at most one
-    group, so that holds exactly when the gids hosted by a live prediction
-    group are the live estimation gids.  Each group's parts must
-    then have its bins as their union: with the two partition checks passed
-    (they run first), that holds exactly when every bin's estimation group
-    is hosted by the bin's prediction group, ``host[est owner] == pred
-    owner``, since a part reaching outside its group and a bin of the group
-    in no part both break that equation at some bin.  That catches an
-    estimation group split across prediction groups or left out, and any
-    part list on which ``aggregate`` would sum wrongly.
+    A group's parts are the estimation groups owning its bins.  With the
+    two partition checks passed (they run first), every bin's estimation
+    gid is live and every live estimation gid owns a bin, so the parts of
+    all prediction groups are the current estimation groups.  Each is then
+    used once, and each prediction group is the union of its parts,
+    exactly when no estimation group owns bins of two prediction groups.
+    ``first`` maps each estimation gid to the prediction group of one of
+    its bins, so that holds exactly when every bin's prediction group is
+    its estimation group's, ``first[est owner] == pred owner``.  That
+    catches an estimation group split across prediction groups, on whose
+    parts ``aggregate`` would sum wrongly.
     """
-    host, live = pred_part.host, pred_part.live
-    try:  # -1 reads the never-live last slot
-        hosted = live[host] if host.min() >= -1 else None
-    except IndexError:
-        hosted = None
-    if hosted is None:  # a value outside [-1, len(live)) names no group
-        valid = (host >= 0) & (host < len(live))
-        hosted = np.zeros(len(host), dtype=bool)
-        hosted[valid] = live[host[valid]]
-    if np.count_nonzero(hosted != est_part.live):
-        raise InvariantError("parts are not the current estimation groups, each used once")
-    tiled = host[est_part.owner] == pred_part.owner
+    first = np.empty(len(est_part.live), dtype=np.int64)
+    first[est_part.owner] = pred_part.owner
+    tiled = first[est_part.owner] == pred_part.owner
     if np.count_nonzero(tiled) < len(tiled):
         gid = pred_part.owner[tiled.argmin()]
         raise InvariantError(f"the parts of prediction group {gid} do not tile its bins")
@@ -416,8 +392,7 @@ def init_structures(
     each structure; the statistics of all of them come from one batch query
     to each size-class-0 pool, it starts at ``binning.levels[selected[i]]``,
     predicts ``preds[i]``, that level's canonical row, and its cached error
-    is the estimated gap ``|prob * pred_j - label_mass_j|``; its one part is
-    the bin's estimation singleton.
+    is the estimated gap ``|prob * pred_j - label_mass_j|``.
     """
     if not len(selected):
         raise ValueError("bin set must be nonempty")

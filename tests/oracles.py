@@ -21,7 +21,7 @@ from lpcal.calibrator import CalibratedPredictor, EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
 from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
 from lpcal.evaluator import _lp_norm, exact_report
-from lpcal.partitions import MergeEvent, estimated_error
+from lpcal.partitions import estimated_error
 from lpcal.simplex import PROB_ATOL, Level, canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import Binning, Predictor, World, bin_table, joint_counts
@@ -621,22 +621,25 @@ class SetEstimationPartition:
         label_sum = np.sum([g.label_mass for g in groups], axis=0)
         return prob_sum, np.asarray(label_sum, float)
 
-    def merge_pass(self, parts: list[int]) -> list[MergeEvent]:
-        """Merge equal-size groups among ``parts``, replaced in place by the groups left."""
-        events: list[MergeEvent] = []
+    def merge_pass(self, parts: list[int]) -> list[int]:
+        """Merge equal-size groups among ``parts``, replaced in place by the groups left.
+
+        Returns the gids of the merged groups, in the order they were created.
+        """
+        created: list[int] = []
         inside = self._current(parts)
         while True:
             inside.sort(key=lambda g: (g.size, g.gid))
             dup = [i for i in range(len(inside) - 1) if inside[i].size == inside[i + 1].size]
             if not dup:
                 parts[:] = sorted(g.gid for g in inside)
-                return events
+                return created
             i = dup[0]
             a, b = inside[i], inside[i + 1]
             [merged] = self._add([a.bins | b.bins])
             del self.groups[a.gid], self.groups[b.gid]
             inside[i : i + 2] = [merged]
-            events.append(MergeEvent(merged.gid, a.gid, b.gid))
+            created.append(merged.gid)
 
     def check_invariants(self, universe: frozenset[int]) -> None:
         """Power-of-two sizes, exact partition, historical disjointness."""
@@ -734,9 +737,9 @@ def set_view(est_part, pred_part):
 
     Group ``g``'s bins are the binning positions of the bins its gid owns,
     and the current groups of each partition are its live gids.  A
-    prediction group's parts are the estimation gids ``host`` assigns it,
-    ascending; a size class's union is the positions its ``covered`` row
-    marks.
+    prediction group's parts are the estimation gids owning its bins,
+    ascending, found here by a scan of the two owner arrays; a size
+    class's union is the positions its ``covered`` row marks.
     """
     positions = est_part.positions.tolist()
     est = SetEstimationPartition(est_part.pools)
@@ -761,7 +764,7 @@ def set_view(est_part, pred_part):
             pred_part.pred[gid],
             pred_part.known[pred_part.level_id[gid]],
             pred_part.err[gid],
-            pred_part.parts(gid).tolist(),
+            sorted({int(est_part.owner[b]) for b in np.flatnonzero(pred_part.owner == gid)}),
         )
     return est, pred, frozenset(positions)
 
@@ -864,8 +867,8 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
     def aggregate(self, bins: frozenset[int]) -> tuple[float, np.ndarray]:
         return super().aggregate([g.gid for g in self.constituents(bins)])
 
-    def merge_pass(self, target: frozenset[int]) -> list[MergeEvent]:
-        events: list[MergeEvent] = []
+    def merge_pass(self, target: frozenset[int]) -> list[int]:
+        created: list[int] = []
         while True:
             inside = sorted(
                 (g for g in self.groups.values() if g.bins <= target),
@@ -873,7 +876,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
             )
             pair = next(((a, b) for a, b in zip(inside, inside[1:]) if a.size == b.size), None)
             if pair is None:
-                return events
+                return created
             a, b = pair
             merged = a.bins | b.bins
             size_class = len(merged).bit_length() - 1
@@ -882,7 +885,7 @@ class ScanEstimationPartition(OneAtATimeEstimationPartition):
             g = self._new_group(size_class, merged)
             del self.groups[a.gid]
             del self.groups[b.gid]
-            events.append(MergeEvent(g.gid, a.gid, b.gid))
+            created.append(g.gid)
 
     def check_invariants(self, universe: frozenset[int]) -> None:
         seen: set[int] = set()

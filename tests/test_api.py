@@ -21,7 +21,9 @@ ALLOWED = {
 }
 
 # Dataclass fields kept without a reader in the package, each with its reason.
-ALLOWED_FIELDS: dict[str, str] = {}
+ALLOWED_FIELDS: dict[str, str] = {
+    "RunTrace.t_max": "the benchmark's tracer reads it from calibrate's result",
+}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -91,17 +93,63 @@ def dataclass_fields(modules: dict[str, ast.Module]) -> set[str]:
     }
 
 
-def unread_fields() -> set[str]:
-    """``Class.name`` of the dataclass fields no package module but ``__init__.py`` reads."""
-    modules = _modules()
-    read = {
-        node.attr
-        for name, tree in modules.items()
-        if name != "__init__.py"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+def _receiver_classes(tree: ast.Module, classes: set[str]) -> dict[int, str]:
+    """Package class of each ``Name`` node the AST shows to hold one, by ``id`` of the node.
+
+    ``self`` in a method holds its class, and a parameter annotated with a
+    package class holds that class, throughout the function's body.
+    """
+    methods = {
+        id(node): cls.name
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-    return {f for f in dataclass_fields(modules) if f.split(".")[1] not in read}
+    known = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        types = {
+            arg.arg: arg.annotation.id
+            for arg in args
+            if isinstance(arg.annotation, ast.Name) and arg.annotation.id in classes
+        }
+        if id(func) in methods and args and args[0].arg == "self":
+            types["self"] = methods[id(func)]
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in types:
+                known[id(node)] = types[node.id]
+    return known
+
+
+def unread_fields() -> set[str]:
+    """``Class.name`` of the dataclass fields no package module but ``__init__.py`` reads.
+
+    A read ``x.name`` counts for class ``C`` alone where the AST shows ``x``
+    to be a ``C`` (see ``_receiver_classes``); any other read counts for
+    every field called ``name``.
+    """
+    modules = _modules()
+    classes = {
+        cls.name for tree in modules.values() for cls in tree.body if isinstance(cls, ast.ClassDef)
+    }
+    typed, untyped = set(), set()
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        known = _receiver_classes(tree, classes)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                cls = known.get(id(node.value))
+                if cls is None:
+                    untyped.add(node.attr)
+                else:
+                    typed.add(f"{cls}.{node.attr}")
+    return {
+        f for f in dataclass_fields(modules) if f not in typed and f.split(".")[1] not in untyped
+    }
 
 
 def test_no_test_only_fields():
@@ -110,8 +158,9 @@ def test_no_test_only_fields():
 
 
 def test_no_field_shares_an_ndarray_attribute_name():
-    # unread_fields matches attribute names only, so a field named like an array
-    # attribute (``size``, ``shape``) would pass as read wherever an array's is
+    # unread_fields matches a receiver of unknown class by attribute name, so a
+    # field named like an array attribute (``size``, ``shape``) would pass as
+    # read wherever an array's is
     clashes = sorted(f for f in dataclass_fields(_modules()) if f.split(".")[1] in dir(np.ndarray))
     assert not clashes, f"the fields {clashes} share a name with an np.ndarray attribute"
 

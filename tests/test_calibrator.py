@@ -67,6 +67,11 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(Fraction(1, 2), 0.2, 0.1)
 
+    @pytest.mark.parametrize("p", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_p_rejected(self, p):
+        with pytest.raises(ValueError, match=rf"^p must exceed 1 \(or be inf\), got {p}$"):
+            derive_params(p, 0.1, 0.1)
+
     @pytest.mark.parametrize("p", [Fraction(1001, 1000), Fraction(101, 100)])
     def test_grid_past_floats_rejected(self, p):
         # beta underflows to 0.0 at 1001/1000; lam is about 8e82 at 101/100

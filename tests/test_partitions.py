@@ -90,8 +90,8 @@ def run_checks(est_part, pred_part):
 def merge_groups(est_part, pred_part, a, b):
     """A prediction merge keeping ``a``'s prediction, the merge pass and the new error, as the loop does."""
     gid = pred_part.merge(a, b, a)
-    pred_part.carry(gid, est_part.merge_pass(pred_part.parts(gid)))
-    prob, label = est_part.aggregate(pred_part.parts(gid))
+    est_part.merge_pass(est_part.parts(pred_part.bins(gid)))
+    prob, label = est_part.aggregate(est_part.parts(pred_part.bins(gid)))
     pred_part.err[gid] = estimated_error(prob, pred_part.pred[gid], label)
     return gid
 
@@ -138,7 +138,7 @@ class TestInit:
     def test_error_cache_matches_formula(self):
         _, _, _, est_part, pred_part = build()
         for g in live(pred_part):
-            assert pred_part.parts(g).tolist() == [g]
+            assert est_part.parts(pred_part.bins(g)) == [g]
             prob, label = est_part.prob[g], est_part.label_mass[g]
             assert np.allclose(pred_part.err[g], np.abs(prob * pred_part.pred[g] - label))
         # every other row holds -inf, so the selection can never land on it
@@ -198,18 +198,18 @@ class TestMergePass:
     def test_two_singletons_one_merge(self):
         hook, asked = asking_sizes()
         _, _, bins, est_part, _ = build(on_estimate=hook)
-        events = est_part.merge_pass(parts_of(est_part, 2))
-        assert len(events) == 1
+        created = est_part.merge_pass(parts_of(est_part, 2))
+        assert len(created) == 1
         assert asked[len(bins) :] == [2]
-        assert parts_of(est_part, 2) == [events[0].new_gid]
-        assert est_part.owner[:2].tolist() == [events[0].new_gid] * 2
+        assert parts_of(est_part, 2) == [created[0]]
+        assert est_part.owner[:2].tolist() == [created[0]] * 2
 
     def test_four_singletons_collapse_like_binary_counter(self):
         hook, asked = asking_sizes()
         _, _, bins, est_part, _ = build(on_estimate=hook)
         assert len(bins) >= 4
-        events = est_part.merge_pass(parts_of(est_part, 4))
-        assert len(events) == 3 and asked[len(bins) :] == [2, 2, 4]
+        created = est_part.merge_pass(parts_of(est_part, 4))
+        assert len(created) == 3 and asked[len(bins) :] == [2, 2, 4]
         assert sizes(est_part, parts_of(est_part, 4)) == [4]
 
     def test_carry_keeps_parts_ascending(self):
@@ -218,21 +218,20 @@ class TestMergePass:
         _, _, bins, est_part, pred_part = build(on_estimate=hook)
         a = merge_groups(est_part, pred_part, 0, 1)
         a = merge_groups(est_part, pred_part, a, 2)
-        parts = pred_part.parts(a).tolist()
+        parts = est_part.parts(pred_part.bins(a))
         assert sizes(est_part, parts) == [1, 2] and parts == sorted(parts)
         del asked[:]
-        events = est_part.merge_pass(parts + [3])
-        assert len(events) == 2 and asked == [2, 4]
+        created = est_part.merge_pass(parts + [3])
+        assert len(created) == 2 and asked == [2, 4]
         gid = pred_part.merge(a, 3, a)
-        pred_part.carry(gid, events)
-        assert pred_part.parts(gid).tolist() == [events[-1].new_gid]
+        assert est_part.parts(pred_part.bins(gid)) == [created[-1]]
         run_checks(est_part, pred_part)
 
     def test_distinct_sizes_noop(self):
         _, _, _, est_part, _ = build()
-        [event] = est_part.merge_pass(parts_of(est_part, 2))  # leaves sizes {2, 1, 1, ...}
-        assert est_part.merge_pass([event.new_gid]) == []
-        assert est_part.merge_pass([event.new_gid, 2]) == []
+        [merged] = est_part.merge_pass(parts_of(est_part, 2))  # leaves sizes {2, 1, 1, ...}
+        assert est_part.merge_pass([merged]) == []
+        assert est_part.merge_pass([merged, 2]) == []
 
     def test_merges_preserve_partition(self):
         _, _, _, est_part, _ = build()
@@ -288,15 +287,14 @@ def test_parts_agree_with_scan_oracle(seed, picks):
         gids = live(pred_part)
         a, b = gids[i % len(gids)], gids[j % len(gids)]
         gid = a if a == b else pred_part.merge(a, b, a)
-        events = est_part.merge_pass(pred_part.parts(gid))
-        pred_part.carry(gid, events)
+        created = est_part.merge_pass(est_part.parts(pred_part.bins(gid)))
         group_bins = frozenset(bins[pred_part.bins(gid)].tolist())
-        assert events == oracle.merge_pass(group_bins)
+        assert created == oracle.merge_pass(group_bins)
         assert live(est_part) == list(oracle.groups)
         for g in live(pred_part):
             g_bins = frozenset(bins[pred_part.bins(g)].tolist())
-            parts = pred_part.parts(g)
-            assert parts.tolist() == [part.gid for part in oracle.constituents(g_bins)]
+            parts = est_part.parts(pred_part.bins(g))
+            assert parts == [part.gid for part in oracle.constituents(g_bins)]
             prob, label = est_part.aggregate(parts)
             prob_o, label_o = oracle.aggregate(g_bins)
             assert (prob, len(parts)) == (prob_o, len(oracle.constituents(g_bins)))
@@ -339,50 +337,18 @@ class TestTamper:
     def other(pred_part, gid):
         return next(g for g in live(pred_part) if g != gid)
 
-    def test_dropped_part(self):
-        for est_part, pred_part, gid in self.cases():
-            pred_part.host[pred_part.parts(gid)[-1]] = -1
-            self.rejected(est_part, pred_part, "each used once")
-
-    def test_part_moved_to_another_group(self):
-        for est_part, pred_part, gid in self.cases():
-            pred_part.host[pred_part.parts(gid)[-1]] = self.other(pred_part, gid)
-            self.rejected(est_part, pred_part, "do not tile its bins")
-
-    def test_dead_gid(self):
-        # a retired estimation gid listed among a group's parts
-        for est_part, pred_part, gid in self.cases():
-            dead = int(np.flatnonzero(~est_part.live[: est_part.n_gids])[0])
-            pred_part.host[dead] = gid
-            self.rejected(est_part, pred_part, "each used once")
-
-    @pytest.mark.parametrize("where", ["same group", "another group"])
-    def test_duplicated_gid(self, where):
-        # ``host`` holds one group per estimation gid, so a part cannot be listed
-        # twice: listing it again in its own group changes nothing, and listing
-        # it in another group moves it out of the group that holds its bins
-        for est_part, pred_part, gid in self.cases():
-            part, before = int(pred_part.parts(gid)[0]), pred_part.parts(gid).tolist()
-            if where == "same group":
-                pred_part.host[part] = gid
-                assert pred_part.parts(gid).tolist() == before
-                run_checks(est_part, pred_part)
-                set_checks(est_part, pred_part)
-            else:
-                pred_part.host[part] = self.other(pred_part, gid)
-                self.rejected(est_part, pred_part, "do not tile its bins")
-
-    def test_part_outside_its_group(self):
-        # each estimation gid still hosted once; only the tiling check sees the swap
-        for est_part, pred_part, gid in self.cases():
-            a, b = int(pred_part.parts(gid)[0]), int(pred_part.parts(self.other(pred_part, gid))[0])
-            pred_part.host[[a, b]] = pred_part.host[[b, a]]
-            self.rejected(est_part, pred_part, "do not tile its bins")
+    def test_part_straddling_two_groups(self):
+        # one bin of a two-bin part handed to another prediction group: both
+        # groups now list the part, and neither is the union of its parts
+        est_part, pred_part, touched, untouched = self.merged()
+        pair = next(g for g in est_part.parts(pred_part.bins(touched)) if sizes(est_part, [g]) == [2])
+        pred_part.owner[int((est_part.owner == pair).nonzero()[0][0])] = untouched
+        self.rejected(est_part, pred_part, "do not tile its bins")
 
     @pytest.mark.parametrize("method", ["aggregate", "merge_pass"])
     def test_dead_gid_passed_to(self, method):
         for est_part, pred_part, gid in self.cases():
-            parts = pred_part.parts(gid).tolist() + [10**6]
+            parts = est_part.parts(pred_part.bins(gid)) + [10**6]
             state = est_part.owner.copy(), est_part.live.copy()
             with pytest.raises(InvariantError, match="estimation group 1000000 is not current"):
                 getattr(est_part, method)(parts)
@@ -394,13 +360,13 @@ class TestTamper:
         for est_part, pred_part, gid in self.cases():
             dead = int(np.flatnonzero(~est_part.live[: est_part.n_gids])[0])
             est_part.live[dead] = True
-            self.rejected(est_part, pred_part, "each used once")
+            self.rejected(est_part, pred_part, "do not partition")
 
     def test_overlap_with_the_right_total(self):
         # every owner still a live gid and the counts still sum to the bins; a part
         # of the group takes a bin that lies in another prediction group
         for est_part, pred_part, gid in self.cases():
-            part = int(pred_part.parts(gid)[0])
+            part = est_part.parts(pred_part.bins(gid))[0]
             victim = int((pred_part.owner != gid).nonzero()[0][0])
             est_part.owner[victim] = part
             self.rejected(est_part, pred_part, None)
@@ -416,7 +382,7 @@ class TestTamper:
 
     def test_missing_group(self):
         for est_part, pred_part, gid in self.cases():
-            est_part.live[pred_part.parts(gid)[0]] = False
+            est_part.live[est_part.parts(pred_part.bins(gid))[0]] = False
             self.rejected(est_part, pred_part, "do not partition")
         for est_part, pred_part, gid in self.cases():
             pred_part.live[gid] = False
@@ -443,11 +409,10 @@ class TestTamper:
     def test_non_power_of_two_group(self):
         # a singleton's bin given to a group of size 2 makes one of size 3
         est_part, pred_part, touched, _ = self.merged()
-        pair = next(g for g in pred_part.parts(touched).tolist() if sizes(est_part, [g]) == [2])
-        single = next(g for g in pred_part.parts(touched).tolist() if g != pair)
+        pair = next(g for g in est_part.parts(pred_part.bins(touched)) if sizes(est_part, [g]) == [2])
+        single = next(g for g in est_part.parts(pred_part.bins(touched)) if g != pair)
         est_part.owner[est_part.owner == single] = pair
         est_part.live[single] = False
-        pred_part.host[single] = -1
         self.rejected(est_part, pred_part, f"group {pair} has non-power-of-2 size 3")
 
     def test_level_held_by_two_other_groups(self):
@@ -503,7 +468,7 @@ class TestGStructure:
         assert np.array_equal(pred_part.pred[merged], winner)
         assert pred_part.level_id[merged] == pred_part.level_id[1]
         assert pred_part.bins(merged).tolist() == [0, 1]
-        assert pred_part.parts(merged).tolist() == [0, 1]
+        assert est_part.parts(pred_part.bins(merged)) == [0, 1]
         assert not pred_part.live[[0, 1]].any() and pred_part.live[merged]
         assert (pred_part.err[[0, 1]] == -np.inf).all() and np.isnan(pred_part.err[merged]).all()
         assert pred_part.find_collision(merged) is None  # retired group 1 keeps the level id
@@ -558,9 +523,8 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
         else:
             gid = pred_part.merge(a, b, a)
             gid_o = pred_o.merge(a, b, pred_o.groups[a].pred)
-        events = est_part.merge_pass(pred_part.parts(gid))
-        pred_part.carry(gid, events)
-        assert (gid, events) == (gid_o, est_o.merge_pass(pred_o.groups[gid_o].parts))
+        created = est_part.merge_pass(est_part.parts(pred_part.bins(gid)))
+        assert (gid, created) == (gid_o, est_o.merge_pass(pred_o.groups[gid_o].parts))
         run_checks(est_part, pred_part)
         est_o.check_invariants(universe)
         pred_o.check_invariants(universe)
@@ -575,7 +539,7 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
 
     n_bins, n_est, n_pred = len(bins), est_part.n_gids, pred_part.n_gids
     field = data.draw(st.sampled_from(
-        ["est owner", "est live", "host", "pred owner", "pred live", "level", "covered", "totals"]
+        ["est owner", "est live", "pred owner", "pred live", "level", "covered", "totals"]
     ))  # fmt: skip
     gid_value = st.integers(-3, 2 * n_bins + 2)
     if field == "est owner":
@@ -583,8 +547,6 @@ def test_array_checks_agree_with_set_checks(seed, picks, data):
     elif field == "est live":
         g = data.draw(st.integers(0, n_est - 1))
         est_part.live[g] = not est_part.live[g]
-    elif field == "host":
-        pred_part.host[data.draw(st.integers(0, n_est - 1))] = data.draw(gid_value)
     elif field == "pred owner":
         pred_part.owner[data.draw(st.integers(0, n_bins - 1))] = data.draw(gid_value)
     elif field == "pred live":
@@ -660,9 +622,8 @@ def test_batched_init_agrees_with_one_at_a_time_oracle(seed, k, n_features, lam,
             else:
                 gid = pred.merge(a, b, a)
                 gid_o = pred_o.merge(a, b, pred_o.groups[a].pred)
-            events = est.merge_pass(pred.parts(gid))
-            pred.carry(gid, events)
-            assert events == est_o.merge_pass(pred_o.groups[gid_o].parts)
+            created = est.merge_pass(est.parts(pred.bins(gid)))
+            assert created == est_o.merge_pass(pred_o.groups[gid_o].parts)
 
     est_v, pred_v, _ = set_view(est, pred)
     assert list(est_v.groups) == list(est_o.groups)
