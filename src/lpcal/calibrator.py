@@ -206,11 +206,13 @@ class EventMonitor:
         dev = float(np.max(np.abs(masses - exact)))
         self.mass_table_max_dev = max(self.mass_table_max_dev, dev)
 
-    def observe_pool_answer(self, bins: np.ndarray, prob: float, label_mass: np.ndarray) -> None:
-        """Compare one event's pair of pool answers with its exact statistics, computed once."""
-        mass, mean_label = exact_event_stats(self.world, self.binning, bins)
-        self.pool_prob_max_dev = max(self.pool_prob_max_dev, abs(prob - mass))
-        dev = float(np.max(np.abs(label_mass - mean_label)))
+    def observe_pool_answer(
+        self, events: np.ndarray, probs: np.ndarray, label_masses: np.ndarray
+    ) -> None:
+        """Compare a batch's pool answers, row i for event i, with its exact statistics."""
+        masses, labels = exact_event_stats(self.world, self.binning, events)
+        self.pool_prob_max_dev = max(self.pool_prob_max_dev, float(np.max(np.abs(probs - masses))))
+        dev = float(np.max(np.abs(label_masses - labels)))
         self.pool_label_max_dev = max(self.pool_label_max_dev, dev)
 
 

@@ -35,9 +35,9 @@ def _abs_errors(world: World, table: np.ndarray, binning: Binning) -> np.ndarray
     """``(n_levels, k)`` exact errors, row i for ``binning.levels[i]``; sums in row order."""
     if binning.ids.shape != (table.shape[0],):
         raise ValueError(f"binning has {binning.ids.size} rows, the predictor {table.shape[0]}")
-    signed = np.zeros((len(binning.levels), table.shape[1]))
-    np.add.at(signed, binning.ids, world.mass[:, None] * (table - world.conditional))
-    return np.abs(signed)
+    terms = world.mass[:, None] * (table - world.conditional)
+    signed = [np.bincount(binning.ids, weights=t, minlength=len(binning.levels)) for t in terms.T]
+    return np.abs(np.stack(signed, axis=1))
 
 
 def _lp_norm(errors: np.ndarray, p: float) -> float:

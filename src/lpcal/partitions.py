@@ -2,9 +2,9 @@
 
 A bin is an integer id: its index in ``positions``, the positions in the
 binning's levels of the selected bins, sorted by level, so ids follow the
-lexicographic order of the levels.  A new group's event reaches the pools
-and the monitor hook as the positions of its bins, a row of an ``(m, size)``
-batch.  A prediction group starts at its bin's level; only ``set_pred`` rounds.
+lexicographic order of the levels.  A batch of new groups reaches the pools
+and the monitor hook in one call, as the ``(m, size)`` positions of their
+bins.  A prediction group starts at its bin's level; only ``set_pred`` rounds.
 
 The estimation partition splits the bins into groups whose sizes are always
 powers of two; every group ever created within one size class is pairwise
@@ -55,8 +55,8 @@ from .simplex import Level, round_down
 from .estimation import DisjointQueryPool
 from .world import Binning
 
-# (positions of the event's bins, probability answer, (k,) label-mass answer) -> None, per event.
-EstimateHook = Callable[[np.ndarray, float, np.ndarray], None]
+# ((m, size) event positions, (m,) probability answers, (m, k) label-mass answers) -> None.
+EstimateHook = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def estimated_error(prob_sum, pred: np.ndarray, label_sum: np.ndarray) -> np.ndarray:
@@ -104,8 +104,8 @@ class EstimationPartition:
         The batch is checked against its size class's history, and against
         itself, before anything is asked.  Each of the class's two pools
         answers the whole batch, ``positions[sets]``, in one query, and
-        ``on_estimate`` sees each group's event and pair of answers once, in
-        row order.
+        ``on_estimate`` sees the batch and both pools' answers once, row i
+        for group i.
         """
         m, size = sets.shape
         size_class = size.bit_length() - 1  # -1 for an empty batch
@@ -122,10 +122,9 @@ class EstimationPartition:
         self.totals[size_class] += len(flat)
         events = self.positions[sets]
         prob_pool, label_pool = self.pools[size_class]
-        probs = prob_pool.query(events)[:, 0].tolist()
+        probs = prob_pool.query(events)[:, 0]
         label_masses = label_pool.query(events)
-        for event, prob, label_mass in zip(events, probs, label_masses):
-            self.on_estimate(event, prob, label_mass)
+        self.on_estimate(events, probs, label_masses)
         gids = range(self.n_gids, self.n_gids + m)
         self.n_gids += m
         new = slice(gids.start, gids.stop)

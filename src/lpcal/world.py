@@ -9,7 +9,6 @@ possible: every expectation is a finite sum.
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass
 
@@ -88,29 +87,12 @@ class Binning:
     levels: (n_levels, k) read-only int64 distinct level sets, by first row.
     ids:    (n_rows,) position in ``levels`` of each row's level set.
 
-    A bin is named by its position in ``levels``.  ``rows`` reads a per-level
-    row index built on its first call: the rows sorted stably by id, so level
-    ``i``'s rows are ``order[starts[i]:starts[i + 1]]``, ascending.
+    A bin is named by its position in ``levels``.
     """
 
     lam: int
     levels: np.ndarray
     ids: np.ndarray
-
-    @functools.cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.ids, kind="stable")
-        order.flags.writeable = False  # ``rows`` hands out views of it
-        sizes = np.bincount(self.ids, minlength=len(self.levels))
-        return order, np.concatenate(([0], np.cumsum(sizes)))
-
-    def rows(self, positions: np.ndarray) -> np.ndarray:
-        """Indices of the rows in the bins at the distinct ``positions``, ascending."""
-        order, starts = self._index
-        segments = [order[starts[i] : starts[i + 1]] for i in positions.tolist()]
-        if len(segments) == 1:
-            return segments[0]  # one level's rows are already ascending
-        return np.sort(np.concatenate(segments)) if segments else np.zeros(0, dtype=np.int64)
 
 
 # Above 2**53 not every numerator up to lam is a float64: float rounding of the grid is inexact.
@@ -220,21 +202,33 @@ def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def exact_event_stats(
-    world: World, binning: Binning, positions: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Exact mass and per-class label mass of a bin-set event.
+    world: World, binning: Binning, events: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mass and per-class label mass of each event of an ``(m, size)`` batch.
 
-    ``positions`` names the event's bins, distinct positions in
-    ``binning.levels``.  Returns ``P[R(f(x)) in bins]`` and the vector
-    ``E[y_j * 1[R(f(x)) in bins]]`` summed exactly over the event's
-    features, in ascending feature order.  The label vector is unnormalized
-    (it sums to the event mass).
+    Row i of ``events`` names event i's bins, positions in ``binning.levels``;
+    no position may appear twice in the batch.  Returns the ``(m,)`` masses
+    ``P[R(f(x)) in bins_i]`` and the ``(m, k)`` label masses
+    ``E[y_j * 1[R(f(x)) in bins_i]]`` (a row sums to its event's mass).  One
+    stable sort groups each event's features, ascending as a row mask selects
+    them, and each event's two sums run over them in that order.
     """
-    if not len(positions):
-        raise ValueError("bins must be nonempty")
-    rows = binning.rows(positions)  # ascending: the elements a row mask selects, in its order
-    mass = world.mass[rows]
-    return float(mass.sum()), np.asarray(mass @ world.conditional[rows], dtype=float)
+    n_levels = len(binning.levels)
+    if not events.size or events.min() < 0 or events.max() >= n_levels:
+        raise ValueError(f"events must be a nonempty batch of positions in [0, {n_levels})")
+    event_of = np.full(n_levels, -1)
+    event_of[events] = np.arange(len(events))[:, None]
+    if np.count_nonzero(event_of >= 0) < events.size:
+        raise ValueError("a position is named twice in the batch")
+    row_event = event_of[binning.ids]
+    rows = np.flatnonzero(row_event >= 0)
+    ends = np.cumsum(np.bincount(row_event[rows], minlength=len(events)))[:-1]
+    rows = rows[np.argsort(row_event[rows], kind="stable")]
+    masses, labels = np.empty(len(events)), np.empty((len(events), world.k))
+    for i, r in enumerate(np.split(rows, ends)):
+        mass = world.mass[r]
+        masses[i], labels[i] = mass.sum(), mass @ world.conditional[r]
+    return masses, labels
 
 
 def check_gamma(gamma: float) -> None:

@@ -334,6 +334,13 @@ def error_table_by_rows(world: World, table: np.ndarray, lam: int) -> dict[Level
     return {v: np.abs(g) for v, g in signed.items()}
 
 
+def abs_errors_by_add_at(world: World, table: np.ndarray, binning: Binning) -> np.ndarray:
+    """``(n_levels, k)`` exact errors, summed row by row into their bins by one ``np.add.at``."""
+    signed = np.zeros((len(binning.levels), table.shape[1]))
+    np.add.at(signed, binning.ids, world.mass[:, None] * (table - world.conditional))
+    return np.abs(signed)
+
+
 def level_coords(v: Level, lam: int) -> np.ndarray:
     """Grid coordinates ``n_i/lam`` of a level set."""
     return np.asarray(v, dtype=float) / lam

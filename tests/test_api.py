@@ -9,6 +9,7 @@ a use.  A helper only the tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -81,23 +82,42 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
-def dataclass_fields(modules: dict[str, ast.Module]) -> set[str]:
-    """``Class.name`` of every field of a package dataclass."""
-    return {
-        f"{cls.name}.{node.target.id}"
+def _dataclass_field_nodes(modules: dict[str, ast.Module]):
+    """``(class, field node)`` of every field of a package dataclass."""
+    return [
+        (cls, node)
         for tree in modules.values()
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
         for node in cls.body
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-    }
+    ]
 
 
-def _receiver_classes(tree: ast.Module, classes: set[str]) -> dict[int, str]:
-    """Package class of each ``Name`` node the AST shows to hold one, by ``id`` of the node.
+def dataclass_fields(modules: dict[str, ast.Module]) -> set[str]:
+    """``Class.name`` of every field of a package dataclass."""
+    return {f"{cls.name}.{node.target.id}" for cls, node in _dataclass_field_nodes(modules)}
 
-    ``self`` in a method holds its class, and a parameter annotated with a
-    package class holds that class, throughout the function's body.
+
+def _named(annotation, classes: set[str]) -> str | None:
+    """The package class an annotation names, if it is a bare class name."""
+    if isinstance(annotation, ast.Name) and annotation.id in classes:
+        return annotation.id
+    return None
+
+
+def _receiver_classes(
+    tree: ast.Module, classes: set[str], fields: dict[str, str], returns: dict[str, str]
+) -> dict[int, str]:
+    """Package class of each receiver the AST shows to hold one, by ``id`` of its node.
+
+    In a function, ``self`` in a method holds its class, and a parameter
+    annotated with a package class holds that class.  So does a local name
+    whose every binding is ``x = C(...)`` for a package class ``C``, or
+    ``x = g(...)`` for a package function ``g`` annotated ``-> C``; any other
+    binding leaves the name unresolved.  ``x.f`` holds class ``D`` where
+    ``x`` holds a dataclass whose field ``f`` is annotated ``D`` (``fields``
+    maps ``"C.f"`` to ``D``).
     """
     methods = {
         id(node): cls.name
@@ -106,21 +126,40 @@ def _receiver_classes(tree: ast.Module, classes: set[str]) -> dict[int, str]:
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-    known = {}
+    known: dict[int, str] = {}
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        bound: dict[str, set] = {}
         args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
-        types = {
-            arg.arg: arg.annotation.id
-            for arg in args
-            if isinstance(arg.annotation, ast.Name) and arg.annotation.id in classes
-        }
+        for arg in args:
+            bound.setdefault(arg.arg, set()).add(_named(arg.annotation, classes))
         if id(func) in methods and args and args[0].arg == "self":
-            types["self"] = methods[id(func)]
+            bound["self"] = {methods[id(func)]}
+        made = {}  # id of an assigned Name -> class of the call assigned to it
         for node in ast.walk(func):
-            if isinstance(node, ast.Name) and node.id in types:
-                known[id(node)] = types[node.id]
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                call = node.value
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    name = call.func.id
+                    made[id(node.targets[0])] = name if name in classes else returns.get(name)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.setdefault(node.id, set()).add(made.get(id(node)))
+        types = {name: cls for name, found in bound.items() if len(found) == 1 for cls in found}
+
+        def holds(node):
+            if isinstance(node, ast.Name):
+                return types.get(node.id)  # None where a binding is not a package class
+            if isinstance(node, ast.Attribute):
+                cls = holds(node.value)
+                return fields.get(f"{cls}.{node.attr}") if cls else None
+            return None
+
+        for node in ast.walk(func):
+            cls = holds(node)
+            if cls:
+                known[id(node)] = cls
     return known
 
 
@@ -128,25 +167,39 @@ def unread_fields() -> set[str]:
     """``Class.name`` of the dataclass fields no package module but ``__init__.py`` reads.
 
     A read ``x.name`` counts for class ``C`` alone where the AST shows ``x``
-    to be a ``C`` (see ``_receiver_classes``); any other read counts for
-    every field called ``name``.
+    to be a ``C`` (see ``_receiver_classes``).  A read through any other
+    receiver counts for every field called ``name``, unless two or more
+    dataclasses have a field of that name: then it counts for none.
     """
     modules = _modules()
     classes = {
         cls.name for tree in modules.values() for cls in tree.body if isinstance(cls, ast.ClassDef)
     }
+    field_nodes = _dataclass_field_nodes(modules)
+    fields = {
+        f"{cls.name}.{node.target.id}": _named(node.annotation, classes)
+        for cls, node in field_nodes
+        if _named(node.annotation, classes)
+    }
+    returns = {
+        func.name: _named(func.returns, classes)
+        for tree in modules.values()
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and _named(func.returns, classes)
+    }
+    names = Counter(node.target.id for _, node in field_nodes)
     typed, untyped = set(), set()
     for name, tree in modules.items():
         if name == "__init__.py":
             continue
-        known = _receiver_classes(tree, classes)
+        known = _receiver_classes(tree, classes, fields, returns)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 cls = known.get(id(node.value))
-                if cls is None:
-                    untyped.add(node.attr)
-                else:
+                if cls is not None:
                     typed.add(f"{cls}.{node.attr}")
+                elif names[node.attr] < 2:
+                    untyped.add(node.attr)
     return {
         f for f in dataclass_fields(modules) if f not in typed and f.split(".")[1] not in untyped
     }

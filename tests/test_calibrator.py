@@ -430,7 +430,8 @@ class TestPoolDraws:
         trace = self.run("overconfident", 5, 5000, seed=0)
         assert (trace.n_bins, trace.iterations, len(trace.pool_stats)) == (67, 0, 14)
         assert len(draws) == 2
-        assert len(stats) == 67
+        [(_, _, events)] = stats  # one batch: each event's statistics computed once
+        assert events.shape == (67, 1)
 
     def test_a_pool_is_drawn_when_it_is_queried(self, monkeypatch):
         streams = counting(monkeypatch, lpcal.estimation, "stream_rng")

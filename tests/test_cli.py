@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import lpcal.calibrator
 import lpcal.cli
+import lpcal.world
 from lpcal.cli import RunConfig, dumps_json, main, parse_p, run_config
 from lpcal.errors import DisjointnessError, InvariantError, QueryBudgetError
 from lpcal.evaluator import exact_report
@@ -571,44 +572,26 @@ def test_scenario_name_string_takes_size_flags(tmp_path):
     assert echo == {"name": "perfect", "k": 2, "n_features": 5}
 
 
-def made_by(monkeypatch, module, name):
-    """Patch ``module.name`` with a wrapper that records each call's result."""
+def test_every_binning_holds_only_its_three_fields(tmp_path, monkeypatch, capsys):
+    # f's binning, h's two, and eval's: no cached index or other state rides along
     made = []
-    real = getattr(module, name)
+    real = lpcal.world.Binning.__init__
 
-    def recorded(*args):
-        made.append(real(*args))
-        return made[-1]
+    def recorded(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
 
-    monkeypatch.setattr(module, name, recorded)
-    return made
-
-
-def holds_row_index(binning):
-    """Whether ``binning`` holds anything beyond its three fields: its row index."""
-    return bool(set(vars(binning)) - {"lam", "levels", "ids"})
-
-
-def test_only_the_monitored_binning_builds_a_row_index(tmp_path, monkeypatch, capsys):
-    # The monitor reads the rows of f's binning; h's two binnings and eval's
-    # binning are read only through their ids, so they never build the index.
-    made = made_by(monkeypatch, lpcal.calibrator, "bin_table")
-    evaluated = counting(monkeypatch, lpcal.cli, "exact_report")
+    monkeypatch.setattr(lpcal.world.Binning, "__init__", recorded)
     cfg = RunConfig.from_dict({"scenario": SCENARIO_40F, "p": "2", "eps": 0.3, "seed": 0})
-    report, trace, calibrated = run_config(cfg)
+    report, trace, _ = run_config(cfg)
     assert trace.iterations > 0 and report["events"]["all_held"]
-    f_binning, small = made
-    f_evaluated, composed = (args[2] for args in evaluated)
-    assert f_binning is calibrated.binning is f_evaluated
-    assert holds_row_index(f_binning)
-    assert not holds_row_index(small) and not holds_row_index(composed)
-
+    assert len(made) == 3
     world = tmp_path / "world.json"
     assert main(["scenario", "--name", "shifted", "--out", str(world)]) == 0
-    eval_made = made_by(monkeypatch, lpcal.cli, "bin_table")
     assert main(["eval", "--world", str(world), "--lambda", "4"]) == 0
     capsys.readouterr()
-    assert len(eval_made) == 1 and not holds_row_index(eval_made[0])
+    assert len(made) == 4
+    assert all(set(vars(binning)) == {"lam", "levels", "ids"} for binning in made)
 
 
 class TestSweepCommand:
@@ -643,7 +626,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         grid = ["--p", "inf,2", "--eps", "0.25,0.3", "--seeds", "0:2"]
         assert main(["sweep", "--config", str(cfg), *grid, "--out-dir", str(out)]) == 1
-        header, *rows = csv.reader((out / "summary.csv").open())
+        header, *rows = csv.reader((out / "summary.csv").read_text().splitlines())
         assert header == (
             "p,eps,seed,status,n_bins,iterations,err_p_f,err_p_h,sq_f,sq_h,events_held,"
             "per_bin_le_beta,aggregate_lp,err_le_eps,sq_budget,pred_moves_bound"
@@ -724,7 +707,7 @@ class TestSweepCommand:
             assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(sweep)]) == int(bool(message))
-        [row] = list(csv.reader((sweep / "summary.csv").open()))[1:]
+        [row] = list(csv.reader((sweep / "summary.csv").read_text().splitlines()))[1:]
         assert row[3] == ("ok" if message is None else f"error: {message}")
 
     def test_counts_past_int64_fail_their_cell(self, tmp_path):
@@ -751,7 +734,7 @@ class TestSweepCommand:
         assert (stale / cell / "report.json").exists() and (stale / cell / "trace.csv").exists()
         for out in (stale, fresh):
             assert main(["sweep", "--config", str(failing), "--out-dir", str(out)]) == 1
-            rows = list(csv.reader((out / "summary.csv").open()))[1:]
+            rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))[1:]
             assert [row[:3] for row in rows] == [["2", "0.3", "1"]]
             assert rows[0][3].startswith("error: aggregated group probability is nonpositive")
             assert not (out / cell / "report.json").exists()
@@ -763,7 +746,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         args = ["sweep", "--config", str(cfg), "--p", "2", "--seeds", "0", "--out-dir", str(out)]
         assert main(args) == 1
-        rows = list(csv.reader((out / "summary.csv").open()))[1:]
+        rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))[1:]
         assert rows[0][:3] == ["2", "0.3", "0"]
         assert rows[0][3].startswith("error: 10000000000000000000 draws exceed the int64 limit")
 
@@ -780,7 +763,7 @@ class TestSweepCommand:
         self.fail_seed_one(monkeypatch, exc)
         out = tmp_path / "sweep"
         assert main(self.sweep_args(tmp_path, out)) == 1
-        rows = list(csv.reader((out / "summary.csv").open()))[1:]
+        rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))[1:]
         assert [row[2] for row in rows] == ["0", "1", "2"]
         assert rows[0][3] == rows[2][3] == "ok"
         assert rows[1][3].startswith(status)
@@ -819,7 +802,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         args = ["sweep", "--config", str(cfg), "--p", f"{p},inf", "--seeds", "0", "--out-dir", str(out)]
         assert main(args) == 1
-        rows = list(csv.reader((out / "summary.csv").open()))[1:]
+        rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))[1:]
         assert rows[0][:3] == [p, "0.3", "0"]
         assert rows[0][3].startswith(f"error: p={p}, eps=0.3: ")
         assert "2**53" in rows[0][3]

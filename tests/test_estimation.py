@@ -293,7 +293,7 @@ class TestDisjointQueryPool:
         w, f = make_scenario("random-miscalibrated", 3, 6, seed=6)
         event = np.array([0])
         binning = bin_table(f.table, 3)
-        _, exact_mean = exact_event_stats(w, binning, event)
+        _, [exact_mean] = exact_event_stats(w, binning, event[None])
         failures = 0
         for seed in range(100):
             p = pool_create(w, binning, seed, "lab", 1, 3, alpha, delta)

@@ -11,6 +11,7 @@ from lpcal.streams import stream_rng
 from lpcal.world import Predictor, SampleBatch, World, bin_table, draw, make_scenario
 
 from oracles import (
+    abs_errors_by_add_at,
     empirical_report,
     error_table_by_rows,
     exact_bin_class_error,
@@ -54,6 +55,18 @@ class TestBinClassError:
             assert list(got) == list(want)
             for v in want:
                 assert np.array_equal(got[v], want[v])
+
+    @pytest.mark.parametrize(
+        "scenario, k, n_features",
+        [("overconfident", 5, 5000), ("random-miscalibrated", 3, 10_000), ("shifted", 2, 300)],
+    )
+    @pytest.mark.parametrize("lam", [32, 40, 400])
+    def test_table_bit_equal_to_the_add_at_oracle(self, scenario, k, n_features, lam):
+        w, f = make_scenario(scenario, k, n_features, seed=0)
+        binning = bin_table(f.table, lam)
+        got = exact_report(w, f.table, binning).errors
+        assert got.tobytes() == abs_errors_by_add_at(w, f.table, binning).tobytes()
+        assert got.shape == (len(binning.levels), k)
 
 
 class TestLpError:

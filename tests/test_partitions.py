@@ -62,9 +62,9 @@ def build(n_features=16, k=2, lam=6, seed=0, m=1_000_000, on_estimate=lambda *_:
 
 
 def asking_sizes():
-    """A ``build`` hook that records each answered event's size, and the list it fills."""
+    """A ``build`` hook that records the size of each event of each batch, and the list it fills."""
     asked = []
-    return (lambda event, *_: asked.append(len(event))), asked
+    return (lambda events, *_: asked.extend([events.shape[1]] * len(events))), asked
 
 
 def live(part):
@@ -226,6 +226,22 @@ class TestMergePass:
         gid = pred_part.merge(a, 3, a)
         assert est_part.parts(pred_part.bins(gid)) == [created[-1]]
         run_checks(est_part, pred_part)
+
+    def test_hook_sees_each_batch_once_with_its_answers_in_row_order(self):
+        batches = []
+        _, _, bins, est_part, _ = build(on_estimate=lambda *args: batches.append(args))
+        [(events, probs, label_masses)] = batches  # the singletons, one batch
+        n = len(bins)
+        assert np.array_equal(events, bins[:, None])
+        assert probs.tobytes() == est_part.prob[:n].tobytes()
+        assert label_masses.tobytes() == est_part.label_mass[:n].tobytes()
+        del batches[:]
+        created = est_part.merge_pass(parts_of(est_part, 4))
+        assert [events.shape for events, _, _ in batches] == [(1, 2), (1, 2), (1, 4)]
+        assert np.array_equal(batches[-1][0][0], bins[est_part.owner == created[-1]])
+        for gid, (_, probs, label_masses) in zip(created, batches):  # a merge is a batch of one
+            assert probs.tobytes() == est_part.prob[[gid]].tobytes()
+            assert label_masses.tobytes() == est_part.label_mass[[gid]].tobytes()
 
     def test_distinct_sizes_noop(self):
         _, _, _, est_part, _ = build()

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lpcal.calibrator
@@ -126,14 +126,6 @@ class TestBinning:
         assert level_tuples(binning.levels) == ((1, 0), (0, 1), (1, 1))
         assert binning.ids.tolist() == [0, 1, 0, 2]
 
-    def test_rows(self):
-        table = np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]])
-        binning = bin_table(table, 2)
-        assert level_tuples(binning.levels) == ((1, 0), (0, 1))
-        assert binning.rows(np.array([0])).tolist() == [0, 2]
-        assert binning.rows(np.array([1, 0])).tolist() == [0, 1, 2]
-        assert binning.rows(np.array([1])).tolist() == [1]
-
 
 @st.composite
 def tables_to_bin(draw):
@@ -159,18 +151,6 @@ def tables_to_bin(draw):
         rng.uniform(-PROB_ATOL, 1.0 + PROB_ATOL, size=(n_distinct, k)),
     )
     return distinct[rng.integers(0, n_distinct, size=n_rows)], lam
-
-
-@st.composite
-def binnings_and_bins(draw):
-    """A binning of random simplex rows and distinct positions of some of its bins."""
-    k = draw(st.integers(1, 4))
-    lam = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    binning = bin_table(rng.dirichlet(np.ones(k), size=draw(st.integers(0, 60))), lam)
-    positions = st.integers(0, max(len(binning.levels) - 1, 0))
-    bins = draw(st.lists(positions, unique=True, max_size=min(12, len(binning.levels))))
-    return binning, np.array(bins, dtype=np.int64)
 
 
 class TestVectorisedBinning:
@@ -205,26 +185,6 @@ class TestVectorisedBinning:
     def test_lam_out_of_range_refused(self, lam):
         with pytest.raises(ValueError, match="lam"):
             bin_table(np.array([[0.5, 0.5]]), lam)
-
-    @given(binnings_and_bins())
-    @settings(max_examples=200, deadline=None)
-    def test_rows_match_level_scan(self, case):
-        binning, bins = case
-        want = rows_in_by_level_scan(binning, level_tuples(binning.levels[bins]))
-        assert np.array_equal(rows_in(binning, bins), want)  # the row-mask oracle
-        got = binning.rows(bins)
-        assert got.dtype.kind == "i"
-        assert np.array_equal(got, np.flatnonzero(want))
-
-    def test_rows_empty(self):
-        none = np.zeros(0, dtype=np.int64)
-        assert bin_table(np.array([[0.9, 0.1], [0.2, 0.8]]), 2).rows(none).tolist() == []
-        assert bin_table(np.zeros((0, 2)), 2).rows(none).tolist() == []
-
-    def test_rows_index_is_read_only(self):
-        binning = bin_table(np.array([[0.9, 0.1], [0.2, 0.8], [0.95, 0.05]]), 2)
-        with pytest.raises(ValueError):
-            binning.rows(np.array([0]))[0] = 1
 
     def test_run_passes_each_table_to_bin_table_once(self, monkeypatch):
         # f's 5,000 rows once, then h's table of one row per f level (297)
@@ -475,49 +435,61 @@ class TestScenarios:
 
 
 @st.composite
-def worlds_and_events(draw):
-    """A random world with features of zero mass, its predictor's binning and a nonempty event."""
-    k = draw(st.integers(1, 4))
-    lam = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 60))
+def worlds_and_batches(draw, size):
+    """A random world with features of zero mass, its predictor's binning and a batch.
+
+    The batch is an ``(m, size)`` array of distinct positions in the binning's
+    levels, in random order.
+    """
+    k = draw(st.integers(1 if size == 1 else 2, 4))
+    lam = draw(st.integers(1 if size == 1 else 3, 6))
+    n = draw(st.integers(size, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mass = rng.dirichlet(np.ones(n)) * (rng.random(n) < draw(st.sampled_from([0.3, 0.7, 1.0])))
     mass[rng.integers(n)] += 1.0
     world = World(mass / mass.sum(), rng.dirichlet(np.ones(k), size=n))
     binning = bin_table(rng.dirichlet(np.ones(k), size=n), lam)
-    positions = st.integers(0, len(binning.levels) - 1)
-    event = draw(st.lists(positions, min_size=1, max_size=12, unique=True))
-    return world, binning, np.array(event, dtype=np.int64)
+    n_levels = len(binning.levels)
+    assume(n_levels >= size)
+    m = draw(st.integers(1, min(n_levels // size, 12)))
+    positions = draw(st.permutations(range(n_levels)))[: m * size]
+    return world, binning, np.array(positions, dtype=np.int64).reshape(m, size)
 
 
 class TestExactEventStats:
-    @given(worlds_and_events())
-    @settings(max_examples=200, deadline=None)
-    def test_bit_equal_to_the_mask_oracle(self, case):
-        world, binning, event = case
-        mass, mean = exact_event_stats(world, binning, event)
-        want_mass, want_mean = exact_event_stats_by_mask(world, binning, event)
-        assert mass == want_mass
-        assert mean.dtype == want_mean.dtype and np.array_equal(mean, want_mean)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_the_mask_oracle(self, data):
+        for size in (1, 2, 4):  # batches of one-bin, two-bin and four-bin events
+            world, binning, events = data.draw(worlds_and_batches(size))
+            masses, labels = exact_event_stats(world, binning, events)
+            assert masses.dtype == labels.dtype == np.float64
+            assert masses.shape == (len(events),) and labels.shape == (len(events), world.k)
+            for event, mass, label in zip(events, masses, labels):
+                scan = rows_in_by_level_scan(binning, level_tuples(binning.levels[event]))
+                assert np.array_equal(rows_in(binning, event), scan)  # the mask oracle itself
+                want_mass, want_label = exact_event_stats_by_mask(world, binning, event)
+                assert mass.tobytes() == np.float64(want_mass).tobytes()
+                assert label.tobytes() == want_label.tobytes()
 
     def test_total_probability(self):
         w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
         binning = bin_table(f.table, 3)
-        mass, mean = exact_event_stats(w, binning, np.arange(len(binning.levels)))
+        [mass], [mean] = exact_event_stats(w, binning, np.arange(len(binning.levels))[None])
         assert mass == pytest.approx(1.0)
         assert mean.sum() == pytest.approx(1.0)
 
     def test_zero_mass_event_is_empty(self):
         w = World(np.array([1.0, 0.0]), np.array([[0.6, 0.4], [0.6, 0.4]]))
         f = Predictor(np.array([[0.9, 0.1], [0.1, 0.9]]))  # bins (1,0) and (0,1) at lam=2
-        mass, mean = exact_event_stats(w, bin_table(f.table, 2), np.array([1]))
-        assert mass == 0.0
-        assert np.all(mean == 0.0)
+        masses, means = exact_event_stats(w, bin_table(f.table, 2), np.array([[1], [0]]))
+        assert masses.tolist() == [0.0, 1.0]
+        assert np.all(means[0] == 0.0) and np.allclose(means[1], [0.6, 0.4])
 
     def test_one_point_event(self):
         w = one_point_world()
         f = Predictor(np.array([[0.9, 0.1]]))
-        mass, mean = exact_event_stats(w, bin_table(f.table, 2), np.array([0]))
+        [mass], [mean] = exact_event_stats(w, bin_table(f.table, 2), np.array([[0]]))
         assert mass == pytest.approx(1.0)
         assert np.allclose(mean, [0.6, 0.4])
 
@@ -525,13 +497,35 @@ class TestExactEventStats:
         w, f = make_scenario("random-miscalibrated", 3, 12, seed=8)
         s = draw(w, stream_rng(8, "data"), 100_000)
         binning = bin_table(f.table, 4)
+        masses, means = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
         for i in range(len(binning.levels)):
             hit = binning.ids[s.features] == i
-            exact_mass, exact_mean = exact_event_stats(w, binning, np.array([i]))
-            assert abs(hit.mean() - exact_mass) <= 0.01
+            assert abs(hit.mean() - masses[i]) <= 0.01
             for j in range(3):
                 emp = np.mean(hit & (s.labels == j))
-                assert abs(emp - exact_mean[j]) <= 0.01
+                assert abs(emp - means[i, j]) <= 0.01
+
+    @pytest.mark.parametrize("shape", [(0, 1), (1, 0)])
+    def test_empty_batch_refused(self, shape):
+        w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
+        with pytest.raises(ValueError, match="events must be a nonempty batch"):
+            exact_event_stats(w, bin_table(f.table, 3), np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, -2, "n_levels"])
+    def test_position_out_of_range_refused(self, bad):
+        w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
+        binning = bin_table(f.table, 3)
+        n_levels = len(binning.levels)
+        bad = n_levels if bad == "n_levels" else bad
+        with pytest.raises(ValueError, match=rf"batch of positions in \[0, {n_levels}\)"):
+            exact_event_stats(w, binning, np.array([[0], [bad]]))
+
+    @pytest.mark.parametrize("events", [[[0, 0]], [[0], [0]], [[0, 1], [2, 1]]])
+    def test_position_named_twice_refused(self, events):
+        # an event [0, 0] once counted level 0's mass twice
+        w, f = make_scenario("random-miscalibrated", 3, 40, seed=1)
+        with pytest.raises(ValueError, match="named twice"):
+            exact_event_stats(w, bin_table(f.table, 3), np.array(events))
 
 
 class TestSerialization:
