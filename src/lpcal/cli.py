@@ -388,6 +388,12 @@ def _out_path(out: str, is_dir: bool) -> Path:
     return path
 
 
+def _clear_outputs(out_dir: Path) -> None:
+    """Remove an earlier run's report.json and trace.csv, so a failed run leaves neither."""
+    for name in ("report.json", "trace.csv"):
+        (out_dir / name).unlink(missing_ok=True)
+
+
 def _resolve_out_dir(args: argparse.Namespace, doc: dict) -> Path:
     out = args.out_dir or doc.get("out_dir")
     if not out:
@@ -401,12 +407,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     doc = _load_config_doc(args)
     cfg = RunConfig.from_dict(doc)
     out_dir = _resolve_out_dir(args, doc)
+    _clear_outputs(out_dir)
     try:
         report, trace, _ = run_config(cfg)
     except EstimateFailureError as exc:
         failure = {"status": "estimate-failure", "config": cfg.echo(), "error": str(exc)}
         _write(out_dir / "report.json", dumps_json(failure))
-        (out_dir / "trace.csv").unlink(missing_ok=True)  # left by an earlier run
         print(f"estimate-failure: {exc}", file=sys.stderr)
         return 1
     _write(out_dir / "report.json", dumps_json(report))
@@ -456,6 +462,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for cell, cfg in cells.items():
         row = [p_label(cfg.p), cfg.eps, cfg.seed]
+        _clear_outputs(out_dir / cell)
         try:
             report, trace, _ = run_config(cfg)
         except (EstimateFailureError, ValueError, MemoryError, ArithmeticError) as exc:
@@ -464,8 +471,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             failures += 1
             row.append(f"error: {str(exc) or type(exc).__name__}")
             rows.append(row + [""] * (len(SUMMARY_COLUMNS) - len(row)))
-            for name in ("report.json", "trace.csv"):
-                (out_dir / cell / name).unlink(missing_ok=True)  # left by an earlier sweep
             continue
         _write(out_dir / cell / "report.json", dumps_json(report))
         _write(out_dir / cell / "trace.csv", trace_to_csv(trace))

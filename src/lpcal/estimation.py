@@ -16,11 +16,12 @@ count table, a sufficient statistic for every query it can answer, so the
 formula-sized pools (easily 1e8+ samples) keep O(n_levels * k) numbers.  A
 pool is drawn on its first query, from its own streams, so a pool no query
 reaches costs nothing and the bytes of a run do not depend on when its pools
-are drawn: that query draws (feature, label) counts and keeps only their
-sums per bin.  An event is a row of positions in the binning's levels, a
-batch an ``(m, size)`` array checked by one ``bincount`` against a mask of
-the bins already asked.  A query adds up its bins' rows, O(|event| * k), and
-the integer sums make every answer bit-for-bit the one a row mask gives.
+are drawn: that query draws the (bin, label) counts in one multinomial over
+the binning's exact cell law.  An event is a row of positions in the
+binning's levels, a batch an ``(m, size)`` array checked by one
+``bincount`` against a mask of the bins already asked.  A query adds up its
+bins' rows, O(|event| * k), and the integer sums make every answer
+bit-for-bit the one a row mask gives.
 """
 
 from __future__ import annotations
@@ -169,9 +170,7 @@ class DisjointQueryPool:
             )
         if self.bin_counts is None:  # the first query draws the sample and opens the noise stream
             data_rng = stream_rng(self.master_seed, f"data:pool:{self.name}")
-            counts = joint_counts(self.world, data_rng, self.m)
-            self.bin_counts = np.zeros((n_levels, self.world.k), dtype=np.int64)
-            np.add.at(self.bin_counts, self.binning.ids, counts)
+            self.bin_counts = joint_counts(self.world, self.binning, data_rng, self.m)
             self.noise_rng = stream_rng(self.master_seed, f"laplace:pool:{self.name}")
         cells = self.bin_counts[events].sum(axis=1)
         if self.value_dim == 1:

@@ -187,18 +187,25 @@ def feature_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray
     return rng.multinomial(n, world.mass / world.mass.sum())
 
 
-def joint_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Counts of ``n`` i.i.d. samples per (feature, label) cell.
+def joint_counts(world: World, binning: Binning, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Counts of ``n`` i.i.d. samples per (bin, label) cell of ``binning``.
 
-    The (n_features, k) count table is a sufficient statistic for any
-    per-sample average, so huge pools never materialize sample lists.
+    One ``rng.multinomial(n, law / law.sum())`` over the ``(n_levels, k)``
+    exact cell law ``law[i, j] = sum over x in bin i of mass(x) *
+    conditional(x, j)``, summed by one ``np.bincount`` in ascending feature
+    order.  Merging multinomial cells gives a multinomial, so the table has
+    the law of per-(feature, label) counts summed per bin, at O(n_levels *
+    k) draws; where every feature has its own level, numbered in feature
+    order, it is that draw bit for bit.  The table is a sufficient statistic
+    for any per-bin average, so huge pools never materialize sample lists.
     ``n`` above the int64 maximum raises ``ValueError``.
     """
     check_draws(n)
-    joint = (world.mass[:, None] * world.conditional).ravel()
-    joint = joint / joint.sum()
-    counts = rng.multinomial(n, joint)
-    return counts.reshape(world.n_features, world.k)
+    k = world.k
+    cells = (binning.ids[:, None] * k + np.arange(k)).ravel()
+    weights = (world.mass[:, None] * world.conditional).ravel()
+    law = np.bincount(cells, weights=weights, minlength=len(binning.levels) * k)
+    return rng.multinomial(n, law / law.sum()).reshape(-1, k)
 
 
 def exact_event_stats(

@@ -172,12 +172,16 @@ def level_tuples(levels: np.ndarray) -> tuple[Level, ...]:
     return tuple(map(tuple, levels.tolist()))
 
 
-def rows_in_by_level_scan(binning: Binning, bins) -> np.ndarray:
-    """Row mask by testing every realized level for membership in ``frozenset(bins)``."""
+def levels_in_by_scan(binning: Binning, bins) -> np.ndarray:
+    """Level mask by testing every realized level for membership in ``frozenset(bins)``."""
     bins = frozenset(bins)
     levels = level_tuples(binning.levels)
-    hit = np.fromiter((v in bins for v in levels), dtype=bool, count=len(levels))
-    return hit[binning.ids]
+    return np.fromiter((v in bins for v in levels), dtype=bool, count=len(levels))
+
+
+def rows_in_by_level_scan(binning: Binning, bins) -> np.ndarray:
+    """Row mask by testing every realized level for membership in ``frozenset(bins)``."""
+    return levels_in_by_scan(binning, bins)[binning.ids]
 
 
 def rows_in(binning: Binning, positions) -> np.ndarray:
@@ -455,6 +459,22 @@ def exact_bin_class_error(
     return float(errors.get(v, np.zeros(world.k))[j])
 
 
+def joint_counts_by_feature(
+    world: World, binning: Binning, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """``(n_levels, k)`` counts: one multinomial over every (feature, label) cell, added into bins.
+
+    The per-feature draw the pools made before they drew per (bin, label)
+    cell: ``rng.multinomial`` over the ``(n_features, k)`` joint law, then
+    one ``np.add.at`` of each feature's row into its bin.
+    """
+    joint = (world.mass[:, None] * world.conditional).ravel()
+    counts = rng.multinomial(n, joint / joint.sum()).reshape(world.n_features, world.k)
+    table = np.zeros((len(binning.levels), world.k), dtype=np.int64)
+    np.add.at(table, binning.ids, counts)
+    return table
+
+
 def dp_epsilon(pool) -> float:
     """Privacy parameter of a pool's mechanism: l1 sensitivity 2/m over noise scale."""
     return (2.0 / pool.m) / pool.noise_scale
@@ -465,11 +485,11 @@ class EagerQueryPool:
 
     An event names its bins by their positions in ``binning.levels``, as the
     package's pool takes them; this pool translates them to levels, keeps a
-    set of the levels already asked, and sums the sampled counts under a row
-    mask found by testing every level.  ``data_rng`` is kept so its state
-    can be compared.  A plain class: ``perfbench/checker.py`` loads this
-    file outside ``sys.modules``, where ``dataclass`` cannot resolve its
-    annotations.
+    set of the levels already asked, and sums the sampled (bin, label)
+    counts under a level mask found by testing every level.  ``data_rng``
+    is kept so its state can be compared.  A plain class:
+    ``perfbench/checker.py`` loads this file outside ``sys.modules``, where
+    ``dataclass`` cannot resolve its annotations.
     """
 
     def __init__(self, name, m, n_events, value_dim, alpha, binning, counts, data_rng, noise_rng):
@@ -477,7 +497,7 @@ class EagerQueryPool:
         self.value_dim, self.alpha = value_dim, alpha
         self.binning = binning
         self.levels = level_tuples(binning.levels)
-        self.counts = counts  # (n_features, k) sample counts
+        self.counts = counts  # (n_levels, k) sample counts
         self.data_rng, self.noise_rng = data_rng, noise_rng
         self.noise_scale = 8.0 / (m * alpha)
         self.queries_issued = 0
@@ -496,7 +516,7 @@ class EagerQueryPool:
             raise QueryBudgetError(
                 f"pool {self.name}: budget of {self.n_events} disjoint events exhausted"
             )
-        cell = self.counts[rows_in_by_level_scan(self.binning, event)]
+        cell = self.counts[levels_in_by_scan(self.binning, event)]
         if self.value_dim == 1:
             raw = np.array([cell.sum() / self.m])
         else:
@@ -525,7 +545,7 @@ def eager_pool_create(
         raise ValueError("pool size must be positive")
     data_rng = stream_rng(master_seed, f"data:pool:{name}")
     noise_rng = stream_rng(master_seed, f"laplace:pool:{name}")
-    counts = joint_counts(world, data_rng, m)
+    counts = joint_counts(world, binning, data_rng, m)
     return EagerQueryPool(
         name, m, n_events, value_dim, alpha, binning, counts, data_rng, noise_rng
     )

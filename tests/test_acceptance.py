@@ -285,8 +285,8 @@ def test_criterion_10_determinism(tmp_path):
 MERGE_HEAVY_ARGS = ["--scenario", "random-miscalibrated", "--k", "2", "--n-features", "200",
                     "--p", "3/2", "--eps", "0.2", "--seed", "1"]
 MERGE_HEAVY_SHA256 = {
-    "report.json": "d1612aa37cd7013e5bed6e330aa0a4c6a00d22d953ca4d85689be800f938915a",
-    "trace.csv": "5630a325d81e6b3f0df2a1b8ef32258a9f1dc1e4eb0903194afd700956b4174a",
+    "report.json": "2f2ce09949c6b277153b410428dad8474e596d9d09809836fc5a6e698558e4b0",
+    "trace.csv": "440cc7b276ba53c26d7e2886eb1ea025850304a385b59f6dcb749a2b9a491515",
 }
 
 
@@ -306,7 +306,7 @@ def test_merge_heavy_run_pinned(tmp_path):
 WIDE_ARGS = ["--scenario", "overconfident", "--k", "5", "--n-features", "5000",
              "--p", "2", "--eps", "0.3", "--seed", "0"]
 WIDE_SHA256 = {
-    "report.json": "1e7ef3b165eacb246af423786645c09d25bfbb64d1adb3a0a30ade71807dbec5",
+    "report.json": "949997d4aaf4a9e7941c4a1b094c56990a452939056ecb862380be4778f8de44",
     "trace.csv": "e5a40454b75738919b7485705b1a99809b955d8145dd22049cc447432484ca8e",
 }
 
@@ -330,9 +330,9 @@ GUARD_DOC = {
     "manual_sizes": {"bin_mass": 2e6, "pool_prob": 3e6, "pool_label": 3e6},
 }
 GUARD_MESSAGE = (
-    "error 0.0426779 still above 0.0225 after t_max=11899 iterations; accuracy events violated"
+    "error 0.042807 still above 0.0225 after t_max=11899 iterations; accuracy events violated"
 )
-GUARD_TRACE_SHA256 = "80b81298b082a2b47580c1a24f784e8fc0f4d1fd8633d2335150e97b9d178149"
+GUARD_TRACE_SHA256 = "b1ece613e08fd0728c547f59e81a733fdb85bdaa6902dba1c482f6b818026817"
 
 
 def test_guard_run_pinned():
@@ -357,8 +357,8 @@ def test_guard_run_pinned():
 NEAR_CAP_ARGS = ["--scenario", "random-miscalibrated", "--k", "3", "--n-features", "10000",
                  "--p", "3/2", "--eps", "0.1", "--delta", "0.1", "--seed", "0"]
 NEAR_CAP_SHA256 = {
-    "report.json": "fe57a359183865c6ca2c75a6a88f22f234580d491f02e063cb7bc2970a72989c",
-    "trace.csv": "7e5c2ffda162b80d21e5eb8f952cee23414b1fe270586a40d6cbe069989ce00a",
+    "report.json": "d70d5f70860b47c267d61aa40464c04c231f5f73c64e6cba7efe5c3c8e015ee8",
+    "trace.csv": "666bf9d4d63ff1fc4556c1956eb6a6bd5d328c7bbc5aa658c2cd068239e40e85",
 }
 
 

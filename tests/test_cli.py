@@ -183,6 +183,42 @@ class TestRunCommand:
         assert report["status"] == "estimate-failure"
         assert not (out / "trace.csv").exists()
 
+    @staticmethod
+    def earlier_run(tmp_path, **overrides):
+        """An ok 40-feature run in ``out``, the config for the next run and the outputs' bytes."""
+        doc = {"scenario": SCENARIO_40F, "p": "2", "eps": 0.3, "seed": 0}
+        ok = write_config(tmp_path / "ok.json", **doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ok), "--out-dir", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["report.json", "trace.csv"]
+        cfg = write_config(tmp_path / "next.json", **{**doc, **overrides})
+        return ["run", "--config", str(cfg), "--out-dir", str(out)], out, before
+
+    def test_refused_run_removes_an_earlier_runs_outputs(self, tmp_path, capsys):
+        args, out, _ = self.earlier_run(tmp_path, **POOL_PAST_INT64)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: 10000000000000000000 draws exceed the int64 limit"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_broken_run_removes_an_earlier_runs_outputs(self, tmp_path, monkeypatch):
+        args, out, _ = self.earlier_run(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise InvariantError("broken")
+
+        monkeypatch.setattr(lpcal.cli, "calibrate", broken)
+        with pytest.raises(InvariantError, match="broken"):
+            main(args)
+        assert list(out.iterdir()) == []
+
+    def test_config_error_keeps_an_earlier_runs_outputs(self, tmp_path):
+        args, out, before = self.earlier_run(tmp_path, eps=0.0)
+        assert main(args) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("p, eps", [("6/5", 0.3), ("3/2", 0.1)])
     def test_runs_toward_p_one_finish(self, tmp_path, p, eps):
         # 2.5e12 and 1.8e10 bin-mass draws respectively
@@ -778,6 +814,15 @@ class TestSweepCommand:
             main(self.sweep_args(tmp_path, out))
         assert not (out / "summary.csv").exists()
         assert not (out / "pinf-eps0.25-seed2").exists()
+
+    def test_a_bug_removes_its_cells_earlier_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep"
+        assert main(self.sweep_args(tmp_path, out)) == 0
+        self.fail_seed_one(monkeypatch, InvariantError("broken"))
+        with pytest.raises(InvariantError, match="broken"):
+            main(self.sweep_args(tmp_path, out))
+        assert list((out / "pinf-eps0.25-seed1").iterdir()) == []
+        assert (out / "pinf-eps0.25-seed2" / "report.json").exists()  # not reached, left as it was
 
     @staticmethod
     def fail_seed_one(monkeypatch, exc):

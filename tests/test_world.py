@@ -36,6 +36,7 @@ from oracles import (
     exact_event_stats_by_mask,
     feature_counts_by_choice,
     feature_counts_by_sorting,
+    joint_counts_by_feature,
     level_tuples,
     rows_in,
     rows_in_by_level_scan,
@@ -308,11 +309,12 @@ class TestFeatureCounts:
 
     @pytest.mark.parametrize("count", [feature_counts, joint_counts])
     def test_counts_past_int64_rejected(self, count):
-        w, _ = make_scenario("random-miscalibrated", 3, 40, seed=0)
+        w, f = make_scenario("random-miscalibrated", 3, 40, seed=0)
+        args = (w, bin_table(f.table, 4)) if count is joint_counts else (w,)
         top = 2**63 - 1
-        assert count(w, stream_rng(0, "data"), top).sum() == top
+        assert count(*args, stream_rng(0, "data"), top).sum() == top
         with pytest.raises(ValueError, match=r"^9223372036854775808 draws exceed the int64"):
-            count(w, stream_rng(0, "data"), top + 1)
+            count(*args, stream_rng(0, "data"), top + 1)
 
     @pytest.mark.parametrize(
         "world",
@@ -377,6 +379,78 @@ class TestFeatureCounts:
         assert counts.sum() == n
         assert not counts[w.mass == 0].any()
 
+
+
+class RecordingRng:
+    """A generator that keeps the probabilities of its last ``multinomial`` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.pvals = rng, None
+
+    def multinomial(self, n, pvals):
+        self.pvals = pvals
+        return self.rng.multinomial(n, pvals)
+
+
+class TestJointCounts:
+    @staticmethod
+    def shared(lam=4):
+        """overconfident k=3 on 30 features at lam 4: 3 levels shared by 14, 5 and 11 features."""
+        w, f = make_scenario("overconfident", 3, 30, seed=0)
+        return w, bin_table(f.table, lam)
+
+    @staticmethod
+    def one_per_level():
+        """perfect k=3 on 30 features at lam 2**20: feature x has level x."""
+        w, f = make_scenario("perfect", 3, 30, seed=0)
+        binning = bin_table(f.table, 2**20)
+        assert np.array_equal(binning.ids, np.arange(30))
+        return w, binning
+
+    def test_table_is_per_bin_cell_and_sums_to_n(self):
+        w, binning = self.shared()
+        counts = joint_counts(w, binning, stream_rng(0, "data"), 10_000)
+        assert counts.shape == (len(binning.levels), w.k) and counts.dtype == np.int64
+        assert counts.sum() == 10_000 and (counts >= 0).all()
+
+    @pytest.mark.parametrize("case", ["shared", "one_per_level"])
+    def test_law_is_the_singleton_event_stats(self, case):
+        w, binning = getattr(self, case)()
+        rng = RecordingRng(stream_rng(0, "data"))
+        joint_counts(w, binning, rng, 1000)
+        singles = np.arange(len(binning.levels))[:, None]
+        _, labels = exact_event_stats(w, binning, singles)
+        np.testing.assert_allclose(rng.pvals, (labels / labels.sum()).ravel(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [10_000, 2**62])
+    def test_one_feature_per_level_is_the_per_feature_draw(self, n):
+        w, binning = self.one_per_level()
+        fast, slow = stream_rng(3, "data"), stream_rng(3, "data")
+        got = joint_counts(w, binning, fast, n)
+        assert got.tobytes() == joint_counts_by_feature(w, binning, slow, n).tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_shared_levels_keep_the_per_feature_moments(self):
+        # Each method's per-cell count is Binomial(n, p) for the cell's exact
+        # law p.  Over S streams, the sample mean and variance of each cell
+        # are tested as z-scores against n*p and n*p*(1-p), with the
+        # binomial's fourth central moment for the variance's spread.  Under
+        # the normal approximation each of the 2 * 2 * 9 checks alarms
+        # falsely with probability erfc(Z/sqrt(2)) < 2e-9, so the test does
+        # with probability below 1e-7.
+        w, binning = self.shared()
+        S, n, Z = 2000, 1000, 6.0
+        _, labels = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
+        p = labels / labels.sum()
+        mean, var = n * p, n * p * (1 - p)
+        mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+        for count in (joint_counts, joint_counts_by_feature):
+            draws = np.stack([count(w, binning, stream_rng(s, "data"), n) for s in range(S)])
+            z_mean = (draws.mean(axis=0) - mean) / np.sqrt(var / S)
+            z_var = (draws.var(axis=0, ddof=1) - var) / np.sqrt((mu4 - var**2) / S)
+            assert np.abs(z_mean).max() < Z, (count.__name__, z_mean)
+            assert np.abs(z_var).max() < Z, (count.__name__, z_var)
+        assert math.erfc(Z / math.sqrt(2)) < 2e-9
 
 class TestScenarios:
     def test_perfect_has_zero_error(self):
