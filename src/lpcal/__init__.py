@@ -50,7 +50,6 @@ from .world import (
     bin_table,
     draw,
     exact_event_stats,
-    feature_counts,
     make_scenario,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "exact_lp_error",
     "exact_report",
     "exact_sq_error",
-    "feature_counts",
     "level_count",
     "make_scenario",
     "pool_create",

@@ -43,7 +43,6 @@ from .world import (
     bin_table,
     draw,
     exact_event_stats,
-    feature_counts,
 )
 
 PNorm = Fraction | float  # a rational > 1, or math.inf
@@ -295,8 +294,7 @@ def calibrate(
     n_levels = level_count(lam, k)
     m1, m2 = bin_mass_terms(params.mass_accuracy, params.mass_delta, n_levels)
     m_mass = sizes.get("bin_mass", m1 + m2)
-    mass_counts = feature_counts(world, stream_rng(seed, "data:bin-mass"), m_mass)
-    masses = estimate_bin_masses(mass_counts, binning)
+    masses = estimate_bin_masses(world, binning, stream_rng(seed, "data:bin-mass"), m_mass)
     monitor.observe_mass_table(masses)
 
     selected = select_bins(masses, binning, params)

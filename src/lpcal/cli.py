@@ -458,6 +458,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"share the output directory {out_dir / cell}"
             )
         cells[cell] = cfg
+    # an earlier sweep's summary goes before any cell runs, so a sweep a bug ends leaves none
+    (out_dir / "summary.csv").unlink(missing_ok=True)
     rows: list[list] = []
     failures = 0
     for cell, cfg in cells.items():
@@ -631,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 Two kinds of estimates feed the calibration loop:
 
 * plain empirical bin masses over a fresh sample (no noise), sized so that
-  every bin is accurate to ``alpha`` with probability ``1 - delta``;
+  every bin is accurate to ``alpha`` with probability ``1 - delta``, and
+  drawn as one multinomial over the binning's bins;
 * answers about adaptively chosen, pairwise-disjoint bin-set events, served
   from a fixed pool of samples with Laplace noise added.  Disjointness keeps
   the l1 sensitivity of the whole answer vector at ``2/m``, so noise of scale
@@ -15,9 +16,10 @@ Each pool holds the run's binning and keeps its samples as a (bin, label)
 count table, a sufficient statistic for every query it can answer, so the
 formula-sized pools (easily 1e8+ samples) keep O(n_levels * k) numbers.  A
 pool is drawn on its first query, from its own streams, so a pool no query
-reaches costs nothing and the bytes of a run do not depend on when its pools
-are drawn: that query draws the (bin, label) counts in one multinomial over
-the binning's exact cell law.  An event is a row of positions in the
+reaches draws nothing (it holds only its mask of the bins already asked, one
+bool per level) and the bytes of a run do not depend on when its pools are
+drawn: that query draws the (bin, label) counts in one multinomial over the
+binning's exact cell law.  An event is a row of positions in the
 binning's levels, a batch an ``(m, size)`` array checked by one
 ``bincount`` against a mask of the bins already asked.  A query adds up its
 bins' rows, O(|event| * k), and the integer sums make every answer
@@ -72,16 +74,25 @@ def bin_mass_terms(alpha: float, delta: float, n_levels: int) -> tuple[int, int]
     return m1, m2
 
 
-def estimate_bin_masses(counts: np.ndarray, binning: Binning) -> np.ndarray:
-    """Empirical frequency of each rounded-prediction bin from per-feature counts.
+def estimate_bin_masses(
+    world: World, binning: Binning, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """Empirical frequency of each rounded-prediction bin over ``n`` fresh draws.
 
-    Returns the ``(n_levels,)`` frequencies, row i for ``binning.levels[i]``;
-    a bin no sample reached has frequency 0.
+    One ``rng.multinomial(n, law / law.sum())`` over the exact bin law
+    ``law[i] = sum over x in bin i of mass(x)``, summed by one ``np.bincount``
+    in ascending feature order.  Merging multinomial cells gives a
+    multinomial, so the counts have the law of per-feature counts summed per
+    bin; where every feature has its own level, numbered in feature order,
+    they are that per-feature draw bit for bit.  Returns the ``(n_levels,)``
+    counts over ``n``, row i for ``binning.levels[i]``.  ``n`` of 0 or above
+    the int64 maximum raises ``ValueError``.
     """
-    n = int(counts.sum())
+    check_draws(n)
     if n == 0:
         raise ValueError("samples must be nonempty")
-    return np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
+    law = np.bincount(binning.ids, weights=world.mass, minlength=len(binning.levels))
+    return rng.multinomial(n, law / law.sum()) / n
 
 
 def pool_sample_size(n_events: int, value_dim: int, alpha: float, delta: float) -> int:
@@ -110,9 +121,10 @@ class DisjointQueryPool:
 
     The sample and the noise come from the pool's own named streams, seeded
     by ``(master_seed, name)`` alone, and are drawn on the first query: a
-    pool no query reaches costs nothing, and a queried pool holds the same
-    sample and noise whenever it is drawn.  The sample is fixed before any
-    answer is given, so it does not depend on the events asked.
+    pool no query reaches draws nothing and holds only its ``claimed`` mask,
+    one bool per level, and a queried pool holds the same sample and noise
+    whenever it is drawn.  The sample is fixed before any answer is given,
+    so it does not depend on the events asked.
 
     The pool enforces its own contract: events must be pairwise disjoint
     over its lifetime, and at most ``n_events`` of them may be asked.

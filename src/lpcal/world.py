@@ -175,18 +175,6 @@ def check_draws(n: int) -> None:
         raise ValueError(f"{n} draws exceed the int64 limit of {MAX_DRAWS} per multinomial count")
 
 
-def feature_counts(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Per-feature counts of ``n`` i.i.d. draws, without labels.
-
-    One ``rng.multinomial(n, mass)`` call.  The counts have the same law as
-    ``np.bincount`` of ``n`` ``rng.choice(n_features, p=mass)`` draws, at
-    O(n_features) time and memory for any ``n``.  numpy holds ``n`` in an
-    int64, so ``n`` above 2**63 - 1 raises ``ValueError``.
-    """
-    check_draws(n)
-    return rng.multinomial(n, world.mass / world.mass.sum())
-
-
 def joint_counts(world: World, binning: Binning, rng: np.random.Generator, n: int) -> np.ndarray:
     """Counts of ``n`` i.i.d. samples per (bin, label) cell of ``binning``.
 

@@ -151,6 +151,38 @@ def feature_counts_by_choice(world: World, rng: np.random.Generator, n: int) -> 
     return counts
 
 
+def feature_counts_by_multinomial(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Per-feature counts of ``n`` draws in one ``rng.multinomial(n, mass / mass.sum())``.
+
+    The per-feature draw the bin-mass table made before it drew per bin.
+    """
+    return rng.multinomial(n, world.mass / world.mass.sum())
+
+
+def bin_masses_by_feature(
+    world: World, binning: Binning, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """``(n_levels,)`` frequencies: per-feature counts, added into bins by ``np.add.at``, over n."""
+    counts = np.zeros(len(binning.levels), dtype=np.int64)
+    np.add.at(counts, binning.ids, feature_counts_by_multinomial(world, rng, n))
+    return counts / n
+
+
+class FixedDraw:
+    """A generator stand-in whose ``multinomial`` returns set counts, the ones a test built.
+
+    A plain class: ``perfbench/checker.py`` loads this file outside ``sys.modules``.
+    """
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = np.asarray(counts)
+
+    def multinomial(self, n, pvals):
+        if n != self.counts.sum() or len(pvals) != len(self.counts):
+            raise ValueError("the set counts disagree with the draw asked for")
+        return self.counts.copy()
+
+
 def bin_table_by_round_down(table: np.ndarray, lam: int) -> Binning:
     """Binning by scalar ``round_down`` on each row in turn, levels in first-row order.
 
@@ -318,14 +350,17 @@ def sq_error_by_expectation(world: World, table: np.ndarray) -> float:
 
 
 def bin_masses_by_samples(features: np.ndarray, table: np.ndarray, lam: int) -> dict[Level, float]:
-    """Empirical bin masses by rounding each sampled feature's row on its own."""
+    """Empirical bin masses by rounding each sampled feature's row on its own.
+
+    Each bin's sample count is divided by the sample size once.
+    """
     counts = np.bincount(features, minlength=table.shape[0])
-    masses: dict[Level, float] = {}
+    per_bin: dict[Level, int] = {}
     for x, c in enumerate(counts):
         if c:
             v = round_down(table[x], lam)
-            masses[v] = masses.get(v, 0.0) + int(c) / len(features)
-    return masses
+            per_bin[v] = per_bin.get(v, 0) + int(c)
+    return {v: c / len(features) for v, c in per_bin.items()}
 
 
 def error_table_by_rows(world: World, table: np.ndarray, lam: int) -> dict[Level, np.ndarray]:
@@ -423,16 +458,15 @@ def empirical_report(
 
 
 def bin_mass_dict(counts: np.ndarray, binning: Binning) -> dict[Level, float]:
-    """Empirical bin masses as a dict holding only the bins with a nonzero count.
+    """Empirical bin masses from per-bin counts, as a dict of the bins with a nonzero count.
 
     A bin missing from the dict has implicit mass 0.
     """
     n = int(counts.sum())
     if n == 0:
         raise ValueError("samples must be nonempty")
-    freq = np.bincount(binning.ids, weights=counts / n, minlength=len(binning.levels))
     levels = level_tuples(binning.levels)
-    return {levels[i]: float(freq[i]) for i in np.flatnonzero(freq)}
+    return {levels[i]: c / n for i, c in enumerate(counts.tolist()) if c}
 
 
 def select_bins_by_dict(masses: dict[Level, float], bin_threshold: float) -> list[Level]:

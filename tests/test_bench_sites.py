@@ -51,8 +51,9 @@ def test_patched_name_resolves(metric, owner, attr):
 
 
 # Module-level sites the tracer still patches though their owner no longer
-# calls them: the run's sampling moved to ``feature_counts`` and its rounding
-# to ``bin_table``.  Each leaves this set when the tracer is retargeted.
+# calls them: the run's sampling moved to ``estimate_bin_masses`` and the
+# pools' ``joint_counts``, and its rounding to ``bin_table``.  Each leaves
+# this set when the tracer is retargeted.
 ALLOWED_STALE = {
     ("lpcal.calibrator", "draw"),
     ("lpcal.calibrator", "round_down"),

@@ -24,6 +24,7 @@ from lpcal.simplex import canonical_rows, enumerate_levels, round_down
 from lpcal.world import Binning, Predictor, World, bin_table, make_scenario
 
 from oracles import (
+    FixedDraw,
     bin_mass_dict,
     canonical,
     check_trace_columns,
@@ -124,16 +125,16 @@ class TestSelectBins:
 
 @st.composite
 def count_cases(draw):
-    """A world, a binning on it and per-feature counts; with two or more bins, one draws none."""
+    """A world, a binning on it and per-bin counts; with two or more bins, one draws none."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     world = World(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(k), size=n))
     rows = rng.dirichlet(np.ones(k), size=draw(st.integers(1, n)))
     binning = bin_table(rows[rng.integers(0, len(rows), size=n)], draw(st.integers(1, 8)))
-    empty = draw(st.integers(0, len(binning.levels) - 1))
-    keep = (binning.ids != empty) | (len(binning.levels) == 1)
-    counts = np.where(keep, rng.integers(0, draw(st.integers(1, 6)), size=n), 0)
+    n_levels = len(binning.levels)
+    keep = (np.arange(n_levels) != draw(st.integers(0, n_levels - 1))) | (n_levels == 1)
+    counts = np.where(keep, rng.integers(0, draw(st.integers(1, 6)), size=n_levels), 0)
     counts[np.argmax(keep)] += 1  # at least one sample
     return world, binning, counts, draw(st.floats(0.01, 0.99))
 
@@ -145,7 +146,7 @@ class TestBinMassArray:
     @settings(max_examples=300, deadline=None)
     def test_same_bins_and_deviation_as_the_dict_table(self, case):
         world, binning, counts, eps = case
-        masses = estimate_bin_masses(counts, binning)
+        masses = estimate_bin_masses(world, binning, FixedDraw(counts), int(counts.sum()))
         table = bin_mass_dict(counts, binning)
         assert masses.shape == (len(binning.levels),)
         assert len(binning.levels) == 1 or 0.0 in masses  # a realized bin no sample reached

@@ -214,6 +214,18 @@ class TestRunCommand:
             main(args)
         assert list(out.iterdir()) == []
 
+    def test_a_key_error_is_a_bug_not_bad_input(self, tmp_path, monkeypatch):
+        # no input path raises KeyError, so one from the run propagates instead of exiting 2
+        args, out, _ = self.earlier_run(tmp_path)
+
+        def broken(cfg):
+            raise KeyError("oops")
+
+        monkeypatch.setattr(lpcal.cli, "run_config", broken)
+        with pytest.raises(KeyError, match="oops"):
+            main(args)
+        assert list(out.iterdir()) == []
+
     def test_config_error_keeps_an_earlier_runs_outputs(self, tmp_path):
         args, out, before = self.earlier_run(tmp_path, eps=0.0)
         assert main(args) == 2
@@ -806,7 +818,9 @@ class TestSweepCommand:
         assert not (out / "pinf-eps0.25-seed1").exists()
         assert (out / "pinf-eps0.25-seed2" / "report.json").exists()
 
-    @pytest.mark.parametrize("error", [InvariantError, DisjointnessError, QueryBudgetError])
+    @pytest.mark.parametrize(
+        "error", [InvariantError, DisjointnessError, QueryBudgetError, KeyError]
+    )
     def test_bugs_end_the_sweep(self, tmp_path, monkeypatch, error):
         self.fail_seed_one(monkeypatch, error("broken"))
         out = tmp_path / "sweep"
@@ -821,8 +835,17 @@ class TestSweepCommand:
         self.fail_seed_one(monkeypatch, InvariantError("broken"))
         with pytest.raises(InvariantError, match="broken"):
             main(self.sweep_args(tmp_path, out))
+        assert not (out / "summary.csv").exists()  # the earlier one lists seed 1 as ok
         assert list((out / "pinf-eps0.25-seed1").iterdir()) == []
         assert (out / "pinf-eps0.25-seed2" / "report.json").exists()  # not reached, left as it was
+
+    def test_a_grid_error_leaves_an_earlier_sweep_as_it_was(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(self.sweep_args(tmp_path, out)) == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert "summary.csv" in {path.name for path in before}
+        assert main([*self.sweep_args(tmp_path, out), "--eps", "0.25,0"]) == 2
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     @staticmethod
     def fail_seed_one(monkeypatch, exc):

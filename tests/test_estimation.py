@@ -22,12 +22,12 @@ from lpcal.world import (
     bin_table,
     draw,
     exact_event_stats,
-    feature_counts,
     joint_counts,
     make_scenario,
 )
 
 from oracles import (
+    FixedDraw,
     bin_mass_sample_size,
     bin_masses_by_samples,
     dp_epsilon,
@@ -61,9 +61,8 @@ class TestBinMassSampleSize:
 
 def estimate(w, f, lam, seed, n):
     """The bin-mass array of ``n`` draws and the binning whose levels index it."""
-    counts = feature_counts(w, stream_rng(seed, "data"), n)
     binning = bin_table(f.table, lam)
-    return estimate_bin_masses(counts, binning), binning
+    return estimate_bin_masses(w, binning, stream_rng(seed, "data"), n), binning
 
 
 def nonzero(masses, binning):
@@ -93,14 +92,14 @@ class TestEstimateBinMasses:
         assert masses.sum() <= 1.0 + 1e-9
 
     def test_matches_per_sample_frequencies_bit_for_bit(self):
-        # the count-based estimate adds the same float terms in the same
-        # order as summing 1/n per sample, feature by feature
+        # handed a sample's bin counts as its draw, the estimate divides
+        # each by n, as counting the sample's rounded rows per bin does
         for seed in range(5):
             w, f = make_scenario("random-miscalibrated", 3, 60, seed=seed)
             samples = draw(w, stream_rng(seed, "data"), 3000)
-            counts = np.bincount(samples.features, minlength=60)
             binning = bin_table(f.table, 5)
-            got = estimate_bin_masses(counts, binning)
+            counts = np.bincount(binning.ids[samples.features], minlength=len(binning.levels))
+            got = estimate_bin_masses(w, binning, FixedDraw(counts), 3000)
             assert nonzero(got, binning) == bin_masses_by_samples(samples.features, f.table, 5)
 
     def test_empty_counts_rejected(self):
@@ -122,10 +121,8 @@ class TestEstimateBinMasses:
         binning = bin_table(f.table, lam)
         failures = 0
         for seed in range(100):
-            counts = feature_counts(w, stream_rng(seed, "data:a1"), m)
-            masses = dict(
-                zip(level_tuples(binning.levels), estimate_bin_masses(counts, binning).tolist())
-            )
+            drawn = estimate_bin_masses(w, binning, stream_rng(seed, "data:a1"), m)
+            masses = dict(zip(level_tuples(binning.levels), drawn.tolist()))
             dev = max(
                 abs(masses.get(v, 0.0) - exact.get(v, 0.0)) for v in set(masses) | set(exact)
             )

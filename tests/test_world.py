@@ -12,6 +12,7 @@ import lpcal.evaluator
 import lpcal.partitions
 import lpcal.world
 from lpcal.cli import RunConfig, run_config
+from lpcal.estimation import estimate_bin_masses
 from lpcal.evaluator import exact_lp_error
 from lpcal.simplex import PROB_ATOL, SNAP, round_down
 from lpcal.streams import stream_rng
@@ -21,7 +22,6 @@ from lpcal.world import (
     bin_table,
     draw,
     exact_event_stats,
-    feature_counts,
     joint_counts,
     make_scenario,
     world_from_dict,
@@ -30,11 +30,13 @@ from lpcal.world import (
 
 from oracles import (
     FEATURE_CHUNK,
+    bin_masses_by_feature,
     bin_table_by_round_down,
     counting,
     exact_bin_class_error,
     exact_event_stats_by_mask,
     feature_counts_by_choice,
+    feature_counts_by_multinomial,
     feature_counts_by_sorting,
     joint_counts_by_feature,
     level_tuples,
@@ -290,31 +292,15 @@ class TestFeatureCounts:
         assert np.array_equal(counts, np.bincount(samples.features, minlength=30))
         assert np.array_equal(counts, feature_counts_by_choice(w, stream_rng(4, "data"), n))
 
-    def test_memory_bounded_by_chunk(self):
-        w, _ = make_scenario("random-miscalibrated", 3, 40, seed=0)
-        for n in (20_000_000, 2_500_000_000_000):  # the second is p=6/5, eps=0.3
-            tracemalloc.start()
-            try:
-                counts = feature_counts(w, stream_rng(0, "data"), n)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert counts.sum() == n
-            assert peak < 64 * 2**20
-
-    def test_negative_n_rejected(self):
-        w = one_point_world()
-        with pytest.raises(ValueError):
-            feature_counts(w, stream_rng(0, "data"), -1)
-
-    @pytest.mark.parametrize("count", [feature_counts, joint_counts])
+    @pytest.mark.parametrize("count", [estimate_bin_masses, joint_counts])
     def test_counts_past_int64_rejected(self, count):
         w, f = make_scenario("random-miscalibrated", 3, 40, seed=0)
-        args = (w, bin_table(f.table, 4)) if count is joint_counts else (w,)
+        binning = bin_table(f.table, 4)
         top = 2**63 - 1
-        assert count(*args, stream_rng(0, "data"), top).sum() == top
+        drawn = count(w, binning, stream_rng(0, "data"), top)
+        assert drawn.sum() == (top if count is joint_counts else pytest.approx(1.0))
         with pytest.raises(ValueError, match=r"^9223372036854775808 draws exceed the int64"):
-            count(*args, stream_rng(0, "data"), top + 1)
+            count(w, binning, stream_rng(0, "data"), top + 1)
 
     @pytest.mark.parametrize(
         "world",
@@ -325,7 +311,7 @@ class TestFeatureCounts:
         # Pearson chi-square of each method's counts against n * mass, on a
         # fixed seed; each check alarms falsely with probability FALSE_ALARM.
         n = 3 * FEATURE_CHUNK
-        fast = feature_counts(world, stream_rng(5, "data:bin-mass"), n)
+        fast = feature_counts_by_multinomial(world, stream_rng(5, "data:bin-mass"), n)
         slow = feature_counts_by_sorting(world, stream_rng(5, "data:bin-mass"), n)
         for counts in (fast, slow):
             assert counts.sum() == n
@@ -375,7 +361,7 @@ class TestFeatureCounts:
         assert fast.bit_generator.state == slow.bit_generator.state
         assert fast.random() == slow.random()
         # the multinomial counts keep the total and the support
-        counts = feature_counts(w, stream_rng(seed, "data"), n)
+        counts = feature_counts_by_multinomial(w, stream_rng(seed, "data"), n)
         assert counts.sum() == n
         assert not counts[w.mass == 0].any()
 
@@ -451,6 +437,73 @@ class TestJointCounts:
             assert np.abs(z_mean).max() < Z, (count.__name__, z_mean)
             assert np.abs(z_var).max() < Z, (count.__name__, z_var)
         assert math.erfc(Z / math.sqrt(2)) < 2e-9
+
+
+class TestBinMassDraw:
+    """``estimate_bin_masses``: one multinomial over the bins, against the per-feature draw."""
+
+    @pytest.mark.parametrize("case", ["shared", "one_per_level"])
+    def test_law_is_the_exact_bin_masses(self, case):
+        w, binning = getattr(TestJointCounts, case)()
+        rng = RecordingRng(stream_rng(0, "data"))
+        estimate_bin_masses(w, binning, rng, 1000)
+        masses, _ = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
+        np.testing.assert_allclose(rng.pvals, masses / masses.sum(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [10_000, 2**62])
+    def test_one_feature_per_level_is_the_per_feature_draw(self, n):
+        w, binning = TestJointCounts.one_per_level()
+        fast, slow = stream_rng(3, "data:bin-mass"), stream_rng(3, "data:bin-mass")
+        got = estimate_bin_masses(w, binning, fast, n)
+        assert got.tobytes() == bin_masses_by_feature(w, binning, slow, n).tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_shared_levels_keep_the_per_feature_moments(self):
+        # Each method's count in a bin is Binomial(n, p) for the bin's exact
+        # mass p.  Over S streams, the sample mean and variance of each bin's
+        # count are tested as z-scores against n*p and n*p*(1-p), with the
+        # binomial's fourth central moment for the variance's spread.  Under
+        # the normal approximation each of the 2 * 2 * 3 checks alarms
+        # falsely with probability erfc(Z/sqrt(2)) < 2e-9, so the test does
+        # with probability below 3e-8.
+        w, binning = TestJointCounts.shared()
+        S, n, Z = 2000, 1000, 6.0
+        p, _ = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
+        mean, var = n * p, n * p * (1 - p)
+        mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+        for estimate in (estimate_bin_masses, bin_masses_by_feature):
+            draws = n * np.stack([estimate(w, binning, stream_rng(s, "data"), n) for s in range(S)])
+            z_mean = (draws.mean(axis=0) - mean) / np.sqrt(var / S)
+            z_var = (draws.var(axis=0, ddof=1) - var) / np.sqrt((mu4 - var**2) / S)
+            assert np.abs(z_mean).max() < Z, (estimate.__name__, z_mean)
+            assert np.abs(z_var).max() < Z, (estimate.__name__, z_var)
+        assert math.erfc(Z / math.sqrt(2)) < 2e-9
+
+    def test_zero_mass_bin_draws_nothing(self):
+        w, binning = TestJointCounts.shared()
+        mass = np.where(binning.ids == 1, 0.0, w.mass)
+        world = World(mass / mass.sum(), w.conditional)
+        masses = estimate_bin_masses(world, binning, stream_rng(0, "data"), 2**62)
+        assert masses[1] == 0.0 and (masses[[0, 2]] > 0).all()
+
+    def test_memory_bounded_at_any_n(self):
+        w, f = make_scenario("random-miscalibrated", 3, 40, seed=0)
+        binning = bin_table(f.table, 4)
+        for n in (20_000_000, 2_500_000_000_000):  # the second is p=6/5, eps=0.3
+            tracemalloc.start()
+            try:
+                masses = estimate_bin_masses(w, binning, stream_rng(0, "data"), n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.rint(masses * n).sum() == n
+            assert peak < 64 * 2**20
+
+    def test_negative_n_rejected(self):
+        w, binning = TestJointCounts.shared()
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            estimate_bin_masses(w, binning, stream_rng(0, "data"), -1)
+
 
 class TestScenarios:
     def test_perfect_has_zero_error(self):
