@@ -40,7 +40,9 @@ from .world import (
     Binning,
     Predictor,
     World,
+    bin_law,
     bin_table,
+    cell_law,
     draw,
     exact_event_stats,
 )
@@ -112,9 +114,10 @@ def derive_params(p: PNorm, eps: float, delta: float) -> CalibParams:
         beta = float(eps)
     else:
         p = Fraction(p)
-        e_eps = p / (p - 1)
-        e_two = 1 / (p - 1)
-        beta = float(eps) ** float(e_eps) / 2.0 ** float(e_two)
+        try:
+            beta = float(eps) ** float(p / (p - 1)) / 2.0 ** float(1 / (p - 1))
+        except OverflowError:  # 2**(1/(p-1)) is past float range, so beta < 2**-1024
+            beta = 0.0
     if not beta > 0.0:
         raise ValueError(f"p={p}, eps={eps}: beta underflows to {beta}, so lam exceeds 2**53")
     lam = _ceil_tol(1.0 / beta)
@@ -294,7 +297,7 @@ def calibrate(
     n_levels = level_count(lam, k)
     m1, m2 = bin_mass_terms(params.mass_accuracy, params.mass_delta, n_levels)
     m_mass = sizes.get("bin_mass", m1 + m2)
-    masses = estimate_bin_masses(world, binning, stream_rng(seed, "data:bin-mass"), m_mass)
+    masses = estimate_bin_masses(bin_law(world, binning), stream_rng(seed, "data:bin-mass"), m_mass)
     monitor.observe_mass_table(masses)
 
     selected = select_bins(masses, binning, params)
@@ -328,9 +331,10 @@ def calibrate(
     delta_pool = trace.pool_delta = params.delta / (3.0 * classes)
 
     m_prob, m_label = sizes.get("pool_prob"), sizes.get("pool_label")
+    law = cell_law(world, binning)  # read-only, shared by every pool
     pools = [  # size class i -> (prob pool, label pool)
         tuple(
-            pool_create(world, binning, seed, f"{kind}:{i}", n_bins, dim, alpha_pool, delta_pool, m)
+            pool_create(law, binning, seed, f"{kind}:{i}", n_bins, dim, alpha_pool, delta_pool, m)
             for kind, dim, m in (("prob", 1, m_prob), ("label", k, m_label))
         )
         for i in range(classes)

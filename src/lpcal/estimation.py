@@ -12,18 +12,18 @@ Two kinds of estimates feed the calibration loop:
   which is what lets one pool of ``m = ceil(32*ln(4nk/delta)/alpha^2)``
   samples survive up to ``n`` adaptively chosen events at accuracy ``alpha``.
 
-Each pool holds the run's binning and keeps its samples as a (bin, label)
-count table, a sufficient statistic for every query it can answer, so the
-formula-sized pools (easily 1e8+ samples) keep O(n_levels * k) numbers.  A
-pool is drawn on its first query, from its own streams, so a pool no query
-reaches draws nothing (it holds only its mask of the bins already asked, one
-bool per level) and the bytes of a run do not depend on when its pools are
-drawn: that query draws the (bin, label) counts in one multinomial over the
-binning's exact cell law.  An event is a row of positions in the
-binning's levels, a batch an ``(m, size)`` array checked by one
-``bincount`` against a mask of the bins already asked.  A query adds up its
-bins' rows, O(|event| * k), and the integer sums make every answer
-bit-for-bit the one a row mask gives.
+Nothing here sees the world: every draw is one multinomial over an exact
+binned law, the bin law or the (bin, label) cell law, that ``calibrate``
+computes once.  Each pool holds the run's cell law and binning and keeps its
+samples as a (bin, label) count table, a sufficient statistic for every
+query it can answer, so the formula-sized pools (easily 1e8+ samples) keep
+O(n_levels * k) numbers.  A pool is drawn on its first query, from its own
+streams, so a pool no query reaches draws nothing (it holds only its mask of
+the bins already asked, one bool per level) and the bytes of a run do not
+depend on when its pools are drawn.  An event is a row of positions in the
+binning's levels, a batch an ``(m, size)`` array checked by one ``bincount``
+against that mask.  A query adds up its bins' rows, O(|event| * k), and the
+integer sums make every answer bit-for-bit the one a row mask gives.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ import numpy as np
 
 from .errors import DisjointnessError, QueryBudgetError
 from .streams import stream_rng
-from .world import Binning, World, check_draws, joint_counts
+from .world import Binning
+
+# Largest sample count one multinomial draw takes.
+MAX_DRAWS = np.iinfo(np.int64).max
 
 
 def _check_unit(name: str, x: float) -> None:
@@ -74,25 +77,38 @@ def bin_mass_terms(alpha: float, delta: float, n_levels: int) -> tuple[int, int]
     return m1, m2
 
 
-def estimate_bin_masses(
-    world: World, binning: Binning, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """Empirical frequency of each rounded-prediction bin over ``n`` fresh draws.
+def check_draws(n: int) -> None:
+    """Raise ``ValueError`` unless one multinomial call can draw ``n`` samples."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_DRAWS:
+        raise ValueError(f"{n} draws exceed the int64 limit of {MAX_DRAWS} per multinomial count")
 
-    One ``rng.multinomial(n, law / law.sum())`` over the exact bin law
-    ``law[i] = sum over x in bin i of mass(x)``, summed by one ``np.bincount``
-    in ascending feature order.  Merging multinomial cells gives a
-    multinomial, so the counts have the law of per-feature counts summed per
-    bin; where every feature has its own level, numbered in feature order,
-    they are that per-feature draw bit for bit.  Returns the ``(n_levels,)``
-    counts over ``n``, row i for ``binning.levels[i]``.  ``n`` of 0 or above
-    the int64 maximum raises ``ValueError``.
+
+def joint_counts(law: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Counts of ``n`` i.i.d. samples per cell of the exact law ``law``, shaped like it.
+
+    One ``rng.multinomial(n, law / law.sum())`` over the flattened law.  Over
+    a binned law, merging multinomial cells gives a multinomial, so the counts
+    have the law of per-feature counts summed per bin, at O(law.size) draws;
+    where every feature has its own level, numbered in feature order, they
+    are that per-feature draw bit for bit.  ``n`` above the int64 maximum
+    raises ``ValueError``.
     """
     check_draws(n)
+    pvals = law.ravel()
+    return rng.multinomial(n, pvals / pvals.sum()).reshape(law.shape)
+
+
+def estimate_bin_masses(law: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Empirical frequency of each bin over ``n`` fresh draws from the ``(n_levels,)`` bin law.
+
+    ``joint_counts(law, rng, n) / n``, row i for ``binning.levels[i]``.  ``n``
+    of 0 or above the int64 maximum raises ``ValueError``.
+    """
     if n == 0:
         raise ValueError("samples must be nonempty")
-    law = np.bincount(binning.ids, weights=world.mass, minlength=len(binning.levels))
-    return rng.multinomial(n, law / law.sum()) / n
+    return joint_counts(law, rng, n) / n
 
 
 def pool_sample_size(n_events: int, value_dim: int, alpha: float, delta: float) -> int:
@@ -135,8 +151,8 @@ class DisjointQueryPool:
     n_events: int
     value_dim: int
     alpha: float
-    world: World = field(repr=False)
-    binning: Binning = field(repr=False)  # of the run's predictor, over the world's features
+    law: np.ndarray = field(repr=False)  # (n_levels, k) read-only exact (bin, label) law, shared
+    binning: Binning = field(repr=False)  # of the run's predictor; its levels name the bins
     master_seed: int
     noise_scale: float = field(init=False)
     queries_issued: int = field(init=False, default=0)
@@ -182,7 +198,7 @@ class DisjointQueryPool:
             )
         if self.bin_counts is None:  # the first query draws the sample and opens the noise stream
             data_rng = stream_rng(self.master_seed, f"data:pool:{self.name}")
-            self.bin_counts = joint_counts(self.world, self.binning, data_rng, self.m)
+            self.bin_counts = joint_counts(self.law, data_rng, self.m)
             self.noise_rng = stream_rng(self.master_seed, f"laplace:pool:{self.name}")
         cells = self.bin_counts[events].sum(axis=1)
         if self.value_dim == 1:
@@ -195,7 +211,7 @@ class DisjointQueryPool:
 
 
 def pool_create(
-    world: World,
+    law: np.ndarray,
     binning: Binning,
     master_seed: int,
     name: str,
@@ -218,13 +234,4 @@ def pool_create(
     if m < 1:
         raise ValueError("pool size must be positive")
     check_draws(m)
-    return DisjointQueryPool(
-        name=name,
-        m=m,
-        n_events=n_events,
-        value_dim=value_dim,
-        alpha=alpha,
-        world=world,
-        binning=binning,
-        master_seed=master_seed,
-    )
+    return DisjointQueryPool(name, m, n_events, value_dim, alpha, law, binning, master_seed)

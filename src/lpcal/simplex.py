@@ -171,7 +171,7 @@ def enumerate_levels(lam: int, k: int) -> list[Level]:
         raise ValueError("lam and k must be positive integers")
     bound = math.comb(lam + k, k)
     if bound > ENUM_CAP:
-        raise EnumerationCapError(f"C({lam + k},{k}) = {bound} exceeds enumeration cap {ENUM_CAP}")
+        raise EnumerationCapError(f"C({lam + k},{k}) exceeds enumeration cap {ENUM_CAP}")
     out: list[Level] = []
     prefix = [0] * k
 

@@ -163,37 +163,22 @@ def draw(world: World, rng: np.random.Generator, n: int) -> SampleBatch:
     return SampleBatch(features, labels)
 
 
-# Largest sample count one multinomial draw takes.
-MAX_DRAWS = np.iinfo(np.int64).max
+def bin_law(world: World, binning: Binning) -> np.ndarray:
+    """``(n_levels,)`` exact bin law ``sum over x in bin i of mass(x)``, in feature order."""
+    return np.bincount(binning.ids, weights=world.mass, minlength=len(binning.levels))
 
 
-def check_draws(n: int) -> None:
-    """Raise ``ValueError`` unless one multinomial call can draw ``n`` samples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_DRAWS:
-        raise ValueError(f"{n} draws exceed the int64 limit of {MAX_DRAWS} per multinomial count")
+def cell_law(world: World, binning: Binning) -> np.ndarray:
+    """Read-only ``(n_levels, k)`` exact (bin, label) law, summed in feature order.
 
-
-def joint_counts(world: World, binning: Binning, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Counts of ``n`` i.i.d. samples per (bin, label) cell of ``binning``.
-
-    One ``rng.multinomial(n, law / law.sum())`` over the ``(n_levels, k)``
-    exact cell law ``law[i, j] = sum over x in bin i of mass(x) *
-    conditional(x, j)``, summed by one ``np.bincount`` in ascending feature
-    order.  Merging multinomial cells gives a multinomial, so the table has
-    the law of per-(feature, label) counts summed per bin, at O(n_levels *
-    k) draws; where every feature has its own level, numbered in feature
-    order, it is that draw bit for bit.  The table is a sufficient statistic
-    for any per-bin average, so huge pools never materialize sample lists.
-    ``n`` above the int64 maximum raises ``ValueError``.
+    ``law[i, j] = sum over x in bin i of mass(x) * conditional(x, j)``.
     """
-    check_draws(n)
     k = world.k
     cells = (binning.ids[:, None] * k + np.arange(k)).ravel()
     weights = (world.mass[:, None] * world.conditional).ravel()
-    law = np.bincount(cells, weights=weights, minlength=len(binning.levels) * k)
-    return rng.multinomial(n, law / law.sum()).reshape(-1, k)
+    law = np.bincount(cells, weights=weights, minlength=len(binning.levels) * k).reshape(-1, k)
+    law.flags.writeable = False
+    return law
 
 
 def exact_event_stats(

@@ -19,12 +19,12 @@ from typing import Iterable, NamedTuple
 
 from lpcal.calibrator import CalibratedPredictor, EventMonitor
 from lpcal.errors import DisjointnessError, InvariantError, MembershipError, QueryBudgetError
-from lpcal.estimation import bin_mass_terms, laplace_invcdf, pool_sample_size
+from lpcal.estimation import bin_mass_terms, joint_counts, laplace_invcdf, pool_sample_size
 from lpcal.evaluator import _lp_norm, exact_report
 from lpcal.partitions import estimated_error
 from lpcal.simplex import PROB_ATOL, Level, canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
-from lpcal.world import Binning, Predictor, World, bin_table, joint_counts
+from lpcal.world import Binning, Predictor, World, bin_table
 
 
 def compositions(total: int, parts: int):
@@ -562,7 +562,7 @@ class EagerQueryPool:
 
 
 def eager_pool_create(
-    world: World,
+    law: np.ndarray,
     binning: Binning,
     master_seed: int,
     name: str,
@@ -572,14 +572,14 @@ def eager_pool_create(
     delta: float,
     m: int | None = None,
 ) -> EagerQueryPool:
-    """A pool drawn from its own named streams at once."""
+    """A pool drawn from its own named streams at once, over the cell law ``law``."""
     if m is None:
         m = pool_sample_size(n_events, value_dim, alpha, delta)
     if m < 1:
         raise ValueError("pool size must be positive")
     data_rng = stream_rng(master_seed, f"data:pool:{name}")
     noise_rng = stream_rng(master_seed, f"laplace:pool:{name}")
-    counts = joint_counts(world, binning, data_rng, m)
+    counts = joint_counts(law, data_rng, m)
     return EagerQueryPool(
         name, m, n_events, value_dim, alpha, binning, counts, data_rng, noise_rng
     )

@@ -19,7 +19,7 @@ from lpcal.cli import RunConfig, dumps_json, main, run_config, trace_to_csv
 from lpcal.errors import DisjointnessError, EstimateFailureError
 from lpcal.estimation import pool_create, pool_sample_size
 from lpcal.simplex import enumerate_levels, level_count, project_simplex
-from lpcal.world import bin_table, make_scenario
+from lpcal.world import bin_table, cell_law, make_scenario
 
 from oracles import (
     check_trace_columns,
@@ -242,7 +242,7 @@ def test_criterion_9_mechanism_structure(suite_inf, suite_p2):
                 checked += 1
     world, f = make_scenario("perfect", 2, 5, seed=1)
     binning = bin_table(f.table, 4)
-    pool = pool_create(world, binning, 0, "overlap-check", 4, 1, 0.1, 0.1, m=100)
+    pool = pool_create(cell_law(world, binning), binning, 0, "overlap-check", 4, 1, 0.1, 0.1, m=100)
     pool.query([[0]])
     with pytest.raises(DisjointnessError):
         pool.query([[0]])

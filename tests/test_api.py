@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpcal"
 
@@ -235,3 +236,28 @@ def test_no_test_only_helpers():
 def test_allowlist_is_current():
     # an allowed name that gains a caller in the package no longer needs its entry
     assert set(ALLOWED) <= unreferenced()
+
+
+# The algorithm's modules: they see the world only through its binned law, the
+# arrays ``calibrate`` computes from it, and never its features.
+ALGORITHM_MODULES = ("estimation.py", "partitions.py")
+WORLD_NAMES = {"World", "mass", "conditional"}
+
+
+def world_uses(tree: ast.Module) -> list[str]:
+    """Each name, import or attribute in ``tree`` that is ``World``, ``mass`` or ``conditional``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in WORLD_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and {node.name, node.asname} & WORLD_NAMES:
+            found.append(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in WORLD_NAMES:
+            found.append(f".{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", ALGORITHM_MODULES)
+def test_algorithm_never_sees_the_world(module):
+    uses = world_uses(_modules()[module])
+    assert not uses, f"{module} uses {sorted(set(uses))}: hand it a binned law instead"

@@ -21,7 +21,16 @@ from lpcal.estimation import estimate_bin_masses
 from lpcal.evaluator import exact_lp_error, exact_sq_error
 from lpcal.partitions import PredictionPartition
 from lpcal.simplex import canonical_rows, enumerate_levels, round_down
-from lpcal.world import Binning, Predictor, World, bin_table, make_scenario
+from lpcal.world import (
+    SCENARIOS,
+    Binning,
+    Predictor,
+    World,
+    bin_law,
+    bin_table,
+    cell_law,
+    make_scenario,
+)
 
 from oracles import (
     FixedDraw,
@@ -73,9 +82,12 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match=rf"^p must exceed 1 \(or be inf\), got {p}$"):
             derive_params(p, 0.1, 0.1)
 
-    @pytest.mark.parametrize("p", [Fraction(1001, 1000), Fraction(101, 100)])
+    @pytest.mark.parametrize(
+        "p", [Fraction(1001, 1000), Fraction(101, 100), Fraction(10009, 10000)]
+    )
     def test_grid_past_floats_rejected(self, p):
-        # beta underflows to 0.0 at 1001/1000; lam is about 8e82 at 101/100
+        # beta underflows to 0.0 at 1001/1000, and at 10009/10000, where 2**(1/(p-1))
+        # overflows a float first; lam is about 8e82 at 101/100
         with pytest.raises(ValueError, match=rf"p={p}, eps=0.3: .*2\*\*53"):
             derive_params(p, 0.3, 0.1)
 
@@ -146,7 +158,8 @@ class TestBinMassArray:
     @settings(max_examples=300, deadline=None)
     def test_same_bins_and_deviation_as_the_dict_table(self, case):
         world, binning, counts, eps = case
-        masses = estimate_bin_masses(world, binning, FixedDraw(counts), int(counts.sum()))
+        law = bin_law(world, binning)
+        masses = estimate_bin_masses(law, FixedDraw(counts), int(counts.sum()))
         table = bin_mass_dict(counts, binning)
         assert masses.shape == (len(binning.levels),)
         assert len(binning.levels) == 1 or 0.0 in masses  # a realized bin no sample reached
@@ -430,7 +443,8 @@ class TestPoolDraws:
         stats = counting(monkeypatch, lpcal.calibrator, "exact_event_stats")
         trace = self.run("overconfident", 5, 5000, seed=0)
         assert (trace.n_bins, trace.iterations, len(trace.pool_stats)) == (67, 0, 14)
-        assert len(draws) == 2
+        # one draw over the bin law, then one over the cell law per queried pool
+        assert [law.shape for law, _, _ in draws] == [(297,), (297, 5), (297, 5)]
         [(_, _, events)] = stats  # one batch: each event's statistics computed once
         assert events.shape == (67, 1)
 
@@ -443,4 +457,61 @@ class TestPoolDraws:
         assert {"prob:1", "label:1"} <= queried < {s["name"] for s in trace.pool_stats}
         drawn = [name.removeprefix("data:pool:") for _, name in streams if name.startswith("data:")]
         assert sorted(drawn) == sorted(queried)
-        assert len(draws) == len(queried)
+        assert [law.ndim for law, _, _ in draws] == [1] + [2] * len(queried)
+
+    def test_every_pool_holds_one_read_only_cell_law(self, monkeypatch):
+        laws = counting(monkeypatch, lpcal.calibrator, "cell_law")
+        real, made = lpcal.calibrator.pool_create, []
+
+        def recording(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(lpcal.calibrator, "pool_create", recording)
+        trace = self.run("random-miscalibrated", 3, 40, seed=1)
+        assert len(laws) == 1  # computed once per run
+        assert len(made) == len(trace.pool_stats) > 0
+        assert all(pool.law is made[0].law for pool in made)
+        with pytest.raises(ValueError, match="read-only"):  # no pool can write the others' law
+            made[0].law[0, 0] = 1.0
+
+
+def collapsed(world: World, binning: Binning) -> tuple[World, Predictor]:
+    """The world's binned law as a world: one feature per realized bin of ``binning``.
+
+    Feature i carries bin i's mass and its mass-weighted conditional, and is
+    predicted at the canonical row of ``binning.levels[i]``.
+    """
+    masses, cells = bin_law(world, binning), cell_law(world, binning)
+    assert (masses > 0).all()
+    table = canonical_rows(binning.levels, binning.lam)
+    return World(masses, cells / masses[:, None]), Predictor(table)
+
+
+@pytest.mark.parametrize(
+    "p, eps", [(2, 0.3), (math.inf, 0.25), (Fraction(3, 2), 0.3)], ids=["p2", "pinf", "p3over2"]
+)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_reads_the_world_only_through_its_binned_law(scenario, p, eps):
+    """A run on the world and on its collapsed binned law is the same run.
+
+    Every draw is one multinomial over the bin law or the (bin, label) cell
+    law, so the trace, the selected bins and the sample sizes are equal byte
+    for byte.  The collapsed cell law is ``mass * (cells / mass)``, equal
+    only up to rounding, and the exact errors are summed over other
+    features, so they agree to a relative 1e-12.
+    """
+    params = derive_params(p, eps, 0.1)
+    for seed in range(5):
+        world, f = make_scenario(scenario, 3, 60, seed=seed)
+        small_world, small_f = collapsed(world, bin_table(f.table, params.lam))
+        runs = [calibrate(w, g, params, seed) for w, g in ((world, f), (small_world, small_f))]
+        (h, trace), (small_h, small_trace) = runs
+        assert trace_to_csv(small_trace) == trace_to_csv(trace)
+        assert small_trace.bins.tobytes() == trace.bins.tobytes()
+        assert small_trace.pool_stats == trace.pool_stats
+        assert small_trace.bin_mass_stats == trace.bin_mass_stats
+        for q in (1.0, 2.0, math.inf):
+            want = exact_lp_error(world, h.to_table(), h.own_binning(), q)
+            got = exact_lp_error(small_world, small_h.to_table(), small_h.own_binning(), q)
+            assert abs(got - want) <= 1e-12 * want, (seed, q)

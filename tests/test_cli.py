@@ -96,6 +96,7 @@ MANUAL_SIZES = {"bin_mass": 20_000, "pool_prob": 2_000_000, "pool_label": 2_000_
 GRIDS_PAST_FLOATS = [
     ("1001/1000", {}),
     ("101/100", {"sample_mode": "manual", "manual_sizes": MANUAL_SIZES}),
+    ("10009/10000", {}),
 ]
 # A probability pool of 1e19 draws, above the int64 limit of one multinomial.
 POOL_PAST_INT64 = {"sample_mode": "manual", "manual_sizes": {**MANUAL_SIZES, "pool_prob": 1e19}}
@@ -951,6 +952,11 @@ class TestOtherCommands:
         assert main(["levels", "--lambda", "2", "--k", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert sorted(lines) == ["0,1", "0,2", "1,0", "1,1", "2,0"]
+
+    def test_levels_past_the_cap_names_it(self, capsys):
+        # C(14400, 7200) has more digits than Python turns into a string by default
+        assert main(["levels", "--lambda", "7200", "--k", "7200"]) == 2
+        assert capsys.readouterr().err == "error: C(14400,7200) exceeds enumeration cap 5000000\n"
 
     def test_levels_count_only(self, capsys):
         assert main(["levels", "--lambda", "7", "--k", "4", "--count-only"]) == 0

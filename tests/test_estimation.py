@@ -10,6 +10,7 @@ from lpcal.errors import DisjointnessError, QueryBudgetError
 from lpcal.estimation import (
     bin_mass_terms,
     estimate_bin_masses,
+    joint_counts,
     laplace_invcdf,
     pool_create,
     pool_sample_size,
@@ -19,10 +20,11 @@ from lpcal.streams import stream_rng
 from lpcal.world import (
     Predictor,
     World,
+    bin_law,
     bin_table,
+    cell_law,
     draw,
     exact_event_stats,
-    joint_counts,
     make_scenario,
 )
 
@@ -62,7 +64,7 @@ class TestBinMassSampleSize:
 def estimate(w, f, lam, seed, n):
     """The bin-mass array of ``n`` draws and the binning whose levels index it."""
     binning = bin_table(f.table, lam)
-    return estimate_bin_masses(w, binning, stream_rng(seed, "data"), n), binning
+    return estimate_bin_masses(bin_law(w, binning), stream_rng(seed, "data"), n), binning
 
 
 def nonzero(masses, binning):
@@ -99,7 +101,7 @@ class TestEstimateBinMasses:
             samples = draw(w, stream_rng(seed, "data"), 3000)
             binning = bin_table(f.table, 5)
             counts = np.bincount(binning.ids[samples.features], minlength=len(binning.levels))
-            got = estimate_bin_masses(w, binning, FixedDraw(counts), 3000)
+            got = estimate_bin_masses(bin_law(w, binning), FixedDraw(counts), 3000)
             assert nonzero(got, binning) == bin_masses_by_samples(samples.features, f.table, 5)
 
     def test_empty_counts_rejected(self):
@@ -119,9 +121,10 @@ class TestEstimateBinMasses:
         for x, lvl in enumerate(level_tuples(f.levels(lam))):
             exact[lvl] = exact.get(lvl, 0.0) + w.mass[x]
         binning = bin_table(f.table, lam)
+        law = bin_law(w, binning)
         failures = 0
         for seed in range(100):
-            drawn = estimate_bin_masses(w, binning, stream_rng(seed, "data:a1"), m)
+            drawn = estimate_bin_masses(law, stream_rng(seed, "data:a1"), m)
             masses = dict(zip(level_tuples(binning.levels), drawn.tolist()))
             dev = max(
                 abs(masses.get(v, 0.0) - exact.get(v, 0.0)) for v in set(masses) | set(exact)
@@ -198,7 +201,8 @@ class TestDisjointQueryPool:
     def pool(
         world, binning, seed=0, name="t", n_events=4, value_dim=1, alpha=0.1, delta=0.1, m=None
     ):
-        return pool_create(world, binning, seed, name, n_events, value_dim, alpha, delta, m=m)
+        law = cell_law(world, binning)
+        return pool_create(law, binning, seed, name, n_events, value_dim, alpha, delta, m=m)
 
     def test_noise_scale_definitional(self):
         w, f = make_scenario("perfect", 2, 3, seed=0)
@@ -237,7 +241,7 @@ class TestDisjointQueryPool:
         assert len(binning.levels) < 30  # levels shared by several features
         pool = self.pool(w, binning, name="label:0", value_dim=3, m=10_000)
         pool.query([[0]])
-        counts = joint_counts(w, binning, stream_rng(0, "data:pool:label:0"), 10_000)
+        counts = joint_counts(cell_law(w, binning), stream_rng(0, "data:pool:label:0"), 10_000)
         assert pool.bin_counts.shape == (len(binning.levels), 3)
         assert pool.bin_counts.sum() == 10_000
         assert pool.bin_counts.tobytes() == counts.tobytes()
@@ -279,8 +283,9 @@ class TestDisjointQueryPool:
         binning = bin_table(f.table, 3)
         event = np.arange(len(binning.levels))
         failures = 0
+        law = cell_law(w, binning)
         for seed in range(100):
-            p = pool_create(w, binning, seed, "full", 1, 1, alpha, delta)
+            p = pool_create(law, binning, seed, "full", 1, 1, alpha, delta)
             ans = float(p.query([event])[0, 0])
             failures += abs(ans - 1.0) > alpha
         assert failures <= 10  # nominal failure budget is delta = 10 runs
@@ -292,8 +297,9 @@ class TestDisjointQueryPool:
         binning = bin_table(f.table, 3)
         _, [exact_mean] = exact_event_stats(w, binning, event[None])
         failures = 0
+        law = cell_law(w, binning)
         for seed in range(100):
-            p = pool_create(w, binning, seed, "lab", 1, 3, alpha, delta)
+            p = pool_create(law, binning, seed, "lab", 1, 3, alpha, delta)
             ans = p.query([event])[0]
             failures += bool(np.max(np.abs(ans - exact_mean)) > alpha)
         assert failures <= 10
@@ -325,15 +331,17 @@ class TestPoolDrawnOnFirstQuery:
     )
     def test_bad_sizes_refused_before_any_draw(self, monkeypatch, m, message):
         w, f = make_scenario("perfect", 2, 3, seed=0)
+        binning = bin_table(f.table, 4)
         self.no_draws(monkeypatch)
         with pytest.raises(ValueError, match=message):
-            pool_create(w, bin_table(f.table, 4), 0, "t", 4, 1, 0.1, 0.1, m=m)
+            pool_create(cell_law(w, binning), binning, 0, "t", 4, 1, 0.1, 0.1, m=m)
 
     def test_creation_draws_nothing(self, monkeypatch):
         w, f = make_scenario("perfect", 2, 3, seed=0)
+        binning = bin_table(f.table, 4)
         self.no_draws(monkeypatch)
         for m in (1, 2**63 - 1, None):
-            pool = pool_create(w, bin_table(f.table, 4), 0, "t", 4, 1, 0.1, 0.1, m=m)
+            pool = pool_create(cell_law(w, binning), binning, 0, "t", 4, 1, 0.1, 0.1, m=m)
             assert pool.noise_rng is None and pool.bin_counts is None
             assert pool.queries_issued == 0
 
@@ -342,7 +350,7 @@ class TestPoolDrawnOnFirstQuery:
         """A label pool with one event answered, and its binning."""
         w, f = make_scenario("random-miscalibrated", 3, 30, seed=2)
         binning = bin_table(f.table, 4)
-        pool = pool_create(w, binning, 0, "label:0", 4, 3, 0.1, 0.1, m=10_000)
+        pool = pool_create(cell_law(w, binning), binning, 0, "label:0", 4, 3, 0.1, 0.1, m=10_000)
         pool.query([[0]])
         return pool, binning
 
@@ -430,8 +438,9 @@ def test_array_pool_agrees_with_the_set_ledger_oracle(case, seed):
     leave its mask, count and noise stream as they were.
     """
     world, binning, batches, n_events, dim = case
-    pool = pool_create(world, binning, seed, "q", n_events, dim, 0.1, 0.1, m=1000)
-    oracle = eager_pool_create(world, binning, seed, "q", n_events, dim, 0.1, 0.1, m=1000)
+    law = cell_law(world, binning)
+    pool = pool_create(law, binning, seed, "q", n_events, dim, 0.1, 0.1, m=1000)
+    oracle = eager_pool_create(law, binning, seed, "q", n_events, dim, 0.1, 0.1, m=1000)
     for batch in batches:
         before = (pool.claimed.copy(), pool.queries_issued)
         noise = pool.noise_rng.bit_generator.state if pool.noise_rng else None

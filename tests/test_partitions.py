@@ -14,7 +14,7 @@ from lpcal.estimation import pool_create
 from lpcal.partitions import check_refinement, estimated_error, init_structures
 from lpcal.simplex import canonical_rows, enumerate_levels, round_down
 from lpcal.streams import stream_rng
-from lpcal.world import Binning, World, bin_table, make_scenario
+from lpcal.world import Binning, World, bin_table, cell_law, make_scenario
 from oracles import (
     PerKindMonitor,
     ScanEstimationPartition,
@@ -31,10 +31,11 @@ from oracles import (
 
 def make_pools(world, binning, seed, n_bins, m, create=pool_create):
     """Fresh pools listed by size class; equal arguments give equal answers."""
+    law = cell_law(world, binning)
     return [
         (
-            create(world, binning, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
-            create(world, binning, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
+            create(law, binning, seed, f"prob:{i}", n_bins, 1, 0.1, 0.1, m=m),
+            create(law, binning, seed, f"label:{i}", n_bins, world.k, 0.1, 0.1, m=m),
         )
         for i in range(n_bins.bit_length())
     ]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lpcal.errors import EnumerationCapError, MembershipError
 from lpcal.simplex import (
+    ENUM_CAP,
     PROB_ATOL,
     canonical_rows,
     check_prob_rows,
@@ -312,5 +313,9 @@ class TestEnumeration:
                     assert level_count(lam, k) <= math.comb(lam + k, k)
 
     def test_cap_guard(self):
-        with pytest.raises(EnumerationCapError):
-            enumerate_levels(60, 30)
+        # C(14400, 7200) has more digits than Python turns into a string by default
+        for lam, k in ((60, 30), (7200, 7200)):
+            with pytest.raises(EnumerationCapError) as info:
+                enumerate_levels(lam, k)
+            assert type(info.value) is EnumerationCapError
+            assert str(info.value) == f"C({lam + k},{k}) exceeds enumeration cap {ENUM_CAP}"

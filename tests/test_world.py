@@ -12,17 +12,18 @@ import lpcal.evaluator
 import lpcal.partitions
 import lpcal.world
 from lpcal.cli import RunConfig, run_config
-from lpcal.estimation import estimate_bin_masses
+from lpcal.estimation import estimate_bin_masses, joint_counts
 from lpcal.evaluator import exact_lp_error
 from lpcal.simplex import PROB_ATOL, SNAP, round_down
 from lpcal.streams import stream_rng
 from lpcal.world import (
     Predictor,
     World,
+    bin_law,
     bin_table,
+    cell_law,
     draw,
     exact_event_stats,
-    joint_counts,
     make_scenario,
     world_from_dict,
     world_to_dict,
@@ -292,15 +293,19 @@ class TestFeatureCounts:
         assert np.array_equal(counts, np.bincount(samples.features, minlength=30))
         assert np.array_equal(counts, feature_counts_by_choice(w, stream_rng(4, "data"), n))
 
-    @pytest.mark.parametrize("count", [estimate_bin_masses, joint_counts])
-    def test_counts_past_int64_rejected(self, count):
+    @pytest.mark.parametrize(
+        "count, law",
+        [(estimate_bin_masses, bin_law), (joint_counts, cell_law)],
+        ids=["estimate_bin_masses", "joint_counts"],
+    )
+    def test_counts_past_int64_rejected(self, count, law):
         w, f = make_scenario("random-miscalibrated", 3, 40, seed=0)
-        binning = bin_table(f.table, 4)
+        law = law(w, bin_table(f.table, 4))
         top = 2**63 - 1
-        drawn = count(w, binning, stream_rng(0, "data"), top)
+        drawn = count(law, stream_rng(0, "data"), top)
         assert drawn.sum() == (top if count is joint_counts else pytest.approx(1.0))
         with pytest.raises(ValueError, match=r"^9223372036854775808 draws exceed the int64"):
-            count(w, binning, stream_rng(0, "data"), top + 1)
+            count(law, stream_rng(0, "data"), top + 1)
 
     @pytest.mark.parametrize(
         "world",
@@ -395,7 +400,7 @@ class TestJointCounts:
 
     def test_table_is_per_bin_cell_and_sums_to_n(self):
         w, binning = self.shared()
-        counts = joint_counts(w, binning, stream_rng(0, "data"), 10_000)
+        counts = joint_counts(cell_law(w, binning), stream_rng(0, "data"), 10_000)
         assert counts.shape == (len(binning.levels), w.k) and counts.dtype == np.int64
         assert counts.sum() == 10_000 and (counts >= 0).all()
 
@@ -403,7 +408,7 @@ class TestJointCounts:
     def test_law_is_the_singleton_event_stats(self, case):
         w, binning = getattr(self, case)()
         rng = RecordingRng(stream_rng(0, "data"))
-        joint_counts(w, binning, rng, 1000)
+        joint_counts(cell_law(w, binning), rng, 1000)
         singles = np.arange(len(binning.levels))[:, None]
         _, labels = exact_event_stats(w, binning, singles)
         np.testing.assert_allclose(rng.pvals, (labels / labels.sum()).ravel(), rtol=1e-12, atol=0)
@@ -412,7 +417,7 @@ class TestJointCounts:
     def test_one_feature_per_level_is_the_per_feature_draw(self, n):
         w, binning = self.one_per_level()
         fast, slow = stream_rng(3, "data"), stream_rng(3, "data")
-        got = joint_counts(w, binning, fast, n)
+        got = joint_counts(cell_law(w, binning), fast, n)
         assert got.tobytes() == joint_counts_by_feature(w, binning, slow, n).tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -430,8 +435,10 @@ class TestJointCounts:
         p = labels / labels.sum()
         mean, var = n * p, n * p * (1 - p)
         mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+        law = cell_law(w, binning)
         for count in (joint_counts, joint_counts_by_feature):
-            draws = np.stack([count(w, binning, stream_rng(s, "data"), n) for s in range(S)])
+            args = (law,) if count is joint_counts else (w, binning)
+            draws = np.stack([count(*args, stream_rng(s, "data"), n) for s in range(S)])
             z_mean = (draws.mean(axis=0) - mean) / np.sqrt(var / S)
             z_var = (draws.var(axis=0, ddof=1) - var) / np.sqrt((mu4 - var**2) / S)
             assert np.abs(z_mean).max() < Z, (count.__name__, z_mean)
@@ -446,7 +453,7 @@ class TestBinMassDraw:
     def test_law_is_the_exact_bin_masses(self, case):
         w, binning = getattr(TestJointCounts, case)()
         rng = RecordingRng(stream_rng(0, "data"))
-        estimate_bin_masses(w, binning, rng, 1000)
+        estimate_bin_masses(bin_law(w, binning), rng, 1000)
         masses, _ = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
         np.testing.assert_allclose(rng.pvals, masses / masses.sum(), rtol=1e-12, atol=0)
 
@@ -454,7 +461,7 @@ class TestBinMassDraw:
     def test_one_feature_per_level_is_the_per_feature_draw(self, n):
         w, binning = TestJointCounts.one_per_level()
         fast, slow = stream_rng(3, "data:bin-mass"), stream_rng(3, "data:bin-mass")
-        got = estimate_bin_masses(w, binning, fast, n)
+        got = estimate_bin_masses(bin_law(w, binning), fast, n)
         assert got.tobytes() == bin_masses_by_feature(w, binning, slow, n).tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -471,8 +478,10 @@ class TestBinMassDraw:
         p, _ = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
         mean, var = n * p, n * p * (1 - p)
         mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+        law = bin_law(w, binning)
         for estimate in (estimate_bin_masses, bin_masses_by_feature):
-            draws = n * np.stack([estimate(w, binning, stream_rng(s, "data"), n) for s in range(S)])
+            args = (law,) if estimate is estimate_bin_masses else (w, binning)
+            draws = n * np.stack([estimate(*args, stream_rng(s, "data"), n) for s in range(S)])
             z_mean = (draws.mean(axis=0) - mean) / np.sqrt(var / S)
             z_var = (draws.var(axis=0, ddof=1) - var) / np.sqrt((mu4 - var**2) / S)
             assert np.abs(z_mean).max() < Z, (estimate.__name__, z_mean)
@@ -483,7 +492,7 @@ class TestBinMassDraw:
         w, binning = TestJointCounts.shared()
         mass = np.where(binning.ids == 1, 0.0, w.mass)
         world = World(mass / mass.sum(), w.conditional)
-        masses = estimate_bin_masses(world, binning, stream_rng(0, "data"), 2**62)
+        masses = estimate_bin_masses(bin_law(world, binning), stream_rng(0, "data"), 2**62)
         assert masses[1] == 0.0 and (masses[[0, 2]] > 0).all()
 
     def test_memory_bounded_at_any_n(self):
@@ -492,7 +501,7 @@ class TestBinMassDraw:
         for n in (20_000_000, 2_500_000_000_000):  # the second is p=6/5, eps=0.3
             tracemalloc.start()
             try:
-                masses = estimate_bin_masses(w, binning, stream_rng(0, "data"), n)
+                masses = estimate_bin_masses(bin_law(w, binning), stream_rng(0, "data"), n)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -502,7 +511,7 @@ class TestBinMassDraw:
     def test_negative_n_rejected(self):
         w, binning = TestJointCounts.shared()
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
-            estimate_bin_masses(w, binning, stream_rng(0, "data"), -1)
+            estimate_bin_masses(bin_law(w, binning), stream_rng(0, "data"), -1)
 
 
 class TestScenarios:
