@@ -534,7 +534,12 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 def cmd_levels(args: argparse.Namespace) -> int:
     if args.count_only:
-        print(level_count(args.lam, args.k))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the exact count may pass str()'s default digit limit
+        try:
+            print(level_count(args.lam, args.k))
+        finally:
+            sys.set_int_max_str_digits(limit)
         return 0
     for v in enumerate_levels(args.lam, args.k):
         print(",".join(str(n) for n in v))

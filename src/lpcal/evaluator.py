@@ -26,18 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import round_down  # unused; perfbench/tracer.py patches it
-from .world import Binning, World
+from .world import Binning, World, group_sums
 
 PList = tuple[float, ...]
 
 
 def _abs_errors(world: World, table: np.ndarray, binning: Binning) -> np.ndarray:
-    """``(n_levels, k)`` exact errors, row i for ``binning.levels[i]``; sums in row order."""
+    """``(n_levels, k)`` exact errors, row i for ``binning.levels[i]``, summed by ``group_sums``."""
     if binning.ids.shape != (table.shape[0],):
         raise ValueError(f"binning has {binning.ids.size} rows, the predictor {table.shape[0]}")
     terms = world.mass[:, None] * (table - world.conditional)
-    signed = [np.bincount(binning.ids, weights=t, minlength=len(binning.levels)) for t in terms.T]
-    return np.abs(np.stack(signed, axis=1))
+    return np.abs(group_sums(binning.ids, terms, len(binning.levels)))
 
 
 def _lp_norm(errors: np.ndarray, p: float) -> float:

@@ -151,14 +151,14 @@ def project_simplex(z: Sequence[float] | np.ndarray) -> np.ndarray:
 def level_count(lam: int, k: int) -> int:
     """Exact number of reachable level sets.
 
-    Counts grid vectors with ``max(0, lam-k+1) <= sum(n) <= lam``; for sums
-    ``s <= lam`` the per-coordinate cap never binds, so each sum contributes
-    ``C(s+k-1, k-1)`` vectors.
+    Counts grid vectors with ``lo = max(0, lam-k+1) <= sum(n) <= lam``; for
+    sums ``s <= lam`` the per-coordinate cap never binds, so each sum adds
+    ``C(s+k-1, k-1)`` vectors, and the hockey-stick identity sums them.
     """
     if lam < 1 or k < 1:
         raise ValueError("lam and k must be positive integers")
     lo = max(0, lam - k + 1)
-    return sum(math.comb(s + k - 1, k - 1) for s in range(lo, lam + 1))
+    return math.comb(lam + k, k) - math.comb(lo + k - 1, k)
 
 
 def enumerate_levels(lam: int, k: int) -> list[Level]:

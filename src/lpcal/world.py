@@ -163,20 +163,26 @@ def draw(world: World, rng: np.random.Generator, n: int) -> SampleBatch:
     return SampleBatch(features, labels)
 
 
+def group_sums(groups: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of ``weights`` into ``n`` groups by ``groups``, each in row order from 0.0."""
+    if weights.ndim == 1:
+        return np.bincount(groups, weights=weights, minlength=n)
+    k = weights.shape[1]
+    cells = (groups[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(cells, weights=weights.ravel(), minlength=n * k).reshape(n, k)
+
+
 def bin_law(world: World, binning: Binning) -> np.ndarray:
-    """``(n_levels,)`` exact bin law ``sum over x in bin i of mass(x)``, in feature order."""
-    return np.bincount(binning.ids, weights=world.mass, minlength=len(binning.levels))
+    """``(n_levels,)`` exact bin law ``sum over x in bin i of mass(x)``, by :func:`group_sums`."""
+    return group_sums(binning.ids, world.mass, len(binning.levels))
 
 
 def cell_law(world: World, binning: Binning) -> np.ndarray:
-    """Read-only ``(n_levels, k)`` exact (bin, label) law, summed in feature order.
+    """Read-only ``(n_levels, k)`` exact (bin, label) law, by :func:`group_sums`.
 
     ``law[i, j] = sum over x in bin i of mass(x) * conditional(x, j)``.
     """
-    k = world.k
-    cells = (binning.ids[:, None] * k + np.arange(k)).ravel()
-    weights = (world.mass[:, None] * world.conditional).ravel()
-    law = np.bincount(cells, weights=weights, minlength=len(binning.levels) * k).reshape(-1, k)
+    law = group_sums(binning.ids, world.mass[:, None] * world.conditional, len(binning.levels))
     law.flags.writeable = False
     return law
 
@@ -189,9 +195,8 @@ def exact_event_stats(
     Row i of ``events`` names event i's bins, positions in ``binning.levels``;
     no position may appear twice in the batch.  Returns the ``(m,)`` masses
     ``P[R(f(x)) in bins_i]`` and the ``(m, k)`` label masses
-    ``E[y_j * 1[R(f(x)) in bins_i]]`` (a row sums to its event's mass).  One
-    stable sort groups each event's features, ascending as a row mask selects
-    them, and each event's two sums run over them in that order.
+    ``E[y_j * 1[R(f(x)) in bins_i]]``: :func:`group_sums` over each event's
+    features of ``mass(x)`` and of ``mass(x) * conditional(x, j)``.
     """
     n_levels = len(binning.levels)
     if not events.size or events.min() < 0 or events.max() >= n_levels:
@@ -202,13 +207,9 @@ def exact_event_stats(
         raise ValueError("a position is named twice in the batch")
     row_event = event_of[binning.ids]
     rows = np.flatnonzero(row_event >= 0)
-    ends = np.cumsum(np.bincount(row_event[rows], minlength=len(events)))[:-1]
-    rows = rows[np.argsort(row_event[rows], kind="stable")]
-    masses, labels = np.empty(len(events)), np.empty((len(events), world.k))
-    for i, r in enumerate(np.split(rows, ends)):
-        mass = world.mass[r]
-        masses[i], labels[i] = mass.sum(), mass @ world.conditional[r]
-    return masses, labels
+    groups, mass = row_event[rows], world.mass[rows]
+    weights = mass[:, None] * world.conditional[rows]
+    return group_sums(groups, mass, len(events)), group_sums(groups, weights, len(events))
 
 
 def check_gamma(gamma: float) -> None:

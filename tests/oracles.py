@@ -89,6 +89,22 @@ def levels_by_greedy_certificate(lam: int, k: int) -> set[Level]:
     return out
 
 
+def level_count_by_sums(lam: int, k: int) -> int:
+    """Reachable level sets counted sum by sum: ``C(s+k-1, k-1)`` for each ``s`` in [lo, lam]."""
+    lo = max(0, lam - k + 1)
+    return sum(math.comb(s + k - 1, k - 1) for s in range(lo, lam + 1))
+
+
+def group_sums_by_loop(groups: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Row sums into groups by a scalar loop, each entry added in row order from 0.0."""
+    sums = np.zeros((n, *weights.shape[1:]))
+    flat = sums.reshape(n, -1)
+    for g, row in zip(groups.tolist(), weights.reshape(len(groups), flat.shape[1]).tolist()):
+        for j, w in enumerate(row):
+            flat[g, j] += w
+    return sums
+
+
 def check_prob_vector(u: np.ndarray, *, atol: float = PROB_ATOL) -> None:
     """Raise ValueError unless ``u`` is a probability vector within ``atol``."""
     u = np.asarray(u, dtype=float)
@@ -226,13 +242,20 @@ def rows_in(binning: Binning, positions) -> np.ndarray:
 def exact_event_stats_by_mask(
     world: World, binning: Binning, positions
 ) -> tuple[float, np.ndarray]:
-    """Exact mass and per-class label mass of the bins at ``positions``, through a row mask."""
+    """Exact mass and per-class label mass of the bins at ``positions``, through a row mask.
+
+    A scalar loop adds each masked feature's ``mass(x)`` and ``mass(x) *
+    conditional(x, j)`` one at a time, in feature order from 0.0.
+    """
     if not len(positions):
         raise ValueError("bins must be nonempty")
-    sel = rows_in(binning, positions)
-    mass = float(world.mass[sel].sum())
-    mean_label = world.mass[sel] @ world.conditional[sel]
-    return mass, np.asarray(mean_label, dtype=float)
+    mass, mean_label = 0.0, [0.0] * world.k
+    for x in np.flatnonzero(rows_in(binning, positions)).tolist():
+        m = float(world.mass[x])
+        mass += m
+        for j, c in enumerate(world.conditional[x].tolist()):
+            mean_label[j] += m * c
+    return mass, np.array(mean_label, dtype=float)
 
 
 def is_member(v: Level, lam: int) -> bool:

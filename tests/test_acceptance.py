@@ -285,7 +285,7 @@ def test_criterion_10_determinism(tmp_path):
 MERGE_HEAVY_ARGS = ["--scenario", "random-miscalibrated", "--k", "2", "--n-features", "200",
                     "--p", "3/2", "--eps", "0.2", "--seed", "1"]
 MERGE_HEAVY_SHA256 = {
-    "report.json": "a4b30fc188d7b723e92e0bc6f3fbd32e6e85c9ad50fdc26fa6435fd5b2c9423c",
+    "report.json": "abd92d949b0a60406c961a935c6d5e1eb3f4dfb6b754822c7d775e46f7c4008c",
     "trace.csv": "440cc7b276ba53c26d7e2886eb1ea025850304a385b59f6dcb749a2b9a491515",
 }
 
@@ -306,7 +306,7 @@ def test_merge_heavy_run_pinned(tmp_path):
 WIDE_ARGS = ["--scenario", "overconfident", "--k", "5", "--n-features", "5000",
              "--p", "2", "--eps", "0.3", "--seed", "0"]
 WIDE_SHA256 = {
-    "report.json": "2fa8dd758bffd8ff05989e9853c4bce000fc44b90457496baa5e52c98783f4fe",
+    "report.json": "63aba956a4151126d0c4318f9bc91ec9e85bd82e260f48aa89cd84d6d76b29e6",
     "trace.csv": "e5a40454b75738919b7485705b1a99809b955d8145dd22049cc447432484ca8e",
 }
 

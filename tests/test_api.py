@@ -261,3 +261,15 @@ def world_uses(tree: ast.Module) -> list[str]:
 def test_algorithm_never_sees_the_world(module):
     uses = world_uses(_modules()[module])
     assert not uses, f"{module} uses {sorted(set(uses))}: hand it a binned law instead"
+
+
+def test_readme_library_use_runs(capsys):
+    # the reason ALLOWED keeps exact_lp_error: the example must keep running
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "exact_lp_error" in code
+    exec(compile(code, "README.md", "exec"), {})
+    iterations, held, err = capsys.readouterr().out.split()
+    assert int(iterations) >= 0 and held == "True"
+    assert 0.0 <= float(err) <= 0.3  # within the example's eps

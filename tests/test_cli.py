@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -961,6 +962,19 @@ class TestOtherCommands:
     def test_levels_count_only(self, capsys):
         assert main(["levels", "--lambda", "7", "--k", "4", "--count-only"]) == 0
         assert int(capsys.readouterr().out) == level_count(7, 4)
+
+    def test_levels_count_only_past_str_digit_limit(self, capsys):
+        # 4,333 digits, more than str() gives an int by default; every grid vector of
+        # sum <= 7200 but the zero one is a level set at lam = k = 7200
+        limit = sys.get_int_max_str_digits()
+        assert main(["levels", "--lambda", "7200", "--k", "7200", "--count-only"]) == 0
+        assert sys.get_int_max_str_digits() == limit  # restored for the rest of the process
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{math.comb(14400, 7200) - 1}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_eval_matches_library(self, tmp_path, capsys):
         out = tmp_path / "world.json"

@@ -25,6 +25,7 @@ from oracles import (
     first_bad_row,
     is_member,
     levels_by_greedy_certificate,
+    level_count_by_sums,
     level_coords,
     levels_by_witness_enumeration,
     project_by_grid,
@@ -305,6 +306,11 @@ class TestEnumeration:
         for lam in range(1, 7):
             for k in range(1, 7):
                 assert level_count(lam, k) == len(enumerate_levels(lam, k))
+
+    def test_count_matches_the_sum_by_sum_oracle(self):
+        for lam in (*range(1, 25), 60, 97, 200):
+            for k in (*range(1, 25), 50, 200):
+                assert level_count(lam, k) == level_count_by_sums(lam, k), (lam, k)
 
     def test_cardinality_bound(self):
         for lam in range(1, 11):

@@ -24,6 +24,7 @@ from lpcal.world import (
     cell_law,
     draw,
     exact_event_stats,
+    group_sums,
     make_scenario,
     world_from_dict,
     world_to_dict,
@@ -39,6 +40,7 @@ from oracles import (
     feature_counts_by_choice,
     feature_counts_by_multinomial,
     feature_counts_by_sorting,
+    group_sums_by_loop,
     joint_counts_by_feature,
     level_tuples,
     rows_in,
@@ -592,6 +594,20 @@ def worlds_and_batches(draw, size):
     return world, binning, np.array(positions, dtype=np.int64).reshape(m, size)
 
 
+class TestGroupSums:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_a_scalar_loop(self, data):
+        rows, n = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 8))
+        shape = data.draw(st.sampled_from([(rows,), (rows, 1), (rows, 4)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        groups = rng.integers(n, size=rows)
+        weights = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        got = group_sums(groups, weights, n)
+        assert got.shape == (n, *shape[1:])
+        assert got.tobytes() == group_sums_by_loop(groups, weights, n).tobytes()
+
+
 class TestExactEventStats:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -607,6 +623,14 @@ class TestExactEventStats:
                 want_mass, want_label = exact_event_stats_by_mask(world, binning, event)
                 assert mass.tobytes() == np.float64(want_mass).tobytes()
                 assert label.tobytes() == want_label.tobytes()
+
+    def test_one_bin_batch_is_the_binned_laws(self):
+        # every event one bin: the same sums, in the same order, as the laws
+        w, f = make_scenario("overconfident", 5, 5000, seed=0)
+        binning = bin_table(f.table, 4)
+        masses, labels = exact_event_stats(w, binning, np.arange(len(binning.levels))[:, None])
+        assert masses.tobytes() == bin_law(w, binning).tobytes()
+        assert labels.tobytes() == cell_law(w, binning).tobytes()
 
     def test_total_probability(self):
         w, f = make_scenario("random-miscalibrated", 3, 20, seed=1)
